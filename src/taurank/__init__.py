@@ -5,7 +5,7 @@ translate, and tau-regularity verdicts.
 All arithmetic is exact (rationals by default, prime fields on request);
 randomized operations take explicit seeds and are reproducible."""
 
-from .fields import DEFAULT_PRIME, QQ, PrimeField, RationalField, SeedStream, sample_scalar
+from .fields import DEFAULT_PRIME, QQ, PrimeField, RationalField, SeedStream
 from .linalg import Matrix
 from .polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from .quiver import Arrow, Quiver, QuiverSyntaxError, RelationPoly, parse_quiver_file
@@ -34,7 +34,6 @@ from .reps import (
     projective,
     projective_cover,
     radical_of,
-    rank_of,
     simple,
     socle,
     syzygy,

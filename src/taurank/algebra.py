@@ -225,6 +225,11 @@ class Algebra:
                 self.idempotent_index[b.source] = i
         self.vertices = sorted(self.idempotent_index)
         self._op = None
+        # per-algebra tables, each filled on first use
+        self._paths = None
+        self._rmult_blocks = {}
+        # (mults, field name) -> (layouts, rep, offsets); filled by reps.realize
+        self.realization_cache = {}
         if _products is not None:
             self.products = _products
         else:
@@ -429,6 +434,37 @@ class Algebra:
             if b.source == i:
                 dims[b.target - 1] += 1
         return tuple(dims)
+
+    def paths(self, source, target):
+        """Ascending basis indices of the residues from `source` to `target`."""
+        if self._paths is None:
+            table = {}
+            for k, b in enumerate(self.basis):
+                table.setdefault((b.source, b.target), []).append(k)
+            self._paths = table
+        return self._paths.get((source, target), ())
+
+    def right_mult_blocks(self, i, x):
+        """Right multiplication z -> z*x from P(i) to P(j), j the source of
+        basis element x, as sparse triples (row, col, c) per vertex v: col
+        indexes paths(i, v), row indexes paths(j, v), and c is an int when
+        integral, else a Fraction.  Vertices without entries are left out."""
+        key = (i, x)
+        blocks = self._rmult_blocks.get(key)
+        if blocks is None:
+            j = self.basis[x].source
+            blocks = {}
+            for v in self.quiver.vertices:
+                rowpos = {k: r for r, k in enumerate(self.paths(j, v))}
+                triples = [
+                    (rowpos[k2], col, c.numerator if c.denominator == 1 else c)
+                    for col, k in enumerate(self.paths(i, v))
+                    for k2, c in self.products.get((k, x), {}).items()
+                ]
+                if triples:
+                    blocks[v] = triples
+            self._rmult_blocks[key] = blocks
+        return blocks
 
     # -- derived algebras -------------------------------------------------
 

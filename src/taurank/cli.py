@@ -6,8 +6,11 @@ ALG-B0, ALG-C, ALG-K); module arguments are .mod.json files or inline
 expressions like "S(2)+S(3)".  Identical seeds produce byte-identical
 JSON reports.
 
-Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error,
-3 invalid module, 4 ideal does not annihilate, 10 scan violations found.
+Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error or
+invalid option value (--trials, --tmax or --cap below 1, a --field modulus
+that is not prime), 3 invalid module, 4 ideal does not annihilate,
+10 scan violations found.  Exits 2, 3 and 4 print a single `error:` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -49,7 +52,17 @@ def _field_of(args):
     m = re.match(r"^fp(?::(\d+))?$", spec)
     if not m:
         raise CliError(f"bad --field {spec!r}; use q or fp:<prime>", EXIT_PARSE)
-    return PrimeField(int(m.group(1) or DEFAULT_PRIME))
+    try:
+        return PrimeField(int(m.group(1) or DEFAULT_PRIME))
+    except ValueError as exc:
+        raise CliError(f"bad --field {spec!r}: {exc}", EXIT_PARSE)
+
+
+def _check_counts(args):
+    for flag in ("trials", "tmax", "cap"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise CliError(f"--{flag} must be at least 1, got {value}", EXIT_PARSE)
 
 
 def _load_algebra(arg):
@@ -346,6 +359,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,11 +61,42 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < 3.3 * 10**24."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large for the primality test (limit {_MR_LIMIT})")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Arithmetic over F_p with int scalars in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p**0.5) + 1))):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F_{p}"
@@ -156,9 +187,3 @@ class SeedStream:
 
     def __repr__(self):
         return f"SeedStream({self.seed})"
-
-
-def sample_scalar(field, rng: SeedStream, bound: int):
-    """One scalar draw from `rng`: uniform in [-bound, bound] over Q,
-    uniform field element over F_p.  bound 0 always yields 0."""
-    return field.sample(rng, bound)

@@ -10,7 +10,7 @@ elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class Matrix:
@@ -65,9 +65,6 @@ class Matrix:
             and self.ncols == other.ncols
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        raise TypeError("Matrix is unhashable")
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
@@ -278,13 +275,12 @@ def _int_rows(m: Matrix):
     """Clear denominators: integer row list plus nothing else (Q only)."""
     out = []
     for row in m.rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x.numerator * (den // x.denominator)) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            ints = [x.numerator for x in row]
+        else:
+            ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
@@ -314,20 +310,18 @@ def _echelon_q(m: Matrix):
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         pv = prow[c]
+        # entries left of c are zero in both rows, so whole rows combine
         for i in range(r + 1, nrows):
-            v = rows[i][c]
+            ri = rows[i]
+            v = ri[c]
             if v:
                 g = gcd(pv, v)
                 a, b = pv // g, v // g
-                ri = rows[i]
-                for j in range(c, ncols):
-                    ri[j] = a * ri[j] - b * prow[j]
-                g2 = 0
-                for x in ri:
-                    g2 = gcd(g2, x)
+                ri = [a * x - b * y for x, y in zip(ri, prow)]
+                g2 = gcd(*ri)
                 if g2 > 1:
-                    for j in range(c, ncols):
-                        ri[j] //= g2
+                    ri = [x // g2 for x in ri]
+                rows[i] = ri
         pivots.append(c)
         r += 1
     return rows[: len(pivots)], pivots
@@ -350,16 +344,13 @@ def _echelon_p(m: Matrix):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = pow(prow[c], -1, p)
-        for j in range(c, ncols):
-            prow[j] = prow[j] * inv % p
+        inv = pow(rows[r][c], -1, p)
+        # entries left of c are zero in both rows, so whole rows combine
+        rows[r] = prow = [x * inv % p for x in rows[r]]
         for i in range(r + 1, nrows):
             v = rows[i][c]
             if v:
-                ri = rows[i]
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - v * prow[j]) % p
+                rows[i] = [(x - v * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return rows[: len(pivots)], pivots

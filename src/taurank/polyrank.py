@@ -142,11 +142,6 @@ class Poly:
             acc = field.add(acc, v)
         return acc
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .fields import QQ, SeedStream, sample_scalar
+from .fields import QQ, SeedStream
 from .linalg import Matrix
 from .polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from .reps import (
@@ -71,7 +72,9 @@ class HomSpace:
     Item (s1, s0, x) is the morphism sending the generator of source
     summand s1 to the path residue x (an algebra basis element from the
     target summand's vertex to the source summand's vertex), i.e. right
-    multiplication by x into summand s0.
+    multiplication by x into summand s0.  Morphisms are assembled by
+    scattering coefficient multiples of the algebra's right-multiplication
+    blocks into integer cells.
     """
 
     def __init__(self, r1: ProjRealization, r0: ProjRealization):
@@ -80,57 +83,70 @@ class HomSpace:
         self.algebra = r1.algebra
         self.field = r1.field
         alg = self.algebra
-        self.items = []
-        for s1, (i, _) in enumerate(r1.summands):
-            for s0, (j, _) in enumerate(r0.summands):
-                for x, b in enumerate(alg.basis):
-                    if b.source == j and b.target == i:
-                        self.items.append((s1, s0, x))
+        # (s0, x) pairs per source summand type
+        targets = {
+            i: [(s0, x) for s0, (j, _) in enumerate(r0.summands) for x in alg.paths(j, i)]
+            for i, _ in r1.summands
+        }
+        self.items = [
+            (s1, s0, x) for s1, (i, _) in enumerate(r1.summands) for s0, x in targets[i]
+        ]
         self.dim = len(self.items)
-        self._rmult = {}
+        self._scatter = None
 
-    def _right_mult(self, i, x):
-        """Per-vertex sparse matrix of z -> z*x on P(i), keyed on the
-        local layouts of P(i) (columns) and P(source x) (rows)."""
-        key = (i, x)
-        cached = self._rmult.get(key)
-        if cached is not None:
-            return cached
-        alg = self.algebra
-        j = alg.basis[x].source
-        from .reps import _proj_layout
-
-        li, lj = _proj_layout(alg, i), _proj_layout(alg, j)
-        out = {}
-        for v in alg.quiver.vertices:
-            rowpos = {k: r for r, k in enumerate(lj[v])}
-            cols = []
-            for k in li[v]:
-                prod = alg.products.get((k, x), {})
-                cols.append([(rowpos[k2], c) for k2, c in prod.items()])
-            out[v] = cols
-        self._rmult[key] = out
-        return out
+    def _scatter_table(self):
+        """Per item, the (cell, c) pairs it adds to; cells number the
+        entries of all vertex blocks row-major, one block after the other.
+        c is an int when integral; over F_p a non-integral c is reduced."""
+        if self._scatter is None:
+            f, alg, r1, r0 = self.field, self.algebra, self.r1, self.r0
+            shapes, first_cell, ncells = [], {}, 0
+            for v in alg.quiver.vertices:
+                nrows, ncols = r0.rep.vertex_dim(v), r1.rep.vertex_dim(v)
+                shapes.append((v, ncells, nrows, ncols))
+                first_cell[v] = (ncells, ncols)
+                ncells += nrows * ncols
+            table = []
+            for s1, s0, x in self.items:
+                off1, off0 = r1.offsets[s1], r0.offsets[s0]
+                entries = []
+                for v, triples in alg.right_mult_blocks(r1.summands[s1][0], x).items():
+                    base, ncols = first_cell[v]
+                    base += off0[v] * ncols + off1[v]
+                    entries += [(base + r * ncols + col, c) for r, col, c in triples]
+                table.append(entries)
+            if f.characteristic:
+                table = [
+                    [(cell, c if type(c) is int else f.from_fraction(c)) for cell, c in entries]
+                    for entries in table
+                ]
+            self._scatter = table, shapes, ncells
+        return self._scatter
 
     def morphism_from_coeffs(self, coeffs):
         f = self.field
-        maps = {
-            v: Matrix.zeros(f, self.r0.rep.vertex_dim(v), self.r1.rep.vertex_dim(v))
-            for v in self.algebra.quiver.vertices
-        }
-        for coeff, (s1, s0, x) in zip(coeffs, self.items):
-            if f.is_zero(coeff):
+        rational = f.characteristic == 0
+        table, shapes, ncells = self._scatter_table()
+        acc = [0] * ncells
+        for coeff, entries in zip(coeffs, table):
+            if not coeff:
                 continue
-            i, _ = self.r1.summands[s1]
-            blocks = self._right_mult(i, x)
-            for v, cols in blocks.items():
-                coff = self.r1.offsets[s1][v]
-                roff = self.r0.offsets[s0][v]
-                rows = maps[v].rows
-                for ci, entries in enumerate(cols):
-                    for ri, c in entries:
-                        val = f.mul(coeff, f.from_fraction(c))
-                        rows[roff + ri][coff + ci] = f.add(rows[roff + ri][coff + ci], val)
+            # integral coefficients are accumulated as ints
+            if rational and coeff.denominator == 1:
+                coeff = coeff.numerator
+            for cell, c in entries:
+                acc[cell] += coeff * c
+        # each cell becomes a field element once
+        if rational:
+            zero = f.zero
+            cells = [Fraction(x) if x else zero for x in acc]
+        else:
+            p = f.p
+            cells = [x % p for x in acc]
+        maps = {}
+        for v, at, nrows, ncols in shapes:
+            rows = [cells[at + r * ncols : at + (r + 1) * ncols] for r in range(nrows)]
+            maps[v] = Matrix(f, rows, ncols)
         return Morphism(self.r1.rep, self.r0.rep, maps)
 
     def coeffs_of_morphism(self, fmor: Morphism):
@@ -164,7 +180,7 @@ class HomSpace:
         return entries
 
     def sample_coeffs(self, rng: SeedStream, bound=1000):
-        return [sample_scalar(self.field, rng, bound) for _ in self.items]
+        return [self.field.sample(rng, bound) for _ in self.items]
 
     def generic_vertex_matrices(self):
         """Per-vertex PolyMatrix of the generic morphism, one variable per item."""
@@ -176,30 +192,28 @@ class HomSpace:
             )
         for t, (s1, s0, x) in enumerate(self.items):
             i, _ = self.r1.summands[s1]
-            blocks = self._right_mult(i, x)
-            for v, cols in blocks.items():
+            for v, triples in self.algebra.right_mult_blocks(i, x).items():
                 coff = self.r1.offsets[s1][v]
                 roff = self.r0.offsets[s0][v]
                 pm = out[v]
-                for ci, entries in enumerate(cols):
-                    for ri, c in entries:
-                        pm.entries[roff + ri][coff + ci] = pm.entries[roff + ri][
-                            coff + ci
-                        ] + Poly.variable(nvars, t, c)
+                for r, col, c in triples:
+                    pm.entries[roff + r][coff + col] = pm.entries[roff + r][
+                        coff + col
+                    ] + Poly.variable(nvars, t, c)
         return out
 
     def vertex_block_support(self):
         """Per vertex: set of (source type i, target type j) with a nonzero
-        generic block, plus per-type column/row dimensions."""
+        generic block."""
         alg = self.algebra
         support = {v: set() for v in alg.quiver.vertices}
-        for (s1, s0, x) in self.items:
-            i, _ = self.r1.summands[s1]
-            j, _ = self.r0.summands[s0]
-            blocks = self._right_mult(i, x)
-            for v, cols in blocks.items():
-                if any(entries for entries in cols):
-                    support[v].add((i, j))
+        types1 = [i for i in alg.quiver.vertices if self.r1.mults[i - 1]]
+        types0 = [j for j in alg.quiver.vertices if self.r0.mults[j - 1]]
+        for i in types1:
+            for j in types0:
+                for x in alg.paths(j, i):
+                    for v in alg.right_mult_blocks(i, x):
+                        support[v].add((i, j))
         return support
 
 
@@ -214,14 +228,8 @@ def cover_upper_bound(hs: HomSpace):
     for v in alg.quiver.vertices:
         col_types = sorted({i for i, _ in support[v]})
         row_types = sorted({j for _, j in support[v]})
-        col_dim = {
-            i: hs.r1.mults[i - 1] * len([1 for b in alg.basis if b.source == i and b.target == v])
-            for i in col_types
-        }
-        row_dim = {
-            j: hs.r0.mults[j - 1] * len([1 for b in alg.basis if b.source == j and b.target == v])
-            for j in row_types
-        }
+        col_dim = {i: hs.r1.mults[i - 1] * len(alg.paths(i, v)) for i in col_types}
+        row_dim = {j: hs.r0.mults[j - 1] * len(alg.paths(j, v)) for j in row_types}
         best = None
         for csub in itertools.chain.from_iterable(
             itertools.combinations(col_types, r) for r in range(len(col_types) + 1)

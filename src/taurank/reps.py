@@ -218,11 +218,7 @@ def simple(algebra, i, field=QQ):
 
 def _proj_layout(algebra, i):
     """Basis indices of P(i) = A e_i grouped per target vertex."""
-    layout = {v: [] for v in algebra.quiver.vertices}
-    for k, b in enumerate(algebra.basis):
-        if b.source == i:
-            layout[b.target].append(k)
-    return layout
+    return {v: algebra.paths(i, v) for v in algebra.quiver.vertices}
 
 
 def projective(algebra, i, field=QQ):
@@ -276,17 +272,6 @@ def direct_sum(reps):
         for a in alg.quiver.arrows
     }
     return Representation(alg, f, dims, arrows)
-
-
-def direct_sum_morphisms(fs):
-    fs = list(fs)
-    src = direct_sum([f.source for f in fs])
-    tgt = direct_sum([f.target for f in fs])
-    maps = {
-        v: Matrix.block_diag(fs[0].source.field, [f.maps[v] for f in fs])
-        for v in fs[0].maps
-    }
-    return Morphism(src, tgt, maps)
 
 
 # -- Hom spaces --------------------------------------------------------------
@@ -350,10 +335,6 @@ def hom_dim(m: Representation, n: Representation):
     if nvars == 0:
         return 0
     return nvars - sys_m.rank()
-
-
-def rank_of(f: Morphism):
-    return f.rank()
 
 
 # -- kernels, images, cokernels ----------------------------------------------
@@ -501,22 +482,13 @@ class ProjRealization:
             for i in algebra.quiver.vertices
             for c in range(self.mults[i - 1])
         ]
-        self._layouts = {i: _proj_layout(algebra, i) for i, _ in self.summands}
-        self._proj_reps = {}
-        for i, _ in self.summands:
-            if i not in self._proj_reps:
-                self._proj_reps[i] = projective(algebra, i, field)
-        if self.summands:
-            self.rep = direct_sum([self._proj_reps[i] for i, _ in self.summands])
-        else:
-            self.rep = zero_rep(algebra, field)
-        # offsets[s][v]: column offset of summand s inside vertex block v
-        self.offsets = []
-        off = {v: 0 for v in algebra.quiver.vertices}
-        for i, _ in self.summands:
-            self.offsets.append(dict(off))
-            for v in algebra.quiver.vertices:
-                off[v] += len(self._layouts[i][v])
+        # Q and F_p never share a rep; all F_p objects of one prime do
+        key = (self.mults, field.name)
+        parts = algebra.realization_cache.get(key)
+        if parts is None:
+            parts = _realization_parts(algebra, self.summands, field)
+            algebra.realization_cache[key] = parts
+        self._layouts, self.rep, self.offsets = parts
         self.total_dim = self.rep.dim_total
 
     def n_summands(self):
@@ -537,6 +509,26 @@ class ProjRealization:
             base = self.offsets[s][v]
             out[v] = [(base + p, k) for p, k in enumerate(self._layouts[i][v])]
         return out
+
+
+def _realization_parts(algebra, summands, field):
+    """(layouts, rep, offsets) of the sum of the projectives P(i) over the
+    summands (i, copy); shared by every realization of the same sum, so
+    none of them may be mutated."""
+    layouts = {i: _proj_layout(algebra, i) for i, _ in summands}
+    if summands:
+        projs = {i: projective(algebra, i, field) for i in layouts}
+        rep = direct_sum([projs[i] for i, _ in summands])
+    else:
+        rep = zero_rep(algebra, field)
+    # offsets[s][v]: column offset of summand s inside vertex block v
+    offsets = []
+    off = {v: 0 for v in algebra.quiver.vertices}
+    for i, _ in summands:
+        offsets.append(dict(off))
+        for v in algebra.quiver.vertices:
+            off[v] += len(layouts[i][v])
+    return layouts, rep, offsets
 
 
 def realize(algebra, mults, field=QQ):

@@ -212,3 +212,62 @@ def test_fp_mode_hom(capsys):
                              "--json"])
     assert code == 0
     assert json.loads(out)["hom_dim"] == 3
+
+
+def run_err(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_scan_trials_zero_exits_2(capsys):
+    code, err = run_err(capsys, ["scan", "ALG-K", "--p1", "1,0", "--p0", "0,1",
+                                 "--trials", "0"])
+    assert code == 2
+    assert_one_error_line(err)
+
+
+def test_scan_tmax_zero_exits_2(capsys):
+    code, err = run_err(capsys, ["scan", "ALG-K", "--p1", "1,0", "--p0", "0,1",
+                                 "--tmax", "0"])
+    assert code == 2
+    assert_one_error_line(err)
+
+
+def test_check_cap_zero_exits_2(capsys):
+    code, err = run_err(capsys, ["check", "ALG-B", "S(2)", "--cap", "0"])
+    assert code == 2
+    assert_one_error_line(err)
+
+
+def test_field_composite_modulus_exits_2(capsys):
+    code, err = run_err(capsys, ["hom", "ALG-B", "S(2)", "S(2)", "--field", "fp:4"])
+    assert code == 2
+    assert_one_error_line(err)
+
+
+# byte-for-byte outputs of the scanner, pinned across its optimizations
+PINNED_SCANS = [
+    (["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--tmax", "3", "--json"], 10,
+     '{"certified": [true, true, true], "field": "Q", "methods": ["oracle", '
+     '"dimension-bound", "dimension-bound"], "p0": [0, 0, 1], "p1": [0, 1, 0], '
+     '"r": [3, 8, 12], "seed": 42, "t_max": 3, "trials": 8, "violations": [2, 3]}\n'),
+    (["scan", "ALG-K", "--p1", "1,2", "--p0", "2,1", "--tmax", "3", "--trials", "3",
+      "--seed", "11", "--json"], 0,
+     '{"certified": [true, true, true], "field": "Q", "methods": ["dimension-bound", '
+     '"dimension-bound", "dimension-bound"], "p0": [2, 1], "p1": [1, 2], '
+     '"r": [4, 8, 12], "seed": 11, "t_max": 3, "trials": 3, "violations": []}\n'),
+]
+
+
+def test_scan_json_bytes_pinned(capsys):
+    for argv, want_code, want_out in PINNED_SCANS:
+        code, out = run(capsys, argv)
+        assert code == want_code
+        assert out == want_out

@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taurank.fields import QQ, PrimeField, SeedStream, sample_scalar
+from taurank.fields import QQ, PrimeField, SeedStream, is_prime
 from taurank.linalg import Matrix, intersect_row_spaces
 
 
@@ -88,6 +89,29 @@ def test_prime_field_rejects_composite():
         PrimeField(10)
 
 
+def test_prime_field_rejects_square_and_carmichael():
+    for n in (4, 561):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_prime_field_61_bit_prime_is_fast():
+    t0 = time.perf_counter()
+    f = PrimeField((1 << 61) - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.mul(f.from_int(2), f.from_int(1 << 60)) == 1
+
+
+def test_prime_field_rejects_modulus_beyond_the_exact_range():
+    with pytest.raises(ValueError):
+        PrimeField((1 << 89) - 1)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(3000):
+        assert is_prime(n) == (n > 1 and all(n % q for q in range(2, int(n**0.5) + 1)))
+
+
 def test_seed_stream_determinism():
     a = SeedStream(42)
     b = SeedStream(42)
@@ -107,12 +131,12 @@ def test_seed_stream_splits_disjoint():
 
 
 def test_sample_scalar_contracts():
-    assert sample_scalar(QQ, SeedStream(1), 0) == 0
-    x = sample_scalar(QQ, SeedStream(42), 1000)
-    assert x == sample_scalar(QQ, SeedStream(42), 1000)
+    assert QQ.sample(SeedStream(1), 0) == 0
+    x = QQ.sample(SeedStream(42), 1000)
+    assert x == QQ.sample(SeedStream(42), 1000)
     assert -1000 <= x <= 1000
     f = PrimeField(101)
-    y = sample_scalar(f, SeedStream(3), 1000)
+    y = f.sample(SeedStream(3), 1000)
     assert 0 <= y < 101
 
 
@@ -155,3 +179,56 @@ def test_solve_consistency(m, seed):
     sol = m.solve(b)
     assert sol is not None
     assert m.apply(sol) == b
+
+
+def reference_rref(field, rows, ncols):
+    """Plain Gauss-Jordan elimination in field arithmetic: (nonzero rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.div(field.one, rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            k = rows[i][c]
+            if i != r and not field.is_zero(k):
+                rows[i] = [field.sub(x, field.mul(k, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def shaped_rows(draw, entries, max_dim=6):
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    m = draw(st.integers(min_value=0, max_value=max_dim))
+    return draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n)), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_rows(fractions))
+def test_rational_elimination_matches_reference(shaped):
+    rows, ncols = shaped
+    m = Matrix(QQ, rows, ncols)
+    want_rows, want_pivots = reference_rref(QQ, rows, ncols)
+    assert m.rank() == len(want_pivots)
+    assert m.rref()[1] == want_pivots
+    assert m.row_space_rows() == want_rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_rows(st.integers(0, 6)))
+def test_prime_elimination_matches_reference(shaped):
+    f = PrimeField(7)
+    rows, ncols = shaped
+    m = Matrix(f, rows, ncols)
+    want_rows, want_pivots = reference_rref(f, rows, ncols)
+    assert m.rank() == len(want_pivots)
+    assert m.rref()[1] == want_pivots
+    assert m.row_space_rows() == want_rows

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from taurank.fields import QQ, SeedStream
+from taurank.artheory import tau
+from taurank.fields import QQ, PrimeField, SeedStream
 from taurank.polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from taurank.presentations import (
     ProjDecomp,
@@ -26,6 +27,7 @@ from taurank.reps import (
     hom_dim,
     iso_test,
     projective,
+    realize,
     simple,
     zero_rep,
 )
@@ -319,3 +321,65 @@ def test_witness_is_lowest_trial_attaining_max(alg_a):
     res2 = generic_rank(alg_a, p1, p0, trials=6, seed=11)
     assert res1.witness.coeffs == res2.witness.coeffs
     assert res1.witness.rank() == res1.value
+
+
+def handful_of_pairs(n):
+    """A few (P1, P0) multiplicity pairs on an n-vertex quiver."""
+    ones, first, last = (1,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)
+    return [
+        (ones, ones),
+        (first, last),
+        (last, first),
+        (tuple(2 * x for x in last), tuple(a + b for a, b in zip(first, last))),
+        ((0,) * n, ones),
+    ]
+
+
+def assert_assembly_matches_poly(hs, coeffs):
+    """morphism_from_coeffs against the generic matrices evaluated at coeffs."""
+    fmor = hs.morphism_from_coeffs(coeffs)
+    for v, pm in hs.generic_vertex_matrices().items():
+        assert fmor.maps[v] == pm.evaluate(coeffs, hs.field)
+
+
+def test_morphism_assembly_matches_generic_matrices(all_fixture_algebras):
+    fp = PrimeField(2147483647)
+    for alg in all_fixture_algebras.values():
+        for t, (m1, m0) in enumerate(handful_of_pairs(alg.quiver.n)):
+            hs = realize_pair(alg, ProjDecomp(m1), ProjDecomp(m0))
+            rng = SeedStream(t)
+            integral = hs.sample_coeffs(rng.split(0), 50)
+            assert_assembly_matches_poly(hs, integral)
+            fractional = [c / (2 + k % 3) for k, c in enumerate(integral)]
+            assert_assembly_matches_poly(hs, fractional)
+            hs_p = realize_pair(alg, ProjDecomp(m1), ProjDecomp(m0), fp)
+            assert_assembly_matches_poly(hs_p, hs_p.sample_coeffs(rng.split(1)))
+
+
+def test_realizations_keep_their_field_and_repeat(alg_a, alg_k):
+    fp = PrimeField(101)
+    for alg in (alg_a, alg_k):
+        mults = (1,) * (alg.quiver.n - 1) + (2,)
+        rq, rp = realize(alg, mults, QQ), realize(alg, mults, fp)
+        assert rq.rep.field.name == "Q" and rp.rep.field.name == "F_101"
+        for a in alg.quiver.arrows:
+            assert all(type(x) is Fraction for row in rq.rep.arrows[a.name].rows for x in row)
+            assert all(type(x) is int for row in rp.rep.arrows[a.name].rows for x in row)
+        for field, first in ((QQ, rq), (PrimeField(101), rp)):
+            again = realize(alg, mults, field)
+            assert again.rep == first.rep and again.offsets == first.offsets
+
+
+def test_shared_realizations_survive_their_callers(alg_a, alg_b):
+    """Scans, presentations and tau reuse cached realization reps; none of
+    them may alter one, so each still equals a fresh direct sum."""
+    additivity_scan(alg_a, ProjDecomp((1, 1, 0)), ProjDecomp((0, 1, 1)), t_max=2, trials=2)
+    m = random_module(alg_b, SeedStream(5))
+    reduce_presentation(min_presentation(m))
+    tau(m)
+    for alg in (alg_a, alg_b, alg_a.opposite(), alg_b.opposite()):
+        for (mults, _), (_, rep, _) in alg.realization_cache.items():
+            if any(mults):
+                summands = [i for i in alg.quiver.vertices for _ in range(mults[i - 1])]
+                fresh = direct_sum([projective(alg, i, rep.field) for i in summands])
+                assert rep == fresh
