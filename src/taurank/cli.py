@@ -8,9 +8,9 @@ JSON reports.
 
 Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error or
 invalid option value (--trials, --tmax or --cap below 1, a --field modulus
-that is not prime), 3 invalid module, 4 ideal does not annihilate,
-10 scan violations found.  Exits 2, 3 and 4 print a single `error:` line
-on stderr.
+that is not prime, a prime field for reduce or paper-examples), 3 invalid
+module, 4 ideal does not annihilate, 10 scan violations found.  Exits 2, 3
+and 4 print a single `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -267,6 +267,11 @@ def cmd_reduce(args):
 
 def cmd_paper_examples(args):
     field = _field_of(args)
+    if field.characteristic != 0:
+        # the examples include annihilator ideals, which exist over Q only
+        raise CliError(
+            "paper-examples requires the rational field (--field q)", EXIT_PARSE
+        )
     checks = run_paper_examples(trials=args.trials, seed=args.seed, field=field)
     all_pass = all(c.passed for c in checks)
     if args.json:

@@ -4,7 +4,8 @@ Matrices are row-major lists over a coefficient field from `fields`.
 Elimination over Q runs on cleared-denominator integer rows (cross
 multiplication with per-row gcd normalization), which is much faster
 than Fraction arithmetic on every cell; prime fields use plain modular
-elimination.
+elimination.  A linear solve A X = B runs one elimination of [A | B],
+whatever the number of right-hand columns.
 """
 
 from __future__ import annotations
@@ -47,16 +48,11 @@ class Matrix:
         return Matrix(field, [[conv(x) for x in r] for r in rows], ncols)
 
     @staticmethod
-    def column(field, entries):
-        return Matrix(field, [[x] for x in entries], 1)
+    def from_columns(field, cols, nrows):
+        """The nrows x len(cols) matrix whose columns are the vectors cols."""
+        return Matrix(field, zip(*cols) if cols else [[]] * nrows, len(cols))
 
     # -- basics --------------------------------------------------------
-
-    def copy(self):
-        return Matrix(self.field, self.rows, self.ncols)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def __eq__(self, other):
         return (
@@ -223,29 +219,24 @@ class Matrix:
 
     def solve(self, b):
         """A particular solution of self * x = b, or None if inconsistent."""
-        if len(b) != self.nrows:
-            raise ValueError("solve: rhs length mismatch")
-        aug = Matrix.hstack(self.field, [self, Matrix.column(self.field, b)])
-        rows, pivots = _rref_rows(aug)
-        f = self.field
-        if self.ncols in pivots:
-            return None
-        x = [f.zero] * self.ncols
-        for i, p in enumerate(pivots):
-            x[p] = rows[i][self.ncols]
-        return x
+        x = self.solve_matrix(Matrix.from_columns(self.field, [b], len(b)))
+        return None if x is None else [r[0] for r in x.rows]
 
     def solve_matrix(self, b):
-        """Solve self * X = B columnwise; None if any column is inconsistent."""
-        cols = []
-        bt = b.transpose().rows
-        for col in bt:
-            x = self.solve(col)
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix(self.field, [list(r) for r in zip(*cols)] if cols else [], len(cols)) \
-            if cols else Matrix.zeros(self.field, self.ncols, 0)
+        """A particular solution X of self * X = B (free unknowns zero), or
+        None if any column of B is inconsistent; one RREF of [self | B]."""
+        if b.nrows != self.nrows:
+            raise ValueError("solve: rhs length mismatch")
+        n = self.ncols
+        if not b.ncols:
+            return Matrix.zeros(self.field, n, 0)
+        rows, pivots = _rref_rows(Matrix.hstack(self.field, [self, b]))
+        if pivots and pivots[-1] >= n:
+            return None
+        x = [[self.field.zero] * b.ncols for _ in range(n)]
+        for row, p in zip(rows, pivots):
+            x[p] = row[n:]
+        return Matrix(self.field, x, b.ncols)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -258,9 +249,9 @@ class Matrix:
     def column_space_basis(self):
         """Matrix whose columns span the column space (pivot columns)."""
         _, pivots = _rref_rows(self)
-        cols = [[self.rows[i][j] for i in range(self.nrows)] for j in pivots]
-        return Matrix(self.field, [list(r) for r in zip(*cols)] if cols else
-                      [[] for _ in range(self.nrows)], len(pivots))
+        return Matrix.from_columns(
+            self.field, [[r[j] for r in self.rows] for j in pivots], self.nrows
+        )
 
     def row_space_rows(self):
         """Canonical (RREF) spanning rows of the row space, zero rows dropped."""

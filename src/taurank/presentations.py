@@ -434,6 +434,13 @@ def generic_rank(
     )
 
 
+def _summand_positions(summed, side, shift):
+    """Index in the realization `summed` of each summand (i, c) of the
+    realization `side`, whose copies sit shift[i - 1] places up in `summed`."""
+    where = {s: n for n, s in enumerate(summed.summands)}
+    return [where[i, c + shift[i - 1]] for i, c in side.summands]
+
+
 def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     """Block-diagonal sum of two complexes over the summed decompositions,
     expressed in the canonical realization of the sum."""
@@ -447,31 +454,14 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     if ca.coeffs is None or cb.coeffs is None:
         raise ValueError("combine_complexes needs coefficient coordinates")
 
-    def local(side_a_mults, summand):
-        i, c = summand
-        cut = side_a_mults[i - 1]
-        return ("a", (i, c)) if c < cut else ("b", (i, c - cut))
-
-    coeff_a = {}
-    for coeff, item in zip(ca.coeffs, ca.hom.items):
-        coeff_a[item] = coeff
-    coeff_b = {}
-    for coeff, item in zip(cb.coeffs, cb.hom.items):
-        coeff_b[item] = coeff
-    idx_a1 = {s: n for n, s in enumerate(ca.hom.r1.summands)}
-    idx_b1 = {s: n for n, s in enumerate(cb.hom.r1.summands)}
-    idx_a0 = {s: n for n, s in enumerate(ca.hom.r0.summands)}
-    idx_b0 = {s: n for n, s in enumerate(cb.hom.r0.summands)}
-    coeffs = []
-    for (s1, s0, x) in hs.items:
-        side1, loc1 = local(ca.p1.mults, hs.r1.summands[s1])
-        side0, loc0 = local(ca.p0.mults, hs.r0.summands[s0])
-        if side1 != side0:
-            coeffs.append(field.zero)
-        elif side1 == "a":
-            coeffs.append(coeff_a.get((idx_a1[loc1], idx_a0[loc0], x), field.zero))
-        else:
-            coeffs.append(coeff_b.get((idx_b1[loc1], idx_b0[loc0], x), field.zero))
+    position = {item: n for n, item in enumerate(hs.items)}
+    coeffs = [field.zero] * hs.dim
+    no_shift = (0,) * alg.quiver.n
+    for cx, shift1, shift0 in ((ca, no_shift, no_shift), (cb, ca.p1.mults, ca.p0.mults)):
+        at1 = _summand_positions(hs.r1, cx.hom.r1, shift1)
+        at0 = _summand_positions(hs.r0, cx.hom.r0, shift0)
+        for coeff, (s1, s0, x) in zip(cx.coeffs, cx.hom.items):
+            coeffs[position[at1[s1], at0[s0], x]] = coeff
     out = TwoComplex(p1, p0, hs, hs.morphism_from_coeffs(coeffs), coeffs)
     if out.rank() != ca.rank() + cb.rank():
         raise AssertionError("block-diagonal rank failed to add")

@@ -340,44 +340,34 @@ def hom_dim(m: Representation, n: Representation):
 # -- kernels, images, cokernels ----------------------------------------------
 
 
+def _subrep(m: Representation, cols, what):
+    """(S, inclusion S -> M) for the subspaces of M spanned by the columns
+    of cols[v] at each vertex v; `what` names S if they are not arrow-stable."""
+    alg = m.algebra
+    arrows = {}
+    for a in alg.quiver.arrows:
+        x = cols[a.target].solve_matrix(m.arrows[a.name] * cols[a.source])
+        if x is None:
+            raise AssertionError(f"{what} is not arrow-stable")
+        arrows[a.name] = x
+    dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
+    sub = Representation(alg, m.field, dims, arrows)
+    return sub, Morphism(sub, m, cols)
+
+
 def kernel(f: Morphism):
     """(K, inclusion K -> source)."""
     m = f.source
-    alg, fl = m.algebra, m.field
-    cols = {}
-    for v in alg.quiver.vertices:
-        basis = f.maps[v].kernel_basis()
-        cols[v] = Matrix(fl, [list(r) for r in zip(*basis)] if basis else
-                         [[] for _ in range(m.vertex_dim(v))], len(basis))
-    dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
-    arrows = {}
-    for a in alg.quiver.arrows:
-        rhs = m.arrows[a.name] * cols[a.source]
-        x = cols[a.target].solve_matrix(rhs)
-        if x is None:
-            raise AssertionError("kernel is not arrow-stable")
-        arrows[a.name] = x
-    k = Representation(alg, fl, dims, arrows)
-    incl = Morphism(k, m, {v: cols[v] for v in alg.quiver.vertices})
-    return k, incl
+    cols = {v: Matrix.from_columns(m.field, f.maps[v].kernel_basis(), m.vertex_dim(v))
+            for v in m.algebra.quiver.vertices}
+    return _subrep(m, cols, "kernel")
 
 
 def image(f: Morphism):
     """(Im f, inclusion Im f -> target)."""
     n = f.target
-    alg, fl = n.algebra, n.field
-    cols = {v: f.maps[v].column_space_basis() for v in alg.quiver.vertices}
-    dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
-    arrows = {}
-    for a in alg.quiver.arrows:
-        rhs = n.arrows[a.name] * cols[a.source]
-        x = cols[a.target].solve_matrix(rhs)
-        if x is None:
-            raise AssertionError("image is not arrow-stable")
-        arrows[a.name] = x
-    im = Representation(alg, fl, dims, arrows)
-    incl = Morphism(im, n, {v: cols[v] for v in alg.quiver.vertices})
-    return im, incl
+    cols = {v: f.maps[v].column_space_basis() for v in n.algebra.quiver.vertices}
+    return _subrep(n, cols, "image")
 
 
 def cokernel(f: Morphism):
@@ -418,20 +408,8 @@ def radical_of(m: Representation):
     cols = {}
     for v in alg.quiver.vertices:
         parts = [m.arrows[a.name] for a in alg.quiver.arrows if a.target == v]
-        stacked = Matrix.hstack(fl, parts, nrows=m.vertex_dim(v)) if parts else \
-            Matrix.zeros(fl, m.vertex_dim(v), 0)
-        cols[v] = stacked.column_space_basis()
-    dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
-    arrows = {}
-    for a in alg.quiver.arrows:
-        rhs = m.arrows[a.name] * cols[a.source]
-        x = cols[a.target].solve_matrix(rhs)
-        if x is None:
-            raise AssertionError("radical is not arrow-stable")
-        arrows[a.name] = x
-    rad = Representation(alg, fl, dims, arrows)
-    incl = Morphism(rad, m, {v: cols[v] for v in alg.quiver.vertices})
-    return rad, incl
+        cols[v] = Matrix.hstack(fl, parts, nrows=m.vertex_dim(v)).column_space_basis()
+    return _subrep(m, cols, "radical")
 
 
 def top(m: Representation):
@@ -446,11 +424,8 @@ def socle(m: Representation):
     cols = {}
     for v in alg.quiver.vertices:
         parts = [m.arrows[a.name] for a in alg.quiver.arrows if a.source == v]
-        stacked = Matrix.vstack(fl, parts, ncols=m.vertex_dim(v)) if parts else \
-            Matrix.zeros(fl, 0, m.vertex_dim(v))
-        basis = stacked.kernel_basis()
-        cols[v] = Matrix(fl, [list(r) for r in zip(*basis)] if basis else
-                         [[] for _ in range(m.vertex_dim(v))], len(basis))
+        basis = Matrix.vstack(fl, parts, ncols=m.vertex_dim(v)).kernel_basis()
+        cols[v] = Matrix.from_columns(fl, basis, m.vertex_dim(v))
     dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
     soc = Representation(alg, fl, dims, {})
     incl = Morphism(soc, m, {v: cols[v] for v in alg.quiver.vertices})
@@ -733,8 +708,7 @@ def annihilator(algebra, m: Representation) -> Ideal:
             row = [acts[k].rows[i][j] for k in range(algebra.dim)]
             if any(x != 0 for x in row):
                 rows.append(row)
-    sysm = Matrix(QQ, rows, algebra.dim) if rows else Matrix.zeros(QQ, 0, algebra.dim)
-    return Ideal(algebra, [list(v) for v in sysm.kernel_basis()], closed=True)
+    return Ideal(algebra, Matrix(QQ, rows, algebra.dim).kernel_basis(), closed=True)
 
 
 def is_faithful(algebra, m: Representation):

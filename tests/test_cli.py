@@ -252,6 +252,12 @@ def test_field_composite_modulus_exits_2(capsys):
     assert_one_error_line(err)
 
 
+def test_paper_examples_prime_field_exits_2(capsys):
+    code, err = run_err(capsys, ["paper-examples", "--field", "fp", "--json"])
+    assert code == 2
+    assert_one_error_line(err)
+
+
 # byte-for-byte outputs of the scanner, pinned across its optimizations
 PINNED_SCANS = [
     (["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--tmax", "3", "--json"], 10,

@@ -53,6 +53,8 @@ def test_solve_scalar():
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         qmat([[1, 0]]).solve([Fraction(1), Fraction(2)])
+    with pytest.raises(ValueError):
+        qmat([[1, 0]]).solve_matrix(Matrix.zeros(QQ, 2, 1))
 
 
 def test_mul_and_rref():
@@ -232,3 +234,86 @@ def test_prime_elimination_matches_reference(shaped):
     assert m.rank() == len(want_pivots)
     assert m.rref()[1] == want_pivots
     assert m.row_space_rows() == want_rows
+
+
+def reference_solve(field, rows, ncols, b):
+    """One column at a time: x with A x = b and free unknowns zero, or None."""
+    aug, pivots = reference_rref(field, [r + [y] for r, y in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for row, p in zip(aug, pivots):
+        x[p] = row[ncols]
+    return x
+
+
+@st.composite
+def solve_systems(draw, field, entries, max_dim=5):
+    """(A rows, ncols of A, B columns); a column of B is A times a drawn x
+    or drawn outright, so that both consistent and inconsistent ones occur."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    m = draw(st.integers(min_value=0, max_value=max_dim))
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    a = Matrix(field, rows, m)
+    cols = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if draw(st.booleans()):
+            cols.append(a.apply(draw(st.lists(entries, min_size=m, max_size=m))))
+        else:
+            cols.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return rows, m, cols
+
+
+def check_solve_matrix(field, system):
+    rows, ncols, cols = system
+    a = Matrix(field, rows, ncols)
+    got = a.solve_matrix(Matrix.from_columns(field, cols, len(rows)))
+    want = [reference_solve(field, rows, ncols, b) for b in cols]
+    if any(x is None for x in want):
+        assert got is None
+    else:
+        assert got == Matrix.from_columns(field, want, ncols)
+        assert a * got == Matrix.from_columns(field, cols, len(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(solve_systems(QQ, fractions))
+def test_rational_solve_matrix_matches_reference(system):
+    check_solve_matrix(QQ, system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(solve_systems(PrimeField(7), st.integers(0, 6)))
+def test_prime_solve_matrix_matches_reference(system):
+    check_solve_matrix(PrimeField(7), system)
+
+
+def test_solve_matrix_several_columns():
+    a = qmat([[1, 2], [0, 1], [1, 3]])
+    b = Matrix.from_columns(QQ, [[1, 0, 1], [2, 1, 3], [0, 0, 0]], 3)
+    x = a.solve_matrix(b)
+    assert x == Matrix.from_columns(QQ, [[1, 0], [0, 1], [0, 0]], 2)
+    assert a * x == b
+
+
+def test_solve_matrix_one_inconsistent_column():
+    a = qmat([[1, 0], [0, 1], [0, 0]])
+    b = Matrix.from_columns(QQ, [[1, 2, 0], [1, 1, 1]], 3)
+    assert a.solve_matrix(b) is None
+
+
+def test_solve_matrix_zero_column_rhs():
+    x = qmat([[1, 2, 3], [4, 5, 6]]).solve_matrix(Matrix.zeros(QQ, 2, 0))
+    assert x.shape() == (3, 0)
+
+
+def test_solve_matrix_zero_column_lhs():
+    a = Matrix.zeros(QQ, 2, 0)
+    assert a.solve_matrix(Matrix.zeros(QQ, 2, 2)) == Matrix.zeros(QQ, 0, 2)
+    assert a.solve_matrix(Matrix.from_columns(QQ, [[0, 1]], 2)) is None
+
+
+def test_from_columns():
+    assert Matrix.from_columns(QQ, [], 3) == Matrix.zeros(QQ, 3, 0)
+    cols = [[1, 2], [3, 4], [5, 6]]
+    assert Matrix.from_columns(QQ, cols, 2) == qmat([[1, 3, 5], [2, 4, 6]])
