@@ -230,6 +230,9 @@ class Algebra:
         self._rmult_blocks = {}
         # (mults, field name) -> (layouts, rep, offsets); filled by reps.realize
         self.realization_cache = {}
+        # [(mults1, mults0, field name), items, scatter table or None] of the
+        # last HomSpace built; one entry, filled by presentations.HomSpace
+        self.hom_tables = None
         if _products is not None:
             self.products = _products
         else:

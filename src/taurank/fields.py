@@ -1,9 +1,9 @@
 """Exact coefficient fields (rationals and prime fields) and a splittable RNG.
 
-Every computation in this library is exact: scalars are either
-`fractions.Fraction` values (field Q) or machine ints reduced mod a prime
-(field F_p).  A field object bundles the arithmetic so that the linear
-algebra layer never has to branch on the scalar type.
+Every computation in this library is exact: scalars are either rationals,
+each an `int` or a `fractions.Fraction` (field Q), or machine ints
+reduced mod a prime (field F_p).  A field object bundles the arithmetic
+so that the linear algebra layer never has to branch on the scalar type.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from fractions import Fraction
 
 
 class RationalField:
-    """Arithmetic over Q with `Fraction` scalars."""
+    """Arithmetic over Q.  A scalar is an `int` or a `Fraction`, the two mix
+    freely (integral matrix cells stay ints); `div` returns a `Fraction`."""
 
     name = "Q"
     characteristic = 0
@@ -43,6 +44,8 @@ class RationalField:
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
+        if type(a) is not Fraction:
+            a = Fraction(a)  # int / int would be a float
         return a / b
 
     def is_zero(self, a):

@@ -1,11 +1,12 @@
 """Dense exact matrices: rank, null spaces, solving, block assembly.
 
-Matrices are row-major lists over a coefficient field from `fields`.
-Elimination over Q runs on cleared-denominator integer rows (cross
-multiplication with per-row gcd normalization), which is much faster
-than Fraction arithmetic on every cell; prime fields use plain modular
-elimination.  A linear solve A X = B runs one elimination of [A | B],
-whatever the number of right-hand columns.
+Matrices are row-major lists over a coefficient field from `fields`; a
+Q entry is an `int` or a `Fraction`.  Elimination over Q runs on
+cleared-denominator integer rows (cross multiplication with per-row gcd
+normalization), which is much faster than Fraction arithmetic on every
+cell; prime fields use plain modular elimination.  A linear solve
+A X = B runs one elimination of [A | B], whatever the number of
+right-hand columns.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class Matrix:
 
 
 def _int_rows(m: Matrix):
-    """Clear denominators: integer row list plus nothing else (Q only)."""
+    """Clear denominators of int or Fraction entries: integer rows (Q only)."""
     out = []
     for row in m.rows:
         den = lcm(*[x.denominator for x in row])

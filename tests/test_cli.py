@@ -269,6 +269,18 @@ PINNED_SCANS = [
      '{"certified": [true, true, true], "field": "Q", "methods": ["dimension-bound", '
      '"dimension-bound", "dimension-bound"], "p0": [2, 1], "p1": [1, 2], '
      '"r": [4, 8, 12], "seed": 11, "t_max": 3, "trials": 3, "violations": []}\n'),
+    (["scan", "ALG-B0", "--p1", "1,0,1", "--p0", "0,2,1", "--tmax", "4", "--trials", "3",
+      "--seed", "7", "--json"], 0,
+     '{"certified": [true, true, true, true], "field": "Q", "methods": ["dimension-bound", '
+     '"dimension-bound", "dimension-bound", "dimension-bound"], "p0": [0, 2, 1], '
+     '"p1": [1, 0, 1], "r": [4, 8, 12, 16], "seed": 7, "t_max": 4, "trials": 3, '
+     '"violations": []}\n'),
+    (["scan", "ALG-K", "--p1", "2,1", "--p0", "1,2", "--tmax", "3", "--trials", "3",
+      "--seed", "11", "--field", "fp", "--json"], 0,
+     '{"certified": [true, true, true], "field": "F_2147483647", "methods": '
+     '["dimension-bound", "dimension-bound", "dimension-bound"], "p0": [1, 2], '
+     '"p1": [2, 1], "r": [5, 10, 15], "seed": 11, "t_max": 3, "trials": 3, '
+     '"violations": []}\n'),
 ]
 
 

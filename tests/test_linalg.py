@@ -86,6 +86,21 @@ def test_prime_field_arithmetic():
     assert len(m.kernel_basis()) == 1
 
 
+def test_rational_div_returns_a_fraction():
+    cases = [
+        (1, 2, Fraction(1, 2)),
+        (4, 2, Fraction(2)),
+        (1, Fraction(2, 3), Fraction(3, 2)),
+        (Fraction(1, 2), 3, Fraction(1, 6)),
+    ]
+    for a, b, want in cases:
+        got = QQ.div(a, b)
+        assert type(got) is Fraction and got == want
+    for a, b in ((1, 0), (Fraction(1, 2), 0), (1, Fraction(0))):
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(10)
@@ -317,3 +332,31 @@ def test_from_columns():
     assert Matrix.from_columns(QQ, [], 3) == Matrix.zeros(QQ, 3, 0)
     cols = [[1, 2], [3, 4], [5, 6]]
     assert Matrix.from_columns(QQ, cols, 2) == qmat([[1, 3, 5], [2, 4, 6]])
+
+
+def scalars(x):
+    """Every scalar in nested lists, tuples and matrices."""
+    if isinstance(x, Matrix):
+        x = x.rows
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from scalars(y)
+    elif x is not None:
+        yield x
+
+
+@settings(max_examples=100, deadline=None)
+@given(solve_systems(QQ, st.one_of(st.integers(-6, 6), fractions)))
+def test_mixed_int_fraction_entries_match_all_fraction_copy(system):
+    rows, ncols, cols = system
+    a = Matrix(QQ, rows, ncols)
+    fa = Matrix(QQ, [[Fraction(x) for x in r] for r in rows], ncols)
+    b = Matrix.from_columns(QQ, cols, len(rows))
+    fb = Matrix.from_columns(QQ, [[Fraction(x) for x in c] for c in cols], len(rows))
+    got = [a.rank(), a.rref(), a.kernel_basis(), a.solve_matrix(b)]
+    want = [fa.rank(), fa.rref(), fa.kernel_basis(), fa.solve_matrix(fb)]
+    if a.nrows == a.ncols:
+        got.append(a.inverse())
+        want.append(fa.inverse())
+    assert got == want
+    assert not any(isinstance(x, float) for x in scalars(got))

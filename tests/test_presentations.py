@@ -169,6 +169,35 @@ def test_rank_of_special_lambda_map(alg_a):
     assert f_lambda(alg_a, (2, -3, 7)).rank() == 3
 
 
+def test_hom_tables_memo_holds_the_last_pair(alg_k):
+    p1, p0 = ProjDecomp((1, 2)), ProjDecomp((2, 1))
+    first = realize_pair(alg_k, p1, p0)
+    again = realize_pair(alg_k, p1, p0)
+    assert again.items is first.items
+    assert again._scatter_table() is first._scatter_table()
+    coeffs = first.sample_coeffs(SeedStream(3))
+    rank = first.morphism_from_coeffs(coeffs).rank()
+    other = realize_pair(alg_k, p0, p1)
+    assert other.items is not first.items
+    assert alg_k.hom_tables[0] == ((2, 1), (1, 2), "Q")
+    over_fp = realize_pair(alg_k, p1, p0, PrimeField(101))
+    assert over_fp.items is not first.items
+    assert alg_k.hom_tables[0] == ((1, 2), (2, 1), "F_101")
+    # a replaced entry stays with the HomSpaces that hold it
+    assert first.morphism_from_coeffs(coeffs).rank() == rank
+
+
+def test_shared_hom_tables_survive_a_scan(alg_b0):
+    p1, p0 = ProjDecomp((1, 0, 1)), ProjDecomp((0, 2, 1))
+    additivity_scan(alg_b0, p1, p0, t_max=3, trials=2)
+    key, items, scatter = alg_b0.hom_tables
+    assert key == ((3, 0, 3), (0, 6, 3), "Q") and scatter is not None
+    alg_b0.hom_tables = None
+    fresh = realize_pair(alg_b0, p1.scale(3), p0.scale(3))
+    assert fresh.items == items
+    assert fresh._scatter_table() == scatter
+
+
 def test_direct_sum_complex(alg_a):
     f = f_lambda(alg_a, (1, 0, 0))
     assert direct_sum_complex(f, 1) is f
