@@ -374,9 +374,6 @@ class Algebra:
 
     # -- elements -------------------------------------------------------
 
-    def zero_element(self):
-        return {}
-
     def idempotent(self, i):
         return {self.idempotent_index[i]: Fraction(1)}
 

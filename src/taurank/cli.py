@@ -9,8 +9,9 @@ JSON reports.
 Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error or
 invalid option value (--trials, --tmax or --cap below 1, a --field modulus
 that is not prime, a prime field for reduce or paper-examples), 3 invalid
-module, 4 ideal does not annihilate, 10 scan violations found.  Exits 2, 3
-and 4 print a single `error:` line on stderr.
+module, 4 ideal does not annihilate, 10 scan violations found, 11 scan
+violations found on an uncertified r(1) only.  Exits 2, 3 and 4 print a
+single `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_MODULE = 3
 EXIT_IDEAL = 4
 EXIT_VIOLATIONS = 10
+EXIT_UNCERTIFIED_VIOLATIONS = 11
 
 
 class CliError(Exception):
@@ -228,13 +230,16 @@ def cmd_scan(args):
         alg, p1, p0, t_max=args.tmax, trials=args.trials, seed=args.seed,
         field=field, oracle_max_params=args.oracle_params,
     )
+    mark = "  <-- violates additivity" + ("" if report.certified[0] else " (uncertified)")
     human_rows = "\n".join(
         f"t={t}: r = {r}{' (certified)' if c else ''}"
-        + ("  <-- violates additivity" if t in report.violations else "")
+        + (mark if t in report.violations else "")
         for t, (r, c) in enumerate(zip(report.r_values, report.certified), start=1)
     )
     _emit(args, report.to_json(), human_rows)
-    return EXIT_VIOLATIONS if report.violations else EXIT_OK
+    if not report.violations:
+        return EXIT_OK
+    return EXIT_VIOLATIONS if report.certified[0] else EXIT_UNCERTIFIED_VIOLATIONS
 
 
 def cmd_reduce(args):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 class RationalField:
     """Arithmetic over Q.  A scalar is an `int` or a `Fraction`, the two mix
-    freely (integral matrix cells stay ints); `div` returns a `Fraction`."""
+    freely (integral cells and samples are ints); `div` returns a `Fraction`."""
 
     name = "Q"
     characteristic = 0
@@ -55,10 +55,10 @@ class RationalField:
         return int(a) if a.denominator == 1 else str(a)
 
     def sample(self, rng, bound):
-        """Uniform integer in [-bound, bound], as a field element."""
+        """Uniform integer in [-bound, bound], as an `int`."""
         if bound == 0:
-            return self.zero
-        return Fraction(rng.randint(-bound, bound))
+            return 0
+        return rng.randint(-bound, bound)
 
     def __repr__(self):
         return "QQ"
@@ -184,9 +184,6 @@ class SeedStream:
 
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
-
-    def choice(self, seq):
-        return seq[self._rng.randrange(len(seq))]
 
     def __repr__(self):
         return f"SeedStream({self.seed})"

@@ -7,11 +7,22 @@ normalization), which is much faster than Fraction arithmetic on every
 cell; prime fields use plain modular elimination.  A linear solve
 A X = B runs one elimination of [A | B], whatever the number of
 right-hand columns.
+
+The rank over Q of an all-int matrix is first taken mod p = 32749: it is
+at least the rank mod p and at most min(nonzero rows, nonzero columns), so
+a rank mod p that reaches this bound is exact; else the exact elimination
+runs.  A row is one int with a 64-bit slot per column; slots stay below
+p + nrows * p**2 < 2**64 for nrows < 2**34.  Cells that are a `Fraction`,
+wider than 64 bits or a nonzero multiple of p (the bound needs the true
+zero pattern) skip the shortcut, as do big-endian hosts.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -193,7 +204,10 @@ class Matrix:
     # -- elimination-based operations ------------------------------------
 
     def rank(self):
-        return len(_echelon(self)[1])
+        if self.field.characteristic:
+            return len(_echelon_p(self)[1])
+        r = _rank_certified_mod_p(self)
+        return len(_echelon_q(self)[1]) if r is None else r
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
@@ -279,6 +293,52 @@ def _int_rows(m: Matrix):
     return out
 
 
+_P = 32749
+
+
+def _rank_certified_mod_p(m: Matrix):
+    """The rank over Q when elimination mod _P on packed rows certifies it
+    (see the module docstring), else None."""
+    nrows, ncols = m.nrows, m.ncols
+    if not nrows or not ncols:
+        return 0
+    if type(m.rows[0][0]) is not int or sys.byteorder != "little":
+        return None  # rref/solve output (a Fraction first) or big-endian slots
+    flat = list(chain.from_iterable(m.rows))
+    try:
+        array("q", flat)  # rejects a Fraction or an int wider than 64 bits
+    except (TypeError, OverflowError):
+        return None
+    p, slot, w = _P, (1 << 64) - 1, 8 * ncols
+    cells = [x % p for x in flat]
+    if cells.count(0) != flat.count(0):
+        return None
+    buf = array("Q", cells).tobytes()
+    rows = [r for i in range(0, len(buf), w) if (r := int.from_bytes(buf[i : i + w], "little"))]
+    bound = min(len(rows), sum(map(any, zip(*m.rows))))  # zero pattern as mod p
+    if not bound:
+        return 0
+    rank = 0
+    for c in range(ncols):
+        for i, s in enumerate(rows):
+            if (s & slot) % p:
+                break
+        else:
+            rows = [s >> 64 for s in rows]
+            continue
+        rank += 1
+        if rank == bound:
+            return rank
+        piv = rows.pop(i)
+        if rank > 1:  # only the first pivot row is still reduced
+            piv = array("Q", piv.to_bytes(w - 8 * c, "little"))
+            piv = int.from_bytes(array("Q", [x % p for x in piv]).tobytes(), "little")
+        neg_inv = p - pow(piv & slot, -1, p)
+        # clear column c (its slot becomes a multiple of p) and drop it
+        rows = [y for s in rows if (y := (s + (s & slot) * neg_inv % p * piv) >> 64)]
+    return None
+
+
 def _echelon_q(m: Matrix):
     rows = _int_rows(m)
     nrows, ncols = m.nrows, m.ncols
@@ -348,18 +408,14 @@ def _echelon_p(m: Matrix):
     return rows[: len(pivots)], pivots
 
 
-def _echelon(m: Matrix):
-    if m.field.characteristic == 0:
-        return _echelon_q(m)
-    return _echelon_p(m)
-
-
 def _rref_rows(m: Matrix):
     """Reduced echelon rows over the field (list of lists), plus pivots."""
     f = m.field
-    rows, pivots = _echelon(m)
     if f.characteristic == 0:
+        rows, pivots = _echelon_q(m)
         rows = [[Fraction(x) for x in row] for row in rows]
+    else:
+        rows, pivots = _echelon_p(m)
     # normalize pivots to 1, then clear above
     for i in range(len(pivots) - 1, -1, -1):
         p = pivots[i]

@@ -73,9 +73,6 @@ class Quiver:
                 return False
         return True
 
-    def word_order_key(self, word):
-        return (len(word), tuple(self.arrow_index[a] for a in word))
-
     def __eq__(self, other):
         return (
             isinstance(other, Quiver)

@@ -596,9 +596,6 @@ class ProjDim:
     value: int | None = None
     detail: str = ""
 
-    def is_finite(self):
-        return self.kind == "finite"
-
     def le(self, bound):
         return self.kind == "finite" and self.value <= bound
 

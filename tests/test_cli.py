@@ -289,3 +289,24 @@ def test_scan_json_bytes_pinned(capsys):
         code, out = run(capsys, argv)
         assert code == want_code
         assert out == want_out
+
+
+def test_scan_uncertified_violations_exit_11(capsys):
+    # over F_p, r(1) = 3 is only a lower bound, so t = 2, 3 may not violate
+    argv = ["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--tmax", "3",
+            "--field", "fp"]
+    code, out = run(capsys, argv + ["--json"])
+    assert code == 11
+    assert out == (
+        '{"certified": [false, true, true], "field": "F_2147483647", "methods": '
+        '[null, "dimension-bound", "dimension-bound"], "p0": [0, 0, 1], '
+        '"p1": [0, 1, 0], "r": [3, 8, 12], "seed": 42, "t_max": 3, "trials": 8, '
+        '"violations": [2, 3]}\n'
+    )
+    code, out = run(capsys, argv)
+    assert code == 11
+    assert out.splitlines() == [
+        "t=1: r = 3",
+        "t=2: r = 8 (certified)  <-- violates additivity (uncertified)",
+        "t=3: r = 12 (certified)  <-- violates additivity (uncertified)",
+    ]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taurank.fields import QQ, PrimeField, SeedStream, is_prime
-from taurank.linalg import Matrix, intersect_row_spaces
+from taurank.linalg import Matrix, _rank_certified_mod_p, intersect_row_spaces
 
 
 def qmat(rows):
@@ -360,3 +360,105 @@ def test_mixed_int_fraction_entries_match_all_fraction_copy(system):
         want.append(fa.inverse())
     assert got == want
     assert not any(isinstance(x, float) for x in scalars(got))
+
+
+def exact_rank(rows, ncols):
+    return len(reference_rref(QQ, [[Fraction(x) for x in r] for r in rows], ncols)[1])
+
+
+# zero-heavy int cells, with multiples of the modular prime 32749 and cells
+# wider than 64 bits
+rank_cells = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-3, 3),
+    st.sampled_from([32749, -32749, 65498, -65498, 10**6, -10**6, 2**70, -2**70]),
+)
+
+
+@st.composite
+def int_rank_inputs(draw, max_dim=12):
+    ncols = draw(st.integers(min_value=0, max_value=max_dim))
+    cells = st.lists(rank_cells, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(cells, max_size=max_dim))
+    if rows:
+        copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=max_dim - len(rows)))
+        rows = draw(st.permutations(rows + [list(rows[i]) for i in copies]))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rank_inputs())
+def test_rational_rank_of_int_matrices_is_exact(shaped):
+    rows, ncols = shaped
+    m = Matrix(QQ, rows, ncols)
+    want = exact_rank(rows, ncols)
+    assert m.rank() == want
+    # the modular shortcut answers exactly or not at all, never below
+    assert _rank_certified_mod_p(m) in (None, want)
+
+
+def test_rank_of_cells_divisible_by_the_modular_prime():
+    assert Matrix(QQ, [[32749]]).rank() == 1
+    assert Matrix(QQ, [[32749, 0], [0, 1]]).rank() == 2
+    assert Matrix(QQ, [[65498, 0], [0, -32749]]).rank() == 2
+    assert _rank_certified_mod_p(Matrix(QQ, [[32749, 0], [0, 1]])) is None
+
+
+def test_rank_below_the_bound_mod_p_falls_back_to_exact():
+    m = Matrix(QQ, [[1, 1], [1, 32750]])  # singular mod 32749 only
+    assert _rank_certified_mod_p(m) is None
+    assert m.rank() == 2
+
+
+def test_rank_of_dense_int_matrices_with_cells_near_the_prime():
+    # slots grow by up to p**2 per step and would overflow without the
+    # pivot row reduction; the dependent rows then gain spurious pivots
+    for seed in range(24):
+        rng = SeedStream(seed)
+        n, r = 6 + seed % 5, 3 + seed % 4
+        base = [[rng.randint(-32748, 32748) for _ in range(n)] for _ in range(r)]
+        rows = list(base)
+        for _ in range(n - r):
+            co = [rng.randint(-2, 2) for _ in base]
+            row = [sum(c * b[j] for c, b in zip(co, base)) for j in range(n)]
+            rows.insert(rng.randint(0, len(rows)), row)
+        m = Matrix(QQ, rows)
+        want = exact_rank(rows, n)
+        assert m.rank() == want
+        assert _rank_certified_mod_p(m) in (None, want)
+
+
+def test_rank_of_fraction_matrices():
+    int_valued = qmat([[1, 2], [3, 4]])
+    assert _rank_certified_mod_p(int_valued) is None
+    assert int_valued.rank() == 2
+    assert Matrix(QQ, [[Fraction(1, 2), 1], [1, 2]]).rank() == 1
+    mixed = Matrix(QQ, [[1, Fraction(1, 3)], [3, 1]])  # int first cell
+    assert _rank_certified_mod_p(mixed) is None
+    assert mixed.rank() == 1
+    assert Matrix(QQ, [[1, Fraction(1, 3)], [3, 2]]).rank() == 2
+
+
+def test_rank_of_long_and_wide_int_matrices():
+    full = Matrix(QQ, [[i, i * i % 7, 1] for i in range(100)])
+    deficient = Matrix(QQ, [[i, 2 * i, 0] for i in range(100)])
+    for m in (full, full.transpose()):
+        assert _rank_certified_mod_p(m) == 3
+        assert m.rank() == 3
+    for m in (deficient, deficient.transpose()):
+        assert _rank_certified_mod_p(m) is None  # rank 1 is below the bound 2
+        assert m.rank() == 1
+
+
+def test_rank_of_empty_int_matrices():
+    for m in (Matrix(QQ, [], 4), Matrix(QQ, [[]] * 4, 0), Matrix(QQ, [])):
+        assert _rank_certified_mod_p(m) == 0
+        assert m.rank() == 0
+
+
+def test_prime_field_rank_skips_the_modular_shortcut(monkeypatch):
+    import taurank.linalg
+
+    monkeypatch.setattr(taurank.linalg, "_rank_certified_mod_p", None)
+    assert Matrix(PrimeField(7), [[1, 2], [2, 4], [0, 3]]).rank() == 2

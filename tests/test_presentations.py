@@ -379,7 +379,7 @@ def test_morphism_assembly_matches_generic_matrices(all_fixture_algebras):
             rng = SeedStream(t)
             integral = hs.sample_coeffs(rng.split(0), 50)
             assert_assembly_matches_poly(hs, integral)
-            fractional = [c / (2 + k % 3) for k, c in enumerate(integral)]
+            fractional = [Fraction(c, 2 + k % 3) for k, c in enumerate(integral)]
             assert_assembly_matches_poly(hs, fractional)
             hs_p = realize_pair(alg, ProjDecomp(m1), ProjDecomp(m0), fp)
             assert_assembly_matches_poly(hs_p, hs_p.sample_coeffs(rng.split(1)))
