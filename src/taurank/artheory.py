@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Ideal
-from .linalg import Matrix
 from .presentations import (
     HomSpace,
     TwoComplex,
@@ -26,16 +25,18 @@ from .reps import (
     Morphism,
     Representation,
     act_element,
+    analysis_scope,
     annihilator,
+    cokernel,
     dual_morphism,
     dual_rep,
     ext1_dim,
-    hom_basis,
     hom_dim,
     injective_envelope,
     kernel,
     proj_dim,
     realize,
+    scoped,
     zero_rep,
 )
 
@@ -60,7 +61,7 @@ def nakayama_complex(cx: TwoComplex) -> Morphism:
 
 def tau(m: Representation) -> Representation:
     """Auslander-Reiten translate; zero exactly on projectives."""
-    cx = min_presentation(m)
+    cx = scoped(min_presentation, m)
     if cx.p1.is_zero():
         return zero_rep(m.algebra, m.field)
     nu = nakayama_complex(cx)
@@ -81,7 +82,7 @@ def tau_minus(m: Representation) -> Representation:
 
 def e_invariant(m: Representation, n: Representation | None = None) -> int:
     """dim Hom(N, tau M); with N omitted, the E-invariant dim Hom(M, tau M)."""
-    t = tau(m)
+    t = scoped(tau, m)
     if t.is_zero():
         return 0
     return hom_dim(n if n is not None else m, t)
@@ -131,7 +132,7 @@ def is_tau_regular(
 ) -> Verdict:
     """Rank criterion: M is tau-regular iff its minimal presentation map
     attains the maximal rank r(P1, P0)."""
-    cx = min_presentation(m)
+    cx = scoped(min_presentation, m)
     res = generic_rank(
         m.algebra,
         cx.p1,
@@ -179,31 +180,26 @@ def is_tau_regular(
 
 
 def stable_hom_dim_inj(n: Representation, x: Representation) -> int:
-    """dim Hom(N, X) minus the morphisms factoring through injectives
-    (equivalently, through the injective envelope of N)."""
+    """dim Hom(N, X) minus the morphisms factoring through injectives.
+
+    A map from N into an injective extends along the envelope mono
+    N -> E, so these are the maps that factor through E.  Hom(-, X) is
+    left exact, so 0 -> N -> E -> C -> 0 (C the cokernel of the mono)
+    gives 0 -> Hom(C, X) -> Hom(E, X) -> Hom(N, X), and the maps that
+    factor through E, the image of the last arrow, number
+    dim Hom(E, X) - dim Hom(C, X)."""
     base = hom_dim(n, x)
     if base == 0:
         return 0
     env, mono = injective_envelope(n)
-    through = hom_basis(env, x)
-    if not through:
-        return base
-    fld = n.field
-    rows = []
-    for g in through:
-        comp = g.compose(mono)
-        row = []
-        for v in n.algebra.quiver.vertices:
-            for r in comp.maps[v].rows:
-                row.extend(r)
-        rows.append(row)
-    factoring = Matrix(fld, rows, len(rows[0])).rank() if rows and rows[0] else 0
-    return base - factoring
+    c, _ = cokernel(mono)
+    return base - hom_dim(env, x) + hom_dim(c, x)
 
 
+@analysis_scope()
 def ar_formula_check(m: Representation, n: Representation) -> bool:
     """Ext^1(M, N) and the stable Hom(N, tau M) have equal dimensions."""
-    t = tau(m)
+    t = scoped(tau, m)
     rhs = 0 if t.is_zero() else stable_hom_dim_inj(n, t)
     return ext1_dim(m, n) == rhs
 
@@ -240,6 +236,7 @@ class HierarchyReport:
         }
 
 
+@analysis_scope()
 def hierarchy_report(
     m: Representation,
     trials: int = 8,
@@ -249,7 +246,7 @@ def hierarchy_report(
     oracle_max_dim: int = 40,
 ) -> HierarchyReport:
     """All six hierarchy flags, with the implication edges asserted."""
-    cx = min_presentation(m)
+    cx = scoped(min_presentation, m)
     projective = cx.p1.is_zero()
     pd1 = cx.rank() == cx.hom.r1.total_dim  # presentation map injective
     e_val = ext1_dim(m, m)
@@ -323,6 +320,7 @@ class ReduceReport:
         }
 
 
+@analysis_scope()
 def reduce_and_compare(
     algebra,
     m: Representation,
@@ -350,10 +348,8 @@ def reduce_and_compare(
     pd_b = proj_dim(m_b, cap=cap)
     e_a = ext1_dim(m, m)
     e_b = ext1_dim(m_b, m_b)
-    ta = tau(m)
-    tb = tau(m_b)
-    big_e_a = 0 if ta.is_zero() else hom_dim(m, ta)
-    big_e_b = 0 if tb.is_zero() else hom_dim(m_b, tb)
+    big_e_a = e_invariant(m)
+    big_e_b = e_invariant(m_b)
     if e_b > e_a or big_e_b > big_e_a:
         raise AssertionError("reduction increased e or E; this must not happen")
     va = is_tau_regular(m, trials=trials, seed=seed)

@@ -7,11 +7,12 @@ expressions like "S(2)+S(3)".  Identical seeds produce byte-identical
 JSON reports.
 
 Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error or
-invalid option value (--trials, --tmax or --cap below 1, a --field modulus
-that is not prime, a prime field for reduce or paper-examples), 3 invalid
-module, 4 ideal does not annihilate, 10 scan violations found, 11 scan
-violations found on an uncertified r(1) only.  Exits 2, 3 and 4 print a
-single `error:` line on stderr.
+invalid option value (--trials, --tmax or --cap below 1, --oracle-params
+below 0, a --field modulus that is not prime, a prime field for reduce or
+paper-examples), 3 invalid module, 4 ideal does not annihilate, 10 scan
+violations found, 11 scan violations found on an uncertified r(1) only.
+Exits 2, 3 and 4 print a single `error:` line on stderr.
+`--oracle-params 0` is valid and runs no symbolic oracle.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ def _field_of(args):
 
 
 def _check_counts(args):
-    for flag in ("trials", "tmax", "cap"):
+    for flag, low in (("trials", 1), ("tmax", 1), ("cap", 1), ("oracle_params", 0)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise CliError(f"--{flag} must be at least 1, got {value}", EXIT_PARSE)
+        if value is not None and value < low:
+            name = flag.replace("_", "-")
+            raise CliError(f"--{name} must be at least {low}, got {value}", EXIT_PARSE)
 
 
 def _load_algebra(arg):

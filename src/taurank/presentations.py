@@ -21,10 +21,11 @@ from .reps import (
     ProjRealization,
     Representation,
     cokernel,
-    kernel,
+    cover_kernel,
     projective_cover,
     radical_of,
     realize,
+    scoped,
 )
 
 
@@ -293,14 +294,13 @@ def min_presentation(m: Representation) -> TwoComplex:
     alg = m.algebra
     if m.is_zero():
         return zero_complex(alg, m.field)
-    cover0 = projective_cover(m)
-    k, incl = kernel(cover0.epi)
+    cover0, k, incl = scoped(cover_kernel, m)
     p0 = ProjDecomp(cover0.mults)
     if k.is_zero():
         p1 = ProjDecomp.zero(alg.quiver.n)
         hs = HomSpace(realize(alg, p1.mults, m.field), cover0.realization)
         return TwoComplex(p1, p0, hs, hs.morphism_from_coeffs([]), [])
-    cover1 = projective_cover(k)
+    cover1 = scoped(projective_cover, k)
     p1 = ProjDecomp(cover1.mults)
     fmap = incl.compose(cover1.epi)
     hs = HomSpace(cover1.realization, cover0.realization)

@@ -10,6 +10,8 @@ lets every operation here run unchanged over B.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -569,10 +571,44 @@ def injective_envelope(m: Representation):
     return env, mono
 
 
+def cover_kernel(m: Representation):
+    """(cover P0 -> M, its kernel K, inclusion K -> P0)."""
+    cover = scoped(projective_cover, m)
+    return (cover, *kernel(cover.epi))
+
+
 def syzygy(m: Representation):
-    cover = projective_cover(m)
-    k, _ = kernel(cover.epi)
-    return k
+    return scoped(cover_kernel, m)[1]
+
+
+# -- call-scoped analysis ------------------------------------------------------
+
+# the open record, per thread: {(function, id(obj)): (obj, value)} or None
+_analysis = ContextVar("taurank_analysis", default=None)
+
+
+@contextmanager
+def analysis_scope():
+    """Open a record for `scoped` (a nested scope reuses the open one); it
+    is dropped on return or raise.  Usable as a decorator."""
+    record = _analysis.get()
+    token = _analysis.set({} if record is None else record)
+    try:
+        yield
+    finally:
+        _analysis.reset(token)
+
+
+def scoped(fn, obj):
+    """fn(obj), computed once per open analysis scope (every time when
+    none is open).  The entry keeps obj alive, so its id is not reused."""
+    record = _analysis.get()
+    if record is None:
+        return fn(obj)
+    key = (fn, id(obj))
+    if key not in record:
+        record[key] = (obj, fn(obj))
+    return record[key][1]
 
 
 # -- invariants ----------------------------------------------------------------
@@ -582,8 +618,7 @@ def ext1_dim(m: Representation, n: Representation):
     """dim Ext^1(M, N) from a minimal projective cover of M."""
     if m.is_zero() or n.is_zero():
         return 0
-    cover = projective_cover(m)
-    k, _ = kernel(cover.epi)
+    cover, k, _ = scoped(cover_kernel, m)
     hom_p0_n = sum(
         cover.mults[i - 1] * n.vertex_dim(i) for i in m.algebra.quiver.vertices
     )

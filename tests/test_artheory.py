@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from taurank import artheory, presentations, reps
 from taurank.algebra import Ideal
 from taurank.artheory import (
     ar_formula_check,
@@ -15,13 +17,23 @@ from taurank.artheory import (
     tau,
     tau_minus,
 )
-from taurank.presentations import ProjDecomp, complex_from_coeffs, min_presentation
+from taurank.fields import SeedStream
+from taurank.fixtures import FIXTURE_NAMES, load_fixture
+from taurank.linalg import Matrix
+from taurank.presentations import (
+    ProjDecomp,
+    complex_from_coeffs,
+    min_presentation,
+    random_module,
+)
 from taurank.reps import (
     cokernel,
     direct_sum,
     ext1_dim,
+    hom_basis,
     hom_dim,
     injective,
+    injective_envelope,
     iso_test,
     proj_dim,
     projective,
@@ -144,6 +156,42 @@ def test_stable_hom_examples(alg_b):
     assert stable_hom_dim_inj(i2, i2) == 0
     # no injective receiver: stable hom equals plain hom
     assert stable_hom_dim_inj(s2, tau(s2)) == hom_dim(s2, tau(s2)) == 0
+
+
+def stable_hom_by_composition(n, x):
+    """Reference count: dim Hom(N, X) minus the rank of the maps g . mono,
+    g running over a basis of Hom(E, X), E the injective envelope of N."""
+    env, mono = injective_envelope(n)
+    rows = []
+    for g in hom_basis(env, x):
+        comp = g.compose(mono)
+        rows.append([c for v in n.algebra.quiver.vertices
+                     for row in comp.maps[v].rows for c in row])
+    factoring = Matrix(n.field, rows, len(rows[0])).rank() if rows and rows[0] else 0
+    return hom_dim(n, x) - factoring
+
+
+def small_modules(alg):
+    """S(i), P(i), I(i) for every vertex i, then every sum of two of them."""
+    singles = [make(alg, i) for i in alg.vertices for make in (simple, projective, injective)]
+    pairs = [direct_sum([a, b]) for k, a in enumerate(singles) for b in singles[k:]]
+    return singles, singles + pairs
+
+
+def test_stable_hom_rank_formula_matches_composition(all_fixture_algebras):
+    # translates of dimension 8 to 11 (only ALG-A's) pair with the singles
+    # alone: the reference composes every map of a large Hom(E, X)
+    nonzero = 0
+    for alg in all_fixture_algebras.values():
+        singles, mods = small_modules(alg)
+        for t in map(tau, singles):
+            if t.is_zero() or t.dim_total > 11:
+                continue
+            for n in mods if t.dim_total <= 7 else singles:
+                want = stable_hom_by_composition(n, t)
+                assert stable_hom_dim_inj(n, t) == want
+                nonzero += want > 0
+    assert nonzero >= 150
 
 
 def test_ar_formula_examples(alg_b):
@@ -276,3 +324,91 @@ def test_verdict_json_keys(alg_b):
     data = v.to_json()
     for key in ("outcome", "witness_rank", "generic_rank", "certified"):
         assert key in data
+
+
+# -- the call-scoped analysis -------------------------------------------------
+
+
+def cover_spy(monkeypatch):
+    """Patch projective_cover where the scoped callers look it up; returns
+    the (module, cover, scope open) triples of every call."""
+    calls = []
+    original = reps.projective_cover
+
+    def spy(m):
+        cover = original(m)
+        calls.append((m, cover, reps._analysis.get() is not None))
+        return cover
+
+    monkeypatch.setattr(reps, "projective_cover", spy)
+    monkeypatch.setattr(presentations, "projective_cover", spy)
+    return calls
+
+
+def test_scope_is_open_only_during_public_calls(monkeypatch, alg_b0):
+    m = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
+    calls = cover_spy(monkeypatch)
+    for run in (
+        lambda: hierarchy_report(m, trials=2, seed=1),
+        lambda: ar_formula_check(m, simple(alg_b0, 1)),
+        lambda: reduce_and_compare(alg_b0, m, trials=2, seed=1),
+    ):
+        calls.clear()
+        run()
+        assert calls and all(open_ for _, _, open_ in calls)
+        assert reps._analysis.get() is None
+    assert reps.projective_cover(m) is not None and not calls[-1][2]
+
+
+def test_scope_closes_when_a_call_raises(monkeypatch, alg_b):
+    m = direct_sum([projective(alg_b, 2)])
+    ideal = Ideal.from_generators(alg_b, [alg_b.arrow_element("a")])
+    with pytest.raises(ValueError, match="annihilate"):
+        reduce_and_compare(alg_b, m, ideal=ideal)
+    assert reps._analysis.get() is None
+
+    def boom(*args):
+        assert reps._analysis.get() is not None
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(artheory, "ext1_dim", boom)
+    s2 = simple(alg_b, 2)
+    for run in (lambda: hierarchy_report(s2, trials=2), lambda: ar_formula_check(s2, s2)):
+        with pytest.raises(RuntimeError, match="boom"):
+            run()
+        assert reps._analysis.get() is None
+
+
+def test_each_call_covers_its_module_once_and_afresh(monkeypatch, alg_a):
+    m = cok_f(alg_a, (1, 0, 0))
+    calls = cover_spy(monkeypatch)
+    hierarchy_report(m, trials=2, seed=1)
+    first = [cover for arg, cover, _ in calls if arg is m]
+    calls.clear()
+    hierarchy_report(m, trials=2, seed=1)
+    second = [cover for arg, cover, _ in calls if arg is m]
+    assert len(first) == len(second) == 1
+    assert first[0] is not second[0]
+    assert first[0].epi.maps == second[0].epi.maps
+    # calls nested in an open scope share its record
+    calls.clear()
+    with reps.analysis_scope():
+        hierarchy_report(m, trials=2, seed=1)
+        ar_formula_check(m, m)
+        assert any(obj is m for obj, _ in reps._analysis.get().values())
+    assert [arg for arg, _, _ in calls].count(m) == 1
+    assert reps._analysis.get() is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.integers(0, 10**6))
+def test_hierarchy_report_matches_unscoped_calls(fixture, seed):
+    m = random_module(load_fixture(fixture), SeedStream(seed), max_total_dim=7)
+    rep = hierarchy_report(m, trials=2, seed=seed)
+    assert reps._analysis.get() is None
+    t = tau(m)
+    assert rep.E_value == e_invariant(m) == (0 if t.is_zero() else hom_dim(m, t))
+    assert rep.e_value == ext1_dim(m, m)
+    assert rep.pd == proj_dim(m)
+    assert rep.verdict.to_json() == is_tau_regular(m, trials=2, seed=seed).to_json()
+    assert rep.projective == t.is_zero()

@@ -258,6 +258,17 @@ def test_paper_examples_prime_field_exits_2(capsys):
     assert_one_error_line(err)
 
 
+def test_scan_negative_oracle_params_exits_2(capsys):
+    argv = ["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--tmax", "2"]
+    code, err = run_err(capsys, argv + ["--oracle-params", "-1"])
+    assert code == 2
+    assert_one_error_line(err)
+    # 0 stays valid and runs no oracle, so r(1) is left uncertified
+    code, out = run(capsys, argv + ["--oracle-params", "0", "--json"])
+    assert code == 11
+    assert json.loads(out)["certified"][0] is False
+
+
 # byte-for-byte outputs of the scanner, pinned across its optimizations
 PINNED_SCANS = [
     (["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--tmax", "3", "--json"], 10,
@@ -289,6 +300,113 @@ def test_scan_json_bytes_pinned(capsys):
         code, out = run(capsys, argv)
         assert code == want_code
         assert out == want_out
+
+
+# byte-for-byte outputs of check, reduce and tau, pinned across the
+# call-scoped module analysis: an oracle-certified verdict (cok_f_100 on
+# ALG-A, written to a file by the test), certified-no verdicts, an
+# infinite and a ">= cap" projective dimension, and a prime field
+PINNED_CHECKS = [
+    (["check", "ALG-A", "cok_f_100.mod.json", "--json"], 0,
+     '{"E": 2, "dim": [1, 2, 1], "e": 2, "partial_tilting": false, "pd_le_1": false, '
+     '"proj_dim": {"detail": "", "kind": "finite", "value": 2}, "projective": false, '
+     '"rigid": false, "tau_regular": true, "tau_rigid": false, "verdict": '
+     '{"certified": true, "generic_rank": 3, "method": "oracle", "note": "", '
+     '"outcome": "certified-yes", "presentation_rank": 3, "witness_rank": 3}}\n'),
+    (["reduce", "ALG-A", "cok_f_100.mod.json", "--json"], 0,
+     '{"E_A": 2, "E_B": 0, "e_A": 2, "e_B": 0, "ideal_dim": 4, "pd_A": {"detail": '
+     '"", "kind": "finite", "value": 2}, "pd_B": {"detail": "", "kind": "finite", '
+     '"value": 0}, "quotient_dim": 8, "tau_regular_A": {"certified": true, '
+     '"generic_rank": 3, "method": "oracle", "note": "", "outcome": "certified-yes", '
+     '"presentation_rank": 3, "witness_rank": 3}, "tau_regular_B": {"certified": '
+     'true, "generic_rank": 0, "method": "dimension-bound", "note": "", "outcome": '
+     '"certified-yes", "presentation_rank": 0, "witness_rank": 0}, "tau_rigid_A": '
+     'false, "tau_rigid_B": true}\n'),
+    (["tau", "ALG-A", "cok_f_100.mod.json", "--json"], 0,
+     '{"arrows": {"a1": [], "a2": [], "a3": [], "b1": [[0, 0]], "b2": [[1, 0]], '
+     '"b3": [[0, 1]]}, "dim": [0, 1, 2]}\n'),
+    (["check", "ALG-A", "I(1)", "--json"], 0,
+     '{"E": 10, "dim": [1, 3, 3], "e": 0, "partial_tilting": false, "pd_le_1": '
+     'false, "proj_dim": {"detail": "", "kind": "finite", "value": 2}, "projective": '
+     'false, "rigid": true, "tau_regular": false, "tau_rigid": false, "verdict": '
+     '{"certified": true, "generic_rank": 15, "method": "dimension-bound", "note": '
+     '"witness of strictly larger rank found", "outcome": "certified-no", '
+     '"presentation_rank": 14, "witness_rank": 15}}\n'),
+    (["check", "ALG-C", "S(1)+S(2)", "--json"], 0,
+     '{"E": 3, "dim": [1, 1], "e": 3, "partial_tilting": false, "pd_le_1": false, '
+     '"proj_dim": {"detail": "syzygy 2 is isomorphic to 2 copies of syzygy 0", '
+     '"kind": "infinite", "value": null}, "projective": false, "rigid": false, '
+     '"tau_regular": false, "tau_rigid": false, "verdict": {"certified": true, '
+     '"generic_rank": 5, "method": "dimension-bound", "note": "witness of strictly '
+     'larger rank found", "outcome": "certified-no", "presentation_rank": 3, '
+     '"witness_rank": 5}}\n'),
+    (["reduce", "ALG-C", "S(1)+S(2)", "--json"], 0,
+     '{"E_A": 3, "E_B": 0, "e_A": 3, "e_B": 0, "ideal_dim": 3, "pd_A": {"detail": '
+     '"syzygy 2 is isomorphic to 2 copies of syzygy 0", "kind": "infinite", "value": '
+     'null}, "pd_B": {"detail": "", "kind": "finite", "value": 0}, "quotient_dim": '
+     '2, "tau_regular_A": {"certified": true, "generic_rank": 5, "method": '
+     '"dimension-bound", "note": "witness of strictly larger rank found", "outcome": '
+     '"certified-no", "presentation_rank": 3, "witness_rank": 5}, "tau_regular_B": '
+     '{"certified": true, "generic_rank": 0, "method": "dimension-bound", "note": '
+     '"", "outcome": "certified-yes", "presentation_rank": 0, "witness_rank": 0}, '
+     '"tau_rigid_A": false, "tau_rigid_B": true}\n'),
+    (["tau", "ALG-C", "S(1)+S(2)", "--json"], 0,
+     '{"arrows": {"a": [[0, 0], [0, 0], [0, 0], [0, 0]], "b": [[0, 0, -1, 0], [0, 1, '
+     '0, 0]], "c": [[1, 0, 0, 0], [0, 0, 1, 0]]}, "dim": [2, 4]}\n'),
+    (["check", "ALG-B", "S(2)+S(3)", "--json", "--cap", "1"], 0,
+     '{"E": 1, "dim": [0, 1, 1], "e": 1, "partial_tilting": false, "pd_le_1": false, '
+     '"proj_dim": {"detail": ">= 1", "kind": "unknown", "value": null}, '
+     '"projective": false, "rigid": false, "tau_regular": true, "tau_rigid": false, '
+     '"verdict": {"certified": true, "generic_rank": 2, "method": "dimension-bound", '
+     '"note": "", "outcome": "certified-yes", "presentation_rank": 2, '
+     '"witness_rank": 2}}\n'),
+    (["reduce", "ALG-B", "S(2)+S(3)", "--json"], 0,
+     '{"E_A": 1, "E_B": 0, "e_A": 1, "e_B": 0, "ideal_dim": 3, "pd_A": {"detail": '
+     '"", "kind": "finite", "value": 2}, "pd_B": {"detail": "", "kind": "finite", '
+     '"value": 0}, "quotient_dim": 2, "tau_regular_A": {"certified": true, '
+     '"generic_rank": 2, "method": "dimension-bound", "note": "", "outcome": '
+     '"certified-yes", "presentation_rank": 2, "witness_rank": 2}, "tau_regular_B": '
+     '{"certified": true, "generic_rank": 0, "method": "dimension-bound", "note": '
+     '"", "outcome": "certified-yes", "presentation_rank": 0, "witness_rank": 0}, '
+     '"tau_rigid_A": false, "tau_rigid_B": true}\n'),
+    (["check", "ALG-B0", "P(2)+I(2)+S(3)", "--json"], 0,
+     '{"E": 2, "dim": [1, 2, 2], "e": 2, "partial_tilting": false, "pd_le_1": true, '
+     '"proj_dim": {"detail": "", "kind": "finite", "value": 1}, "projective": false, '
+     '"rigid": false, "tau_regular": true, "tau_rigid": false, "verdict": '
+     '{"certified": true, "generic_rank": 3, "method": "dimension-bound", "note": '
+     '"", "outcome": "certified-yes", "presentation_rank": 3, "witness_rank": 3}}\n'),
+    (["reduce", "ALG-B0", "P(2)+I(2)+S(3)", "--json"], 0,
+     '{"E_A": 2, "E_B": 1, "e_A": 2, "e_B": 0, "ideal_dim": 1, "pd_A": {"detail": '
+     '"", "kind": "finite", "value": 1}, "pd_B": {"detail": "", "kind": "finite", '
+     '"value": 2}, "quotient_dim": 5, "tau_regular_A": {"certified": true, '
+     '"generic_rank": 3, "method": "dimension-bound", "note": "", "outcome": '
+     '"certified-yes", "presentation_rank": 3, "witness_rank": 3}, "tau_regular_B": '
+     '{"certified": true, "generic_rank": 2, "method": "dimension-bound", "note": '
+     '"witness of strictly larger rank found", "outcome": "certified-no", '
+     '"presentation_rank": 1, "witness_rank": 2}, "tau_rigid_A": false, '
+     '"tau_rigid_B": false}\n'),
+    (["tau", "ALG-B0", "P(2)+I(2)+S(3)", "--json"], 0,
+     '{"arrows": {"a": [[1, 0]], "b": [[], []]}, "dim": [1, 2, 0]}\n'),
+    (["check", "ALG-K", "S(2)", "--json", "--field", "fp"], 0,
+     '{"E": 0, "dim": [0, 1], "e": 0, "partial_tilting": true, "pd_le_1": true, '
+     '"proj_dim": {"detail": "", "kind": "finite", "value": 1}, "projective": false, '
+     '"rigid": true, "tau_regular": true, "tau_rigid": true, "verdict": '
+     '{"certified": true, "generic_rank": 2, "method": "dimension-bound", "note": '
+     '"", "outcome": "certified-yes", "presentation_rank": 2, "witness_rank": 2}}\n'),
+    (["tau", "ALG-K", "S(2)", "--json"], 0,
+     '{"arrows": {"a1": [[0, 0, -1], [0, 1, 0]], "a2": [[1, 0, 0], [0, 0, 1]]}, '
+     '"dim": [2, 3]}\n'),
+]
+
+
+def test_check_reduce_tau_json_bytes_pinned(capsys, tmp_path, monkeypatch, alg_a):
+    save_module_file(cok_f_100(alg_a), tmp_path / "cok_f_100.mod.json",
+                     algebra_path="ALG-A")
+    monkeypatch.chdir(tmp_path)
+    for argv, want_code, want_out in PINNED_CHECKS:
+        code, out = run(capsys, argv)
+        assert code == want_code, argv
+        assert out == want_out, argv
 
 
 def test_scan_uncertified_violations_exit_11(capsys):
