@@ -390,6 +390,8 @@ class Algebra:
         for coeff, word in terms:
             coeff = Fraction(coeff)
             if len(word) == 2 and word[0] == "e":
+                if int(word[1]) not in self.idempotent_index:
+                    raise QuiverSyntaxError(f"no idempotent e{word[1]} in this algebra")
                 vec = self.idempotent(int(word[1]))
             else:
                 for name in word:

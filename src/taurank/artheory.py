@@ -43,19 +43,16 @@ from .reps import (
 
 def nakayama_complex(cx: TwoComplex) -> Morphism:
     """Image of a two-complex under the Nakayama functor: the morphism
-    nu P1 -> nu P0 between the corresponding injective sums, transported
-    along the algebra-element entries of the map."""
-    alg = cx.algebra
+    nu P1 -> nu P0 between the corresponding injective sums, the dual of
+    the map P0 -> P1 over the opposite algebra with the same coefficients.
+    Item (s0, s1, x) there is right multiplication by x from summand s0
+    into summand s1, so it takes the coefficient of item (s1, s0, x)."""
     fld = cx.hom.field
-    op = alg.opposite()
-    entries = cx.hom.entries_of_morphism(cx.map)
-    r0op = realize(op, cx.p0.mults, fld)
-    r1op = realize(op, cx.p1.mults, fld)
-    hs_op = HomSpace(r0op, r1op)
-    coeffs = []
-    for (s_src, s_tgt, x) in hs_op.items:
-        coeffs.append(entries[s_src][s_tgt].get(x, fld.zero))
-    g = hs_op.morphism_from_coeffs(coeffs)
+    op = cx.algebra.opposite()
+    coeffs = cx.coeffs if cx.coeffs is not None else cx.hom.coeffs_of_morphism(cx.map)
+    coeff_of = dict(zip(cx.hom.items, coeffs))
+    hs_op = HomSpace(realize(op, cx.p0.mults, fld), realize(op, cx.p1.mults, fld))
+    g = hs_op.morphism_from_coeffs([coeff_of[s1, s0, x] for s0, s1, x in hs_op.items])
     return dual_morphism(g)
 
 
@@ -122,14 +119,7 @@ class Verdict:
         }
 
 
-def is_tau_regular(
-    m: Representation,
-    trials: int = 8,
-    seed: int = 42,
-    oracle_max_params: int = 12,
-    oracle_max_dim: int = 40,
-    oracle_max_terms: int = 60000,
-) -> Verdict:
+def is_tau_regular(m: Representation, trials: int = 8, seed: int = 42) -> Verdict:
     """Rank criterion: M is tau-regular iff its minimal presentation map
     attains the maximal rank r(P1, P0)."""
     cx = scoped(min_presentation, m)
@@ -141,9 +131,6 @@ def is_tau_regular(
         seed=seed,
         extra_samples=[cx.map],
         field=m.field,
-        oracle_max_params=oracle_max_params,
-        oracle_max_dim=oracle_max_dim,
-        oracle_max_terms=oracle_max_terms,
     )
     rk = cx.rank()
     if rk < res.value:
@@ -242,8 +229,6 @@ def hierarchy_report(
     trials: int = 8,
     seed: int = 42,
     cap: int = 10,
-    oracle_max_params: int = 12,
-    oracle_max_dim: int = 40,
 ) -> HierarchyReport:
     """All six hierarchy flags, with the implication edges asserted."""
     cx = scoped(min_presentation, m)
@@ -254,10 +239,7 @@ def hierarchy_report(
     big_e = e_invariant(m)
     tau_rigid = big_e == 0
     partial_tilting = rigid and pd1
-    verdict = is_tau_regular(
-        m, trials=trials, seed=seed,
-        oracle_max_params=oracle_max_params, oracle_max_dim=oracle_max_dim,
-    )
+    verdict = is_tau_regular(m, trials=trials, seed=seed)
     tau_regular = verdict.is_yes()
     pd = proj_dim(m, cap=cap)
 

@@ -26,11 +26,16 @@ def _parse_scalar(field, x):
     if isinstance(x, int):
         return field.from_int(x)
     if isinstance(x, str):
-        return field.from_fraction(Fraction(x))
+        try:
+            return field.from_fraction(Fraction(x))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModuleFormatError(f"bad matrix entry {x!r}: {exc}") from None
     raise ModuleFormatError(f"matrix entries must be ints or 'p/q' strings, got {x!r}")
 
 
 def module_from_dict(algebra, data, field=QQ, validate=True):
+    if not isinstance(data, dict):
+        raise ModuleFormatError("a module file must hold a JSON object")
     if "dim" not in data:
         raise ModuleFormatError("module file is missing 'dim'")
     dims = data["dim"]
@@ -40,12 +45,16 @@ def module_from_dict(algebra, data, field=QQ, validate=True):
         raise ModuleFormatError("'dim' must be a vector of non-negative ints, one per vertex")
     arrows = {}
     raw = data.get("arrows", {})
+    if not isinstance(raw, dict):
+        raise ModuleFormatError("'arrows' must map arrow names to matrices")
     for name, grid in raw.items():
         arrow = algebra.quiver.by_name.get(name)
         if arrow is None:
             raise ModuleFormatError(f"unknown arrow {name!r} in module file")
         nrows, ncols = dims[arrow.target - 1], dims[arrow.source - 1]
-        if len(grid) != nrows or any(len(r) != ncols for r in grid):
+        if not isinstance(grid, list) or len(grid) != nrows or any(
+            not isinstance(r, list) or len(r) != ncols for r in grid
+        ):
             raise ModuleFormatError(
                 f"arrow {name!r} matrix must be {nrows}x{ncols} (target x source)"
             )

@@ -23,10 +23,14 @@ from .reps import (
     cokernel,
     cover_kernel,
     projective_cover,
-    radical_of,
+    radical_span,
     realize,
     scoped,
 )
+
+COEFF_BOUND = 1000  # sampled coefficients lie in [-COEFF_BOUND, COEFF_BOUND]
+ORACLE_MAX_DIM = 40  # the oracle runs only when dim P1, dim P0 <= this
+ORACLE_MAX_TERMS = 60000  # poly_rank's term budget
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class HomSpace:
         f = self.field
         out = []
         rowpos = {}
-        for s0 in range(self.r0.n_summands()):
+        for s0 in range(len(self.r0.summands)):
             for v, pairs in self.r0.basis_positions(s0).items():
                 for row, k in pairs:
                     rowpos[(s0, k)] = (v, row)
@@ -170,19 +174,7 @@ class HomSpace:
             out.append(fmor.maps[gv].rows[row][gcol])
         return out
 
-    def entries_of_morphism(self, fmor: Morphism):
-        """Algebra-element entry matrix: entries[s0][s1] = sparse element."""
-        coeffs = self.coeffs_of_morphism(fmor)
-        entries = [
-            [dict() for _ in range(self.r1.n_summands())]
-            for _ in range(self.r0.n_summands())
-        ]
-        for coeff, (s1, s0, x) in zip(coeffs, self.items):
-            if not self.field.is_zero(coeff):
-                entries[s0][s1][x] = coeff
-        return entries
-
-    def sample_coeffs(self, rng: SeedStream, bound=1000):
+    def sample_coeffs(self, rng: SeedStream, bound=COEFF_BOUND):
         return [self.field.sample(rng, bound) for _ in self.items]
 
     def generic_vertex_matrices(self):
@@ -312,10 +304,9 @@ def min_presentation(m: Representation) -> TwoComplex:
 
 
 def _assert_minimal(cx: TwoComplex, m: Representation):
-    _, rincl = radical_of(cx.hom.r0.rep)
     for v in m.algebra.quiver.vertices:
-        stacked = Matrix.hstack(m.field, [rincl.maps[v], cx.map.maps[v]])
-        if stacked.rank() != rincl.maps[v].rank():
+        rad = radical_span(cx.hom.r0.rep, v)
+        if Matrix.hstack(m.field, [rad, cx.map.maps[v]]).rank() != rad.rank():
             raise AssertionError("presentation map does not land in rad P0")
         # cokernel dims: dim P0_v - rank(map_v)
         got = cx.hom.r0.rep.vertex_dim(v) - cx.map.maps[v].rank()
@@ -355,10 +346,7 @@ def generic_rank(
     seed: int = 42,
     extra_samples=(),
     field=QQ,
-    coeff_bound: int = 1000,
     oracle_max_params: int = 12,
-    oracle_max_dim: int = 40,
-    oracle_max_terms: int = 60000,
 ) -> GenericRankResult:
     """Maximal rank r(P1, P0) over Hom(P1, P0).
 
@@ -374,7 +362,7 @@ def generic_rank(
     value = 0
     witness_coeffs = None
     for t in range(trials):
-        coeffs = hs.sample_coeffs(master.split(t), coeff_bound)
+        coeffs = hs.sample_coeffs(master.split(t), COEFF_BOUND)
         rk = hs.morphism_from_coeffs(coeffs).rank()
         if rk > value or witness_coeffs is None:
             value, witness_coeffs = rk, coeffs
@@ -395,12 +383,12 @@ def generic_rank(
     elif (
         field.characteristic == 0
         and hs.dim <= oracle_max_params
-        and hs.r1.total_dim <= oracle_max_dim
-        and hs.r0.total_dim <= oracle_max_dim
+        and hs.r1.total_dim <= ORACLE_MAX_DIM
+        and hs.r0.total_dim <= ORACLE_MAX_DIM
     ):
         try:
             oracle_value = sum(
-                poly_rank(pm, max_dim=oracle_max_dim, max_terms=oracle_max_terms)
+                poly_rank(pm, max_dim=ORACLE_MAX_DIM, max_terms=ORACLE_MAX_TERMS)
                 for pm in hs.generic_vertex_matrices().values()
             )
         except OracleBudgetError:
@@ -413,7 +401,7 @@ def generic_rank(
             if oracle_value > value:
                 # astronomically unlucky sampling; escalate once
                 for t in range(trials, 4 * trials + 8):
-                    coeffs = hs.sample_coeffs(master.split(t), 10 * coeff_bound)
+                    coeffs = hs.sample_coeffs(master.split(t), 10 * COEFF_BOUND)
                     rk = hs.morphism_from_coeffs(coeffs).rank()
                     if rk > value:
                         value, witness_coeffs = rk, coeffs
@@ -534,8 +522,6 @@ def additivity_scan(
     seed: int = 42,
     field=QQ,
     oracle_max_params: int = 12,
-    oracle_max_dim: int = 40,
-    oracle_max_terms: int = 60000,
 ) -> RankScanReport:
     """Scan r(P1^t, P0^t) for t = 1..t_max and flag every t whose value
     exceeds t * r(P1, P0).
@@ -562,8 +548,6 @@ def additivity_scan(
             extra_samples=extra,
             field=field,
             oracle_max_params=oracle_max_params,
-            oracle_max_dim=oracle_max_dim,
-            oracle_max_terms=oracle_max_terms,
         )
         r_values.append(res.value)
         certified.append(res.certified)

@@ -132,7 +132,6 @@ def zero_morphism(source, target):
 
 def act_word(m: Representation, word, source=None):
     """Matrix of a path word acting M_source -> M_target."""
-    q = m.algebra.quiver
     if not word:
         d = m.vertex_dim(source)
         return Matrix.identity(m.field, d)
@@ -404,13 +403,15 @@ def cokernel(f: Morphism):
 # -- radical, top, socle ------------------------------------------------------
 
 
+def radical_span(m: Representation, v):
+    """The arrow matrices into v side by side; rad M_v is their column span."""
+    parts = [m.arrows[a.name] for a in m.algebra.quiver.arrows if a.target == v]
+    return Matrix.hstack(m.field, parts, nrows=m.vertex_dim(v))
+
+
 def radical_of(m: Representation):
     """(rad M, inclusion): the span of all arrow images."""
-    alg, fl = m.algebra, m.field
-    cols = {}
-    for v in alg.quiver.vertices:
-        parts = [m.arrows[a.name] for a in alg.quiver.arrows if a.target == v]
-        cols[v] = Matrix.hstack(fl, parts, nrows=m.vertex_dim(v)).column_space_basis()
+    cols = {v: radical_span(m, v).column_space_basis() for v in m.algebra.quiver.vertices}
     return _subrep(m, cols, "radical")
 
 
@@ -468,9 +469,6 @@ class ProjRealization:
         self._layouts, self.rep, self.offsets = parts
         self.total_dim = self.rep.dim_total
 
-    def n_summands(self):
-        return len(self.summands)
-
     def generator_position(self, s):
         """(vertex, index) of the generator e_i of summand s."""
         i, _ = self.summands[s]
@@ -520,40 +518,37 @@ class ProjCover:
 
 
 def projective_cover(m: Representation):
-    """Minimal projective cover (multiplicities from top M, epi built from
-    echelon-pivot sections in fixed vertex order)."""
+    """Minimal projective cover P0 -> M.
+
+    The generators are unit vectors, taken greedily per vertex v in
+    ascending vertex order: e_p, for p in coordinate order, is kept when it
+    is not in rad M_v + span(e_q : q < p).  These p are the pivot columns
+    of rref([R | I]) beyond R = radical_span(m, v), so they span a
+    complement of rad M_v and give the multiplicities of top M.  Summand
+    order follows the generators, and P(v) sends the basis path k to
+    column p of the matrix by which k acts on M."""
     alg, fl = m.algebra, m.field
-    t, proj = top(m)
-    mults = [0] * alg.quiver.n
-    gens = {}  # summand order: vertex ascending, copies in pivot order
-    gen_list = []
+    mults, gens = [], []  # gens[s] = p: summand s is generated by e_p
     for v in alg.quiver.vertices:
-        mults[v - 1] = t.vertex_dim(v)
-        if t.vertex_dim(v) == 0:
-            continue
-        _, pivots = proj.maps[v].rref()
-        if len(pivots) != t.vertex_dim(v):
-            raise AssertionError("top projection is not surjective")
-        for p in pivots:
-            vec = [fl.one if j == p else fl.zero for j in range(m.vertex_dim(v))]
-            gen_list.append((v, vec))
+        rad = radical_span(m, v)
+        _, pivots = Matrix.hstack(fl, [rad, Matrix.identity(fl, m.vertex_dim(v))]).rref()
+        tops = [p - rad.ncols for p in pivots if p >= rad.ncols]
+        mults.append(len(tops))
+        gens += tops
     real = ProjRealization(alg, tuple(mults), fl)
     maps = {
         v: Matrix.zeros(fl, m.vertex_dim(v), real.rep.vertex_dim(v))
         for v in alg.quiver.vertices
     }
-    for s, (i, _) in enumerate(real.summands):
-        v_gen, gvec = gen_list[s]
-        if v_gen != i:
-            raise AssertionError("cover summand order out of sync")
+    acts = {}  # basis index -> matrix of its action, shared by every summand
+    for s, p in enumerate(gens):
         for v, pairs in real.basis_positions(s).items():
             for col, k in pairs:
-                b = alg.basis[k]
-                blk = act_word(m, b.word, b.source) if b.word else \
-                    Matrix.identity(fl, m.vertex_dim(i))
-                img = blk.apply(gvec)
-                for r, x in enumerate(img):
-                    maps[v].rows[r][col] = x
+                if k not in acts:
+                    b = alg.basis[k]
+                    acts[k] = act_word(m, b.word, b.source)
+                for row, x in zip(maps[v].rows, acts[k].rows):
+                    row[col] = x[p]
     epi = Morphism(real.rep, m, maps)
     for v in alg.quiver.vertices:
         if epi.maps[v].rank() != m.vertex_dim(v):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from taurank.cli import main
 from taurank.io import save_module_file, module_from_expr
 from taurank.examples_suite import cok_f_100
@@ -254,6 +256,29 @@ def test_field_composite_modulus_exits_2(capsys):
 
 def test_paper_examples_prime_field_exits_2(capsys):
     code, err = run_err(capsys, ["paper-examples", "--field", "fp", "--json"])
+    assert code == 2
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("arrows, field", [
+    ({"a1": [["1/0"]]}, "q"),
+    ({"a1": [["abc"]]}, "q"),
+    ([], "q"),
+    ({"a1": 5}, "q"),
+    ({"a1": [["1/7"]]}, "fp:7"),
+], ids=["zero-denominator", "not-a-number", "arrows-list", "arrow-int", "denominator-mod-p"])
+def test_check_malformed_module_file_exits_3(capsys, tmp_path, arrows, field):
+    bad = tmp_path / "bad.mod.json"
+    bad.write_text(json.dumps({"algebra": "ALG-A", "dim": [1, 1, 0], "arrows": arrows}))
+    code, err = run_err(capsys, ["check", "ALG-A", str(bad), "--field", field])
+    assert code == 3
+    assert_one_error_line(err)
+
+
+def test_reduce_ideal_unknown_idempotent_exits_2(capsys, tmp_path):
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text("e9\n")
+    code, err = run_err(capsys, ["reduce", "ALG-B0", "P(2)+I(2)+S(3)", "--ideal", str(ideal)])
     assert code == 2
     assert_one_error_line(err)
 

@@ -49,6 +49,12 @@ def test_bad_dim_vector_rejected(alg_b):
         module_from_dict(alg_b, {"dim": [1, -1, 0]})
 
 
+def test_non_object_module_file_rejected(alg_b):
+    for data in (5, "dim", [1, 1, 0]):
+        with pytest.raises(ModuleFormatError):
+            module_from_dict(alg_b, data)
+
+
 def test_bad_matrix_shape_rejected(alg_b):
     data = {"dim": [1, 1, 0], "arrows": {"a": [[1, 2]]}}
     with pytest.raises(ModuleFormatError):

@@ -1,8 +1,20 @@
-from taurank.fields import QQ, SeedStream
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
+from taurank.fixtures import FIXTURE_NAMES, load_fixture
 from taurank.linalg import Matrix
+from taurank.presentations import (
+    ProjDecomp,
+    _assert_minimal,
+    complex_from_coeffs,
+    random_module,
+    realize_pair,
+)
 from taurank.reps import (
     Representation,
     act_element,
+    act_word,
     annihilator,
     check_relations,
     cokernel,
@@ -24,6 +36,7 @@ from taurank.reps import (
     projective,
     projective_cover,
     radical_of,
+    realize,
     simple,
     socle,
     syzygy,
@@ -343,3 +356,72 @@ def test_cover_composed_with_radical_gives_top(alg_b):
     q, _ = cokernel(composite)
     t, _ = top(m)
     assert iso_test(q, t)
+
+
+# -- the cover against its construction from top M ------------------------------
+
+
+def cover_from_top(m):
+    """(mults, epi maps) of the cover built from the module top M: the
+    generators at v are the unit vectors at the pivot columns of the
+    projection M_v -> top_v, and the epi applies each basis path to them."""
+    alg, fl = m.algebra, m.field
+    t, proj = top(m)
+    mults = tuple(t.vertex_dim(v) for v in alg.quiver.vertices)
+    gens = [p for v in alg.quiver.vertices if t.vertex_dim(v) for p in proj.maps[v].rref()[1]]
+    real = realize(alg, mults, fl)
+    maps = {v: Matrix.zeros(fl, m.vertex_dim(v), real.rep.vertex_dim(v))
+            for v in alg.quiver.vertices}
+    for s, ((i, _), p) in enumerate(zip(real.summands, gens)):
+        unit = [fl.one if j == p else fl.zero for j in range(m.vertex_dim(i))]
+        for v, pairs in real.basis_positions(s).items():
+            for col, k in pairs:
+                b = alg.basis[k]
+                for r, x in enumerate(act_word(m, b.word, b.source).apply(unit)):
+                    maps[v].rows[r][col] = x
+    return mults, maps
+
+
+def assert_cover_matches_top(m):
+    cover = projective_cover(m)
+    mults, maps = cover_from_top(m)
+    assert cover.mults == mults
+    assert cover.epi.maps == maps
+
+
+def standard_modules(alg, field):
+    singles = [make(alg, i, field) for make in (simple, projective, injective)
+               for i in alg.vertices]
+    pairs = [direct_sum([a, b]) for n, a in enumerate(singles) for b in singles[n:]]
+    return singles + pairs
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME)], ids=["Q", "Fp"])
+def test_cover_matches_top_on_standard_modules_and_duals(all_fixture_algebras, field):
+    for alg in all_fixture_algebras.values():
+        for m in standard_modules(alg, field):
+            assert_cover_matches_top(m)
+            # the injective-envelope path covers D M over the opposite algebra
+            assert_cover_matches_top(dual_rep(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.booleans(), st.integers(0, 10**6))
+def test_cover_matches_top_on_random_modules(fixture, prime, seed):
+    field = PrimeField(DEFAULT_PRIME) if prime else QQ
+    m = random_module(load_fixture(fixture), SeedStream(seed), field=field)
+    assert_cover_matches_top(m)
+    assert_cover_matches_top(dual_rep(m))
+
+
+def test_assert_minimal_rejects_identity_on_a_projective(all_fixture_algebras):
+    for alg in all_fixture_algebras.values():
+        for i in alg.vertices:
+            p = ProjDecomp(tuple(int(v == i) for v in alg.quiver.vertices))
+            hs = realize_pair(alg, p, p)
+            e_i = alg.idempotent_index[i]
+            cx = complex_from_coeffs(alg, p, p, [int(x == e_i) for _, _, x in hs.items], hom=hs)
+            m, _ = cokernel(cx.map)
+            assert m.is_zero()
+            with pytest.raises(AssertionError, match="does not land in rad P0"):
+                _assert_minimal(cx, m)
