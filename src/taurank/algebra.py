@@ -3,15 +3,18 @@
 `build_algebra` quotients the path algebra by the two-sided ideal the
 relations generate: the relation set is closed level by level under
 left/right multiplication by arrows, echelonized per (source, target)
-pair, and the surviving path residues become the basis.  Products are
-stored as a structure-constant table; ideals, quotient algebras and the
-opposite algebra all operate on that table, so quotient algebras go
-through the exact same representation-theoretic code paths as quiver
-presentations.
+pair, and the surviving path residues become the basis.  Its structure
+constants come from arrow peeling: b_i * b_j applies the arrows of b_i to
+b_j one at a time, each step a reduced word one arrow longer than a basis
+path.  `opposite` and `quotient` inherit their tables from the algebra
+they come from (transposed, or projected modulo the ideal), so quotient
+algebras go through the exact same representation-theoretic code paths as
+quiver presentations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +47,37 @@ def _word_key(quiver, source, word):
     return (len(word), tuple(quiver.arrow_index[a] for a in word), source)
 
 
+def _axpy(out, c, vec):
+    """out += c * vec on sparse dicts, dropping entries that cancel."""
+    for k, x in vec.items():
+        s = out.get(k, 0) + c * x
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _peel(vec, word, arrow_mult):
+    """Apply the arrows of `word` to the sparse element vec, last arrow
+    first; arrow_mult(name, j) is (arrow `name`) * basis[j]."""
+    for name in reversed(word):
+        nxt = {}
+        for j, c in vec.items():
+            _axpy(nxt, c, arrow_mult(name, j))
+        vec = nxt
+        if not vec:
+            break
+    return vec
+
+
+def _dense(dim, el):
+    v = [Fraction(0)] * dim
+    for k, c in el.items():
+        v[k] = c
+    return v
+
+
 class _TipTable:
     """Echelonized ideal vectors keyed by their leading path."""
 
@@ -67,13 +101,7 @@ class _TipTable:
             if hit is None:
                 return vec
             g = self.by_tip[hit]
-            c = vec[hit] / g[hit]
-            for k2, c2 in g.items():
-                s = vec.get(k2, 0) - c * c2
-                if s:
-                    vec[k2] = s
-                else:
-                    vec.pop(k2, None)
+            _axpy(vec, -vec[hit] / g[hit], g)
 
     def insert(self, vec):
         """Reduce and insert; returns the new tip key or None if vec died."""
@@ -85,12 +113,12 @@ class _TipTable:
         return tip
 
 
-def build_algebra(quiver: Quiver, relations, max_len: int = 30, validate: bool = True):
+def build_algebra(quiver: Quiver, relations, max_len: int = 30):
     """Construct KQ/I with the length-graded residue basis.
 
     Raises NotFiniteDimensional if path residues still survive at
-    max_len.  With validate=True the associativity of the structure
-    constants is spot-checked exhaustively over the basis.
+    max_len.  The associativity of the structure constants is checked
+    exhaustively over the basis.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -180,40 +208,61 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30, validate: bool =
             basis.append(BasisElement(src, tgt, word))
     index = {(b.source, b.word): i for i, b in enumerate(basis)}
 
-    # left multiplication by an arrow on a reduced vector, as basis coords
-    def reduce_to_coords(vec):
-        vec = table.reduce(vec)
-        out = {}
-        for key, c in vec.items():
+    def reduce_word(src, word):
+        vec = table.reduce({(src, word): Fraction(1)})
+        for key in vec:
             if key not in index:
                 raise AssertionError(f"unreduced path {key} escaped the tip table")
-            out[index[key]] = out.get(index[key], Fraction(0)) + c
-        return {k: c for k, c in out.items() if c}
+        return {index[key]: c for key, c in vec.items()}
 
-    alg = Algebra(
-        quiver=quiver,
-        basis=basis,
-        relations=list(relations),
-        _reduce_word=lambda src, word: reduce_to_coords({(src, word): Fraction(1)}),
-    )
-    if validate:
-        alg._validate()
+    products, arrow_elements = _tables(quiver, basis, reduce_word)
+    alg = Algebra(quiver, basis, products, arrow_elements, relations=list(relations))
+    alg._validate()
     return alg
+
+
+def _tables(quiver, basis, reduce_word):
+    """Structure constants and arrow elements of a residue basis.
+
+    b_i * b_j peels the arrows of b_i onto b_j, last arrow first; each step
+    is the memoized reduce_word of one arrow on a basis path, so no reduced
+    word is more than one arrow longer than a basis path.  That matters:
+    the tip table is only drained up to the nilpotency length."""
+    memo = {}
+
+    def arrow_mult(name, j):
+        if (name, j) not in memo:
+            b = basis[j]
+            composable = quiver.by_name[name].source == b.target
+            memo[name, j] = reduce_word(b.source, (name,) + b.word) if composable else {}
+        return memo[name, j]
+
+    products = {}
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            if bi.source == bj.target:
+                vec = _peel({j: Fraction(1)}, bi.word, arrow_mult)
+                if vec:
+                    products[(i, j)] = vec
+    arrow_elements = {a.name: reduce_word(a.source, (a.name,)) for a in quiver.arrows}
+    return products, arrow_elements
 
 
 class Algebra:
     """Basic algebra with a path-residue basis and structure constants.
 
-    Built either from a quiver presentation (`build_algebra`) or as a
-    quotient of another Algebra.  Elements are sparse dicts index->Fraction
-    over `basis`.
+    `products[(i, j)]` is b_i * b_j and `arrow_element_cache[name]` the
+    image of an arrow, both sparse dicts index->Fraction over `basis`, as
+    are all elements.  `build_algebra`, `opposite` and `quotient` compute
+    the two tables and hand them over.
     """
 
-    def __init__(self, quiver, basis, relations=None, _reduce_word=None,
-                 parent=None, parent_ideal=None, _products=None,
-                 _arrow_elements=None):
+    def __init__(self, quiver, basis, products, arrow_elements, relations=None,
+                 parent=None, parent_ideal=None):
         self.quiver = quiver
         self.basis = list(basis)
+        self.products = products
+        self.arrow_element_cache = arrow_elements
         self.relations = relations or []
         self.dim = len(self.basis)
         self.parent = parent
@@ -233,20 +282,6 @@ class Algebra:
         # [(mults1, mults0, field name), items, scatter table or None] of the
         # last HomSpace built; one entry, filled by presentations.HomSpace
         self.hom_tables = None
-        if _products is not None:
-            self.products = _products
-        else:
-            self.products = self._build_products(_reduce_word)
-        if _arrow_elements is not None:
-            self.arrow_element_cache = dict(_arrow_elements)
-        else:
-            # arrows of a presentation are always basis residues
-            self.arrow_element_cache = {}
-            for a in quiver.arrows:
-                key = (a.source, (a.name,))
-                self.arrow_element_cache[a.name] = (
-                    {self.index[key]: Fraction(1)} if key in self.index else {}
-                )
 
     # -- construction helpers -----------------------------------------
 
@@ -258,84 +293,14 @@ class Algebra:
         # multiply out arrow by arrow via the product table
         vec = {self.idempotent_index[source]: Fraction(1)} \
             if source in self.idempotent_index else {}
-        for name in reversed(word):
-            nxt = {}
-            for i, c in vec.items():
-                img = self.arrow_left_mult(name, i)
-                for j, c2 in img.items():
-                    s = nxt.get(j, 0) + c * c2
-                    if s:
-                        nxt[j] = s
-                    else:
-                        nxt.pop(j, None)
-            vec = nxt
-            if not vec:
-                break
-        return vec
+        return _peel(vec, word, self.arrow_left_mult)
 
     def arrow_left_mult(self, name, j):
         """Coordinates of (arrow `name`) * basis[j]."""
-        a = self.arrow_element_cache[name]
         out = {}
-        for i, c in a.items():
-            prod = self.products.get((i, j))
-            if prod:
-                for k, c2 in prod.items():
-                    s = out.get(k, 0) + c * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+        for i, c in self.arrow_element_cache[name].items():
+            _axpy(out, c, self.products.get((i, j), {}))
         return out
-
-    def _build_products(self, reduce_word):
-        """Structure constants via NF of concatenated words (arrow peeling)."""
-        products = {}
-        # memo: left multiplication by an arrow on a basis index
-        memo = {}
-
-        def arrow_mult(name, j):
-            key = (name, j)
-            if key in memo:
-                return memo[key]
-            b = self.basis[j]
-            arrow = self.quiver.by_name[name]
-            if arrow.source != b.target:
-                memo[key] = {}
-                return {}
-            out = reduce_word(b.source, (name,) + b.word)
-            memo[key] = out
-            return out
-
-        def elem_arrow_peel(word, j):
-            vec = {j: Fraction(1)}
-            for name in reversed(word):
-                nxt = {}
-                for i, c in vec.items():
-                    for k, c2 in arrow_mult(name, i).items():
-                        s = nxt.get(k, 0) + c * c2
-                        if s:
-                            nxt[k] = s
-                        else:
-                            nxt.pop(k, None)
-                vec = nxt
-                if not vec:
-                    break
-            return vec
-
-        for i, bi in enumerate(self.basis):
-            for j, bj in enumerate(self.basis):
-                if bi.source != bj.target:
-                    continue
-                if bi.length == 0:
-                    vec = {j: Fraction(1)}
-                elif bj.length == 0:
-                    vec = {i: Fraction(1)}
-                else:
-                    vec = elem_arrow_peel(bi.word, j)
-                if vec:
-                    products[(i, j)] = vec
-        return products
 
     def _validate(self):
         for i in self.quiver.vertices:
@@ -347,30 +312,15 @@ class Algebra:
                 bk = self.basis[k]
                 if bk.source != bj.source or bk.target != bi.target:
                     raise AssertionError("product leaves its (source,target) block")
-        # exhaustive associativity spot-check on the basis
+        # exhaustive associativity check on the basis
         if self.dim <= 24:
-            idxs = range(self.dim)
-            for i in idxs:
-                for j in idxs:
-                    ij = self.products.get((i, j))
-                    for k in idxs:
-                        jk = self.products.get((j, k))
-                        left = {}
-                        if ij:
-                            for m, c in ij.items():
-                                for t, c2 in self.products.get((m, k), {}).items():
-                                    left[t] = left.get(t, 0) + c * c2
-                        right = {}
-                        if jk:
-                            for m, c in jk.items():
-                                for t, c2 in self.products.get((i, m), {}).items():
-                                    right[t] = right.get(t, 0) + c * c2
-                        left = {t: c for t, c in left.items() if c}
-                        right = {t: c for t, c in right.items() if c}
-                        if left != right:
-                            raise AssertionError(
-                                f"associativity fails on basis triple ({i},{j},{k})"
-                            )
+            for i, j, k in itertools.product(range(self.dim), repeat=3):
+                ij = self.products.get((i, j), {})
+                jk = self.products.get((j, k), {})
+                if self.multiply(ij, {k: 1}) != self.multiply({i: 1}, jk):
+                    raise AssertionError(
+                        f"associativity fails on basis triple ({i},{j},{k})"
+                    )
 
     # -- elements -------------------------------------------------------
 
@@ -385,26 +335,20 @@ class Algebra:
 
     def element_from_terms(self, terms):
         """Terms: (coeff, word) with word a tuple of arrow names, or
-        (coeff, ("e", i)) for idempotents."""
+        (coeff, i) with an int i for the idempotent e_i."""
         out = {}
         for coeff, word in terms:
-            coeff = Fraction(coeff)
-            if len(word) == 2 and word[0] == "e":
-                if int(word[1]) not in self.idempotent_index:
-                    raise QuiverSyntaxError(f"no idempotent e{word[1]} in this algebra")
-                vec = self.idempotent(int(word[1]))
+            if isinstance(word, int):
+                if word not in self.idempotent_index:
+                    raise QuiverSyntaxError(f"no idempotent e{word} in this algebra")
+                vec = self.idempotent(word)
             else:
                 for name in word:
                     self.quiver.arrow(name)
                 if not self.quiver.word_is_composable(word):
                     raise QuiverSyntaxError(f"non-composable path {'*'.join(word)!r}")
                 vec = self._image_of_word(self.quiver.word_source(word), tuple(word))
-            for k, c in vec.items():
-                s = out.get(k, 0) + coeff * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            _axpy(out, Fraction(coeff), vec)
         return out
 
     def multiply(self, x, y):
@@ -413,13 +357,7 @@ class Algebra:
             for i, cx in x.items():
                 prod = self.products.get((i, j))
                 if prod:
-                    c = cx * cy
-                    for k, ck in prod.items():
-                        s = out.get(k, 0) + c * ck
-                        if s:
-                            out[k] = s
-                        else:
-                            out.pop(k, None)
+                    _axpy(out, cx * cy, prod)
         return out
 
     def generator_elements(self):
@@ -479,24 +417,15 @@ class Algebra:
             BasisElement(b.target, b.source, tuple(reversed(b.word))) for b in self.basis
         ]
         op_products = {(j, i): dict(vec) for (i, j), vec in self.products.items()}
-        op = Algebra(
-            quiver=rev_quiver,
-            basis=op_basis,
-            relations=None,
-            _products=op_products,
-            _arrow_elements={n: dict(v) for n, v in self.arrow_element_cache.items()},
-        )
+        op_arrows = {n: dict(v) for n, v in self.arrow_element_cache.items()}
+        op = Algebra(rev_quiver, op_basis, op_products, op_arrows)
         op._op = self
         self._op = op
         return op
 
     def radical(self):
-        rows = []
-        for i, b in enumerate(self.basis):
-            if b.length >= 1:
-                v = [Fraction(0)] * self.dim
-                v[i] = Fraction(1)
-                rows.append(v)
+        rows = [_dense(self.dim, {i: Fraction(1)})
+                for i, b in enumerate(self.basis) if b.length >= 1]
         return Ideal(self, rows, closed=True)
 
     def quotient(self, ideal: "Ideal"):
@@ -533,15 +462,8 @@ class Algebra:
         arrow_elements = {
             a.name: project(self.arrow_element(a.name)) for a in self.quiver.arrows
         }
-        quot = Algebra(
-            quiver=self.quiver,
-            basis=basis,
-            relations=self.relations,
-            parent=self,
-            parent_ideal=ideal,
-            _products=products,
-            _arrow_elements=arrow_elements,
-        )
+        quot = Algebra(self.quiver, basis, products, arrow_elements,
+                       relations=self.relations, parent=self, parent_ideal=ideal)
         vertex_map = {
             i: i for i in self.vertices if i in quot.idempotent_index
         }
@@ -571,13 +493,7 @@ class Ideal:
 
     @staticmethod
     def from_generators(algebra, elements):
-        rows = []
-        for el in elements:
-            v = [Fraction(0)] * algebra.dim
-            for k, c in el.items():
-                v[k] = c
-            rows.append(v)
-        return Ideal(algebra, rows)
+        return Ideal(algebra, [_dense(algebra.dim, el) for el in elements])
 
     def _canonical(self, rows):
         if not rows:
@@ -592,16 +508,12 @@ class Ideal:
         span = Matrix(QQ, rows, alg.dim).row_space_rows()
         while True:
             new_rows = []
-            current = Matrix(QQ, span, alg.dim) if span else None
             for r in span:
                 el = {i: c for i, c in enumerate(r) if c}
                 for g in gens:
                     for prod in (alg.multiply(g, el), alg.multiply(el, g)):
                         if prod:
-                            v = [Fraction(0)] * alg.dim
-                            for k, c in prod.items():
-                                v[k] = c
-                            new_rows.append(v)
+                            new_rows.append(_dense(alg.dim, prod))
             if not new_rows:
                 return span
             stacked = span + new_rows
@@ -625,13 +537,7 @@ class Ideal:
         for r, p in zip(self.rows, self.pivots()):
             c = vec.get(p)
             if c:
-                for j, x in enumerate(r):
-                    if x:
-                        s = vec.get(j, 0) - c * x
-                        if s:
-                            vec[j] = s
-                        else:
-                            vec.pop(j, None)
+                _axpy(vec, -c, {j: x for j, x in enumerate(r) if x})
         return vec
 
     def contains(self, element):

@@ -24,8 +24,8 @@ from .presentations import (
 from .reps import (
     Morphism,
     Representation,
-    act_element,
     analysis_scope,
+    annihilates,
     annihilator,
     cokernel,
     dual_morphism,
@@ -49,8 +49,7 @@ def nakayama_complex(cx: TwoComplex) -> Morphism:
     into summand s1, so it takes the coefficient of item (s1, s0, x)."""
     fld = cx.hom.field
     op = cx.algebra.opposite()
-    coeffs = cx.coeffs if cx.coeffs is not None else cx.hom.coeffs_of_morphism(cx.map)
-    coeff_of = dict(zip(cx.hom.items, coeffs))
+    coeff_of = dict(zip(cx.hom.items, cx.coeffs))
     hs_op = HomSpace(realize(op, cx.p0.mults, fld), realize(op, cx.p1.mults, fld))
     g = hs_op.morphism_from_coeffs([coeff_of[s1, s0, x] for s0, s1, x in hs_op.items])
     return dual_morphism(g)
@@ -319,10 +318,8 @@ def reduce_and_compare(
         ideal = annihilator(algebra, m)
     if ideal.algebra is not algebra:
         raise ValueError("ideal defined over a different algebra")
-    for row in ideal.rows:
-        el = {i: c for i, c in enumerate(row) if c}
-        if not act_element(el, m).is_zero():
-            raise ValueError("ideal does not annihilate the module")
+    if not annihilates(ideal, m):
+        raise ValueError("ideal does not annihilate the module")
     quot, _ = algebra.quotient(ideal)
     m_b = Representation(quot, m.field, m.dims, m.arrows)
 

@@ -115,17 +115,17 @@ def _parse_ideal_file(algebra, path):
         if not line:
             continue
         try:
-            terms = parse_path_poly(line, lineno)
-            fixed = []
-            for coeff, word in terms:
+            terms = []
+            for coeff, word in parse_path_poly(line, lineno):
+                # eN is the idempotent e_N unless an arrow has that name
                 if len(word) == 1 and re.match(r"^e\d+$", word[0]) and \
                         word[0] not in algebra.quiver.by_name:
-                    fixed.append((coeff, ("e", word[0][1:])))
-                else:
-                    fixed.append((coeff, word))
-            elements.append(algebra.element_from_terms(fixed))
+                    word = int(word[0][1:])
+                terms.append((coeff, word))
+            elements.append(algebra.element_from_terms(terms))
         except QuiverSyntaxError as exc:
-            raise CliError(f"bad ideal file line: {exc}", EXIT_PARSE)
+            where = "" if exc.line is not None else f" (line {lineno})"
+            raise CliError(f"bad ideal file line: {exc}{where}", EXIT_PARSE)
     return Ideal.from_generators(algebra, elements)
 
 

@@ -33,7 +33,7 @@ def _parse_scalar(field, x):
     raise ModuleFormatError(f"matrix entries must be ints or 'p/q' strings, got {x!r}")
 
 
-def module_from_dict(algebra, data, field=QQ, validate=True):
+def module_from_dict(algebra, data, field=QQ):
     if not isinstance(data, dict):
         raise ModuleFormatError("a module file must hold a JSON object")
     if "dim" not in data:
@@ -61,15 +61,14 @@ def module_from_dict(algebra, data, field=QQ, validate=True):
         arrows[name] = Matrix(field, [[_parse_scalar(field, x) for x in r] for r in grid],
                               ncols)
     m = Representation(algebra, field, tuple(dims), arrows)
-    if validate:
-        check_relations(m)
+    check_relations(m)
     return m
 
 
-def load_module_file(algebra, path, field=QQ, validate=True):
+def load_module_file(algebra, path, field=QQ):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return module_from_dict(algebra, data, field, validate)
+    return module_from_dict(algebra, data, field)
 
 
 def module_to_dict(m: Representation, algebra_path=""):

@@ -29,10 +29,6 @@ class Poly:
         self.terms = terms if terms is not None else {}
 
     @staticmethod
-    def zero(nvars):
-        return Poly(nvars)
-
-    @staticmethod
     def const(nvars, c):
         c = Fraction(c)
         if c == 0:
@@ -69,9 +65,6 @@ class Poly:
             else:
                 out.pop(m, None)
         return Poly(self.nvars, out)
-
-    def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def mul(self, other, max_terms=None):
         if not self.terms or not other.terms:

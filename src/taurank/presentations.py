@@ -246,7 +246,7 @@ class TwoComplex:
     p0: ProjDecomp
     hom: HomSpace
     map: Morphism
-    coeffs: list | None = None
+    coeffs: list
 
     @property
     def algebra(self):
@@ -409,9 +409,7 @@ def generic_rank(
                         break
             if value == oracle_value:
                 certified, method = True, "oracle"
-    witness = TwoComplex(
-        p1, p0, hs, hs.morphism_from_coeffs(witness_coeffs or []), witness_coeffs
-    ) if witness_coeffs is not None else zero_complex(algebra, field)
+    witness = TwoComplex(p1, p0, hs, hs.morphism_from_coeffs(witness_coeffs), witness_coeffs)
     return GenericRankResult(
         value=value,
         witness=witness,
@@ -441,9 +439,6 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     p1 = ca.p1 + cb.p1
     p0 = ca.p0 + cb.p0
     hs = realize_pair(alg, p1, p0, field)
-    if ca.coeffs is None or cb.coeffs is None:
-        raise ValueError("combine_complexes needs coefficient coordinates")
-
     position = {item: n for n, item in enumerate(hs.items)}
     coeffs = [field.zero] * hs.dim
     no_shift = (0,) * alg.quiver.n
@@ -533,12 +528,8 @@ def additivity_scan(
         raise ValueError("t_max must be >= 1")
     master = SeedStream(seed)
     r_values, certified, methods = [], [], []
-    w1 = None
-    prev = None
     for t in range(1, t_max + 1):
-        extra = []
-        if prev is not None and w1 is not None:
-            extra.append(combine_complexes(prev, w1).map)
+        extra = [combine_complexes(prev, w1).map] if t > 1 else []
         res = generic_rank(
             algebra,
             p1.scale(t),
@@ -552,11 +543,9 @@ def additivity_scan(
         r_values.append(res.value)
         certified.append(res.certified)
         methods.append(res.method)
+        prev = res.witness
         if t == 1:
-            w1 = res.witness
-            prev = res.witness
-        else:
-            prev = res.witness
+            w1 = prev
     violations = [t for t in range(2, t_max + 1) if r_values[t - 1] > t * r_values[0]]
     return RankScanReport(
         p1=p1,

@@ -65,7 +65,7 @@ class Representation:
 class Morphism:
     __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source, target, maps, validate=False):
+    def __init__(self, source, target, maps):
         self.source = source
         self.target = target
         self.maps = dict(maps)
@@ -76,8 +76,6 @@ class Morphism:
                 self.maps[v] = m
             if m.shape() != (target.vertex_dim(v), source.vertex_dim(v)):
                 raise ValueError(f"vertex {v} map has wrong shape")
-        if validate:
-            self.check_intertwines()
 
     def check_intertwines(self):
         for a in self.source.algebra.quiver.arrows:
@@ -101,14 +99,6 @@ class Morphism:
             self.target,
             {v: self.maps[v] * first.maps[v] for v in self.maps},
         )
-
-    def __add__(self, other):
-        return Morphism(
-            self.source, self.target, {v: self.maps[v] + other.maps[v] for v in self.maps}
-        )
-
-    def scale(self, c):
-        return Morphism(self.source, self.target, {v: m.scale(c) for v, m in self.maps.items()})
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
@@ -155,19 +145,21 @@ def act_element(x, m: Representation):
     for k, c in x.items():
         b = alg.basis[k]
         coeff = f.from_fraction(c)
-        if b.length == 0:
-            o = offsets[b.source]
-            for i in range(m.vertex_dim(b.source)):
-                out.rows[o + i][o + i] = f.add(out.rows[o + i][o + i], coeff)
-        else:
-            blk = act_word(m, b.word)
-            ro, co = offsets[b.target], offsets[b.source]
-            for i in range(blk.nrows):
-                row = out.rows[ro + i]
-                for j in range(blk.ncols):
-                    if not f.is_zero(blk.rows[i][j]):
-                        row[co + j] = f.add(row[co + j], f.mul(coeff, blk.rows[i][j]))
+        blk = act_word(m, b.word, b.source)
+        ro, co = offsets[b.target], offsets[b.source]
+        for i in range(blk.nrows):
+            row = out.rows[ro + i]
+            for j in range(blk.ncols):
+                if not f.is_zero(blk.rows[i][j]):
+                    row[co + j] = f.add(row[co + j], f.mul(coeff, blk.rows[i][j]))
     return out
+
+
+def annihilates(ideal, m: Representation):
+    """Whether every element of the ideal acts as zero on M, a module over
+    the ideal's algebra."""
+    return all(act_element({i: c for i, c in enumerate(row) if c}, m).is_zero()
+               for row in ideal.rows)
 
 
 def check_relations(m: Representation):
@@ -185,25 +177,11 @@ def check_relations(m: Representation):
             acc = blk if acc is None else acc + blk
         if acc is not None and not acc.is_zero():
             raise AssertionError("representation violates a defining relation")
-    a = alg
-    while a.parent is not None:
-        ideal, par = a.parent_ideal, a.parent
-        for row in ideal.rows:
-            el = {i: c for i, c in enumerate(row) if c}
-            terms = [(c, par.basis[i].word, par.basis[i].source) for i, c in el.items()]
-            # group per (source, target) block
-            acc = {}
-            for c, word, src in terms:
-                tgt = par.quiver.word_target(word) if word else src
-                blk = (act_word(m, word, src) if word else
-                       Matrix.identity(m.field, m.vertex_dim(src)))
-                blk = blk.scale(m.field.from_fraction(c))
-                key = (src, tgt)
-                acc[key] = blk if key not in acc else acc[key] + blk
-            for blk in acc.values():
-                if not blk.is_zero():
-                    raise AssertionError("representation is not annihilated by the ideal")
-        a = par
+    while alg.parent is not None:
+        over_parent = Representation(alg.parent, m.field, m.dims, m.arrows)
+        if not annihilates(alg.parent_ideal, over_parent):
+            raise AssertionError("representation is not annihilated by the ideal")
+        alg = alg.parent
     return True
 
 

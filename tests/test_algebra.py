@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from taurank.algebra import Ideal, NotFiniteDimensional, build_algebra
+from taurank.algebra import Algebra, Ideal, NotFiniteDimensional, build_algebra
 from taurank.quiver import Quiver, Arrow, RelationPoly, parse_quiver_file
 from taurank import fixtures
 
@@ -196,3 +197,63 @@ def test_ideal_closure_is_two_sided(alg_b0):
     ab = alg_b0.element_from_terms([(1, ("a", "b"))])
     assert ideal.contains(ab)
     assert ideal.dim == 2
+
+
+def _tables_digest(alg):
+    """sha256 of the basis, the structure constants and the arrow elements,
+    in a canonical order and with the type of every coefficient."""
+    text = repr((
+        [(b.source, b.target, b.word) for b in alg.basis],
+        sorted((k, sorted(v.items())) for k, v in alg.products.items()),
+        sorted((n, sorted(v.items())) for n, v in alg.arrow_element_cache.items()),
+    ))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Every downstream output reads these tables, so they are pinned exactly.
+# ALG-B0/(a*b) has the tables of ALG-B.
+PINNED_TABLES = {
+    "ALG-A": "f0a49d2d2e9eaa1409edf0347e884ed6c3dfd996571f53e82059bfc8ff0b1a10",
+    "ALG-A^op": "f4eb2145b267b3eeb369fd5e3e70b612bf06544dd7242c5726e33aafba2b8a26",
+    "ALG-B": "dae1242442eb142c41c952ad925adbb924c4b076dda652d7c979333fad871428",
+    "ALG-B^op": "58e8615ae55f0708238a8299325229ce840f941be06a39073b34fe5c9a06efb9",
+    "ALG-B0": "7ed44b71a931ac0e806bd596124fa88ab9efbd6a2758966ae556dc94aa4e9887",
+    "ALG-B0^op": "bb1c461616a7d82547cd220ff58b8d28f0930520fc846ae31514248f2456eabf",
+    "ALG-C": "d96875359a4e6c81715428925547706dd94dd5d7a3623002b2df75a8771b6847",
+    "ALG-C^op": "a1a19a306a801cad3137000322b94883243c21c37acab884590211d0c6b0ec98",
+    "ALG-K": "1ce506810ad9f486403a2ac640061121094ec221ff360ef221ec826cf4240a30",
+    "ALG-K^op": "dc04ff321bc2941553281259ced732bb1a32b4c97a653cef6b863c55481d3482",
+    "ALG-B0/(a*b)": "dae1242442eb142c41c952ad925adbb924c4b076dda652d7c979333fad871428",
+    "ALG-C/(a)": "43b8b11056f89a71299f6b02bc39aeae53bf2acae57ad678e1725c0de598ba0e",
+}
+
+
+def test_structure_constants_are_pinned(all_fixture_algebras):
+    got = {}
+    for name, alg in all_fixture_algebras.items():
+        got[name] = _tables_digest(alg)
+        got[name + "^op"] = _tables_digest(alg.opposite())
+    for name, word in (("ALG-B0", ("a", "b")), ("ALG-C", ("a",))):
+        alg = all_fixture_algebras[name]
+        ideal = Ideal.from_generators(alg, [alg.element_from_terms([(1, word)])])
+        got[f"{name}/({'*'.join(word)})"] = _tables_digest(alg.quotient(ideal)[0])
+    assert got == PINNED_TABLES
+
+
+def test_idempotent_terms_are_ints(alg_b0):
+    assert alg_b0.element_from_terms([(2, 1)]) == {
+        k: 2 * c for k, c in alg_b0.idempotent(1).items()
+    }
+    with pytest.raises(ValueError, match="no idempotent e9"):
+        alg_b0.element_from_terms([(1, 9)])
+
+
+def test_validate_rejects_a_non_associative_table(alg_b0):
+    e1 = alg_b0.idempotent_index[1]
+    a = alg_b0.index[(2, ("a",))]
+    products = dict(alg_b0.products)
+    del products[(e1, a)]  # e1 * a = 0, so (e1 * a) * b != e1 * (a * b)
+    tampered = Algebra(alg_b0.quiver, alg_b0.basis, products, alg_b0.arrow_element_cache)
+    with pytest.raises(AssertionError, match="associativity fails on basis triple"):
+        tampered._validate()
+    alg_b0._validate()

@@ -275,12 +275,32 @@ def test_check_malformed_module_file_exits_3(capsys, tmp_path, arrows, field):
     assert_one_error_line(err)
 
 
-def test_reduce_ideal_unknown_idempotent_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("line", ["e9", "zz", "b*a", "a*(b)"],
+                         ids=["unknown-idempotent", "unknown-arrow", "non-composable", "syntax"])
+def test_reduce_ideal_unknown_idempotent_exits_2(capsys, tmp_path, line):
     ideal = tmp_path / "ideal.txt"
-    ideal.write_text("e9\n")
+    ideal.write_text(f"# the bad line is line 2\n{line}\n")
     code, err = run_err(capsys, ["reduce", "ALG-B0", "P(2)+I(2)+S(3)", "--ideal", str(ideal)])
     assert code == 2
     assert_one_error_line(err)
+    assert err.count("(line 2") == 1
+
+
+def test_reduce_ideal_with_an_arrow_named_e(capsys, tmp_path):
+    qa = tmp_path / "e.qa"
+    qa.write_text("vertices: 1 2 3\narrow e: 2 -> 1\narrow x: 3 -> 2\n")
+    ideal = tmp_path / "ideal.txt"
+    # e*x is a path of two arrows, not the idempotent of a vertex named x
+    ideal.write_text("e*x\n")
+    code, out = run(capsys, ["reduce", str(qa), "P(2)+S(3)", "--ideal", str(ideal), "--json"])
+    assert code == 0
+    assert json.loads(out)["quotient_dim"] == 5
+    # no arrow is named e1, so e1 still reads as an idempotent; the ideal
+    # it generates is spanned by e1, e and e*x, and it kills S(2)
+    ideal.write_text("e1\n")
+    code, out = run(capsys, ["reduce", str(qa), "S(2)", "--ideal", str(ideal), "--json"])
+    assert code == 0
+    assert json.loads(out)["ideal_dim"] == 3
 
 
 def test_scan_negative_oracle_params_exits_2(capsys):

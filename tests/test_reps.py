@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taurank.algebra import Ideal
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
 from taurank.linalg import Matrix
@@ -15,6 +16,7 @@ from taurank.reps import (
     Representation,
     act_element,
     act_word,
+    annihilates,
     annihilator,
     check_relations,
     cokernel,
@@ -268,8 +270,6 @@ def test_sincere_and_faithful(alg_b, alg_b0):
 
 
 def test_annihilator_examples(alg_b, alg_b0):
-    from taurank.algebra import Ideal
-
     # regular module is faithful
     assert annihilator(alg_b, regular_module(alg_b)).is_zero()
     # M = P(2) + I(2) + S(3) over the hereditary algebra: annihilator = (ab)
@@ -425,3 +425,42 @@ def test_assert_minimal_rejects_identity_on_a_projective(all_fixture_algebras):
             assert m.is_zero()
             with pytest.raises(AssertionError, match="does not land in rad P0"):
                 _assert_minimal(cx, m)
+
+
+def _line(x):
+    return Matrix(QQ, [[x]], 1)
+
+
+def test_check_relations_rejects_a_violated_relation(alg_b):
+    # a*b = 0 in ALG-B, but here a and b both act as 1
+    m = Representation(alg_b, QQ, (1, 1, 1), {"a": _line(1), "b": _line(1)})
+    with pytest.raises(AssertionError, match="violates a defining relation"):
+        check_relations(m)
+
+
+def test_check_relations_checks_every_parent_ideal(alg_b0):
+    # B0 / (b) / (a): M below is killed by a but not by b, so it fails the
+    # ideal of the first quotient, one level up from the algebra it lives on
+    b = Ideal.from_generators(alg_b0, [alg_b0.arrow_element("b")])
+    q1, _ = alg_b0.quotient(b)
+    q2, _ = q1.quotient(Ideal.from_generators(q1, [q1.arrow_element("a")]))
+    arrows = {"a": _line(0), "b": _line(1)}
+    m = Representation(q2, QQ, (1, 1, 1), arrows)
+    assert annihilates(q2.parent_ideal, Representation(q1, QQ, m.dims, arrows))
+    assert not annihilates(b, Representation(alg_b0, QQ, m.dims, arrows))
+    with pytest.raises(AssertionError, match="not annihilated by the ideal"):
+        check_relations(m)
+    arrows["b"] = _line(0)
+    assert check_relations(Representation(q2, QQ, (1, 1, 1), arrows))
+
+
+def test_reduce_rejects_an_ideal_that_does_not_annihilate(alg_b0):
+    from taurank.artheory import reduce_and_compare
+
+    m = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
+    ab = Ideal.from_generators(alg_b0, [alg_b0.element_from_terms([(1, ("a", "b"))])])
+    assert annihilates(ab, m)
+    a = Ideal.from_generators(alg_b0, [alg_b0.arrow_element("a")])
+    assert not annihilates(a, m)
+    with pytest.raises(ValueError, match="^ideal does not annihilate the module$"):
+        reduce_and_compare(alg_b0, m, ideal=a)
