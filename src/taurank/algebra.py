@@ -409,7 +409,8 @@ class Algebra:
     # -- derived algebras -------------------------------------------------
 
     def opposite(self):
-        """Same basis with reversed tags and transposed products."""
+        """Same basis with reversed tags and transposed products; the
+        relations are reversed word by word, and (A/I)^op is A^op/I."""
         if self._op is not None:
             return self._op
         rev_quiver = self.quiver.reversed()
@@ -418,7 +419,16 @@ class Algebra:
         ]
         op_products = {(j, i): dict(vec) for (i, j), vec in self.products.items()}
         op_arrows = {n: dict(v) for n, v in self.arrow_element_cache.items()}
-        op = Algebra(rev_quiver, op_basis, op_products, op_arrows)
+        op_relations = [
+            RelationPoly.make(rev_quiver, [(c, reversed(w)) for c, w in rel.terms])
+            for rel in self.relations
+        ]
+        parent = parent_ideal = None
+        if self.parent is not None:  # I is two-sided, so an ideal of A^op too
+            parent = self.parent.opposite()
+            parent_ideal = Ideal(parent, self.parent_ideal.rows, closed=True)
+        op = Algebra(rev_quiver, op_basis, op_products, op_arrows, relations=op_relations,
+                     parent=parent, parent_ideal=parent_ideal)
         op._op = self
         self._op = op
         return op

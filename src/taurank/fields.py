@@ -177,13 +177,22 @@ class SeedStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)
+        self._bits = random.Random(self.seed).getrandbits
 
     def split(self, index: int) -> "SeedStream":
         return SeedStream(_mix(self.seed, index))
 
     def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
+        """Uniform int in [lo, hi]; the same draws as `random.Random.randint`
+        (which rejects getrandbits(k) values >= n, k = n.bit_length())."""
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({lo}, {hi})")
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return lo + r
 
     def __repr__(self):
         return f"SeedStream({self.seed})"

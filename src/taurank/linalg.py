@@ -1,20 +1,35 @@
 """Dense exact matrices: rank, null spaces, solving, block assembly.
 
 Matrices are row-major lists over a coefficient field from `fields`; a
-Q entry is an `int` or a `Fraction`.  Elimination over Q runs on
-cleared-denominator integer rows (cross multiplication with per-row gcd
-normalization), which is much faster than Fraction arithmetic on every
-cell; prime fields use plain modular elimination.  A linear solve
-A X = B runs one elimination of [A | B], whatever the number of
-right-hand columns.
+Q entry is an `int` or a `Fraction`.  Two engines serve them:
 
-The rank over Q of an all-int matrix is first taken mod p = 32749: it is
-at least the rank mod p and at most min(nonzero rows, nonzero columns), so
-a rank mod p that reaches this bound is exact; else the exact elimination
-runs.  A row is one int with a 64-bit slot per column; slots stay below
-p + nrows * p**2 < 2**64 for nrows < 2**34.  Cells that are a `Fraction`,
-wider than 64 bits or a nonzero multiple of p (the bound needs the true
-zero pattern) skip the shortcut, as do big-endian hosts.
+- `_packed_rank` eliminates mod the Mersenne prime p = 2**31 - 1 on
+  packed rows.  It gives the rank over F_p for this p, and it is the
+  first try for the rank over Q of an all-int matrix.
+- Row-list elimination serves rref, kernels and solving, and ranks over
+  other primes or of Q matrices with a `Fraction` cell: over Q on
+  cleared-denominator integer rows (cross multiplication with per-row
+  gcd normalization), over F_p with plain modular row operations.  A
+  linear solve A X = B runs one elimination of [A | B], whatever the
+  number of right-hand columns.
+
+Over any field the rank is at most b = min(nonzero rows, nonzero
+columns), so the packed elimination stops at b pivots.  The rank mod p
+of an int matrix is at most its rank over Q, so a rank mod p that
+reaches b is the rank over Q; otherwise the exact elimination runs.
+
+A packed row is one int with a 64-bit slot per column; cells enter,
+over either field, reduced mod p.  As 2**31 = 1 (mod p),
+x = (x & p) + (x >> 31) (mod p), which on a whole row S is the fold
+(S & L) + ((S >> 31) & H), with L and H the low 31 and the low 33 bits
+of every slot.  A fold takes a slot below 2**64 to one below
+2**31 + 2**33 < 2**34, with no carry out of the slot, and a second fold
+takes that below p + 8.  Each pivot row but the first, which is still
+reduced, is folded twice, and every other row gains k times it,
+0 <= k < p, which adds less than p * (p + 8) to a slot.  The other rows
+are folded after every third pivot, so a slot stays below
+2**34 + 3 * p * (p + 8) < 2**64 and no column carries into the next; the
+pivot column's slot becomes a multiple of p and is shifted out.
 """
 
 from __future__ import annotations
@@ -204,7 +219,11 @@ class Matrix:
     # -- elimination-based operations ------------------------------------
 
     def rank(self):
-        if self.field.characteristic:
+        p = self.field.characteristic
+        if p == _P:
+            cells = array("Q", [x % p for x in chain.from_iterable(self.rows)])
+            return _packed_rank(cells, self.ncols, _rank_bound(self.rows))
+        if p:
             return len(_echelon_p(self)[1])
         r = _rank_certified_mod_p(self)
         return len(_echelon_q(self)[1]) if r is None else r
@@ -293,32 +312,45 @@ def _int_rows(m: Matrix):
     return out
 
 
-_P = 32749
+_P = (1 << 31) - 1  # a Mersenne prime: 2**31 = 1 (mod _P)
+_SLOT = (1 << 64) - 1
+_LO = b"\xff\xff\xff\x7f\0\0\0\0"  # the low 31 bits of a slot
+_HI = b"\xff\xff\xff\xff\x01\0\0\0"  # the low 33 bits of a slot
+
+
+def _rank_bound(rows):
+    """min(nonzero rows, nonzero columns), an upper bound on the rank over
+    any field."""
+    return min(sum(map(any, rows)), sum(map(any, zip(*rows))))
 
 
 def _rank_certified_mod_p(m: Matrix):
-    """The rank over Q when elimination mod _P on packed rows certifies it
-    (see the module docstring), else None."""
-    nrows, ncols = m.nrows, m.ncols
-    if not nrows or not ncols:
+    """The rank over Q of an all-int matrix when its rank mod _P reaches
+    `_rank_bound` (see the module docstring), else None."""
+    if not m.nrows or not m.ncols:
         return 0
-    if type(m.rows[0][0]) is not int or sys.byteorder != "little":
-        return None  # rref/solve output (a Fraction first) or big-endian slots
-    flat = list(chain.from_iterable(m.rows))
+    if type(m.rows[0][0]) is not int:
+        return None  # rref/solve output: a Fraction first
     try:
-        array("q", flat)  # rejects a Fraction or an int wider than 64 bits
-    except (TypeError, OverflowError):
+        cells = array("Q", [x % _P for x in chain.from_iterable(m.rows)])
+    except TypeError:  # a Fraction cell
         return None
-    p, slot, w = _P, (1 << 64) - 1, 8 * ncols
-    cells = [x % p for x in flat]
-    if cells.count(0) != flat.count(0):
-        return None
-    buf = array("Q", cells).tobytes()
-    rows = [r for i in range(0, len(buf), w) if (r := int.from_bytes(buf[i : i + w], "little"))]
-    bound = min(len(rows), sum(map(any, zip(*m.rows))))  # zero pattern as mod p
+    bound = _rank_bound(m.rows)
+    rank = _packed_rank(cells, m.ncols, bound)
+    return rank if rank == bound else None
+
+
+def _packed_rank(cells, ncols, bound):
+    """The rank mod _P of the matrix whose row-major cells, reduced mod _P,
+    are the array('Q') `cells`, given an upper bound on that rank (see the
+    module docstring)."""
     if not bound:
         return 0
-    rank = 0
+    # in native byte order: a big-endian host packs the columns in reverse,
+    # which leaves the rank unchanged
+    buf, w, order = cells.tobytes(), 8 * ncols, sys.byteorder
+    rows = [r for i in range(0, len(buf), w) if (r := int.from_bytes(buf[i : i + w], order))]
+    p, slot, rank = _P, _SLOT, 0
     for c in range(ncols):
         for i, s in enumerate(rows):
             if (s & slot) % p:
@@ -330,13 +362,18 @@ def _rank_certified_mod_p(m: Matrix):
         if rank == bound:
             return rank
         piv = rows.pop(i)
-        if rank > 1:  # only the first pivot row is still reduced
-            piv = array("Q", piv.to_bytes(w - 8 * c, "little"))
-            piv = int.from_bytes(array("Q", [x % p for x in piv]).tobytes(), "little")
+        if rank > 1:  # the first pivot row is still reduced
+            if rank == 2:
+                lo = int.from_bytes(_LO * ncols, "little")
+                hi = int.from_bytes(_HI * ncols, "little")
+            piv = (piv & lo) + ((piv >> 31) & hi)
+            piv = (piv & lo) + ((piv >> 31) & hi)
         neg_inv = p - pow(piv & slot, -1, p)
         # clear column c (its slot becomes a multiple of p) and drop it
         rows = [y for s in rows if (y := (s + (s & slot) * neg_inv % p * piv) >> 64)]
-    return None
+        if rank % 3 == 0:
+            rows = [(s & lo) + ((s >> 31) & hi) for s in rows]
+    return rank
 
 
 def _echelon_q(m: Matrix):

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taurank.fields import QQ, PrimeField, SeedStream, is_prime
-from taurank.linalg import Matrix, _rank_certified_mod_p, intersect_row_spaces
+from taurank.linalg import _P, Matrix, _rank_certified_mod_p, intersect_row_spaces
 
 
 def qmat(rows):
@@ -366,13 +367,13 @@ def exact_rank(rows, ncols):
     return len(reference_rref(QQ, [[Fraction(x) for x in r] for r in rows], ncols)[1])
 
 
-# zero-heavy int cells, with multiples of the modular prime 32749 and cells
+# zero-heavy int cells, with multiples of the modular prime _P and cells
 # wider than 64 bits
 rank_cells = st.one_of(
     st.just(0),
     st.just(0),
     st.integers(-3, 3),
-    st.sampled_from([32749, -32749, 65498, -65498, 10**6, -10**6, 2**70, -2**70]),
+    st.sampled_from([_P, -_P, 2 * _P, -2 * _P, 10**6, -10**6, 2**70, -2**70]),
 )
 
 
@@ -399,25 +400,25 @@ def test_rational_rank_of_int_matrices_is_exact(shaped):
 
 
 def test_rank_of_cells_divisible_by_the_modular_prime():
-    assert Matrix(QQ, [[32749]]).rank() == 1
-    assert Matrix(QQ, [[32749, 0], [0, 1]]).rank() == 2
-    assert Matrix(QQ, [[65498, 0], [0, -32749]]).rank() == 2
-    assert _rank_certified_mod_p(Matrix(QQ, [[32749, 0], [0, 1]])) is None
+    assert Matrix(QQ, [[_P]]).rank() == 1
+    assert Matrix(QQ, [[_P, 0], [0, 1]]).rank() == 2
+    assert Matrix(QQ, [[2 * _P, 0], [0, -_P]]).rank() == 2
+    assert _rank_certified_mod_p(Matrix(QQ, [[_P, 0], [0, 1]])) is None
 
 
 def test_rank_below_the_bound_mod_p_falls_back_to_exact():
-    m = Matrix(QQ, [[1, 1], [1, 32750]])  # singular mod 32749 only
+    m = Matrix(QQ, [[1, 1], [1, _P + 1]])  # singular mod _P only
     assert _rank_certified_mod_p(m) is None
     assert m.rank() == 2
 
 
 def test_rank_of_dense_int_matrices_with_cells_near_the_prime():
     # slots grow by up to p**2 per step and would overflow without the
-    # pivot row reduction; the dependent rows then gain spurious pivots
+    # folds; the dependent rows then gain spurious pivots
     for seed in range(24):
         rng = SeedStream(seed)
         n, r = 6 + seed % 5, 3 + seed % 4
-        base = [[rng.randint(-32748, 32748) for _ in range(n)] for _ in range(r)]
+        base = [[rng.randint(1 - _P, _P - 1) for _ in range(n)] for _ in range(r)]
         rows = list(base)
         for _ in range(n - r):
             co = [rng.randint(-2, 2) for _ in base]
@@ -462,3 +463,77 @@ def test_prime_field_rank_skips_the_modular_shortcut(monkeypatch):
 
     monkeypatch.setattr(taurank.linalg, "_rank_certified_mod_p", None)
     assert Matrix(PrimeField(7), [[1, 2], [2, 4], [0, 3]]).rank() == 2
+
+
+FP = PrimeField(_P)
+
+# reduced cells at the top of the field, and unreduced or negative ones
+fp_cells = st.one_of(st.sampled_from([_P - 1, _P - 2, 0]), st.integers(-2 * _P, 2 * _P))
+
+
+@st.composite
+def fp_rank_inputs(draw, max_dim=12):
+    """0-12 rows and columns; copies and combinations of drawn rows make
+    rank-deficient tall, wide and square shapes."""
+    ncols = draw(st.integers(min_value=0, max_value=max_dim))
+    rows = draw(st.lists(st.lists(fp_cells, min_size=ncols, max_size=ncols), max_size=max_dim))
+    if rows:
+        for _ in range(draw(st.integers(0, max_dim - len(rows)))):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            c = draw(st.sampled_from([0, 1, _P - 1, _P - 2]) | st.integers(0, _P - 1))
+            rows.append([(x + c * y) % _P for x, y in zip(rows[i], rows[j])])
+        rows = draw(st.permutations(rows))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_rank_inputs())
+def test_mersenne_prime_rank_matches_reference(shaped):
+    rows, ncols = shaped
+    assert Matrix(FP, rows, ncols).rank() == len(reference_rref(FP, rows, ncols)[1])
+
+
+def dependent_rows(rng, base, extra):
+    """base plus `extra` random combinations of it mod _P, shuffled."""
+    rows = [list(r) for r in base]
+    for _ in range(extra):
+        co = [rng.randint(0, _P - 1) for _ in base]
+        rows.append([sum(c * r[j] for c, r in zip(co, base)) % _P for j in range(len(base[0]))])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_mersenne_prime_rank_of_dense_matrices_at_the_slot_limit():
+    # unfolded slots grow by up to p * (p + 8) per pivot; seven or more
+    # pivots with cells at p - 1 reach the slot bound, and an overflow
+    # would give the dependent rows spurious pivots
+    rng = random.Random(7)
+    top = [[_P - 1] * 12 for _ in range(12)]
+    for i in range(12):
+        top[i][i] = _P - 2  # -(J + I): full rank
+    cases = [top, [[_P - 1] * 9 for _ in range(9)], [r[:8] + [_P - 1] for r in top]]
+    for n in range(5, 13):  # p - 1 everywhere but one cell per row
+        rows = [[_P - 1] * n for _ in range(n + 2)]
+        for row in rows:
+            row[rng.randrange(n)] = rng.choice([_P - 2, 2, 0])
+        cases.append(rows)
+    for k in range(7, 12):
+        cases.append(dependent_rows(rng, top[:k], 12 - k))
+        base = [[rng.choice([_P - 1, _P - 2, rng.randint(0, _P - 1)]) for _ in range(12)]
+                for _ in range(k)]
+        cases.append(dependent_rows(rng, base, 14 - k))
+        cases.append([list(c) for c in zip(*cases[-1])])  # wide
+    for rows in cases:
+        want = len(reference_rref(FP, rows, len(rows[0]))[1])
+        assert Matrix(FP, rows).rank() == want
+    assert [Matrix(FP, c).rank() for c in cases[:3]] == [12, 1, 9]
+
+
+def test_seed_stream_randint_matches_random_randint():
+    ranges = [(-1000, 1000), (-10000, 10000), (0, _P - 1), (0, 2), (5, 5), (-7, -7)]
+    for seed in [*range(40), SeedStream(42).split(3).seed]:
+        ours, ref = SeedStream(seed), random.Random(seed)
+        for lo, hi in ranges * 4:
+            assert ours.randint(lo, hi) == ref.randint(lo, hi)
+    with pytest.raises(ValueError):
+        SeedStream(1).randint(3, 2)

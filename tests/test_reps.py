@@ -464,3 +464,37 @@ def test_reduce_rejects_an_ideal_that_does_not_annihilate(alg_b0):
     assert not annihilates(a, m)
     with pytest.raises(ValueError, match="^ideal does not annihilate the module$"):
         reduce_and_compare(alg_b0, m, ideal=a)
+
+
+def test_check_relations_rejects_a_violated_relation_of_the_opposite(alg_b):
+    # ALG-B^op has the reversed relation b*a = 0; a and b both act as 1
+    op = alg_b.opposite()
+    assert [(r.terms, r.source, r.target) for r in op.relations] == [
+        (((1, ("b", "a")),), 1, 3)
+    ]
+    m = Representation(op, QQ, (1, 1, 1), {"a": _line(1), "b": _line(1)})
+    assert not act_word(m, ("b", "a")).is_zero()
+    with pytest.raises(AssertionError, match="violates a defining relation"):
+        check_relations(m)
+
+
+def test_duals_of_standard_modules_satisfy_the_opposite_relations(all_fixture_algebras):
+    for alg in all_fixture_algebras.values():
+        for i in alg.vertices:
+            for m in (simple(alg, i), projective(alg, i), injective(alg, i)):
+                d = dual_rep(m)
+                assert d.algebra is alg.opposite()
+                assert check_relations(d)
+
+
+def test_check_relations_checks_the_ideal_of_an_opposite_quotient(alg_b0):
+    # (B0 / (b))^op = B0^op / (b): b must act as zero there
+    q, _ = alg_b0.quotient(Ideal.from_generators(alg_b0, [alg_b0.arrow_element("b")]))
+    op = q.opposite()
+    assert op.parent is alg_b0.opposite() and op.opposite() is q
+    m = Representation(op, QQ, (1, 1, 1), {"a": _line(0), "b": _line(1)})
+    with pytest.raises(AssertionError, match="not annihilated by the ideal"):
+        check_relations(m)
+    assert check_relations(Representation(op, QQ, (1, 1, 1), {"a": _line(1), "b": _line(0)}))
+    for i in q.vertices:
+        assert check_relations(dual_rep(projective(q, i)))
