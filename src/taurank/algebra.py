@@ -277,10 +277,12 @@ class Algebra:
         # per-algebra tables, each filled on first use
         self._paths = None
         self._rmult_blocks = {}
-        # (mults, field name) -> (layouts, rep, offsets); filled by reps.realize
+        # (mults, field name) -> (rep, offsets) of that projective sum;
+        # filled by reps.ProjRealization
         self.realization_cache = {}
-        # [(mults1, mults0, field name), items, scatter table or None] of the
-        # last HomSpace built; one entry, filled by presentations.HomSpace
+        # ((mults1, mults0, field name), items, cells, generator cells,
+        # vertex shapes, cell count) of the last HomSpace built; one entry,
+        # filled by presentations.HomSpace
         self.hom_tables = None
 
     # -- construction helpers -----------------------------------------

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 from .algebra import Ideal
 from .presentations import (
-    HomSpace,
     TwoComplex,
     generic_rank,
     min_presentation,
+    realize_pair,
 )
 from .reps import (
     Morphism,
@@ -35,7 +35,6 @@ from .reps import (
     injective_envelope,
     kernel,
     proj_dim,
-    realize,
     scoped,
     zero_rep,
 )
@@ -50,7 +49,7 @@ def nakayama_complex(cx: TwoComplex) -> Morphism:
     fld = cx.hom.field
     op = cx.algebra.opposite()
     coeff_of = dict(zip(cx.hom.items, cx.coeffs))
-    hs_op = HomSpace(realize(op, cx.p0.mults, fld), realize(op, cx.p1.mults, fld))
+    hs_op = realize_pair(op, cx.p0, cx.p1, fld)
     g = hs_op.morphism_from_coeffs([coeff_of[s1, s0, x] for s0, s1, x in hs_op.items])
     return dual_morphism(g)
 

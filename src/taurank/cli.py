@@ -273,13 +273,12 @@ def cmd_reduce(args):
 
 
 def cmd_paper_examples(args):
-    field = _field_of(args)
-    if field.characteristic != 0:
+    if _field_of(args).characteristic != 0:
         # the examples include annihilator ideals, which exist over Q only
         raise CliError(
             "paper-examples requires the rational field (--field q)", EXIT_PARSE
         )
-    checks = run_paper_examples(trials=args.trials, seed=args.seed, field=field)
+    checks = run_paper_examples(trials=args.trials, seed=args.seed)
     all_pass = all(c.passed for c in checks)
     if args.json:
         print(json.dumps(

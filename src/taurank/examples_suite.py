@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .algebra import Ideal
 from .artheory import hierarchy_report, is_tau_regular, reduce_and_compare
-from .fields import QQ
 from .fixtures import load_fixture
 from .presentations import (
     ProjDecomp,
@@ -37,16 +36,13 @@ def _check(name, cond, detail=""):
     return CheckResult(name, bool(cond), detail)
 
 
-def cok_f_100(alg_a, field=QQ):
-    cx = complex_from_coeffs(
-        alg_a, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)),
-        [field.from_int(1), field.zero, field.zero], field=field,
-    )
+def cok_f_100(alg_a):
+    cx = complex_from_coeffs(alg_a, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)), [1, 0, 0])
     m, _ = cokernel(cx.map)
     return m
 
 
-def run_paper_examples(trials=8, seed=42, field=QQ):
+def run_paper_examples(trials=8, seed=42):
     checks = []
     alg_a = load_fixture("ALG-A")
     alg_b = load_fixture("ALG-B")
@@ -66,7 +62,7 @@ def run_paper_examples(trials=8, seed=42, field=QQ):
     # maximal rank of Hom(P(2), P(3))
     res1 = generic_rank(
         alg_a, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)),
-        trials=max(trials, 2), seed=seed, field=field,
+        trials=max(trials, 2), seed=seed,
     )
     checks.append(
         _check(
@@ -79,11 +75,11 @@ def run_paper_examples(trials=8, seed=42, field=QQ):
     # doubled pair jumps to 8 and the scan flags t = 2
     res2 = generic_rank(
         alg_a, ProjDecomp((0, 2, 0)), ProjDecomp((0, 0, 2)),
-        trials=max(trials, 2), seed=seed, field=field,
+        trials=max(trials, 2), seed=seed,
     )
     scan = additivity_scan(
         alg_a, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)),
-        t_max=2, trials=max(trials, 2), seed=seed, field=field,
+        t_max=2, trials=max(trials, 2), seed=seed,
     )
     checks.append(
         _check(
@@ -94,7 +90,7 @@ def run_paper_examples(trials=8, seed=42, field=QQ):
     )
 
     # the cokernel module and its double
-    m = cok_f_100(alg_a, field)
+    m = cok_f_100(alg_a)
     v_m = is_tau_regular(m, trials=trials, seed=seed)
     mm = direct_sum([m, m])
     v_mm = is_tau_regular(mm, trials=max(trials, 2), seed=seed)
@@ -115,7 +111,7 @@ def run_paper_examples(trials=8, seed=42, field=QQ):
     )
 
     # ALG-B: S(2) + S(3)
-    m_b = direct_sum([simple(alg_b, 2, field), simple(alg_b, 3, field)])
+    m_b = direct_sum([simple(alg_b, 2), simple(alg_b, 3)])
     rep_b = hierarchy_report(m_b, trials=trials, seed=seed)
     checks.append(
         _check(
@@ -127,7 +123,7 @@ def run_paper_examples(trials=8, seed=42, field=QQ):
 
     # ALG-B0: P(2) + I(2) + S(3) and its reduction
     m_b0 = direct_sum(
-        [projective(alg_b0, 2, field), injective(alg_b0, 2, field), simple(alg_b0, 3, field)]
+        [projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)]
     )
     ann = annihilator(alg_b0, m_b0)
     ab = alg_b0.element_from_terms([(1, ("a", "b"))])
@@ -163,7 +159,7 @@ def run_paper_examples(trials=8, seed=42, field=QQ):
         and quot.dims_of_projective(1) == (1, 0)
         and quot.dims_of_projective(2) == (2, 1)
     )
-    n_c = direct_sum([simple(alg_c, 1, field), simple(alg_c, 2, field)])
+    n_c = direct_sum([simple(alg_c, 1), simple(alg_c, 2)])
     red_c = reduce_and_compare(alg_c, n_c, ideal=ideal_a, trials=trials, seed=seed)
     checks.append(
         _check(

@@ -1,7 +1,8 @@
 """Dense exact matrices: rank, null spaces, solving, block assembly.
 
 Matrices are row-major lists over a coefficient field from `fields`; a
-Q entry is an `int` or a `Fraction`.  Two engines serve them:
+Q entry is an `int` or a `Fraction`, and an F_p entry an `int` in
+[0, p), reduced when the matrix is built.  Two engines serve them:
 
 - `_packed_rank` eliminates mod the Mersenne prime p = 2**31 - 1 on
   packed rows.  It gives the rank over F_p for this p, and it is the
@@ -46,7 +47,8 @@ class Matrix:
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
-        self.rows = [list(r) for r in rows]
+        p = field.characteristic
+        self.rows = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
         self.nrows = len(self.rows)
         if ncols is None:
             ncols = len(self.rows[0]) if self.rows else 0
@@ -221,7 +223,7 @@ class Matrix:
     def rank(self):
         p = self.field.characteristic
         if p == _P:
-            cells = array("Q", [x % p for x in chain.from_iterable(self.rows)])
+            cells = array("Q", chain.from_iterable(self.rows))
             return _packed_rank(cells, self.ncols, _rank_bound(self.rows))
         if p:
             return len(_echelon_p(self)[1])
@@ -418,7 +420,7 @@ def _echelon_q(m: Matrix):
 
 def _echelon_p(m: Matrix):
     p = m.field.p
-    rows = [[x % p for x in row] for row in m.rows]
+    rows = list(m.rows)  # rows are replaced, never mutated in place
     nrows, ncols = m.nrows, m.ncols
     pivots = []
     r = 0

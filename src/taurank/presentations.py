@@ -24,7 +24,6 @@ from .reps import (
     cover_kernel,
     projective_cover,
     radical_span,
-    realize,
     scoped,
 )
 
@@ -73,72 +72,63 @@ class ProjDecomp:
 class HomSpace:
     """Structured basis of Hom(⊕P(i)^m1, ⊕P(j)^m0).
 
-    Item (s1, s0, x) is the morphism sending the generator of source
-    summand s1 to the path residue x (an algebra basis element from the
-    target summand's vertex to the source summand's vertex), i.e. right
-    multiplication by x into summand s0.  Morphisms are assembled by
-    scattering coefficient multiples of the algebra's right-multiplication
-    blocks into integer cells.
+    Item (s1, s0, x) is the morphism sending the generator e_i of source
+    summand s1 = (i, _) to the path residue x in paths(j, i) of target
+    summand s0 = (j, _), i.e. right multiplication by x into summand s0.
+    Both realizations use the one layout of `ProjRealization`, and the
+    cells number the entries of all vertex blocks row-major, one block
+    after the other.  Per item the tables hold the (cell, c) entries it
+    adds, c an int when integral and reduced when not over F_p, and the
+    cell of its generator's image, which holds its coefficient.
     """
 
     def __init__(self, r1: ProjRealization, r0: ProjRealization):
         self.r1 = r1
         self.r0 = r0
         self.algebra = alg = r1.algebra
-        self.field = r1.field
+        self.field = f = r1.field
         # the tables depend on the pair and the field only, and a scan level
-        # builds its pair twice (combine_complexes, then generic_rank)
-        key = (r1.mults, r0.mults, self.field.name)
+        # builds its pair twice (combine_complexes, then generic_rank); one
+        # read of the memo, so a concurrent replacement cannot mix two pairs
+        key = (r1.mults, r0.mults, f.name)
         tables = alg.hom_tables
         if tables is None or tables[0] != key:
-            # (s0, x) pairs per source summand type
-            targets = {
-                i: [(s0, x) for s0, (j, _) in enumerate(r0.summands) for x in alg.paths(j, i)]
-                for i, _ in r1.summands
-            }
-            items = [
-                (s1, s0, x) for s1, (i, _) in enumerate(r1.summands) for s0, x in targets[i]
-            ]
-            tables = alg.hom_tables = [key, items, None]
-        self._tables = tables
-        self.items = tables[1]
-        self.dim = len(self.items)
-
-    def _scatter_table(self):
-        """Per item, the (cell, c) pairs it adds to; cells number the
-        entries of all vertex blocks row-major, one block after the other.
-        c is an int when integral; over F_p a non-integral c is reduced."""
-        if self._tables[2] is None:
-            f, alg, r1, r0 = self.field, self.algebra, self.r1, self.r0
-            shapes, first_cell, ncells = [], {}, 0
+            shapes, first, ncells = [], {}, 0
             for v in alg.quiver.vertices:
                 nrows, ncols = r0.rep.vertex_dim(v), r1.rep.vertex_dim(v)
                 shapes.append((v, ncells, nrows, ncols))
-                first_cell[v] = (ncells, ncols)
+                first[v] = (ncells, ncols)
                 ncells += nrows * ncols
-            table = []
-            for s1, s0, x in self.items:
-                off1, off0 = r1.offsets[s1], r0.offsets[s0]
-                entries = []
-                for v, triples in alg.right_mult_blocks(r1.summands[s1][0], x).items():
-                    base, ncols = first_cell[v]
-                    base += off0[v] * ncols + off1[v]
-                    entries += [(base + r * ncols + col, c) for r, col, c in triples]
-                table.append(entries)
-            if f.characteristic:
-                table = [
-                    [(cell, c if type(c) is int else f.from_fraction(c)) for cell, c in entries]
-                    for entries in table
-                ]
-            self._tables[2] = table, shapes, ncells
-        return self._tables[2]
+            items, cells, gen_cells = [], [], []
+            for s1, (i, _) in enumerate(r1.summands):
+                off1 = r1.offsets[s1]
+                at, ncols_i = first[i]
+                gen_col = off1[i] + alg.paths(i, i).index(alg.idempotent_index[i])
+                for s0, (j, _) in enumerate(r0.summands):
+                    off0 = r0.offsets[s0]
+                    for px, x in enumerate(alg.paths(j, i)):
+                        entries = []
+                        for v, triples in alg.right_mult_blocks(i, x).items():
+                            base, ncols = first[v]
+                            base += off0[v] * ncols + off1[v]
+                            entries += [(base + r * ncols + col, c) for r, col, c in triples]
+                        if f.characteristic:
+                            entries = [
+                                (cell, c if type(c) is int else f.from_fraction(c))
+                                for cell, c in entries
+                            ]
+                        items.append((s1, s0, x))
+                        cells.append(entries)
+                        gen_cells.append(at + (off0[i] + px) * ncols_i + gen_col)
+            tables = alg.hom_tables = (key, items, cells, gen_cells, shapes, ncells)
+        _, self.items, self._cells, self._gen_cells, self._shapes, self._ncells = tables
+        self.dim = len(self.items)
 
     def morphism_from_coeffs(self, coeffs):
         f = self.field
         rational = f.characteristic == 0
-        table, shapes, ncells = self._scatter_table()
-        acc = [0] * ncells
-        for coeff, entries in zip(coeffs, table):
+        acc = [0] * self._ncells
+        for coeff, entries in zip(coeffs, self._cells):
             if not coeff:
                 continue
             # integral coefficients are accumulated as ints
@@ -146,12 +136,10 @@ class HomSpace:
                 coeff = coeff.numerator
             for cell, c in entries:
                 acc[cell] += coeff * c
-        # over Q the int (or Fraction) cells are field elements already
-        if not rational:
-            p = f.p
-            acc = [x % p for x in acc]
+        # Matrix reduces F_p cells; over Q the int or Fraction cells are
+        # field elements already
         maps = {}
-        for v, at, nrows, ncols in shapes:
+        for v, at, nrows, ncols in self._shapes:
             rows = [acc[at + r * ncols : at + (r + 1) * ncols] for r in range(nrows)]
             maps[v] = Matrix(f, rows, ncols)
         return Morphism(self.r1.rep, self.r0.rep, maps)
@@ -159,20 +147,8 @@ class HomSpace:
     def coeffs_of_morphism(self, fmor: Morphism):
         """Coordinates of a morphism in this basis, read off the source
         generators (valid for any module morphism between the realizations)."""
-        f = self.field
-        out = []
-        rowpos = {}
-        for s0 in range(len(self.r0.summands)):
-            for v, pairs in self.r0.basis_positions(s0).items():
-                for row, k in pairs:
-                    rowpos[(s0, k)] = (v, row)
-        for (s1, s0, x) in self.items:
-            gv, gcol = self.r1.generator_position(s1)
-            v, row = rowpos[(s0, x)]
-            if v != gv:
-                raise AssertionError("generator vertex mismatch in entry extraction")
-            out.append(fmor.maps[gv].rows[row][gcol])
-        return out
+        flat = [c for v, _, _, _ in self._shapes for row in fmor.maps[v].rows for c in row]
+        return [flat[cell] for cell in self._gen_cells]
 
     def sample_coeffs(self, rng: SeedStream, bound=COEFF_BOUND):
         return [self.field.sample(rng, bound) for _ in self.items]
@@ -260,8 +236,8 @@ class TwoComplex:
 
 
 def realize_pair(algebra, p1: ProjDecomp, p0: ProjDecomp, field=QQ):
-    r1 = realize(algebra, p1.mults, field)
-    r0 = realize(algebra, p0.mults, field)
+    r1 = ProjRealization(algebra, p1.mults, field)
+    r0 = ProjRealization(algebra, p0.mults, field)
     return HomSpace(r1, r0)
 
 
@@ -290,7 +266,7 @@ def min_presentation(m: Representation) -> TwoComplex:
     p0 = ProjDecomp(cover0.mults)
     if k.is_zero():
         p1 = ProjDecomp.zero(alg.quiver.n)
-        hs = HomSpace(realize(alg, p1.mults, m.field), cover0.realization)
+        hs = HomSpace(ProjRealization(alg, p1.mults, m.field), cover0.realization)
         return TwoComplex(p1, p0, hs, hs.morphism_from_coeffs([]), [])
     cover1 = scoped(projective_cover, k)
     p1 = ProjDecomp(cover1.mults)

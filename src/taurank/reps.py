@@ -23,7 +23,7 @@ from .linalg import Matrix
 class Representation:
     __slots__ = ("algebra", "field", "dims", "arrows")
 
-    def __init__(self, algebra, field, dims, arrows, validate=False):
+    def __init__(self, algebra, field, dims, arrows):
         self.algebra = algebra
         self.field = field
         self.dims = tuple(dims)
@@ -37,8 +37,6 @@ class Representation:
                 self.arrows[a.name] = m
             if m.shape() != (self.dims[a.target - 1], self.dims[a.source - 1]):
                 raise ValueError(f"arrow {a.name} matrix has wrong shape")
-        if validate:
-            check_relations(self)
 
     @property
     def dim_total(self):
@@ -195,27 +193,20 @@ def simple(algebra, i, field=QQ):
     return Representation(algebra, field, dims, {})
 
 
-def _proj_layout(algebra, i):
-    """Basis indices of P(i) = A e_i grouped per target vertex."""
-    return {v: algebra.paths(i, v) for v in algebra.quiver.vertices}
-
-
 def projective(algebra, i, field=QQ):
+    """P(i) = A e_i; its basis at vertex v is paths(i, v), in that order."""
     if i not in algebra.idempotent_index:
         raise ValueError(f"vertex {i} has no projective over this algebra")
-    layout = _proj_layout(algebra, i)
-    dims = tuple(len(layout[v]) for v in algebra.quiver.vertices)
-    pos = {k: (algebra.basis[k].target, p) for v in layout for p, k in enumerate(layout[v])}
+    dims = tuple(len(algebra.paths(i, v)) for v in algebra.quiver.vertices)
     arrows = {}
     for a in algebra.quiver.arrows:
         mat = Matrix.zeros(field, dims[a.target - 1], dims[a.source - 1])
-        for col, k in enumerate(layout[a.source]):
-            img = algebra.arrow_left_mult(a.name, k)
-            for k2, c in img.items():
-                v2, row = pos[k2]
-                if v2 != a.target:
+        row_of = {k: r for r, k in enumerate(algebra.paths(i, a.target))}
+        for col, k in enumerate(algebra.paths(i, a.source)):
+            for k2, c in algebra.arrow_left_mult(a.name, k).items():
+                if k2 not in row_of:
                     raise AssertionError("projective arrow image left its block")
-                mat.rows[row][col] = field.from_fraction(c)
+                mat.rows[row_of[k2]][col] = field.from_fraction(c)
         arrows[a.name] = mat
     return Representation(algebra, field, dims, arrows)
 
@@ -419,9 +410,10 @@ def socle(m: Representation):
 class ProjRealization:
     """Explicit model of a direct sum of indecomposable projectives.
 
-    Summands are ordered by ascending vertex, then copy index; the basis
-    at each vertex is the concatenation of the summands' path bases, so
-    generator positions and entry extraction are deterministic.
+    Summands s = (i, copy) are ordered by ascending vertex i, then copy.
+    The one layout: basis path k of summand s at vertex v sits at
+    offsets[s][v] + (position of k in algebra.paths(i, v)), so the basis
+    at each vertex is the concatenation of the summands' path bases.
     """
 
     def __init__(self, algebra, mults, field=QQ):
@@ -444,33 +436,16 @@ class ProjRealization:
         if parts is None:
             parts = _realization_parts(algebra, self.summands, field)
             algebra.realization_cache[key] = parts
-        self._layouts, self.rep, self.offsets = parts
+        self.rep, self.offsets = parts
         self.total_dim = self.rep.dim_total
-
-    def generator_position(self, s):
-        """(vertex, index) of the generator e_i of summand s."""
-        i, _ = self.summands[s]
-        e_idx = self.algebra.idempotent_index[i]
-        pos = self._layouts[i][i].index(e_idx)
-        return i, self.offsets[s][i] + pos
-
-    def basis_positions(self, s):
-        """Per-vertex list of (global index, algebra basis index) for summand s."""
-        i, _ = self.summands[s]
-        out = {}
-        for v in self.algebra.quiver.vertices:
-            base = self.offsets[s][v]
-            out[v] = [(base + p, k) for p, k in enumerate(self._layouts[i][v])]
-        return out
 
 
 def _realization_parts(algebra, summands, field):
-    """(layouts, rep, offsets) of the sum of the projectives P(i) over the
-    summands (i, copy); shared by every realization of the same sum, so
-    none of them may be mutated."""
-    layouts = {i: _proj_layout(algebra, i) for i, _ in summands}
+    """(rep, offsets) of the sum of the projectives P(i) over the summands
+    (i, copy); shared by every realization of the same sum, so neither
+    may be mutated."""
     if summands:
-        projs = {i: projective(algebra, i, field) for i in layouts}
+        projs = {i: projective(algebra, i, field) for i, _ in summands}
         rep = direct_sum([projs[i] for i, _ in summands])
     else:
         rep = zero_rep(algebra, field)
@@ -479,13 +454,9 @@ def _realization_parts(algebra, summands, field):
     off = {v: 0 for v in algebra.quiver.vertices}
     for i, _ in summands:
         offsets.append(dict(off))
-        for v in algebra.quiver.vertices:
-            off[v] += len(layouts[i][v])
-    return layouts, rep, offsets
-
-
-def realize(algebra, mults, field=QQ):
-    return ProjRealization(algebra, mults, field)
+        for v in off:
+            off[v] += len(algebra.paths(i, v))
+    return rep, offsets
 
 
 @dataclass
@@ -520,8 +491,9 @@ def projective_cover(m: Representation):
     }
     acts = {}  # basis index -> matrix of its action, shared by every summand
     for s, p in enumerate(gens):
-        for v, pairs in real.basis_positions(s).items():
-            for col, k in pairs:
+        i, _ = real.summands[s]
+        for v in alg.quiver.vertices:
+            for col, k in enumerate(alg.paths(i, v), real.offsets[s][v]):
                 if k not in acts:
                     b = alg.basis[k]
                     acts[k] = act_word(m, b.word, b.source)

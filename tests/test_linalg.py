@@ -458,6 +458,13 @@ def test_rank_of_empty_int_matrices():
         assert m.rank() == 0
 
 
+def test_prime_field_matrices_store_reduced_cells():
+    for f in (PrimeField(7), PrimeField(_P)):
+        m = Matrix(f, [[f.p, -1]])
+        assert m.rows == [[0, f.p - 1]]
+        assert m == Matrix(f, [[0, f.p - 1]])
+
+
 def test_prime_field_rank_skips_the_modular_shortcut(monkeypatch):
     import taurank.linalg
 

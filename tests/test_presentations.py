@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taurank.artheory import tau
-from taurank.fields import QQ, PrimeField, SeedStream
+from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
+from taurank.fixtures import FIXTURE_NAMES, load_fixture
 from taurank.polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from taurank.presentations import (
     ProjDecomp,
@@ -21,13 +23,13 @@ from taurank.presentations import (
     zero_complex,
 )
 from taurank.reps import (
+    ProjRealization,
     cokernel,
     conjugate,
     direct_sum,
     hom_dim,
     iso_test,
     projective,
-    realize,
     simple,
     zero_rep,
 )
@@ -172,9 +174,9 @@ def test_rank_of_special_lambda_map(alg_a):
 def test_hom_tables_memo_holds_the_last_pair(alg_k):
     p1, p0 = ProjDecomp((1, 2)), ProjDecomp((2, 1))
     first = realize_pair(alg_k, p1, p0)
+    tables = alg_k.hom_tables
     again = realize_pair(alg_k, p1, p0)
-    assert again.items is first.items
-    assert again._scatter_table() is first._scatter_table()
+    assert alg_k.hom_tables is tables and again.items is first.items
     coeffs = first.sample_coeffs(SeedStream(3))
     rank = first.morphism_from_coeffs(coeffs).rank()
     other = realize_pair(alg_k, p0, p1)
@@ -190,12 +192,11 @@ def test_hom_tables_memo_holds_the_last_pair(alg_k):
 def test_shared_hom_tables_survive_a_scan(alg_b0):
     p1, p0 = ProjDecomp((1, 0, 1)), ProjDecomp((0, 2, 1))
     additivity_scan(alg_b0, p1, p0, t_max=3, trials=2)
-    key, items, scatter = alg_b0.hom_tables
-    assert key == ((3, 0, 3), (0, 6, 3), "Q") and scatter is not None
+    tables = alg_b0.hom_tables
+    assert tables[0] == ((3, 0, 3), (0, 6, 3), "Q")
     alg_b0.hom_tables = None
-    fresh = realize_pair(alg_b0, p1.scale(3), p0.scale(3))
-    assert fresh.items == items
-    assert fresh._scatter_table() == scatter
+    realize_pair(alg_b0, p1.scale(3), p0.scale(3))
+    assert alg_b0.hom_tables == tables
 
 
 def test_direct_sum_complex(alg_a):
@@ -385,30 +386,61 @@ def test_morphism_assembly_matches_generic_matrices(all_fixture_algebras):
             assert_assembly_matches_poly(hs_p, hs_p.sample_coeffs(rng.split(1)))
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.integers(0, 10**6))
+def test_coeffs_round_trip_through_the_morphism(fixture, seed):
+    alg, fp = load_fixture(fixture), PrimeField(DEFAULT_PRIME)
+    for t, (m1, m0) in enumerate(handful_of_pairs(alg.quiver.n)):
+        rng = SeedStream(seed).split(t)
+        hs = realize_pair(alg, ProjDecomp(m1), ProjDecomp(m0))
+        integral = hs.sample_coeffs(rng.split(0), 50)
+        fractional = [Fraction(c, 1 + k % 3) for k, c in enumerate(integral)]
+        hs_p = realize_pair(alg, ProjDecomp(m1), ProjDecomp(m0), fp)
+        for h, coeffs in ((hs, integral), (hs, fractional),
+                          (hs_p, hs_p.sample_coeffs(rng.split(1)))):
+            assert h.coeffs_of_morphism(h.morphism_from_coeffs(coeffs)) == coeffs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.booleans(), st.integers(0, 10**6))
+def test_presentation_coeffs_rebuild_its_map(fixture, prime, seed):
+    field = PrimeField(DEFAULT_PRIME) if prime else QQ
+    m = random_module(load_fixture(fixture), SeedStream(seed), field=field)
+    cx = min_presentation(m)
+    assert cx.hom.morphism_from_coeffs(cx.coeffs).maps == cx.map.maps
+
+
 def test_realizations_keep_their_field_and_repeat(alg_a, alg_k):
     fp = PrimeField(101)
     for alg in (alg_a, alg_k):
         mults = (1,) * (alg.quiver.n - 1) + (2,)
-        rq, rp = realize(alg, mults, QQ), realize(alg, mults, fp)
+        rq, rp = ProjRealization(alg, mults, QQ), ProjRealization(alg, mults, fp)
         assert rq.rep.field.name == "Q" and rp.rep.field.name == "F_101"
         for a in alg.quiver.arrows:
             assert all(type(x) is Fraction for row in rq.rep.arrows[a.name].rows for x in row)
             assert all(type(x) is int for row in rp.rep.arrows[a.name].rows for x in row)
         for field, first in ((QQ, rq), (PrimeField(101), rp)):
-            again = realize(alg, mults, field)
+            again = ProjRealization(alg, mults, field)
             assert again.rep == first.rep and again.offsets == first.offsets
 
 
 def test_shared_realizations_survive_their_callers(alg_a, alg_b):
-    """Scans, presentations and tau reuse cached realization reps; none of
-    them may alter one, so each still equals a fresh direct sum."""
+    """Scans, presentations and tau reuse cached realization reps and
+    offsets; none of them may alter one, so each still equals a fresh
+    direct sum laid out by the algebra's paths."""
     additivity_scan(alg_a, ProjDecomp((1, 1, 0)), ProjDecomp((0, 1, 1)), t_max=2, trials=2)
     m = random_module(alg_b, SeedStream(5))
     reduce_presentation(min_presentation(m))
     tau(m)
     for alg in (alg_a, alg_b, alg_a.opposite(), alg_b.opposite()):
-        for (mults, _), (_, rep, _) in alg.realization_cache.items():
+        for (mults, _), (rep, offsets) in alg.realization_cache.items():
             if any(mults):
                 summands = [i for i in alg.quiver.vertices for _ in range(mults[i - 1])]
                 fresh = direct_sum([projective(alg, i, rep.field) for i in summands])
                 assert rep == fresh
+                # summand s starts at vertex v after the earlier summands' paths
+                assert offsets == [
+                    {v: sum(len(alg.paths(i, v)) for i in summands[:s])
+                     for v in alg.quiver.vertices}
+                    for s in range(len(summands))
+                ]
