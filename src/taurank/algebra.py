@@ -280,6 +280,9 @@ class Algebra:
         # (mults, field name) -> (rep, offsets) of that projective sum;
         # filled by reps.ProjRealization
         self.realization_cache = {}
+        # (mults1, mults0) with gcd 1 -> block-cover bound of Hom(P1, P0),
+        # for every field; filled by presentations.cover_upper_bound
+        self.cover_bounds = {}
         # ((mults1, mults0, field name), items, cells, generator cells,
         # vertex shapes, cell count) of the last HomSpace built; one entry,
         # filled by presentations.HomSpace

@@ -23,7 +23,7 @@ class ModuleFormatError(ValueError):
 
 
 def _parse_scalar(field, x):
-    if isinstance(x, int):
+    if type(x) is int:  # a JSON true or false parses as a bool, an int subclass
         return field.from_int(x)
     if isinstance(x, str):
         try:
@@ -40,7 +40,7 @@ def module_from_dict(algebra, data, field=QQ):
         raise ModuleFormatError("module file is missing 'dim'")
     dims = data["dim"]
     if not isinstance(dims, list) or len(dims) != algebra.quiver.n or any(
-        not isinstance(d, int) or d < 0 for d in dims
+        type(d) is not int or d < 0 for d in dims
     ):
         raise ModuleFormatError("'dim' must be a vector of non-negative ints, one per vertex")
     arrows = {}

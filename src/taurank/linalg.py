@@ -43,10 +43,20 @@ from math import gcd, lcm
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    """A dense nrows x ncols matrix over `field`, as row lists.
+
+    `rank` memoizes its result on the matrix, so the cells must not change
+    once `rank` has been called.  The code that writes cells in place
+    (`identity`, `block_diag` and `rref` here; `act_element`,
+    `projective`, `cokernel`, `projective_cover` and `conjugate` in
+    `reps`) fills a matrix it has just made, before any rank.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
 
     def __init__(self, field, rows, ncols=None):
         self.field = field
+        self._rank = None
         p = field.characteristic
         self.rows = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
         self.nrows = len(self.rows)
@@ -221,6 +231,11 @@ class Matrix:
     # -- elimination-based operations ------------------------------------
 
     def rank(self):
+        if self._rank is None:
+            self._rank = self._compute_rank()
+        return self._rank
+
+    def _compute_rank(self):
         p = self.field.characteristic
         if p == _P:
             cells = array("Q", chain.from_iterable(self.rows))

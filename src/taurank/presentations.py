@@ -11,6 +11,7 @@ intertwiner with one indeterminate per Hom-basis element.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fields import QQ, SeedStream
@@ -79,7 +80,10 @@ class HomSpace:
     cells number the entries of all vertex blocks row-major, one block
     after the other.  Per item the tables hold the (cell, c) entries it
     adds, c an int when integral and reduced when not over F_p, and the
-    cell of its generator's image, which holds its coefficient.
+    cell of its generator's image, which holds its coefficient.  They are
+    built from one template per (source type, target type), whose cells
+    each summand pair shifts by offsets0[s0][v]·ncols_v + offsets1[s1][v]
+    in block v.
     """
 
     def __init__(self, r1: ProjRealization, r0: ProjRealization):
@@ -99,27 +103,31 @@ class HomSpace:
                 shapes.append((v, ncells, nrows, ncols))
                 first[v] = (ncells, ncols)
                 ncells += nrows * ncols
+            # target summands by type; summands are ordered by type, so
+            # walking the groups in order keeps the items in order
+            by_type = {}
+            for s0, (j, _) in enumerate(r0.summands):
+                by_type.setdefault(j, []).append(s0)
+            templates = {
+                (i, j): _hom_template(alg, f, first, i, j)
+                for i in {i for i, _ in r1.summands} for j in by_type
+            }
             items, cells, gen_cells = [], [], []
             for s1, (i, _) in enumerate(r1.summands):
                 off1 = r1.offsets[s1]
-                at, ncols_i = first[i]
-                gen_col = off1[i] + alg.paths(i, i).index(alg.idempotent_index[i])
-                for s0, (j, _) in enumerate(r0.summands):
-                    off0 = r0.offsets[s0]
-                    for px, x in enumerate(alg.paths(j, i)):
-                        entries = []
-                        for v, triples in alg.right_mult_blocks(i, x).items():
-                            base, ncols = first[v]
-                            base += off0[v] * ncols + off1[v]
-                            entries += [(base + r * ncols + col, c) for r, col, c in triples]
-                        if f.characteristic:
-                            entries = [
-                                (cell, c if type(c) is int else f.from_fraction(c))
-                                for cell, c in entries
-                            ]
-                        items.append((s1, s0, x))
-                        cells.append(entries)
-                        gen_cells.append(at + (off0[i] + px) * ncols_i + gen_col)
+                for j, group in by_type.items():
+                    verts, per_x = templates[i, j]
+                    if not per_x:
+                        continue
+                    for s0 in group:
+                        # block v of summand pair (s1, s0) starts off0[v] rows
+                        # and off1[v] columns in
+                        off0 = r0.offsets[s0]
+                        shift = [off0[v] * ncols + off1[v] for v, ncols in verts]
+                        for x, gen_cell, rel in per_x:
+                            items.append((s1, s0, x))
+                            cells.append([(shift[k] + cell, c) for k, cell, c in rel])
+                            gen_cells.append(shift[0] + gen_cell)
             tables = alg.hom_tables = (key, items, cells, gen_cells, shapes, ncells)
         _, self.items, self._cells, self._gen_cells, self._shapes, self._ncells = tables
         self.dim = len(self.items)
@@ -173,34 +181,68 @@ class HomSpace:
                     ] + Poly.variable(nvars, t, c)
         return out
 
-    def vertex_block_support(self):
-        """Per vertex: set of (source type i, target type j) with a nonzero
-        generic block."""
-        alg = self.algebra
-        support = {v: set() for v in alg.quiver.vertices}
-        types1 = [i for i in alg.quiver.vertices if self.r1.mults[i - 1]]
-        types0 = [j for j in alg.quiver.vertices if self.r0.mults[j - 1]]
-        for i in types1:
-            for j in types0:
-                for x in alg.paths(j, i):
-                    for v in alg.right_mult_blocks(i, x):
-                        support[v].add((i, j))
-        return support
+
+def _hom_template(alg, f, first, i, j):
+    """The items of Hom(P(i), P(j)) inside a HomSpace whose vertex block v
+    starts at cell first[v][0] and has first[v][1] columns, for the
+    summands at offset 0: (verts, per_x).  verts lists (v, columns of
+    block v) for vertex i first, then for the vertices the items touch;
+    per path x in paths(j, i), per_x holds (x, its generator's cell,
+    [(k, cell, c)]), k indexing verts and c as `HomSpace` keeps it."""
+    at, ncols_i = first[i]
+    gen_col = alg.paths(i, i).index(alg.idempotent_index[i])
+    slot, per_x = {i: 0}, []  # slot: vertex -> its index in verts
+    for px, x in enumerate(alg.paths(j, i)):
+        rel = []
+        for v, triples in alg.right_mult_blocks(i, x).items():
+            k = slot.setdefault(v, len(slot))
+            base, ncols = first[v]
+            rel += [(k, base + r * ncols + col, c) for r, col, c in triples]
+        if f.characteristic:
+            rel = [(k, cell, c if type(c) is int else f.from_fraction(c)) for k, cell, c in rel]
+        per_x.append((x, at + px * ncols_i + gen_col, rel))
+    return [(v, first[v][1]) for v in slot], per_x
 
 
 def cover_upper_bound(hs: HomSpace):
     """Certified upper bound for the maximal rank: per vertex, minimize
     (rows kept) + (cols kept) over block covers of the nonzero blocks.
     The full-row and full-column covers make this at least as sharp as
-    min(dim P1, dim P0)."""
+    min(dim P1, dim P0).
+
+    Which blocks are nonzero depends only on which projective types occur,
+    and every cover's cost scales with the multiplicities, so the bound of
+    (g·P1, g·P0) is g times that of (P1, P0).  One value per primitive
+    pair (multiplicities with gcd 1) is kept in `Algebra.cover_bounds`."""
+    m1, m0 = hs.r1.mults, hs.r0.mults
+    g = math.gcd(*m1, *m0)
+    if not g:
+        return 0
     alg = hs.algebra
-    support = hs.vertex_block_support()
+    key = (tuple(m // g for m in m1), tuple(m // g for m in m0))
+    bound = alg.cover_bounds.get(key)
+    if bound is None:
+        bound = alg.cover_bounds[key] = _block_cover_bound(alg, *key)
+    return g * bound
+
+
+def _block_cover_bound(alg, mults1, mults0):
+    """The block-cover bound of `cover_upper_bound` for Hom(P1, P0) with
+    these multiplicities, computed afresh."""
+    # per vertex: the (source type i, target type j) with a nonzero block
+    support = {v: set() for v in alg.quiver.vertices}
+    for i in alg.quiver.vertices:
+        for j in alg.quiver.vertices:
+            if mults1[i - 1] and mults0[j - 1]:
+                for x in alg.paths(j, i):
+                    for v in alg.right_mult_blocks(i, x):
+                        support[v].add((i, j))
     total = 0
     for v in alg.quiver.vertices:
         col_types = sorted({i for i, _ in support[v]})
         row_types = sorted({j for _, j in support[v]})
-        col_dim = {i: hs.r1.mults[i - 1] * len(alg.paths(i, v)) for i in col_types}
-        row_dim = {j: hs.r0.mults[j - 1] * len(alg.paths(j, v)) for j in row_types}
+        col_dim = {i: mults1[i - 1] * len(alg.paths(i, v)) for i in col_types}
+        row_dim = {j: mults0[j - 1] * len(alg.paths(j, v)) for j in row_types}
         best = None
         for csub in itertools.chain.from_iterable(
             itertools.combinations(col_types, r) for r in range(len(col_types) + 1)

@@ -275,6 +275,22 @@ def test_check_malformed_module_file_exits_3(capsys, tmp_path, arrows, field):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("algebra, data", [
+    ("ALG-A", {"dim": [True, 0, 0]}),
+    ("ALG-B", {"dim": [1, 1, 0], "arrows": {"a": [[True]]}}),
+], ids=["boolean-dim", "boolean-entry"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+def test_check_boolean_module_input_exits_3(capsys, tmp_path, algebra, data, as_json):
+    bad = tmp_path / "b.mod.json"
+    bad.write_text(json.dumps({"algebra": algebra, **data}))
+    argv = ["check", algebra, str(bad)] + (["--json"] if as_json else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+
+
 @pytest.mark.parametrize("line", ["e9", "zz", "b*a", "a*(b)"],
                          ids=["unknown-idempotent", "unknown-arrow", "non-composable", "syntax"])
 def test_reduce_ideal_unknown_idempotent_exits_2(capsys, tmp_path, line):

@@ -49,6 +49,15 @@ def test_bad_dim_vector_rejected(alg_b):
         module_from_dict(alg_b, {"dim": [1, -1, 0]})
 
 
+def test_boolean_dim_and_entries_rejected(alg_b):
+    with pytest.raises(ModuleFormatError, match="'dim'"):
+        module_from_dict(alg_b, {"dim": [True, 0, 0]})
+    with pytest.raises(ModuleFormatError, match="True"):
+        module_from_dict(alg_b, {"dim": [1, 1, 0], "arrows": {"a": [[True]]}})
+    # a JSON 1 is still an entry
+    assert module_from_dict(alg_b, {"dim": [1, 1, 0], "arrows": {"a": [[1]]}}).arrows["a"].rows == [[1]]
+
+
 def test_non_object_module_file_rejected(alg_b):
     for data in (5, "dim", [1, 1, 0]):
         with pytest.raises(ModuleFormatError):

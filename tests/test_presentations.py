@@ -1,13 +1,19 @@
+import itertools
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taurank.algebra import build_algebra
 from taurank.artheory import tau
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
-from taurank.fixtures import FIXTURE_NAMES, load_fixture
+from taurank.fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, load_fixture
+from taurank.linalg import Matrix
 from taurank.polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from taurank.presentations import (
+    HomSpace,
     ProjDecomp,
     additivity_scan,
     combine_complexes,
@@ -22,6 +28,7 @@ from taurank.presentations import (
     reduce_presentation,
     zero_complex,
 )
+from taurank.quiver import parse_quiver_file
 from taurank.reps import (
     ProjRealization,
     cokernel,
@@ -444,3 +451,128 @@ def test_shared_realizations_survive_their_callers(alg_a, alg_b):
                      for v in alg.quiver.vertices}
                     for s in range(len(summands))
                 ]
+
+
+def reference_cover_bound(hs):
+    """The block-cover bound computed afresh from the pair's multiplicities,
+    with no memo and no scaling."""
+    alg, m1, m0 = hs.algebra, hs.r1.mults, hs.r0.mults
+    support = {v: set() for v in alg.quiver.vertices}
+    for i in (i for i in alg.quiver.vertices if m1[i - 1]):
+        for j in (j for j in alg.quiver.vertices if m0[j - 1]):
+            for x in alg.paths(j, i):
+                for v in alg.right_mult_blocks(i, x):
+                    support[v].add((i, j))
+    total = 0
+    for v in alg.quiver.vertices:
+        col_types = sorted({i for i, _ in support[v]})
+        col_dim = {i: m1[i - 1] * len(alg.paths(i, v)) for i in col_types}
+        row_dim = {j: m0[j - 1] * len(alg.paths(j, v)) for _, j in support[v]}
+        best = None
+        for csub in itertools.chain.from_iterable(
+            itertools.combinations(col_types, r) for r in range(len(col_types) + 1)
+        ):
+            rneeded = {j for (i, j) in support[v] if i not in csub}
+            cost = sum(col_dim[i] for i in csub) + sum(row_dim[j] for j in rneeded)
+            if best is None or cost < best:
+                best = cost
+        total += best or 0
+    return total
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_cover_bound_memo_matches_the_unmemoized_bound(fixture):
+    """Warm (the shared fixture, memo filled as the loop goes) and cold (a
+    fresh algebra whose memo is emptied before each call), at every t <= 4:
+    the memo and cover(t·P1, t·P0) = t·cover(P1, P0) change no bound."""
+    warm = load_fixture(fixture)
+    cold = build_algebra(*parse_quiver_file(FIXTURE_SOURCES[fixture]))
+    choices = list(itertools.product(range(3), repeat=warm.quiver.n))
+    for m1, m0 in itertools.product(choices, repeat=2):
+        for t in range(1, 5):
+            p1, p0 = ProjDecomp(m1).scale(t), ProjDecomp(m0).scale(t)
+            hs = realize_pair(warm, p1, p0)
+            want = reference_cover_bound(hs)
+            assert cover_upper_bound(hs) == want
+            cold.cover_bounds.clear()
+            # the bound reads only the algebra and the two realizations
+            assert cover_upper_bound(SimpleNamespace(
+                algebra=cold, r1=ProjRealization(cold, p1.mults), r0=ProjRealization(cold, p0.mults)
+            )) == want
+            assert len(cold.cover_bounds) == (not p1.is_zero() or not p0.is_zero())
+    # one entry per nonzero primitive pair
+    assert all(math.gcd(*m1, *m0) == 1 for m1, m0 in warm.cover_bounds)
+
+
+def per_item_tables(r1, r0):
+    """HomSpace's tables built item by item, from each summand pair's
+    offsets and `right_mult_blocks`, with no templates and no memo."""
+    alg, f = r1.algebra, r1.field
+    shapes, first, ncells = [], {}, 0
+    for v in alg.quiver.vertices:
+        nrows, ncols = r0.rep.vertex_dim(v), r1.rep.vertex_dim(v)
+        shapes.append((v, ncells, nrows, ncols))
+        first[v] = (ncells, ncols)
+        ncells += nrows * ncols
+    items, cells, gen_cells = [], [], []
+    for s1, (i, _) in enumerate(r1.summands):
+        off1 = r1.offsets[s1]
+        at, ncols_i = first[i]
+        gen_col = off1[i] + alg.paths(i, i).index(alg.idempotent_index[i])
+        for s0, (j, _) in enumerate(r0.summands):
+            off0 = r0.offsets[s0]
+            for px, x in enumerate(alg.paths(j, i)):
+                entries = []
+                for v, triples in alg.right_mult_blocks(i, x).items():
+                    base, ncols = first[v]
+                    base += off0[v] * ncols + off1[v]
+                    for r, col, c in triples:
+                        if f.characteristic and type(c) is not int:
+                            c = f.from_fraction(c)
+                        entries.append((base + r * ncols + col, c))
+                items.append((s1, s0, x))
+                cells.append(entries)
+                gen_cells.append(at + (off0[i] + px) * ncols_i + gen_col)
+    return items, cells, gen_cells, shapes, ncells
+
+
+def test_templated_hom_tables_match_a_per_item_build(all_fixture_algebras):
+    for alg in all_fixture_algebras.values():
+        for field in (QQ, PrimeField(DEFAULT_PRIME)):
+            for m1, m0 in handful_of_pairs(alg.quiver.n):
+                for t in (1, 2):
+                    r1 = ProjRealization(alg, ProjDecomp(m1).scale(t).mults, field)
+                    r0 = ProjRealization(alg, ProjDecomp(m0).scale(t).mults, field)
+                    alg.hom_tables = None
+                    hs = HomSpace(r1, r0)
+                    want = per_item_tables(r1, r0)
+                    assert (hs.items, hs._cells, hs._gen_cells, hs._shapes, hs._ncells) == want
+                    # c keeps its type too: an int, or a Fraction over Q
+                    assert [[type(c) for _, c in e] for e in hs._cells] == [
+                        [type(c) for _, c in e] for e in want[1]
+                    ]
+
+
+@pytest.mark.parametrize("fixture, m1, m0, field", [
+    ("ALG-A", (0, 1, 0), (0, 0, 1), QQ),
+    ("ALG-A", (1, 1, 0), (0, 1, 1), PrimeField(DEFAULT_PRIME)),
+    ("ALG-B0", (1, 2, 0), (0, 1, 2), QQ),
+    ("ALG-K", (2, 1), (1, 2), PrimeField(101)),
+])
+def test_memoized_ranks_survive_a_scan(monkeypatch, fixture, m1, m0, field):
+    """Every matrix a full scan ranks keeps cells whose rank is the memo:
+    a fresh Matrix with equal cells has the same rank."""
+    ranked, rank = [], Matrix.rank
+
+    def recording_rank(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(Matrix, "rank", recording_rank)
+    additivity_scan(load_fixture(fixture), ProjDecomp(m1), ProjDecomp(m0),
+                    t_max=3, trials=2, field=field)
+    monkeypatch.undo()
+    assert len({id(m) for m in ranked}) < len(ranked)  # the memo was read
+    for m in ranked:
+        assert m._rank is not None
+        assert m.rank() == Matrix(m.field, m.rows, m.ncols).rank() == m._rank
