@@ -319,6 +319,9 @@ def reduce_and_compare(
         raise ValueError("ideal defined over a different algebra")
     if not annihilates(ideal, m):
         raise ValueError("ideal does not annihilate the module")
+    if ideal.dim == algebra.dim:
+        raise ValueError("the ideal is the whole algebra (the module is zero), "
+                         "so A/I does not exist")
     quot, _ = algebra.quotient(ideal)
     m_b = Representation(quot, m.field, m.dims, m.arrows)
 

@@ -9,7 +9,8 @@ JSON reports.
 Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error or
 invalid option value (--trials, --tmax or --cap below 1, --oracle-params
 below 0, a --field modulus that is not prime, a prime field for reduce or
-paper-examples), 3 invalid module, 4 ideal does not annihilate, 10 scan
+paper-examples), 3 invalid module (for reduce also the zero module, whose
+annihilator is the whole algebra), 4 ideal does not annihilate, 10 scan
 violations found, 11 scan violations found on an uncertified r(1) only.
 Exits 2, 3 and 4 print a single `error:` line on stderr.
 `--oracle-params 0` is valid and runs no symbolic oracle.
@@ -75,7 +76,7 @@ def _load_algebra(arg):
     try:
         with open(arg, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read algebra file {arg!r}: {exc}", EXIT_PARSE)
     try:
         quiver, relations = parse_quiver_file(text)
@@ -87,7 +88,8 @@ def _load_algebra(arg):
 def _load_module(algebra, arg, field):
     try:
         return load_module_arg(algebra, arg, field)
-    except (ModuleFormatError, AssertionError, OSError, json.JSONDecodeError) as exc:
+    except (ModuleFormatError, AssertionError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         raise CliError(f"invalid module {arg!r}: {exc}", EXIT_MODULE)
 
 
@@ -107,7 +109,7 @@ def _parse_ideal_file(algebra, path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read ideal file {path!r}: {exc}", EXIT_PARSE)
     elements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -258,6 +260,8 @@ def cmd_reduce(args):
     except ValueError as exc:
         if "annihilate" in str(exc):
             raise CliError(str(exc), EXIT_IDEAL)
+        if not m.dim_total:
+            raise CliError(f"invalid module {args.module!r}: {exc}", EXIT_MODULE)
         raise
     human = (
         f"ideal dim {report.ideal_dim}, quotient dim {report.quotient_dim}; "

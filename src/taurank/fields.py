@@ -1,9 +1,15 @@
 """Exact coefficient fields (rationals and prime fields) and a splittable RNG.
 
-Every computation in this library is exact: scalars are either rationals,
-each an `int` or a `fractions.Fraction` (field Q), or machine ints
-reduced mod a prime (field F_p).  A field object bundles the arithmetic
-so that the linear algebra layer never has to branch on the scalar type.
+Every computation in this library is exact: a scalar is a plain Python
+number, over Q an `int` or a `fractions.Fraction`, over F_p an `int`
+reduced into [0, p).  A field object names the field, gives its zero and
+one, converts ints and fractions into it (`from_int`, `from_fraction`),
+samples and serializes its scalars.  The linear algebra layer computes on
+scalars with Python's operators and reduces F_p cells once, when it
+builds a matrix (see `linalg`); the per-scalar methods `add`, `sub`,
+`mul`, `neg`, `div` and `is_zero` return reduced results and serve the
+symbolic oracle and code that computes one scalar at a time, such as the
+reference eliminations of the tests.
 """
 
 from __future__ import annotations

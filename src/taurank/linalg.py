@@ -1,18 +1,24 @@
 """Dense exact matrices: rank, null spaces, solving, block assembly.
 
-Matrices are row-major lists over a coefficient field from `fields`; a
-Q entry is an `int` or a `Fraction`, and an F_p entry an `int` in
-[0, p), reduced when the matrix is built.  Two engines serve them:
+Cells are plain Python numbers in row-major lists: over Q an `int` or a
+`Fraction` (the two mix freely), over F_p an `int` in [0, p).  The
+arithmetic uses Python's operators on them, and `Matrix.__init__` is the
+one place that reduces F_p cells, so every matrix is built from its
+finished cells.  Two engines eliminate:
 
 - `_packed_rank` eliminates mod the Mersenne prime p = 2**31 - 1 on
   packed rows.  It gives the rank over F_p for this p, and it is the
   first try for the rank over Q of an all-int matrix.
-- Row-list elimination serves rref, kernels and solving, and ranks over
-  other primes or of Q matrices with a `Fraction` cell: over Q on
-  cleared-denominator integer rows (cross multiplication with per-row
-  gcd normalization), over F_p with plain modular row operations.  A
-  linear solve A X = B runs one elimination of [A | B], whatever the
-  number of right-hand columns.
+- `_echelon` serves every other elimination.  Over Q it runs on
+  cleared-denominator integer rows (fraction-free: cross multiplication
+  with per-row gcd normalization), over F_p on rows with pivots scaled to
+  1.  Its forward pass gives the rank over other primes and over Q when
+  the packed shortcut does not decide it, and the pivot columns that
+  span a column space; with `reduced=True` the same
+  loop clears above each pivot too and gives the reduced echelon form,
+  which rref, kernels, solving and row spaces read.  A linear solve
+  A X = B runs one elimination of [A | B], whatever the number of
+  right-hand columns.
 
 Over any field the rank is at most b = min(nonzero rows, nonzero
 columns), so the packed elimination stops at b pivots.  The rank mod p
@@ -45,11 +51,14 @@ from math import gcd, lcm
 class Matrix:
     """A dense nrows x ncols matrix over `field`, as row lists.
 
-    `rank` memoizes its result on the matrix, so the cells must not change
-    once `rank` has been called.  The code that writes cells in place
-    (`identity`, `block_diag` and `rref` here; `act_element`,
-    `projective`, `cokernel`, `projective_cover` and `conjugate` in
-    `reps`) fills a matrix it has just made, before any rank.
+    The constructor copies the rows and reduces F_p cells into [0, p).  A
+    cell written in place into a matrix already built must therefore be
+    reduced already (a field element from `field`, or a cell of another
+    matrix over it), and it must be written before any `rank` call,
+    because `rank` memoizes its result on the matrix.  The code that
+    writes cells in place (`identity` and `block_diag` here; `projective`,
+    `cokernel`, `projective_cover` and `conjugate` in `reps`) fills a
+    matrix it has just made.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
@@ -105,8 +114,7 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
 
     def is_zero(self):
-        z = self.field.is_zero
-        return all(z(x) for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def transpose(self):
         return Matrix(
@@ -119,65 +127,42 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        add = self.field.add
         return Matrix(
             self.field,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        sub = self.field.sub
         return Matrix(
             self.field,
-            [
-                [sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in r] for r in self.rows], self.ncols)
+        return Matrix(self.field, [[-a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c):
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, a) for a in r] for r in self.rows], self.ncols)
+        return Matrix(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape()} * {other.shape()}")
-        f = self.field
-        add, mul, zero, is_zero = f.add, f.mul, f.zero, f.is_zero
-        bt = other.transpose().rows
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in bt:
-                acc = zero
-                for a, b in zip(ra, cb):
-                    if not is_zero(a) and not is_zero(b):
-                        acc = add(acc, mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out, other.ncols)
+        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
+        return Matrix(
+            self.field,
+            [[sum([a * b for a, b in zip(ra, cb) if a and b]) for cb in cols]
+             for ra in self.rows],
+            other.ncols,
+        )
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
-        f = self.field
-        out = []
-        for r in self.rows:
-            acc = f.zero
-            for a, b in zip(r, vec):
-                if not f.is_zero(a) and not f.is_zero(b):
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
+        p = self.field.characteristic
+        out = [sum([a * b for a, b in zip(r, vec) if a and b]) for r in self.rows]
+        return [x % p for x in out] if p else out
 
     def shape(self):
         return (self.nrows, self.ncols)
@@ -240,31 +225,28 @@ class Matrix:
         if p == _P:
             cells = array("Q", chain.from_iterable(self.rows))
             return _packed_rank(cells, self.ncols, _rank_bound(self.rows))
-        if p:
-            return len(_echelon_p(self)[1])
-        r = _rank_certified_mod_p(self)
-        return len(_echelon_q(self)[1]) if r is None else r
+        r = None if p else _rank_certified_mod_p(self)
+        return len(_echelon(self)[1]) if r is None else r
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
-        rows, pivots = _rref_rows(self)
-        m = Matrix.zeros(self.field, self.nrows, self.ncols)
-        for i, r in enumerate(rows):
-            m.rows[i] = list(r)
-        return m, pivots
+        rows, pivots = _echelon(self, reduced=True)
+        rows += [[self.field.zero] * self.ncols for _ in range(self.nrows - len(rows))]
+        return Matrix(self.field, rows, self.ncols), pivots
 
     def kernel_basis(self):
         """Basis of the right null space, as a list of column vectors."""
-        rows, pivots = _rref_rows(self)
+        rows, pivots = _echelon(self, reduced=True)
         f = self.field
+        p = f.characteristic
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
         basis = []
         for fcol in free:
             v = [f.zero] * self.ncols
             v[fcol] = f.one
-            for i, p in enumerate(pivots):
-                v[p] = f.neg(rows[i][fcol])
+            for row, c in zip(rows, pivots):
+                v[c] = -row[fcol] % p if p else -row[fcol]
             basis.append(v)
         return basis
 
@@ -281,7 +263,7 @@ class Matrix:
         n = self.ncols
         if not b.ncols:
             return Matrix.zeros(self.field, n, 0)
-        rows, pivots = _rref_rows(Matrix.hstack(self.field, [self, b]))
+        rows, pivots = _echelon(Matrix.hstack(self.field, [self, b]), reduced=True)
         if pivots and pivots[-1] >= n:
             return None
         x = [[self.field.zero] * b.ncols for _ in range(n)]
@@ -299,15 +281,14 @@ class Matrix:
 
     def column_space_basis(self):
         """Matrix whose columns span the column space (pivot columns)."""
-        _, pivots = _rref_rows(self)
+        pivots = _echelon(self)[1]
         return Matrix.from_columns(
             self.field, [[r[j] for r in self.rows] for j in pivots], self.nrows
         )
 
     def row_space_rows(self):
         """Canonical (RREF) spanning rows of the row space, zero rows dropped."""
-        rows, pivots = _rref_rows(self)
-        return [list(rows[i]) for i in range(len(pivots))]
+        return _echelon(self, reduced=True)[0]
 
 
 # -- elimination engines -------------------------------------------------
@@ -393,16 +374,25 @@ def _packed_rank(cells, ncols, bound):
     return rank
 
 
-def _echelon_q(m: Matrix):
-    rows = _int_rows(m)
-    nrows, ncols = m.nrows, m.ncols
+def _echelon(m: Matrix, reduced=False):
+    """Row echelon form of m: (its nonzero rows, their pivot columns).
+
+    Over Q the elimination runs on `_int_rows`: each step takes the
+    smallest |pivot| in its column, clears the column by cross
+    multiplication and divides each changed row by the gcd of its cells.
+    Over F_p each pivot row is scaled to 1.  With `reduced`, each step also
+    clears the rows above its pivot and, over Q, each row is divided by its
+    pivot at the end, which gives the reduced echelon form over the field.
+    """
+    p = m.field.characteristic
+    rows = list(m.rows) if p else _int_rows(m)  # rows are replaced, never mutated
+    nrows = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for c in range(m.ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-        piv = None
-        best = None
+        piv = best = None
         for i in range(r, nrows):
             v = rows[i][c]
             if v:
@@ -416,69 +406,26 @@ def _echelon_q(m: Matrix):
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         pv = prow[c]
-        # entries left of c are zero in both rows, so whole rows combine
-        for i in range(r + 1, nrows):
+        if p:
+            inv = pow(pv, -1, p)
+            rows[r] = prow = [x * inv % p for x in prow]
+        # prow is zero left of c, so whole rows combine
+        for i in range(0 if reduced else r + 1, nrows):
             ri = rows[i]
             v = ri[c]
-            if v:
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                ri = [a * x - b * y for x, y in zip(ri, prow)]
-                g2 = gcd(*ri)
-                if g2 > 1:
-                    ri = [x // g2 for x in ri]
-                rows[i] = ri
+            if v and i != r:
+                if p:
+                    rows[i] = [(x - v * y) % p for x, y in zip(ri, prow)]
+                else:
+                    g = gcd(pv, v)
+                    a, b = pv // g, v // g
+                    ri = [a * x - b * y for x, y in zip(ri, prow)]
+                    g = gcd(*ri)
+                    rows[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(c)
-        r += 1
-    return rows[: len(pivots)], pivots
-
-
-def _echelon_p(m: Matrix):
-    p = m.field.p
-    rows = list(m.rows)  # rows are replaced, never mutated in place
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        # entries left of c are zero in both rows, so whole rows combine
-        rows[r] = prow = [x * inv % p for x in rows[r]]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if v:
-                rows[i] = [(x - v * y) % p for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return rows[: len(pivots)], pivots
-
-
-def _rref_rows(m: Matrix):
-    """Reduced echelon rows over the field (list of lists), plus pivots."""
-    f = m.field
-    if f.characteristic == 0:
-        rows, pivots = _echelon_q(m)
-        rows = [[Fraction(x) for x in row] for row in rows]
-    else:
-        rows, pivots = _echelon_p(m)
-    # normalize pivots to 1, then clear above
-    for i in range(len(pivots) - 1, -1, -1):
-        p = pivots[i]
-        inv = f.div(f.one, rows[i][p])
-        rows[i] = [f.mul(inv, x) for x in rows[i]]
-        for k in range(i):
-            v = rows[k][p]
-            if not f.is_zero(v):
-                rows[k] = [f.sub(a, f.mul(v, b)) for a, b in zip(rows[k], rows[i])]
+    rows = rows[: len(pivots)]
+    if reduced and not p:
+        rows = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
     return rows, pivots
 
 
@@ -491,14 +438,7 @@ def intersect_row_spaces(field, rows_u, rows_v, ncols):
     # x = a·U = b·V  <=>  [U^T | -V^T] (a,b)^T = 0
     stacked = Matrix.hstack(field, [mu.transpose(), (-mv).transpose()])
     combos = stacked.kernel_basis()
-    vecs = []
-    for w in combos:
-        a = w[: mu.nrows]
-        vec = [field.zero] * ncols
-        for coef, row in zip(a, mu.rows):
-            if not field.is_zero(coef):
-                vec = [field.add(x, field.mul(coef, y)) for x, y in zip(vec, row)]
-        vecs.append(vec)
-    if not vecs:
+    if not combos:
         return []
-    return Matrix(field, vecs, ncols).row_space_rows()
+    a = Matrix(field, [w[: mu.nrows] for w in combos], mu.nrows)
+    return (a * mu).row_space_rows()

@@ -15,6 +15,10 @@ from fractions import Fraction
 from .fields import QQ
 
 
+ORACLE_MAX_DIM = 40  # largest matrix side the oracle eliminates
+ORACLE_MAX_TERMS = 60000  # most terms an entry may reach during elimination
+
+
 class OracleBudgetError(RuntimeError):
     """Raised when the symbolic oracle would exceed its configured budget."""
 
@@ -176,7 +180,8 @@ class PolyMatrix:
         )
 
 
-def poly_rank(pm: PolyMatrix, max_dim: int = 40, max_terms: int = 60000) -> int:
+def poly_rank(pm: PolyMatrix, max_dim: int = ORACLE_MAX_DIM,
+              max_terms: int = ORACLE_MAX_TERMS) -> int:
     """Rank of `pm` over the rational function field Q(x_1..x_m).
 
     Fraction-free Bareiss elimination with exact polynomial pivots; the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .fields import QQ, SeedStream
 from .linalg import Matrix
-from .polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
+from .polyrank import ORACLE_MAX_DIM, OracleBudgetError, Poly, PolyMatrix, poly_rank
 from .reps import (
     Morphism,
     ProjRealization,
@@ -29,8 +29,6 @@ from .reps import (
 )
 
 COEFF_BOUND = 1000  # sampled coefficients lie in [-COEFF_BOUND, COEFF_BOUND]
-ORACLE_MAX_DIM = 40  # the oracle runs only when dim P1, dim P0 <= this
-ORACLE_MAX_TERMS = 60000  # poly_rank's term budget
 
 
 @dataclass(frozen=True)
@@ -405,10 +403,7 @@ def generic_rank(
         and hs.r0.total_dim <= ORACLE_MAX_DIM
     ):
         try:
-            oracle_value = sum(
-                poly_rank(pm, max_dim=ORACLE_MAX_DIM, max_terms=ORACLE_MAX_TERMS)
-                for pm in hs.generic_vertex_matrices().values()
-            )
+            oracle_value = sum(poly_rank(pm) for pm in hs.generic_vertex_matrices().values())
         except OracleBudgetError:
             oracle_value = None
         if oracle_value is not None:

@@ -139,18 +139,18 @@ def act_element(x, m: Representation):
     for v in alg.quiver.vertices:
         offsets[v] = off
         off += m.vertex_dim(v)
-    out = Matrix.zeros(f, total, total)
+    out = [[f.zero] * total for _ in range(total)]
     for k, c in x.items():
         b = alg.basis[k]
         coeff = f.from_fraction(c)
         blk = act_word(m, b.word, b.source)
         ro, co = offsets[b.target], offsets[b.source]
-        for i in range(blk.nrows):
-            row = out.rows[ro + i]
-            for j in range(blk.ncols):
-                if not f.is_zero(blk.rows[i][j]):
-                    row[co + j] = f.add(row[co + j], f.mul(coeff, blk.rows[i][j]))
-    return out
+        for i, brow in enumerate(blk.rows):
+            row = out[ro + i]
+            for j, y in enumerate(brow):
+                if y:
+                    row[co + j] += coeff * y
+    return Matrix(f, out, total)
 
 
 def annihilates(ideal, m: Representation):
@@ -270,14 +270,13 @@ def _hom_system(m: Representation, n: Representation):
                 # (F_v · M_a)[r][c] = sum_j F_v[r][j] M_a[j][c]
                 for j in range(dmv):
                     coef = ma.rows[j][c]
-                    if not f.is_zero(coef):
+                    if coef:
                         row[offsets[v] + r * dmv + j] = coef
                 # -(N_a · F_u)[r][c] = -sum_i N_a[r][i] F_u[i][c]
                 for i in range(dnu):
                     coef = na.rows[r][i]
-                    if not f.is_zero(coef):
-                        idx = offsets[u] + i * m.vertex_dim(u) + c
-                        row[idx] = f.sub(row[idx], coef)
+                    if coef:
+                        row[offsets[u] + i * dmu + c] -= coef
                 rows.append(row)
     return Matrix(f, rows, nvars), offsets, nvars
 
@@ -590,8 +589,11 @@ class ProjDim:
         return {"kind": self.kind, "value": self.value, "detail": self.detail}
 
 
-def proj_dim(m: Representation, cap: int = 10, seed: int = 7,
-             growth_guard: int = 600) -> ProjDim:
+PD_ISO_SEED = 7  # iso_test compares a syzygy with syzygy i under seed PD_ISO_SEED + i
+PD_GROWTH_GUARD = 600  # proj_dim gives up once a syzygy's total dimension exceeds this
+
+
+def proj_dim(m: Representation, cap: int = 10) -> ProjDim:
     """Projective dimension by iterated minimal syzygies.
 
     Finite when some syzygy vanishes; certified infinite when a later
@@ -615,13 +617,13 @@ def proj_dim(m: Representation, cap: int = 10, seed: int = 7,
                 t = cur.dim_total // old.dim_total
                 if t >= 1 and cur.dims == tuple(t * d for d in old.dims):
                     candidate = old if t == 1 else direct_sum([old] * t)
-                    if iso_test(cur, candidate, seed=seed + i):
+                    if iso_test(cur, candidate, seed=PD_ISO_SEED + i):
                         return ProjDim(
                             "infinite",
                             detail=f"syzygy {step} is isomorphic to {t} copies of syzygy {i}",
                         )
         history.append(cur)
-        if cur.dim_total > growth_guard:
+        if cur.dim_total > PD_GROWTH_GUARD:
             return ProjDim("unknown", detail=f">= {cap} (syzygy growth)")
     return ProjDim("unknown", detail=f">= {cap}")
 
@@ -643,11 +645,10 @@ def iso_test(m: Representation, n: Representation, trials: int = 8, seed: int = 
             d = m.vertex_dim(v)
             if d == 0:
                 continue
-            acc = Matrix.zeros(m.field, d, d)
-            for c, g in zip(coeffs, basis):
-                if not m.field.is_zero(c):
-                    acc = acc + g.maps[v].scale(c)
-            if acc.rank() != d:
+            terms = [(c, g.maps[v].rows) for c, g in zip(coeffs, basis) if c]
+            acc = [[sum(c * rows[i][j] for c, rows in terms) for j in range(d)]
+                   for i in range(d)]
+            if Matrix(m.field, acc, d).rank() != d:
                 return False
         return True
 

@@ -302,6 +302,28 @@ def test_reduce_ideal_unknown_idempotent_exits_2(capsys, tmp_path, line):
     assert err.count("(line 2") == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["check", "ALG-A", "bad.mod.json"], 3),
+    (["info", "bad.qa"], 2),
+    (["reduce", "ALG-A", "S(1)", "--ideal", "bad.txt"], 2),
+], ids=["module-file", "algebra-file", "ideal-file"])
+def test_input_file_that_is_not_utf8_exits_with_one_error_line(capsys, tmp_path, argv, code):
+    bad = tmp_path / argv[-1]
+    bad.write_bytes(b'{"dim": [1, 0, 0], "x": "caf\xe9"}\n')  # Latin-1, not UTF-8
+    got, err = run_err(capsys, argv[:-1] + [str(bad)])
+    assert got == code
+    assert_one_error_line(err)
+
+
+def test_reduce_zero_module_exits_3(capsys, tmp_path):
+    zero = tmp_path / "zero.mod.json"
+    zero.write_text(json.dumps({"algebra": "ALG-A", "dim": [0, 0, 0]}))
+    code, err = run_err(capsys, ["reduce", "ALG-A", str(zero)])
+    assert code == 3
+    assert_one_error_line(err)
+    assert "the module is zero" in err
+
+
 def test_reduce_ideal_with_an_arrow_named_e(capsys, tmp_path):
     qa = tmp_path / "e.qa"
     qa.write_text("vertices: 1 2 3\narrow e: 2 -> 1\narrow x: 3 -> 2\n")

@@ -199,6 +199,12 @@ def test_solve_consistency(m, seed):
     assert m.apply(sol) == b
 
 
+FP = PrimeField(_P)
+
+# reduced cells at the top of the field, and unreduced or negative ones
+fp_cells = st.one_of(st.sampled_from([_P - 1, _P - 2, 0]), st.integers(-2 * _P, 2 * _P))
+
+
 def reference_rref(field, rows, ncols):
     """Plain Gauss-Jordan elimination in field arithmetic: (nonzero rows, pivots)."""
     rows = [list(r) for r in rows]
@@ -220,17 +226,20 @@ def reference_rref(field, rows, ncols):
 
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# mixed into the reference properties so that cell growth in the
+# elimination shows
+big_ints = st.integers(-10**6, 10**6)
 
 
 @st.composite
-def shaped_rows(draw, entries, max_dim=6):
+def shaped_rows(draw, entries, max_dim=10):
     n = draw(st.integers(min_value=0, max_value=max_dim))
     m = draw(st.integers(min_value=0, max_value=max_dim))
     return draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n)), m
 
 
 @settings(max_examples=80, deadline=None)
-@given(shaped_rows(fractions))
+@given(shaped_rows(st.one_of(fractions, fractions, big_ints)))
 def test_rational_elimination_matches_reference(shaped):
     rows, ncols = shaped
     m = Matrix(QQ, rows, ncols)
@@ -241,15 +250,58 @@ def test_rational_elimination_matches_reference(shaped):
 
 
 @settings(max_examples=80, deadline=None)
-@given(shaped_rows(st.integers(0, 6)))
-def test_prime_elimination_matches_reference(shaped):
-    f = PrimeField(7)
-    rows, ncols = shaped
-    m = Matrix(f, rows, ncols)
-    want_rows, want_pivots = reference_rref(f, rows, ncols)
-    assert m.rank() == len(want_pivots)
-    assert m.rref()[1] == want_pivots
-    assert m.row_space_rows() == want_rows
+@given(st.data())
+def test_prime_elimination_matches_reference(data):
+    for f, cells in ((PrimeField(7), st.one_of(st.integers(0, 6), big_ints)), (FP, fp_cells)):
+        rows, ncols = data.draw(shaped_rows(cells))
+        m = Matrix(f, rows, ncols)
+        want_rows, want_pivots = reference_rref(f, rows, ncols)
+        assert m.rank() == len(want_pivots)
+        assert m.rref()[1] == want_pivots
+        assert m.row_space_rows() == want_rows
+
+
+def reference_dot(field, row, col):
+    acc = field.zero
+    for a, b in zip(row, col):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_arithmetic_matches_field_methods(data):
+    """+, -, unary -, scale, *, apply and is_zero on unreduced inputs
+    against per-cell field arithmetic, with empty factors among the shapes."""
+    for f, cells in ((QQ, st.one_of(st.integers(-6, 6), fractions)),
+                     (PrimeField(7), st.integers(-20, 20)), (FP, fp_cells)):
+        n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+
+        def grid(nr, nc):
+            return data.draw(st.lists(st.lists(cells, min_size=nc, max_size=nc),
+                                      min_size=nr, max_size=nr))
+
+        a, a2, b = grid(n, k), grid(n, k), grid(k, m)
+        c = data.draw(cells)
+        vec = data.draw(st.lists(cells, min_size=k, max_size=k))
+        ma, ma2, mb = Matrix(f, a, k), Matrix(f, a2, k), Matrix(f, b, m)
+        cols = [[r[j] for r in b] for j in range(m)]
+        cases = [
+            (ma + ma2, (n, k), [[f.add(x, y) for x, y in zip(r, s)] for r, s in zip(a, a2)]),
+            (ma - ma2, (n, k), [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a, a2)]),
+            (-ma, (n, k), [[f.neg(x) for x in r] for r in a]),
+            (ma.scale(c), (n, k), [[f.mul(c, x) for x in r] for r in a]),
+            (ma * mb, (n, m), [[reference_dot(f, r, col) for col in cols] for r in a]),
+        ]
+        for got, shape, want in cases:
+            assert got.shape() == shape
+            assert got.rows == want
+        applied = ma.apply(vec)
+        assert applied == [reference_dot(f, r, vec) for r in a]
+        assert ma.is_zero() == all(f.is_zero(x) for r in a for x in r)
+        if f.characteristic:
+            out = [x for got, _, _ in cases for r in got.rows for x in r] + applied
+            assert all(0 <= x < f.p for x in out)
 
 
 def reference_solve(field, rows, ncols, b):
@@ -470,12 +522,6 @@ def test_prime_field_rank_skips_the_modular_shortcut(monkeypatch):
 
     monkeypatch.setattr(taurank.linalg, "_rank_certified_mod_p", None)
     assert Matrix(PrimeField(7), [[1, 2], [2, 4], [0, 3]]).rank() == 2
-
-
-FP = PrimeField(_P)
-
-# reduced cells at the top of the field, and unreduced or negative ones
-fp_cells = st.one_of(st.sampled_from([_P - 1, _P - 2, 0]), st.integers(-2 * _P, 2 * _P))
 
 
 @st.composite

@@ -467,6 +467,16 @@ def test_reduce_rejects_an_ideal_that_does_not_annihilate(alg_b0):
         reduce_and_compare(alg_b0, m, ideal=a)
 
 
+def test_reduce_rejects_the_zero_module(alg_a):
+    from taurank.artheory import reduce_and_compare
+
+    zero = Representation(alg_a, QQ, (0, 0, 0), {})
+    whole = Ideal.from_generators(alg_a, [alg_a.idempotent(i) for i in alg_a.vertices])
+    for ideal in (None, whole):
+        with pytest.raises(ValueError, match="the module is zero"):
+            reduce_and_compare(alg_a, zero, ideal=ideal)
+
+
 def test_check_relations_rejects_a_violated_relation_of_the_opposite(alg_b):
     # ALG-B^op has the reversed relation b*a = 0; a and b both act as 1
     op = alg_b.opposite()
