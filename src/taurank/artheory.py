@@ -24,7 +24,6 @@ from .presentations import (
 from .reps import (
     Morphism,
     Representation,
-    analysis_scope,
     annihilates,
     annihilator,
     cokernel,
@@ -34,6 +33,7 @@ from .reps import (
     hom_dim,
     injective_envelope,
     kernel,
+    module_analysis,
     proj_dim,
     scoped,
     zero_rep,
@@ -181,7 +181,7 @@ def stable_hom_dim_inj(n: Representation, x: Representation) -> int:
     return base - hom_dim(env, x) + hom_dim(c, x)
 
 
-@analysis_scope()
+@module_analysis
 def ar_formula_check(m: Representation, n: Representation) -> bool:
     """Ext^1(M, N) and the stable Hom(N, tau M) have equal dimensions."""
     t = scoped(tau, m)
@@ -221,7 +221,7 @@ class HierarchyReport:
         }
 
 
-@analysis_scope()
+@module_analysis
 def hierarchy_report(
     m: Representation,
     trials: int = 8,
@@ -300,7 +300,7 @@ class ReduceReport:
         }
 
 
-@analysis_scope()
+@module_analysis
 def reduce_and_compare(
     algebra,
     m: Representation,

@@ -279,12 +279,15 @@ class Matrix:
             return None
         return inv
 
+    def pivot_columns(self):
+        """Pivot columns of the echelon form, from the forward pass alone:
+        the leftmost columns that span the column space."""
+        return _echelon(self)[1]
+
     def column_space_basis(self):
         """Matrix whose columns span the column space (pivot columns)."""
-        pivots = _echelon(self)[1]
-        return Matrix.from_columns(
-            self.field, [[r[j] for r in self.rows] for j in pivots], self.nrows
-        )
+        cols = [[r[j] for r in self.rows] for j in self.pivot_columns()]
+        return Matrix.from_columns(self.field, cols, self.nrows)
 
     def row_space_rows(self):
         """Canonical (RREF) spanning rows of the row space, zero rows dropped."""

@@ -9,6 +9,8 @@ lets every operation here run unchanged over B.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -471,15 +473,15 @@ def projective_cover(m: Representation):
     The generators are unit vectors, taken greedily per vertex v in
     ascending vertex order: e_p, for p in coordinate order, is kept when it
     is not in rad M_v + span(e_q : q < p).  These p are the pivot columns
-    of rref([R | I]) beyond R = radical_span(m, v), so they span a
-    complement of rad M_v and give the multiplicities of top M.  Summand
-    order follows the generators, and P(v) sends the basis path k to
-    column p of the matrix by which k acts on M."""
+    of [R | I] beyond R = radical_span(m, v), which one forward elimination
+    finds; they span a complement of rad M_v and give the multiplicities of
+    top M.  Summand order follows the generators, and P(v) sends the basis
+    path k to column p of the matrix by which k acts on M."""
     alg, fl = m.algebra, m.field
     mults, gens = [], []  # gens[s] = p: summand s is generated by e_p
     for v in alg.quiver.vertices:
         rad = radical_span(m, v)
-        _, pivots = Matrix.hstack(fl, [rad, Matrix.identity(fl, m.vertex_dim(v))]).rref()
+        pivots = Matrix.hstack(fl, [rad, Matrix.identity(fl, m.vertex_dim(v))]).pivot_columns()
         tops = [p - rad.ncols for p in pivots if p >= rad.ncols]
         mults.append(len(tops))
         gens += tops
@@ -527,8 +529,15 @@ def syzygy(m: Representation):
 
 # -- call-scoped analysis ------------------------------------------------------
 
-# the open record, per thread: {(function, id(obj)): (obj, value)} or None
+# `scoped` fills the open record, {(function, id(obj)): (obj, value)}, or
+# computes afresh when none is open (None).  A top-level `module_analysis`
+# call keeps its record in `_kept` as (module, record) when it returns, and
+# the next top-level call on the same module object starts from it; a call
+# on another module starts afresh and a call that raises keeps nothing.
+# Both are context variables, so each thread has its own, and at most one
+# record is kept: memory stays bounded by one module's analysis.
 _analysis = ContextVar("taurank_analysis", default=None)
+_kept = ContextVar("taurank_kept_analysis", default=None)
 
 
 @contextmanager
@@ -541,6 +550,32 @@ def analysis_scope():
         yield
     finally:
         _analysis.reset(token)
+
+
+def module_analysis(fn):
+    """Decorator for an analysis of the module passed as `fn`'s parameter
+    `m`: inside an open scope the call shares it; otherwise it runs in the
+    kept record when that record is its module's, or in a fresh one, which
+    it keeps."""
+    pos = list(inspect.signature(fn).parameters).index("m")
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _analysis.get() is not None:
+            return fn(*args, **kwargs)
+        m = args[pos] if pos < len(args) else kwargs.get("m")
+        kept = _kept.get()
+        record = kept[1] if kept is not None and kept[0] is m else {}
+        _kept.set(None)  # until the call returns
+        token = _analysis.set(record)
+        try:
+            result = fn(*args, **kwargs)
+        finally:
+            _analysis.reset(token)
+        _kept.set((m, record))
+        return result
+
+    return call
 
 
 def scoped(fn, obj):

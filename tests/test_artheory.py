@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from taurank.artheory import (
     tau,
     tau_minus,
 )
-from taurank.fields import SeedStream
+from taurank.fields import QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
 from taurank.linalg import Matrix
 from taurank.presentations import (
@@ -384,6 +385,12 @@ def test_each_call_covers_its_module_once_and_afresh(monkeypatch, alg_a):
     calls = cover_spy(monkeypatch)
     hierarchy_report(m, trials=2, seed=1)
     first = [cover for arg, cover, _ in calls if arg is m]
+    # the next call on the same module starts from the kept record ...
+    calls.clear()
+    hierarchy_report(m, trials=2, seed=1)
+    assert not [arg for arg, _, _ in calls if arg is m]
+    # ... and a call on another module in between drops it
+    hierarchy_report(cok_f(alg_a, (0, 1, 0)), trials=2, seed=1)
     calls.clear()
     hierarchy_report(m, trials=2, seed=1)
     second = [cover for arg, cover, _ in calls if arg is m]
@@ -398,6 +405,94 @@ def test_each_call_covers_its_module_once_and_afresh(monkeypatch, alg_a):
         assert any(obj is m for obj, _ in reps._analysis.get().values())
     assert [arg for arg, _, _ in calls].count(m) == 1
     assert reps._analysis.get() is None
+
+
+def reached_from(root, record):
+    """Whether every module keyed in an analysis record is `root` or a module
+    inside the value of an entry whose module is reached."""
+    reached, entries = {id(root)}, list(record.values())
+    grew = True
+    while grew:
+        grew = False
+        for obj, value in entries:
+            if id(obj) not in reached:
+                continue
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, reps.Representation) and id(x) not in reached:
+                    reached.add(id(x))
+                    grew = True
+    return all(id(obj) in reached for obj, _ in entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(FIXTURE_NAMES),
+    st.sampled_from([QQ, PrimeField(7), PrimeField(2**31 - 1)]),
+    st.integers(0, 10**6),
+)
+def test_kept_record_changes_no_result(fixture, field, seed):
+    alg = load_fixture(fixture)
+    m, n, other = (
+        random_module(alg, SeedStream(seed).split(i), max_total_dim=6, field=field)
+        for i in range(3)
+    )
+
+    def analyse(between):
+        rep = hierarchy_report(m, trials=2, seed=seed)
+        between()
+        return rep.to_json(), ar_formula_check(m, n)
+
+    # ar_formula_check starts from hierarchy_report's record ...
+    kept = analyse(lambda: None)
+    root, record = reps._kept.get()
+    assert root is m and reached_from(m, record)
+    assert not any(obj is n for obj, _ in record.values())
+    # ... or, with another module analysed in between, afresh
+    fresh = analyse(lambda: hierarchy_report(other, trials=2, seed=seed))
+    assert kept == fresh
+    assert type(kept[1]) is bool
+    assert reps._kept.get()[0] is m and reps._analysis.get() is None
+    hierarchy_report(other, trials=2, seed=seed)
+    root, record = reps._kept.get()
+    assert root is other and reached_from(other, record)
+    assert not any(obj is m for obj, _ in record.values())
+
+
+def test_a_call_that_raises_keeps_nothing(monkeypatch, alg_b):
+    s2, s3 = simple(alg_b, 2), simple(alg_b, 3)
+    calls = cover_spy(monkeypatch)
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    for m in (s2, s3):  # the kept module, then another
+        hierarchy_report(s2, trials=2)
+        assert reps._kept.get()[0] is s2
+        with monkeypatch.context() as patch:
+            patch.setattr(artheory, "ext1_dim", boom)
+            with pytest.raises(RuntimeError, match="boom"):
+                ar_formula_check(m, s2)
+        assert reps._kept.get() is None and reps._analysis.get() is None
+    calls.clear()
+    ar_formula_check(s2, s3)
+    assert [arg for arg, _, _ in calls].count(s2) == 1
+
+
+def test_kept_record_is_per_thread(alg_b):
+    s2, s3 = simple(alg_b, 2), simple(alg_b, 3)
+    hierarchy_report(s2, trials=2)
+    seen = []
+
+    def other_thread():
+        hierarchy_report(s3, trials=2)
+        seen.append(reps._kept.get()[0])
+
+    worker = threading.Thread(target=other_thread)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert seen == [s3]
+    assert reps._kept.get()[0] is s2
 
 
 @settings(max_examples=30, deadline=None)
