@@ -4,12 +4,14 @@ Every computation in this library is exact: a scalar is a plain Python
 number, over Q an `int` or a `fractions.Fraction`, over F_p an `int`
 reduced into [0, p).  A field object names the field, gives its zero and
 one, converts ints and fractions into it (`from_int`, `from_fraction`),
-samples and serializes its scalars.  The linear algebra layer computes on
-scalars with Python's operators and reduces F_p cells once, when it
-builds a matrix (see `linalg`); the per-scalar methods `add`, `sub`,
-`mul`, `neg`, `div` and `is_zero` return reduced results and serve the
-symbolic oracle and code that computes one scalar at a time, such as the
-reference eliminations of the tests.
+samples and serializes its scalars.  Over Q each of these gives an `int`
+for an integral value, so a matrix built from them with integral cells
+holds ints only, which the modular rank shortcut of `linalg` needs.
+The linear algebra layer computes on scalars with Python's operators and
+reduces F_p cells once, when it builds a matrix (see `linalg`); the
+per-scalar methods `add`, `sub`, `mul`, `neg`, `div` and `is_zero` return
+reduced results and serve the symbolic oracle and code that computes one
+scalar at a time, such as the reference eliminations of the tests.
 """
 
 from __future__ import annotations
@@ -20,20 +22,22 @@ from fractions import Fraction
 
 class RationalField:
     """Arithmetic over Q.  A scalar is an `int` or a `Fraction`, the two mix
-    freely (integral cells and samples are ints); `div` returns a `Fraction`."""
+    freely; `zero`, `one`, `from_int`, `from_fraction` and `sample` give
+    an `int` for an integral value, and `div` returns a `Fraction`."""
 
     name = "Q"
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, q):
-        return Fraction(q)
+        q = Fraction(q)
+        return q.numerator if q.denominator == 1 else q
 
     def add(self, a, b):
         return a + b

@@ -1,7 +1,8 @@
 """Dense exact matrices: rank, null spaces, solving, block assembly.
 
 Cells are plain Python numbers in row-major lists: over Q an `int` or a
-`Fraction` (the two mix freely), over F_p an `int` in [0, p).  The
+`Fraction` (the two mix freely; the reduced echelon form gives an `int`
+where a cell is integral), over F_p an `int` in [0, p).  The
 arithmetic uses Python's operators on them, and `Matrix.__init__` is the
 one place that reduces F_p cells, so every matrix is built from its
 finished cells.  Two engines eliminate:
@@ -20,10 +21,21 @@ finished cells.  Two engines eliminate:
   A X = B runs one elimination of [A | B], whatever the number of
   right-hand columns.
 
-Over any field the rank is at most b = min(nonzero rows, nonzero
-columns), so the packed elimination stops at b pivots.  The rank mod p
-of an int matrix is at most its rank over Q, so a rank mod p that
-reaches b is the rank over Q; otherwise the exact elimination runs.
+A matrix memoizes its rank in the slot `_rank`, which only this module
+writes.  Three exact certificates stand in for eliminations:
+
+- The line bound.  Over any field the rank is at most b = min(nonzero
+  rows, nonzero columns), so the packed elimination stops at b pivots.
+  The rank mod p of an int matrix is at most its rank over Q, so a rank
+  mod p that reaches b is the rank over Q.
+- The term rank.  A rank mod p short of b is compared with the term
+  rank, the most nonzero cells with no two in one line, which bounds the
+  rank over Q from above as well (Edmonds 1967).  Equality certifies the
+  rank over Q; otherwise the exact elimination runs.
+- Block sums.  `Matrix.rank_from_blocks` checks cell for cell that a
+  matrix is a block-diagonal sum up to a row and a column permutation and
+  memoizes the sum of the blocks' ranks; the block sums that
+  `presentations.combine_complexes` builds are ranked so.
 
 A packed row is one int with a 64-bit slot per column; cells enter,
 over either field, reduced mod p.  As 2**31 = 1 (mod p),
@@ -46,6 +58,7 @@ from array import array
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 
 
 class Matrix:
@@ -54,8 +67,8 @@ class Matrix:
     The constructor copies the rows and reduces F_p cells into [0, p).  A
     cell written in place into a matrix already built must therefore be
     reduced already (a field element from `field`, or a cell of another
-    matrix over it), and it must be written before any `rank` call,
-    because `rank` memoizes its result on the matrix.  The code that
+    matrix over it), and it must be written before any `rank` or
+    `rank_from_blocks` call, because both memoize the rank on the matrix.  The code that
     writes cells in place (`identity` and `block_diag` here; `projective`,
     `cokernel`, `projective_cover` and `conjugate` in `reps`) fills a
     matrix it has just made.
@@ -220,6 +233,41 @@ class Matrix:
             self._rank = self._compute_rank()
         return self._rank
 
+    def rank_from_blocks(self, blocks):
+        """Memoize the rank of this matrix as the sum of its blocks' ranks.
+
+        `blocks` lists (block, rows, cols): cell (i, j) of the block sits at
+        cell (rows[i], cols[j]) here.  The blocks' rows must together be
+        every row once, their columns every column once, and every other
+        cell zero; this is checked cell for cell (AssertionError if not), so
+        the matrix is the block-diagonal sum up to a row and a column
+        permutation and its rank is the sum.  A block's rank is read from
+        its memo, or computed into it."""
+        all_rows, all_cols, nonzero, total = [], [], 0, 0
+        for blk, rows, cols in blocks:
+            if (len(rows), len(cols)) != blk.shape():
+                raise AssertionError("block positions do not match the block's shape")
+            if cols:
+                pick = itemgetter(*cols, cols[0])  # a tuple, even for one column
+                for i, row in zip(rows, blk.rows):
+                    if pick(self.rows[i])[:-1] != tuple(row):
+                        raise AssertionError("matrix is not the block sum of its blocks")
+                nonzero += _nonzero_cells(blk.rows)
+            all_rows += rows
+            all_cols += cols
+            if blk._rank is None:
+                blk._rank = blk._compute_rank()
+            total += blk._rank
+        # the blocks' places cover every cell once and hold all the nonzero
+        # ones, so every other cell is zero
+        if (
+            sorted(all_rows) != list(range(self.nrows))
+            or sorted(all_cols) != list(range(self.ncols))
+            or _nonzero_cells(self.rows) != nonzero
+        ):
+            raise AssertionError("matrix is not the block sum of its blocks")
+        self._rank = total
+
     def _compute_rank(self):
         p = self.field.characteristic
         if p == _P:
@@ -297,6 +345,10 @@ class Matrix:
 # -- elimination engines -------------------------------------------------
 
 
+def _nonzero_cells(rows):
+    return sum([len(r) - r.count(0) for r in rows])
+
+
 def _int_rows(m: Matrix):
     """Clear denominators of int or Fraction entries: integer rows (Q only)."""
     out = []
@@ -327,7 +379,7 @@ def _rank_bound(rows):
 
 def _rank_certified_mod_p(m: Matrix):
     """The rank over Q of an all-int matrix when its rank mod _P reaches
-    `_rank_bound` (see the module docstring), else None."""
+    `_rank_bound` or `_term_rank` (see the module docstring), else None."""
     if not m.nrows or not m.ncols:
         return 0
     if type(m.rows[0][0]) is not int:
@@ -338,7 +390,45 @@ def _rank_certified_mod_p(m: Matrix):
         return None
     bound = _rank_bound(m.rows)
     rank = _packed_rank(cells, m.ncols, bound)
-    return rank if rank == bound else None
+    return rank if rank == bound or rank == _term_rank(m.rows) else None
+
+
+def _term_rank(rows):
+    """The term rank of the matrix with these rows: the most nonzero cells
+    with no two in one row or one column, an upper bound on the rank over
+    any field (Edmonds 1967).  It is the size of a maximum matching of rows
+    to columns along the nonzero cells, grown by augmenting paths that an
+    explicit stack follows, so the depth is not bounded by the recursion
+    limit."""
+    adj = [[j for j, x in enumerate(r) if x] for r in rows]
+    owner = {}  # column -> the row matched to it
+    size = 0
+    for root, cols in enumerate(adj):
+        free = next((c for c in cols if c not in owner), None)
+        if free is not None:
+            owner[free] = root
+            size += 1
+            continue
+        # depth-first search for a path root, c0, row1, c1, ... that ends in
+        # a free column: path[k] is the column that row stack[k] goes to
+        seen, stack, path = set(), [(root, iter(cols))], []
+        while stack:
+            c = next((c for c in stack[-1][1] if c not in seen), None)
+            if c is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen.add(c)
+            path.append(c)
+            row = owner.get(c)
+            if row is None:
+                for (r, _), col in zip(stack, path):
+                    owner[col] = r
+                size += 1
+                break
+            stack.append((row, iter(adj[row])))
+    return size
 
 
 def _packed_rank(cells, ncols, bound):
@@ -428,8 +518,15 @@ def _echelon(m: Matrix, reduced=False):
         pivots.append(c)
     rows = rows[: len(pivots)]
     if reduced and not p:
-        rows = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+        rows = [_divided(row, row[c]) for row, c in zip(rows, pivots)]
     return rows, pivots
+
+
+def _divided(row, d):
+    """The int row divided by d over Q: an int where the quotient is one."""
+    if d == 1:
+        return row
+    return [x // d if not x % d else Fraction(x, d) for x in row]
 
 
 def intersect_row_spaces(field, rows_u, rows_v, ncols):

@@ -442,9 +442,30 @@ def _summand_positions(summed, side, shift):
     return [where[i, c + shift[i - 1]] for i, c in side.summands]
 
 
+def _block_positions(summed, side, at):
+    """Per vertex v, the places in vertex block v of the realization
+    `summed` of the basis of vertex block v of the realization `side`, in
+    order; summand s of `side` is summand at[s] of `summed`.  The copies of
+    one type sit in one run of consecutive summands there, so each type's
+    basis is one range."""
+    alg, runs, s = summed.algebra, [], 0
+    for i, m in zip(alg.quiver.vertices, side.mults):
+        if m:
+            runs.append((i, m, summed.offsets[at[s]]))
+            s += m
+    return {
+        v: [k for i, m, off in runs for k in range(off[v], off[v] + m * len(alg.paths(i, v)))]
+        for v in alg.quiver.vertices
+    }
+
+
 def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     """Block-diagonal sum of two complexes over the summed decompositions,
-    expressed in the canonical realization of the sum."""
+    expressed in the canonical realization of the sum.
+
+    Each vertex matrix of the sum is that of ca and that of cb up to a row
+    and a column permutation, which `Matrix.rank_from_blocks` checks cell
+    for cell before it memoizes the rank as the sum of theirs."""
     if ca.algebra is not cb.algebra:
         raise ValueError("complexes over different algebras")
     alg = ca.algebra
@@ -455,13 +476,21 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     position = {item: n for n, item in enumerate(hs.items)}
     coeffs = [field.zero] * hs.dim
     no_shift = (0,) * alg.quiver.n
+    places = []
     for cx, shift1, shift0 in ((ca, no_shift, no_shift), (cb, ca.p1.mults, ca.p0.mults)):
         at1 = _summand_positions(hs.r1, cx.hom.r1, shift1)
         at0 = _summand_positions(hs.r0, cx.hom.r0, shift0)
         for coeff, (s1, s0, x) in zip(cx.coeffs, cx.hom.items):
             coeffs[position[at1[s1], at0[s0], x]] = coeff
+        places.append(
+            (cx.map.maps, _block_positions(hs.r0, cx.hom.r0, at0),
+             _block_positions(hs.r1, cx.hom.r1, at1))
+        )
     out = TwoComplex(p1, p0, hs, hs.morphism_from_coeffs(coeffs), coeffs)
-    if out.rank() != ca.rank() + cb.rank():
+    rank_a, rank_b = ca.rank(), cb.rank()
+    for v, m in out.map.maps.items():
+        m.rank_from_blocks([(maps[v], rows[v], cols[v]) for maps, rows, cols in places])
+    if out.rank() != rank_a + rank_b:
         raise AssertionError("block-diagonal rank failed to add")
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taurank.fields import QQ, PrimeField, SeedStream, is_prime
-from taurank.linalg import _P, Matrix, _rank_certified_mod_p, intersect_row_spaces
+from taurank.linalg import (
+    _P,
+    Matrix,
+    _echelon,
+    _rank_certified_mod_p,
+    _term_rank,
+    intersect_row_spaces,
+)
 
 
 def qmat(rows):
@@ -100,6 +108,24 @@ def test_rational_div_returns_a_fraction():
     for a, b in ((1, 0), (Fraction(1, 2), 0), (1, Fraction(0))):
         with pytest.raises(ZeroDivisionError):
             QQ.div(a, b)
+
+
+def test_integral_rational_scalars_are_ints():
+    assert [type(x) for x in (QQ.zero, QQ.one, QQ.from_int(-3))] == [int] * 3
+    cases = ((Fraction(6, 3), int), (Fraction(-4), int), (5, int), (Fraction(1, 2), Fraction))
+    for q, kind in cases:
+        got = QQ.from_fraction(q)
+        assert got == q and type(got) is kind
+    assert [type(x) for row in Matrix.identity(QQ, 2).rows for x in row] == [int] * 4
+
+
+def test_reduced_echelon_cells_are_ints_where_integral():
+    reduced, pivots = Matrix(QQ, [[2, 4, 1], [0, 0, 3], [4, 8, 5]]).rref()
+    rows = reduced.rows
+    assert rows == [[1, 2, 0], [0, 0, 1], [0, 0, 0]] and pivots == [0, 2]
+    assert {type(x) for row in rows for x in row} == {int}
+    (row,) = Matrix(QQ, [[2, 1, 4]]).row_space_rows()
+    assert row == [1, Fraction(1, 2), 2] and [type(x) for x in row] == [int, Fraction, int]
 
 
 def test_prime_field_rejects_composite():
@@ -464,6 +490,108 @@ def test_rank_below_the_bound_mod_p_falls_back_to_exact():
     assert m.rank() == 2
 
 
+def brute_term_rank(rows, ncols):
+    """The most nonzero cells with no two in a line, by trying every set of
+    rows against every ordered choice of columns."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.permutations(range(ncols), k):
+                if all(rows[r][c] for r, c in zip(rs, cs)):
+                    return k
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_rows(st.sampled_from([0, 0, 1, -2]), max_dim=5))
+def test_term_rank_is_the_largest_matching(shaped):
+    rows, ncols = shaped
+    assert _term_rank(rows) == brute_term_rank(rows, ncols)
+
+
+def test_term_rank_follows_augmenting_paths_longer_than_the_recursion_limit():
+    # row r < n - 1 meets columns r and r + 1 and first takes column r;
+    # the last row meets column 0 only, so its augmenting path runs through
+    # every row
+    n = 1500
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n - 1):
+        rows[r][r] = rows[r][r + 1] = 1
+    rows[n - 1][0] = 1
+    assert _term_rank(rows) == n
+    rows[n - 1][0] = 0
+    assert _term_rank(rows) == n - 1
+
+
+def test_rank_short_of_the_term_rank_falls_back_to_exact():
+    ones = Matrix(QQ, [[1, 1], [1, 1]])  # rank 1, term rank 2
+    assert _rank_certified_mod_p(ones) is None
+    assert ones.rank() == 1
+    # rank 1 mod _P, but a cell divisible by _P is nonzero over Q: term rank 2
+    for rows in ([[1, 2 * _P], [1, 0]], [[_P, _P], [0, _P]]):
+        m = Matrix(QQ, rows)
+        assert _rank_certified_mod_p(m) is None
+        assert m.rank() == exact_rank(rows, 2)
+
+
+def test_term_rank_certifies_a_rank_below_the_line_bound():
+    # 3 nonzero rows and columns, but the last two rows meet column 0 only:
+    # term rank 2, which the rank mod _P reaches
+    m = Matrix(QQ, [[1, 1, 1], [1, 0, 0], [2, 0, 0]])
+    assert _rank_certified_mod_p(m) == 2 == exact_rank(m.rows, 3)
+
+
+@st.composite
+def structured_int_rows(draw):
+    """Int matrices with the shapes Hom systems have: a product of two
+    small int matrices (rank at most the inner size) and a second block
+    on the diagonal, zero lines spliced in, rows and columns permuted."""
+    def block(nrows, ncols, cells):
+        return draw(st.lists(st.lists(cells, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+
+    small = st.integers(-2, 2)
+    a, k, b = draw(st.integers(0, 6)), draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    left, right = block(a, k, small), block(k, b, small)
+    product = [[sum(x * y for x, y in zip(r, c)) for c in zip(*right)] if right else [0] * b
+               for r in left]
+    c, d = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    other = block(c, d, st.one_of(st.just(0), small, st.sampled_from([_P, -_P, 2 * _P])))
+    ncols = b + d + draw(st.integers(0, 2))
+    rows = [r + [0] * (ncols - b) for r in product]
+    rows += [[0] * b + r + [0] * (ncols - b - d) for r in other]
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(ncols)))
+    return [[r[j] for j in order] for r in rows], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_int_rows())
+def test_rational_rank_of_structured_int_matrices_is_exact(shaped):
+    rows, ncols = shaped
+    m = Matrix(QQ, rows, ncols)
+    want = len(_echelon(Matrix(QQ, rows, ncols))[1])
+    assert want == exact_rank(rows, ncols)
+    assert m.rank() == want
+    assert _rank_certified_mod_p(m) in (None, want)
+
+
+def test_rank_from_blocks_needs_every_line_once():
+    one = Matrix(QQ, [[1]])
+    blocks = [(one, [0], [1]), (Matrix(QQ, [[2, 0]]), [1], [0, 2])]
+    m = Matrix(QQ, [[0, 1, 0], [2, 0, 0]])
+    m.rank_from_blocks(blocks)
+    assert m._rank == 2 == Matrix(QQ, m.rows).rank()
+    # cells and nonzero counts match, but a cell is used twice: rank 1, not 2
+    for rows, cols in (([0], [0]), ([0], [1])):
+        with pytest.raises(AssertionError):
+            Matrix(QQ, [[1, 1]]).rank_from_blocks([(one, [0], [0]), (one, rows, cols)])
+    with pytest.raises(AssertionError):
+        Matrix(QQ, [[1, 0], [0, 0]]).rank_from_blocks([(one, [0], [0])])  # lines left out
+    with pytest.raises(AssertionError):
+        Matrix(QQ, [[1, 0]]).rank_from_blocks([(one, [0], [0, 1])])  # wrong shape
+
+
 def test_rank_of_dense_int_matrices_with_cells_near_the_prime():
     # slots grow by up to p**2 per step and would overflow without the
     # folds; the dependent rows then gain spurious pivots
@@ -483,7 +611,7 @@ def test_rank_of_dense_int_matrices_with_cells_near_the_prime():
 
 
 def test_rank_of_fraction_matrices():
-    int_valued = qmat([[1, 2], [3, 4]])
+    int_valued = Matrix(QQ, [[Fraction(x) for x in r] for r in ([1, 2], [3, 4])])
     assert _rank_certified_mod_p(int_valued) is None
     assert int_valued.rank() == 2
     assert Matrix(QQ, [[Fraction(1, 2), 1], [1, 2]]).rank() == 1

@@ -10,7 +10,7 @@ from taurank.algebra import build_algebra
 from taurank.artheory import tau
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, load_fixture
-from taurank.linalg import Matrix
+from taurank.linalg import Matrix, _echelon
 from taurank.polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from taurank.presentations import (
     HomSpace,
@@ -297,6 +297,75 @@ def test_combine_complexes_rank_adds(alg_a):
     assert both.p0 == ProjDecomp((0, 0, 2))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME)], ids=["Q", "Fp"])
+def test_block_sum_ranks_match_a_fresh_elimination(all_fixture_algebras, field):
+    """Levels 2 and 3 of every {0,1,2}^n pair of every fixture: the rank
+    each vertex matrix of a block sum memoizes equals its elimination.
+    Coefficients in [-1, 1] give blocks of every rank."""
+    for name, alg in all_fixture_algebras.items():
+        vecs = list(itertools.product(range(3), repeat=alg.quiver.n))
+        for k, (m1, m0) in enumerate(itertools.product(vecs, vecs)):
+            hs = realize_pair(alg, ProjDecomp(m1), ProjDecomp(m0), field)
+            one = complex_from_coeffs(alg, ProjDecomp(m1), ProjDecomp(m0),
+                                      hs.sample_coeffs(SeedStream(k), 1), field, hom=hs)
+            two = combine_complexes(one, one)
+            three = combine_complexes(two, one)
+            for cx in (two, three):
+                for m in cx.map.maps.values():
+                    assert m._rank == len(_echelon(m)[1]), (name, m1, m0)
+
+
+def test_block_sum_rank_checks_every_cell(alg_a):
+    fa = f_lambda(alg_a, (1, 0, 0))
+    fb = f_lambda(alg_a, (0, 1, 2))
+    both = combine_complexes(fa, fb)
+    v = 1  # two 3 x 3 blocks of rank 2
+    a, b, m = fa.map.maps[v], fb.map.maps[v], both.map.maps[v]
+    rows_a, rows_b = list(range(a.nrows)), list(range(a.nrows, m.nrows))
+    cols_a, cols_b = list(range(a.ncols)), list(range(a.ncols, m.ncols))
+    assert m.shape() == (a.nrows + b.nrows, a.ncols + b.ncols)
+
+    def memo(rows, blocks):
+        fresh = Matrix(m.field, rows, m.ncols)
+        fresh.rank_from_blocks(blocks)
+        return fresh._rank
+
+    assert memo(m.rows, [(a, rows_a, cols_a), (b, rows_b, cols_b)]) == a.rank() + b.rank()
+    bad = [
+        # a and b have the same shape and rank, so only the cells tell
+        [(b, rows_a, cols_a), (a, rows_b, cols_b)],
+        [(a, rows_b, cols_b), (b, rows_a, cols_a)],
+        [(a, rows_a[::-1], cols_a), (b, rows_b, cols_b)],
+        [(a, rows_a, cols_a), (b, rows_b, cols_b[1:] + cols_b[:1])],
+        [(a, rows_a, cols_a), (b, rows_a, cols_b)],  # rows used twice
+        [(a, rows_a, cols_a)],  # b left out
+    ]
+    assert a.rank() == b.rank()
+    for blocks in bad:
+        with pytest.raises(AssertionError):
+            memo(m.rows, blocks)
+    for i, j in ((0, 0), (0, m.ncols - 1), (m.nrows - 1, 0)):
+        perturbed = [list(r) for r in m.rows]
+        perturbed[i][j] += 1
+        with pytest.raises(AssertionError):
+            memo(perturbed, [(a, rows_a, cols_a), (b, rows_b, cols_b)])
+
+
+def test_combine_complexes_rejects_a_perturbed_sum(monkeypatch, alg_a):
+    fa = f_lambda(alg_a, (1, 0, 0))
+    fb = f_lambda(alg_a, (0, 1, 2))
+    build = HomSpace.morphism_from_coeffs
+
+    def perturbed(hs, coeffs):
+        fmor = build(hs, coeffs)
+        fmor.maps[1].rows[0][-1] += 1  # a cell between the two blocks
+        return fmor
+
+    monkeypatch.setattr(HomSpace, "morphism_from_coeffs", perturbed)
+    with pytest.raises(AssertionError, match="block sum"):
+        combine_complexes(fa, fb)
+
+
 def test_hom_space_dim_matches_intertwiner_solver(alg_a, alg_b):
     for alg, p1m, p0m in [
         (alg_a, (0, 1, 0), (0, 0, 1)),
@@ -424,7 +493,7 @@ def test_realizations_keep_their_field_and_repeat(alg_a, alg_k):
         rq, rp = ProjRealization(alg, mults, QQ), ProjRealization(alg, mults, fp)
         assert rq.rep.field.name == "Q" and rp.rep.field.name == "F_101"
         for a in alg.quiver.arrows:
-            assert all(type(x) is Fraction for row in rq.rep.arrows[a.name].rows for x in row)
+            assert all(type(x) is int for row in rq.rep.arrows[a.name].rows for x in row)
             assert all(type(x) is int for row in rp.rep.arrows[a.name].rows for x in row)
         for field, first in ((QQ, rq), (PrimeField(101), rp)):
             again = ProjRealization(alg, mults, field)
