@@ -26,6 +26,7 @@ from .reps import (
     hom_dim,
     injective,
     injective_envelope,
+    injective_envelope_mults,
     is_faithful,
     is_sincere,
     iso_test,

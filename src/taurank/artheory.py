@@ -31,7 +31,8 @@ from .reps import (
     dual_rep,
     ext1_dim,
     hom_dim,
-    injective_envelope,
+    injective,
+    injective_envelope_mults,
     kernel,
     module_analysis,
     proj_dim,
@@ -172,13 +173,18 @@ def stable_hom_dim_inj(n: Representation, x: Representation) -> int:
     left exact, so 0 -> N -> E -> C -> 0 (C the cokernel of the mono)
     gives 0 -> Hom(C, X) -> Hom(E, X) -> Hom(N, X), and the maps that
     factor through E, the image of the last arrow, number
-    dim Hom(E, X) - dim Hom(C, X)."""
+    dim Hom(E, X) - dim Hom(C, X).  Hom(-, X) is additive, so with
+    E = sum of k_j copies of I(j), dim Hom(E, X) is the sum of
+    k_j dim Hom(I(j), X): one small system per indecomposable injective
+    instead of one for all of E."""
     base = hom_dim(n, x)
     if base == 0:
         return 0
-    env, mono = injective_envelope(n)
+    _, mono, mults = injective_envelope_mults(n)
     c, _ = cokernel(mono)
-    return base - hom_dim(env, x) + hom_dim(c, x)
+    hom_env = sum(k * hom_dim(injective(n.algebra, j, n.field), x)
+                  for j, k in enumerate(mults, start=1) if k)
+    return base - hom_env + hom_dim(c, x)
 
 
 @module_analysis
@@ -300,6 +306,26 @@ class ReduceReport:
         }
 
 
+def _reduction(m: Representation, ideal: Ideal):
+    """(I, B = A/I, M over B) for an ideal I of M's algebra A that
+    annihilates M and is not all of A."""
+    algebra = m.algebra
+    if ideal.algebra is not algebra:
+        raise ValueError("ideal defined over a different algebra")
+    if not annihilates(ideal, m):
+        raise ValueError("ideal does not annihilate the module")
+    if ideal.dim == algebra.dim:
+        raise ValueError("the ideal is the whole algebra (the module is zero), "
+                         "so A/I does not exist")
+    quot, _ = algebra.quotient(ideal)
+    return ideal, quot, Representation(quot, m.field, m.dims, m.arrows)
+
+
+def _annihilator_reduction(m: Representation):
+    """The reduction of M along its annihilator."""
+    return _reduction(m, annihilator(m.algebra, m))
+
+
 @module_analysis
 def reduce_and_compare(
     algebra,
@@ -312,18 +338,15 @@ def reduce_and_compare(
     """Reduce M to B = A/I (I the annihilator by default) and compare the
     homological invariants on both sides.
 
-    The e and E inequalities e_B <= e_A, E_B <= E_A are asserted."""
+    The e and E inequalities e_B <= e_A, E_B <= E_A are asserted.  The
+    annihilator, B and M over B are computed once per analysis record of
+    M, so a repeated call on M reuses them and their analyses."""
+    if m.algebra is not algebra:
+        raise ValueError("module defined over a different algebra")
     if ideal is None:
-        ideal = annihilator(algebra, m)
-    if ideal.algebra is not algebra:
-        raise ValueError("ideal defined over a different algebra")
-    if not annihilates(ideal, m):
-        raise ValueError("ideal does not annihilate the module")
-    if ideal.dim == algebra.dim:
-        raise ValueError("the ideal is the whole algebra (the module is zero), "
-                         "so A/I does not exist")
-    quot, _ = algebra.quotient(ideal)
-    m_b = Representation(quot, m.field, m.dims, m.arrows)
+        ideal, quot, m_b = scoped(_annihilator_reduction, m)
+    else:
+        ideal, quot, m_b = _reduction(m, ideal)
 
     pd_a = proj_dim(m, cap=cap)
     pd_b = proj_dim(m_b, cap=cap)

@@ -182,12 +182,16 @@ class SeedStream:
 
     `split(i)` derives the i-th child stream; children with distinct
     indices are independent and reproducible.  Randomized operations
-    document which stream index they consume.
+    document which stream index they consume.  The underlying
+    `random.Random` is seeded on the first draw: many streams are only
+    split, or never drawn from at all.
     """
+
+    __slots__ = ("seed", "_bits")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._bits = random.Random(self.seed).getrandbits
+        self._bits = None
 
     def split(self, index: int) -> "SeedStream":
         return SeedStream(_mix(self.seed, index))
@@ -198,10 +202,13 @@ class SeedStream:
         n = hi - lo + 1
         if n <= 0:
             raise ValueError(f"empty range for randint({lo}, {hi})")
+        bits = self._bits
+        if bits is None:
+            bits = self._bits = random.Random(self.seed).getrandbits
         k = n.bit_length()
-        r = self._bits(k)
+        r = bits(k)
         while r >= n:
-            r = self._bits(k)
+            r = bits(k)
         return lo + r
 
     def __repr__(self):

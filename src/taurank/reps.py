@@ -229,8 +229,14 @@ def dual_morphism(f: Morphism):
 
 
 def injective(algebra, i, field=QQ):
-    """I(i) = D of the opposite-algebra projective at i; soc I(i) = S(i)."""
-    return dual_rep(projective(algebra.opposite(), i, field))
+    """I(i) = D of the opposite-algebra projective at i; soc I(i) = S(i).
+    That projective is the realization of e_i over A^op, which is built
+    once per algebra and field."""
+    op = algebra.opposite()
+    if i not in op.idempotent_index:
+        raise ValueError(f"vertex {i} has no injective over this algebra")
+    mults = tuple(int(v == i) for v in op.quiver.vertices)
+    return dual_rep(ProjRealization(op, mults, field).rep)
 
 
 def direct_sum(reps):
@@ -251,6 +257,11 @@ def direct_sum(reps):
 
 def _hom_system(m: Representation, n: Representation):
     """Constraint matrix for intertwiners f: M -> N, unknowns stacked per vertex."""
+    if m.algebra is not n.algebra and m.algebra.quiver is not n.algebra.quiver:
+        raise ValueError("representations over different algebras")
+    if m.field.name != n.field.name:
+        raise ValueError(
+            f"representations over different fields ({m.field.name}, {n.field.name})")
     alg, f = m.algebra, m.field
     q = alg.quiver
     offsets = {}
@@ -284,8 +295,6 @@ def _hom_system(m: Representation, n: Representation):
 
 
 def hom_basis(m: Representation, n: Representation):
-    if m.algebra is not n.algebra and m.algebra.quiver is not n.algebra.quiver:
-        raise ValueError("representations over different algebras")
     sys_m, offsets, nvars = _hom_system(m, n)
     if nvars == 0:
         return []
@@ -345,26 +354,29 @@ def cokernel(f: Morphism):
     """(Coker f, projection target -> coker).
 
     Coordinates of the cokernel are the non-pivot coordinates of the
-    image; the projection subtracts the image's reduced echelon rows."""
+    image; the projection subtracts the image's reduced echelon rows, and
+    its section is the inclusion of those coordinates, so an arrow of the
+    cokernel is the projection applied to the arrow's free columns."""
     n = f.target
     alg, fl = n.algebra, n.field
-    projs, sections = {}, {}
+    projs, frees = {}, {}
     for v in alg.quiver.vertices:
         d = n.vertex_dim(v)
         rref_rows, pivots = f.maps[v].transpose().rref()
-        free = [j for j in range(d) if j not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [j for j in range(d) if j not in pivot_set]
         pm = Matrix.zeros(fl, len(free), d)
-        sec = Matrix.zeros(fl, d, len(free))
         for fi, j in enumerate(free):
             pm.rows[fi][j] = fl.one
             for ri, p in enumerate(pivots):
                 pm.rows[fi][p] = fl.neg(rref_rows.rows[ri][j])
-            sec.rows[j][fi] = fl.one
-        projs[v], sections[v] = pm, sec
+        projs[v], frees[v] = pm, free
     dims = tuple(projs[v].nrows for v in alg.quiver.vertices)
     arrows = {}
     for a in alg.quiver.arrows:
-        arrows[a.name] = projs[a.target] * n.arrows[a.name] * sections[a.source]
+        free = frees[a.source]
+        cols = Matrix(fl, [[row[j] for j in free] for row in n.arrows[a.name].rows], len(free))
+        arrows[a.name] = projs[a.target] * cols
     q = Representation(alg, fl, dims, arrows)
     proj = Morphism(n, q, projs)
     return q, proj
@@ -507,14 +519,19 @@ def projective_cover(m: Representation):
     return ProjCover(tuple(mults), real, epi)
 
 
+def injective_envelope_mults(m: Representation):
+    """(E, mono M -> E, k) via the opposite-algebra projective cover, where
+    E is the sum of k[j - 1] copies of I(j) over the vertices j."""
+    cover = projective_cover(dual_rep(m))
+    # the dual of the epi P -> D M, with D D M = M (DD = id on matrices)
+    env = dual_rep(cover.epi.source)
+    mono = Morphism(m, env, {v: mat.transpose() for v, mat in cover.epi.maps.items()})
+    return env, mono, cover.mults
+
+
 def injective_envelope(m: Representation):
     """(E, mono M -> E) via the opposite-algebra projective cover."""
-    cover = projective_cover(dual_rep(m))
-    mono = dual_morphism(cover.epi)
-    # dual of D M is M itself up to the identification (DD = id on matrices)
-    env = mono.target
-    mono = Morphism(m, env, mono.maps)
-    return env, mono
+    return injective_envelope_mults(m)[:2]
 
 
 def cover_kernel(m: Representation):

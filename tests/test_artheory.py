@@ -35,6 +35,7 @@ from taurank.reps import (
     hom_dim,
     injective,
     injective_envelope,
+    injective_envelope_mults,
     iso_test,
     proj_dim,
     projective,
@@ -172,9 +173,14 @@ def stable_hom_by_composition(n, x):
     return hom_dim(n, x) - factoring
 
 
-def small_modules(alg):
-    """S(i), P(i), I(i) for every vertex i, then every sum of two of them."""
-    singles = [make(alg, i) for i in alg.vertices for make in (simple, projective, injective)]
+FIELDS = {"Q": QQ, "F7": PrimeField(7), "Fp": PrimeField(2**31 - 1)}
+
+
+def small_modules(alg, field=QQ):
+    """S(i), P(i), I(i) for every vertex i, then every sum of two of them
+    (S(i) + S(i) among them)."""
+    singles = [make(alg, i, field) for i in alg.vertices
+               for make in (simple, projective, injective)]
     pairs = [direct_sum([a, b]) for k, a in enumerate(singles) for b in singles[k:]]
     return singles, singles + pairs
 
@@ -182,17 +188,43 @@ def small_modules(alg):
 def test_stable_hom_rank_formula_matches_composition(all_fixture_algebras):
     # translates of dimension 8 to 11 (only ALG-A's) pair with the singles
     # alone: the reference composes every map of a large Hom(E, X)
-    nonzero = 0
+    for field in FIELDS.values():
+        nonzero = 0
+        for alg in all_fixture_algebras.values():
+            singles, mods = small_modules(alg, field)
+            for t in map(tau, singles):
+                if t.is_zero() or t.dim_total > 11:
+                    continue
+                for n in mods if t.dim_total <= 7 else singles:
+                    want = stable_hom_by_composition(n, t)
+                    assert stable_hom_dim_inj(n, t) == want
+                    nonzero += want > 0
+        assert nonzero >= 150, field
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_envelope_hom_is_the_sum_over_its_indecomposable_injectives(
+    all_fixture_algebras, field
+):
+    # Hom(-, X) is additive: dim Hom(E, X) = sum of k_j dim Hom(I(j), X)
+    # for E = sum of k_j copies of I(j); N = S(i) + S(i) and the other
+    # doubled modules have envelopes with a repeated summand
+    repeated = 0
     for alg in all_fixture_algebras.values():
-        singles, mods = small_modules(alg)
-        for t in map(tau, singles):
-            if t.is_zero() or t.dim_total > 11:
-                continue
-            for n in mods if t.dim_total <= 7 else singles:
-                want = stable_hom_by_composition(n, t)
-                assert stable_hom_dim_inj(n, t) == want
-                nonzero += want > 0
-    assert nonzero >= 150
+        singles, _ = small_modules(alg, field)
+        targets = singles + [t for t in map(tau, singles) if not t.is_zero()]
+        for n in singles + [direct_sum([a, a]) for a in singles]:
+            env, mono, mults = injective_envelope_mults(n)
+            env2, mono2 = injective_envelope(n)
+            assert env == env2 and mono.maps == mono2.maps
+            parts = [injective(alg, j, field) for j, k in enumerate(mults, 1) for _ in range(k)]
+            assert env == direct_sum(parts)
+            repeated += any(k > 1 for k in mults)
+            for x in targets:
+                want = sum(k * hom_dim(injective(alg, j, field), x)
+                           for j, k in enumerate(mults, 1))
+                assert hom_dim(env, x) == want
+    assert repeated >= 20
 
 
 def test_ar_formula_examples(alg_b):
@@ -359,6 +391,27 @@ def test_scope_is_open_only_during_public_calls(monkeypatch, alg_b0):
         assert calls and all(open_ for _, _, open_ in calls)
         assert reps._analysis.get() is None
     assert reps.projective_cover(m) is not None and not calls[-1][2]
+
+
+def test_repeated_reduction_reuses_its_quotient_and_analyses(monkeypatch, alg_b0):
+    m = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
+    calls = cover_spy(monkeypatch)
+    first = reduce_and_compare(alg_b0, m, trials=2, seed=1)
+    assert calls
+    calls.clear()
+    second = reduce_and_compare(alg_b0, m, trials=2, seed=1)
+    assert calls == []
+    assert second.to_json() == first.to_json()
+    # an explicit ideal builds its own quotient
+    ideal = reps.annihilator(alg_b0, m)
+    assert reduce_and_compare(alg_b0, m, ideal=ideal, trials=2, seed=1).to_json() \
+        == first.to_json()
+    assert calls
+
+
+def test_reduce_rejects_a_module_over_another_algebra(alg_b, alg_b0):
+    with pytest.raises(ValueError, match="different algebra"):
+        reduce_and_compare(alg_b, simple(alg_b0, 1))
 
 
 def test_scope_closes_when_a_call_raises(monkeypatch, alg_b):

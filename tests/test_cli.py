@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -511,3 +514,35 @@ def test_scan_uncertified_violations_exit_11(capsys):
         "t=2: r = 8 (certified)  <-- violates additivity (uncertified)",
         "t=3: r = 12 (certified)  <-- violates additivity (uncertified)",
     ]
+
+
+DETERMINISM_COMMANDS = [
+    ["info", "ALG-B"],
+    ["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--tmax", "3"],
+    ["scan", "ALG-K", "--p1", "1,0", "--p0", "0,1", "--tmax", "3", "--field", "fp:2147483647"],
+    ["check", "ALG-B", "S(2)+S(3)"],
+    ["check", "ALG-B", "S(9)"],
+    ["tau", "ALG-B", "S(3)"],
+    ["reduce", "ALG-B0", "P(2)+I(2)+S(3)"],
+    ["paper-examples"],
+]
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed():
+    # string hashing is salted per process: set or dict iteration order
+    # leaking into an output would show up as a difference here
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    codes = []
+    for argv in DETERMINISM_COMMANDS:
+        procs = [  # one process per hash seed, the two side by side
+            subprocess.Popen([sys.executable, "-m", "taurank.cli", *argv, "--json"],
+                             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for seed in ("0", "12345")
+        ]
+        (out_a, err_a), (out_b, err_b) = (p.communicate(timeout=120) for p in procs)
+        a, b = procs
+        assert (a.returncode, out_a, err_a) == (b.returncode, out_b, err_b), argv
+        assert out_a or err_a.startswith("error: ")
+        codes.append(a.returncode)
+    assert codes == [0, 10, 0, 0, 3, 0, 0, 0]

@@ -174,6 +174,35 @@ def test_seed_stream_splits_disjoint():
     assert SeedStream(42).split(0).randint(0, 10**9) == draws0[0]
 
 
+def test_seed_stream_draws_are_pinned():
+    # first draws of a few seeds and splits, recorded from an eagerly
+    # seeded stream; a lazy one must give the same
+    pinned = {
+        0: ([3, 4, -8, -1, 7], [1043521778, 869589436],
+            4596746460052610148, [2, 1, 2, -1, 1],
+            7768173107791898048, [0, 1, 1, 0, 0, 1]),
+        42: ([-6, -9, -1, -2, -2], [299655412, 1581559892],
+             11677227171148299057, [-3, -1, -2, -2, -3],
+             183996487033309577, [1, 1, 1, 0, 1, 0]),
+        2**40 + 3: ([-2, -8, 8, -6, 9], [2107543738, 653136402],
+                    14333881533448196419, [1, -2, 2, -2, 2],
+                    16193683682474953815, [0, 1, 0, 0, 0, 0]),
+    }
+    for seed, (small, big, seed3, draws3, seed17, draws17) in pinned.items():
+        r = SeedStream(seed)
+        assert [r.randint(-9, 9) for _ in range(5)] == small
+        assert [r.randint(0, _P - 1) for _ in range(2)] == big
+        c = SeedStream(seed).split(3)
+        assert c.seed == seed3 and [c.randint(-3, 3) for _ in range(5)] == draws3
+        g = SeedStream(seed).split(1).split(7)
+        assert g.seed == seed17 and [g.randint(0, 1) for _ in range(6)] == draws17
+    # a stream split before and after drawing gives the same children
+    r = SeedStream(42)
+    before = r.split(5).seed
+    r.randint(0, 9)
+    assert r.split(5).seed == before
+
+
 def test_sample_scalar_contracts():
     assert QQ.sample(SeedStream(1), 0) == 0
     x = QQ.sample(SeedStream(42), 1000)

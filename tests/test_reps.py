@@ -104,6 +104,29 @@ def test_hom_dim_examples(alg_a):
     assert hom_dim(p3, p3) == e3ae3 == 1
 
 
+def test_hom_rejects_modules_over_different_algebras_or_fields(alg_a, alg_k):
+    a1, k1 = projective(alg_a, 1), projective(alg_k, 1)
+    f7 = simple(alg_a, 1, PrimeField(7))
+    for m, n, what in ((a1, k1, "algebras"), (k1, a1, "algebras"),
+                       (simple(alg_a, 1), f7, "fields"), (f7, simple(alg_a, 1), "fields")):
+        for hom in (hom_dim, hom_basis):
+            with pytest.raises(ValueError, match=f"different {what}"):
+                hom(m, n)
+    # one prime is one field, whichever object names it
+    assert hom_dim(f7, simple(alg_a, 1, PrimeField(7))) == 1
+
+
+def test_injective_is_the_dual_of_the_cached_opposite_projective(all_fixture_algebras):
+    for alg in all_fixture_algebras.values():
+        for field in (QQ, PrimeField(7)):
+            for i in alg.vertices:
+                inj = injective(alg, i, field)
+                assert inj == dual_rep(projective(alg.opposite(), i, field))
+                assert inj.algebra is alg and inj.field.name == field.name
+    with pytest.raises(ValueError, match="no injective"):
+        injective(alg, 0)
+
+
 def test_hom_basis_members_intertwine(alg_a):
     p2, p3 = projective(alg_a, 2), projective(alg_a, 3)
     basis = hom_basis(p2, p3)
