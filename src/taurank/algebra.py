@@ -283,9 +283,12 @@ class Algebra:
         # (mults1, mults0) with gcd 1 -> block-cover bound of Hom(P1, P0),
         # for every field; filled by presentations.cover_upper_bound
         self.cover_bounds = {}
-        # ((mults1, mults0, field name), items, cells, generator cells,
-        # vertex shapes, cell count) of the last HomSpace built; one entry,
-        # filled by presentations.HomSpace
+        # (i, j) -> template of Hom(P(i), P(j)), for every field; filled by
+        # presentations.HomSpace
+        self.hom_templates = {}
+        # ((mults1, mults0, field name), items, generator cells, vertex
+        # shapes, cell count, runs, [gather plan]) of the last HomSpace
+        # built; one entry, filled by presentations.HomSpace
         self.hom_tables = None
 
     # -- construction helpers -----------------------------------------

@@ -7,6 +7,9 @@ one, converts ints and fractions into it (`from_int`, `from_fraction`),
 samples and serializes its scalars.  Over Q each of these gives an `int`
 for an integral value, so a matrix built from them with integral cells
 holds ints only, which the modular rank shortcut of `linalg` needs.
+`sample(rng, bound, count)` draws `count` scalars in one call, through
+`SeedStream.randints`, with the same stream as `count` calls of
+`SeedStream.randint`; a Hom space draws all its coefficients in one call.
 The linear algebra layer computes on scalars with Python's operators and
 reduces F_p cells once, when it builds a matrix (see `linalg`); the
 per-scalar methods `add`, `sub`, `mul`, `neg`, `div` and `is_zero` return
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice, repeat
 
 
 class RationalField:
@@ -64,11 +68,11 @@ class RationalField:
     def to_json(self, a):
         return int(a) if a.denominator == 1 else str(a)
 
-    def sample(self, rng, bound):
-        """Uniform integer in [-bound, bound], as an `int`."""
+    def sample(self, rng, bound, count):
+        """`count` uniform integers in [-bound, bound], as `int`s."""
         if bound == 0:
-            return 0
-        return rng.randint(-bound, bound)
+            return [0] * count
+        return rng.randints(-bound, bound, count)
 
     def __repr__(self):
         return "QQ"
@@ -149,10 +153,11 @@ class PrimeField:
     def to_json(self, a):
         return int(a)
 
-    def sample(self, rng, bound):
+    def sample(self, rng, bound, count):
+        """`count` uniform elements; `bound` 0 gives zeros, as over Q."""
         if bound == 0:
-            return 0
-        return rng.randint(0, self.p - 1)
+            return [0] * count
+        return rng.randints(0, self.p - 1, count)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -210,6 +215,22 @@ class SeedStream:
         while r >= n:
             r = bits(k)
         return lo + r
+
+    def randints(self, lo: int, hi: int, count: int) -> list:
+        """`count` draws of `randint(lo, hi)` in one pass: the same
+        getrandbits(k) values, each rejected when >= n."""
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randints({lo}, {hi})")
+        if not count:
+            return []  # no draw, so no seeding
+        bits = self._bits
+        if bits is None:
+            bits = self._bits = random.Random(self.seed).getrandbits
+        # islice pulls exactly `count` accepted values, so the stream ends
+        # where `count` randint calls would leave it
+        accepted = filter(n.__gt__, map(bits, repeat(n.bit_length())))
+        return list(map(lo.__add__, islice(accepted, count)))
 
     def __repr__(self):
         return f"SeedStream({self.seed})"

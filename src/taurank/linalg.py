@@ -3,9 +3,11 @@
 Cells are plain Python numbers in row-major lists: over Q an `int` or a
 `Fraction` (the two mix freely; the reduced echelon form gives an `int`
 where a cell is integral), over F_p an `int` in [0, p).  The
-arithmetic uses Python's operators on them, and `Matrix.__init__` is the
-one place that reduces F_p cells, so every matrix is built from its
-finished cells.  Two engines eliminate:
+arithmetic uses Python's operators on them, and `Matrix.__init__`
+reduces F_p cells, so every matrix is built from its finished cells.  The
+one matrix source that reduces its own is the Hom-space assembly
+(`presentations.HomSpace.morphism_from_coeffs`), which hands its reduced
+rows to `Matrix.adopt`.  Two engines eliminate:
 
 - `_packed_rank` eliminates mod the Mersenne prime p = 2**31 - 1 on
   packed rows.  It gives the rank over F_p for this p, and it is the
@@ -64,7 +66,8 @@ from operator import itemgetter
 class Matrix:
     """A dense nrows x ncols matrix over `field`, as row lists.
 
-    The constructor copies the rows and reduces F_p cells into [0, p).  A
+    The constructor copies the rows and reduces F_p cells into [0, p)
+    (`adopt` takes rows that are fresh and finished already).  A
     cell written in place into a matrix already built must therefore be
     reduced already (a field element from `field`, or a cell of another
     matrix over it), and it must be written before any `rank` or
@@ -90,6 +93,15 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def adopt(field, rows, ncols):
+        """The matrix with these row lists, taken as they are: unlike the
+        constructor it neither copies them nor reduces F_p cells, so the
+        caller hands over fresh lists of finished cells."""
+        m = Matrix.__new__(Matrix)
+        m.field, m.rows, m.nrows, m.ncols, m._rank = field, rows, len(rows), ncols, None
+        return m
 
     @staticmethod
     def zeros(field, nrows, ncols):
@@ -118,6 +130,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
+            and self.field.name == other.field.name
             and self.nrows == other.nrows
             and self.ncols == other.ncols
             and self.rows == other.rows

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 from .fields import QQ, SeedStream
 from .linalg import Matrix
@@ -76,12 +77,27 @@ class HomSpace:
     summand s0 = (j, _), i.e. right multiplication by x into summand s0.
     Both realizations use the one layout of `ProjRealization`, and the
     cells number the entries of all vertex blocks row-major, one block
-    after the other.  Per item the tables hold the (cell, c) entries it
-    adds, c an int when integral and reduced when not over F_p, and the
-    cell of its generator's image, which holds its coefficient.  They are
-    built from one template per (source type, target type), whose cells
-    each summand pair shifts by offsets0[s0][v]·ncols_v + offsets1[s1][v]
-    in block v.
+    after the other.  An item adds c times its coefficient to each of its
+    cells, and its coefficient itself is the cell of its generator's
+    image.  One template per (source type, target type), kept on the
+    algebra (`_hom_template`), places the items of one copy of P(i) into
+    one copy of P(j); the copies of one type are consecutive summands, and
+    each further copy of P(i) moves the cells len(paths(i, v)) columns on
+    in block v, each further copy of P(j) len(paths(j, v)) rows.  The
+    tables hold the items, their generator cells and one run per type
+    pair with items: where the items of the first copies start, the first
+    summands, the copies of P(i) and of P(j), how many places later the
+    items of each further copy of P(i) start, and the template.
+
+    `morphism_from_coeffs` assembles by a gather plan, built from the runs
+    on the first call for a table and kept with it, so a space that is
+    only read by `coeffs_of_morphism` never builds one.  Per cell the plan
+    holds the item whose coefficient lands there, or the padding index
+    dim when none does, and its c; a cell that takes more than one item
+    keeps its first there and the others in a correction list.  A
+    morphism is then one index gather, one product per cell when some c
+    is not 1, and over F_p one reduction: of the coefficients when every
+    cell is one of them, else of the cells.
     """
 
     def __init__(self, r1: ProjRealization, r0: ProjRealization):
@@ -101,53 +117,112 @@ class HomSpace:
                 shapes.append((v, ncells, nrows, ncols))
                 first[v] = (ncells, ncols)
                 ncells += nrows * ncols
-            # target summands by type; summands are ordered by type, so
-            # walking the groups in order keeps the items in order
-            by_type = {}
-            for s0, (j, _) in enumerate(r0.summands):
-                by_type.setdefault(j, []).append(s0)
-            templates = {
-                (i, j): _hom_template(alg, f, first, i, j)
-                for i in {i for i, _ in r1.summands} for j in by_type
-            }
-            items, cells, gen_cells = [], [], []
-            for s1, (i, _) in enumerate(r1.summands):
-                off1 = r1.offsets[s1]
-                for j, group in by_type.items():
-                    verts, per_x = templates[i, j]
-                    if not per_x:
+            # target type j -> (its first summand, its copies)
+            types0 = {j: (s0, r0.mults[j - 1]) for s0, (j, c0) in enumerate(r0.summands) if not c0}
+            offsets0 = r0.offsets
+            items, gen_cells, runs = [], [], []
+            for s1, (i, c1) in enumerate(r1.summands):
+                if not c1:
+                    # the items of copy c1 of P(i) start c1 * stride places later
+                    stride = sum(m * len(alg.paths(j, i)) for j, (_, m) in types0.items())
+                at, ncols = first[i]
+                for j, (s0, m0) in types0.items():
+                    template = xs, gen_col, _, _, _ = _hom_template(alg, i, j)
+                    if not xs:
                         continue
-                    for s0 in group:
-                        # block v of summand pair (s1, s0) starts off0[v] rows
-                        # and off1[v] columns in
-                        off0 = r0.offsets[s0]
-                        shift = [off0[v] * ncols + off1[v] for v, ncols in verts]
-                        for x, gen_cell, rel in per_x:
-                            items.append((s1, s0, x))
-                            cells.append([(shift[k] + cell, c) for k, cell, c in rel])
-                            gen_cells.append(shift[0] + gen_cell)
-            tables = alg.hom_tables = (key, items, cells, gen_cells, shapes, ncells)
-        _, self.items, self._cells, self._gen_cells, self._shapes, self._ncells = tables
+                    if not c1:
+                        runs.append((len(items), s1, s0, r1.mults[i - 1], m0, stride, template))
+                    items += [(s1, s, x) for s in range(s0, s0 + m0) for x in xs]
+                    # the coefficient of item (s1, s, xs[px]) is the cell at row
+                    # offsets0[s][i] + px, column offsets1[s1][i] + gen_col of block i
+                    base = at + r1.offsets[s1][i] + gen_col
+                    gen_cells += [
+                        base + (offsets0[s][i] + px) * ncols
+                        for s in range(s0, s0 + m0) for px in range(len(xs))
+                    ]
+            # the last slot holds the gather plan once it is built
+            tables = alg.hom_tables = (key, items, gen_cells, shapes, ncells, runs, [None])
+        _, self.items, self._gen_cells, self._shapes, self._ncells, self._runs, \
+            self._plan = tables
         self.dim = len(self.items)
 
-    def morphism_from_coeffs(self, coeffs):
-        f = self.field
-        rational = f.characteristic == 0
-        acc = [0] * self._ncells
-        for coeff, entries in zip(coeffs, self._cells):
-            if not coeff:
-                continue
-            # integral coefficients are accumulated as ints
-            if rational and coeff.denominator == 1:
-                coeff = coeff.numerator
-            for cell, c in entries:
-                acc[cell] += coeff * c
-        # Matrix reduces F_p cells; over Q the int or Fraction cells are
-        # field elements already
-        maps = {}
+    def _gather_plan(self):
+        """(gather, multipliers or None when every c is 1, corrections,
+        row slicer, per vertex (v, first row, end row, ncols)).  Both
+        getters take two padding places more, so they return a tuple even
+        for zero or one cell or row; the extra values are never read."""
+        dim, ncells, f = self.dim, self._ncells, self.field
+        first = {v: (at, ncols) for v, at, _, ncols in self._shapes}
+        src, mults, extra = [dim] * ncells, None, []
+        for start, s1, s0, m1, m0, stride, (xs, _, entries, dups, unit) in self._runs:
+            nx = len(xs)
+            off1, off0 = self.r1.offsets[s1], self.r0.offsets[s0]
+            if not unit and mults is None:
+                mults = [1] * ncells
+            for group in (entries, dups):
+                for v, r, col, px, c, wj, wi in group:
+                    # the cell for copies (0, 0) of P(i) and P(j); each
+                    # further copy of P(j) moves it wj rows, of P(i) wi columns
+                    at, ncols = first[v]
+                    at += (off0[v] + r) * ncols + off1[v] + col
+                    rstep = wj * ncols
+                    if type(c) is not int:
+                        c = f.from_fraction(c)
+                    if group is dups:
+                        extra += [
+                            (at + c1 * wi + c0 * rstep, start + c1 * stride + c0 * nx + px, c)
+                            for c1 in range(m1) for c0 in range(m0)
+                        ]
+                        continue
+                    # per copy of P(i), the copies of P(j) put the cells and
+                    # their items on two arithmetic progressions
+                    for c1 in range(m1):
+                        a, item = at + c1 * wi, start + c1 * stride + px
+                        src[a : a + m0 * rstep : rstep] = range(item, item + m0 * nx, nx)
+                        if not unit:
+                            mults[a : a + m0 * rstep : rstep] = [c] * m0
+        row_slices, spans = [], []
         for v, at, nrows, ncols in self._shapes:
-            rows = [acc[at + r * ncols : at + (r + 1) * ncols] for r in range(nrows)]
-            maps[v] = Matrix(f, rows, ncols)
+            spans.append((v, len(row_slices), len(row_slices) + nrows, ncols))
+            row_slices += [slice(at + r * ncols, at + (r + 1) * ncols) for r in range(nrows)]
+        pad = slice(0, 0)
+        return (
+            itemgetter(*src, dim, dim),
+            mults,
+            extra,
+            itemgetter(*row_slices, pad, pad),
+            spans,
+        )
+
+    def morphism_from_coeffs(self, coeffs):
+        """The morphism Σ coeffs[k] · item k; raises ValueError unless
+        there is one coefficient per item.  Over Q a cell is an `int`
+        unless a non-integral coefficient or c makes it a `Fraction`;
+        over F_p the cells are reduced here, once."""
+        if len(coeffs) != self.dim:
+            raise ValueError(f"{len(coeffs)} coefficients for a Hom space of dimension {self.dim}")
+        plan = self._plan[0]
+        if plan is None:
+            plan = self._plan[0] = self._gather_plan()
+        gather, mults, extra, row_getter, spans = plan
+        f = self.field
+        p = f.characteristic
+        coeffs = [*coeffs, 0]  # index dim is the padding zero
+        if not p and set(map(type, coeffs)) != {int}:
+            # integral coefficients are gathered as ints
+            coeffs = [c if type(c) is int else f.from_fraction(c) for c in coeffs]
+        elif p and mults is None and not extra:
+            # every cell is one coefficient, so reducing those reduces the cells
+            coeffs = [c % p for c in coeffs]
+            p = 0
+        cells = gather(coeffs)
+        cells = list(map(mul, cells, mults)) if mults else list(cells)
+        for cell, item, c in extra:
+            cells[cell] += coeffs[item] * c
+        if p:
+            cells = [x % p for x in cells]
+        rows = row_getter(cells)
+        maps = {v: Matrix.adopt(f, list(rows[a:b]), ncols) for v, a, b, ncols in spans}
         return Morphism(self.r1.rep, self.r0.rep, maps)
 
     def coeffs_of_morphism(self, fmor: Morphism):
@@ -157,7 +232,7 @@ class HomSpace:
         return [flat[cell] for cell in self._gen_cells]
 
     def sample_coeffs(self, rng: SeedStream, bound=COEFF_BOUND):
-        return [self.field.sample(rng, bound) for _ in self.items]
+        return self.field.sample(rng, bound, self.dim)
 
     def generic_vertex_matrices(self):
         """Per-vertex PolyMatrix of the generic morphism, one variable per item."""
@@ -180,26 +255,31 @@ class HomSpace:
         return out
 
 
-def _hom_template(alg, f, first, i, j):
-    """The items of Hom(P(i), P(j)) inside a HomSpace whose vertex block v
-    starts at cell first[v][0] and has first[v][1] columns, for the
-    summands at offset 0: (verts, per_x).  verts lists (v, columns of
-    block v) for vertex i first, then for the vertices the items touch;
-    per path x in paths(j, i), per_x holds (x, its generator's cell,
-    [(k, cell, c)]), k indexing verts and c as `HomSpace` keeps it."""
-    at, ncols_i = first[i]
-    gen_col = alg.paths(i, i).index(alg.idempotent_index[i])
-    slot, per_x = {i: 0}, []  # slot: vertex -> its index in verts
-    for px, x in enumerate(alg.paths(j, i)):
-        rel = []
-        for v, triples in alg.right_mult_blocks(i, x).items():
-            k = slot.setdefault(v, len(slot))
-            base, ncols = first[v]
-            rel += [(k, base + r * ncols + col, c) for r, col, c in triples]
-        if f.characteristic:
-            rel = [(k, cell, c if type(c) is int else f.from_fraction(c)) for k, cell, c in rel]
-        per_x.append((x, at + px * ncols_i + gen_col, rel))
-    return [(v, first[v][1]) for v in slot], per_x
+def _hom_template(alg, i, j):
+    """Hom(P(i), P(j)) between one copy of each, in the coordinates of
+    the vertex blocks of P(i) and P(j): (xs, gen_col, entries, dups,
+    unit), kept in `Algebra.hom_templates`.  Item px sends e_i to the path
+    xs[px] of paths(j, i), which sits at row px, column gen_col of block i.
+    An entry (v, r, col, px, c, wj, wi) says that item px adds c times its
+    coefficient at row r, column col of block v, whose rows and columns
+    number wj = len(paths(j, v)) and wi = len(paths(i, v)); c is an int
+    when integral, else a Fraction.  entries hold the first entry at each
+    place, dups the further ones in item order, and unit says whether
+    every c in entries is 1."""
+    template = alg.hom_templates.get((i, j))
+    if template is None:
+        xs = alg.paths(j, i)
+        entries, dups, seen = [], [], set()
+        for px, x in enumerate(xs):
+            for v, triples in alg.right_mult_blocks(i, x).items():
+                w = (len(alg.paths(j, v)), len(alg.paths(i, v)))
+                for r, col, c in triples:
+                    (dups if (v, r, col) in seen else entries).append((v, r, col, px, c, *w))
+                    seen.add((v, r, col))
+        gen_col = alg.paths(i, i).index(alg.idempotent_index[i])
+        unit = all(e[4] == 1 for e in entries)
+        template = alg.hom_templates[i, j] = (xs, gen_col, entries, dups, unit)
+    return template
 
 
 def cover_upper_bound(hs: HomSpace):

@@ -54,6 +54,7 @@ class Representation:
         return (
             isinstance(other, Representation)
             and other.algebra is self.algebra
+            and other.field.name == self.field.name
             and other.dims == self.dims
             and all(other.arrows[a] == self.arrows[a] for a in self.arrows)
         )

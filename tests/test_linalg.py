@@ -204,13 +204,33 @@ def test_seed_stream_draws_are_pinned():
 
 
 def test_sample_scalar_contracts():
-    assert QQ.sample(SeedStream(1), 0) == 0
-    x = QQ.sample(SeedStream(42), 1000)
-    assert x == QQ.sample(SeedStream(42), 1000)
-    assert -1000 <= x <= 1000
+    assert QQ.sample(SeedStream(1), 0, 3) == [0, 0, 0]
+    x = QQ.sample(SeedStream(42), 1000, 5)
+    assert x == QQ.sample(SeedStream(42), 1000, 5)
+    assert all(type(c) is int and -1000 <= c <= 1000 for c in x)
     f = PrimeField(101)
-    y = f.sample(SeedStream(3), 1000)
-    assert 0 <= y < 101
+    y = f.sample(SeedStream(3), 1000, 5)
+    assert all(0 <= c < 101 for c in y)
+    assert QQ.sample(SeedStream(3), 1000, 0) == f.sample(SeedStream(3), 1000, 0) == []
+
+
+@pytest.mark.parametrize("field, bound, lo, hi", [
+    (QQ, 0, 0, 0),
+    (QQ, 9, -9, 9),
+    (QQ, 1000, -1000, 1000),
+    (PrimeField(7), 1000, 0, 6),
+    (PrimeField(_P), 1000, 0, _P - 1),
+])
+def test_batched_sample_matches_the_per_coefficient_loop(field, bound, lo, hi):
+    """One `sample` call of count draws gives what count calls of
+    `SeedStream.randint` gave one coefficient at a time (none at bound 0),
+    and leaves the stream where they left it."""
+    for seed in range(25):
+        for count in (0, 1, 2, 7, 40):
+            batched, loop = SeedStream(seed).split(count), SeedStream(seed).split(count)
+            want = [loop.randint(lo, hi) if bound else 0 for _ in range(count)]
+            assert field.sample(batched, bound, count) == want
+            assert batched.randint(0, 10**6) == loop.randint(0, 10**6)
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -672,6 +692,13 @@ def test_prime_field_matrices_store_reduced_cells():
         m = Matrix(f, [[f.p, -1]])
         assert m.rows == [[0, f.p - 1]]
         assert m == Matrix(f, [[0, f.p - 1]])
+
+
+def test_matrix_equality_compares_the_field():
+    assert Matrix(QQ, [[1]]) != Matrix(PrimeField(7), [[1]])
+    assert Matrix(PrimeField(7), [[1]]) != Matrix(PrimeField(11), [[1]])
+    assert Matrix(PrimeField(7), [[8]]) == Matrix(PrimeField(7), [[1]])
+    assert Matrix(QQ, [[2]]) == Matrix(QQ, [[Fraction(4, 2)]])
 
 
 def test_prime_field_rank_skips_the_modular_shortcut(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -203,7 +204,8 @@ def test_shared_hom_tables_survive_a_scan(alg_b0):
     assert tables[0] == ((3, 0, 3), (0, 6, 3), "Q")
     alg_b0.hom_tables = None
     realize_pair(alg_b0, p1.scale(3), p0.scale(3))
-    assert alg_b0.hom_tables == tables
+    # all but the gather plan, which the scan built and the rebuild has not
+    assert alg_b0.hom_tables[:-1] == tables[:-1]
 
 
 def test_direct_sum_complex(alg_a):
@@ -605,21 +607,99 @@ def per_item_tables(r1, r0):
     return items, cells, gen_cells, shapes, ncells
 
 
-def test_templated_hom_tables_match_a_per_item_build(all_fixture_algebras):
+def scatter_from_per_item_tables(hs, coeffs):
+    """Per vertex, the rows of Σ coeffs[k] · item k, added up cell by cell
+    from `per_item_tables`: integral coefficients as ints over Q, the sums
+    reduced over F_p."""
+    _, cells, _, shapes, ncells = per_item_tables(hs.r1, hs.r0)
+    p = hs.field.characteristic
+    acc = [0] * ncells
+    for coeff, entries in zip(coeffs, cells):
+        if not p and coeff.denominator == 1:
+            coeff = coeff.numerator
+        for cell, c in entries:
+            acc[cell] += coeff * c
+    if p:
+        acc = [x % p for x in acc]
+    return {v: [acc[at + r * ncols : at + (r + 1) * ncols] for r in range(nrows)]
+            for v, at, nrows, ncols in shapes}
+
+
+def coefficient_lists(field, dim, seed):
+    """Coefficient lists that reach every branch of the assembly: over Q
+    ints, integral Fractions and non-integral Fractions; over F_p ints
+    that are negative or at least p."""
+    rng = SeedStream(seed)
+    ints = [rng.randint(-60, 60) for _ in range(dim)]
+    if not field.characteristic:
+        return [ints, [Fraction(c) for c in ints],
+                [Fraction(c, 1 + k % 3) for k, c in enumerate(ints)]]
+    p = field.characteristic
+    return [ints, [c + p * rng.randint(-2, 3) for c in ints]]
+
+
+def assert_assembly_matches_the_scatter(hs, coeffs):
+    fmor = hs.morphism_from_coeffs(coeffs)
+    want = scatter_from_per_item_tables(hs, coeffs)
+    for v, rows in want.items():
+        got = fmor.maps[v]
+        assert got.rows == rows and got.field is hs.field
+        # cell types too: Q keeps integral cells ints
+        assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in rows]
+
+
+def test_hom_assembly_matches_a_per_item_scatter(all_fixture_algebras):
     for alg in all_fixture_algebras.values():
-        for field in (QQ, PrimeField(DEFAULT_PRIME)):
-            for m1, m0 in handful_of_pairs(alg.quiver.n):
+        for field in (QQ, PrimeField(7), PrimeField(DEFAULT_PRIME)):
+            for n, (m1, m0) in enumerate(handful_of_pairs(alg.quiver.n)):
                 for t in (1, 2):
                     r1 = ProjRealization(alg, ProjDecomp(m1).scale(t).mults, field)
                     r0 = ProjRealization(alg, ProjDecomp(m0).scale(t).mults, field)
                     alg.hom_tables = None
                     hs = HomSpace(r1, r0)
-                    want = per_item_tables(r1, r0)
-                    assert (hs.items, hs._cells, hs._gen_cells, hs._shapes, hs._ncells) == want
-                    # c keeps its type too: an int, or a Fraction over Q
-                    assert [[type(c) for _, c in e] for e in hs._cells] == [
-                        [type(c) for _, c in e] for e in want[1]
-                    ]
+                    assert hs.items == per_item_tables(r1, r0)[0]
+                    for coeffs in coefficient_lists(field, hs.dim, 10 * n + t):
+                        assert_assembly_matches_the_scatter(hs, coeffs)
+
+
+THREE_TERM = """\
+# q*y is the basis path q*x plus the basis path w*z
+vertices: 1 2 3 4
+arrow z: 1 -> 4
+arrow w: 4 -> 3
+arrow q: 2 -> 3
+arrow x: 1 -> 2
+arrow y: 1 -> 2
+relations:
+q*y - q*x - w*z
+"""
+
+
+def test_hom_assembly_adds_the_entries_a_cell_shares():
+    alg = build_algebra(*parse_quiver_file(THREE_TERM))
+    for field in (QQ, PrimeField(7), PrimeField(DEFAULT_PRIME)):
+        for m1, m0 in (((0, 1, 0, 0), (1, 0, 0, 0)), ((0, 2, 0, 0), (2, 0, 0, 0)),
+                       ((1, 1, 1, 1), (1, 1, 1, 1)), ((0, 2, 1, 0), (2, 1, 0, 1))):
+            hs = realize_pair(alg, ProjDecomp(m1), ProjDecomp(m0), field)
+            cells = per_item_tables(hs.r1, hs.r0)[1]
+            # right multiplication by x and by y both reach the cell of q*x
+            shared = Counter(cell for entries in cells for cell, _ in entries)
+            assert max(shared.values()) == 2
+            for coeffs in coefficient_lists(field, hs.dim, 5):
+                assert_assembly_matches_the_scatter(hs, coeffs)
+                assert_assembly_matches_poly(hs, coeffs)
+
+
+def test_morphism_assembly_rejects_a_coefficient_list_of_the_wrong_length(alg_k):
+    p = ProjDecomp((1, 1))
+    hs = realize_pair(alg_k, p, p)
+    assert hs.dim == 4
+    for coeffs in ([5], [1] * 7, []):
+        with pytest.raises(ValueError, match="coefficients"):
+            hs.morphism_from_coeffs(coeffs)
+        with pytest.raises(ValueError, match="coefficients"):
+            complex_from_coeffs(alg_k, p, p, coeffs)
+    assert complex_from_coeffs(alg_k, p, p, [5, 0, 0, 0]).coeffs == [5, 0, 0, 0]
 
 
 @pytest.mark.parametrize("fixture, m1, m0, field", [

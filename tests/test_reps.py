@@ -116,6 +116,14 @@ def test_hom_rejects_modules_over_different_algebras_or_fields(alg_a, alg_k):
     assert hom_dim(f7, simple(alg_a, 1, PrimeField(7))) == 1
 
 
+def test_module_equality_compares_the_field(alg_k):
+    assert simple(alg_k, 1) != simple(alg_k, 1, PrimeField(7))
+    assert simple(alg_k, 1, PrimeField(7)) != simple(alg_k, 1, PrimeField(11))
+    # one prime is one field, whichever object names it
+    assert simple(alg_k, 1, PrimeField(7)) == simple(alg_k, 1, PrimeField(7))
+    assert projective(alg_k, 2) == projective(alg_k, 2, QQ)
+
+
 def test_injective_is_the_dual_of_the_cached_opposite_projective(all_fixture_algebras):
     for alg in all_fixture_algebras.values():
         for field in (QQ, PrimeField(7)):
