@@ -15,7 +15,6 @@ from .reps import (
     Representation,
     act_element,
     act_word,
-    analysis_scope,
     annihilator,
     check_relations,
     cokernel,

@@ -34,7 +34,6 @@ from .reps import (
     injective,
     injective_envelope_mults,
     kernel,
-    module_analysis,
     proj_dim,
     scoped,
     zero_rep,
@@ -68,8 +67,8 @@ def tau(m: Representation) -> Representation:
 
 
 def tau_minus(m: Representation) -> Representation:
-    """Inverse translate, computed as D tau_op(D M)."""
-    dm = dual_rep(m)
+    """Inverse translate, computed as D tau_op(D M); D M joins M's record."""
+    dm = scoped(dual_rep, m)
     t = tau(dm)
     if t.is_zero():
         return zero_rep(m.algebra, m.field)
@@ -187,7 +186,6 @@ def stable_hom_dim_inj(n: Representation, x: Representation) -> int:
     return base - hom_env + hom_dim(c, x)
 
 
-@module_analysis
 def ar_formula_check(m: Representation, n: Representation) -> bool:
     """Ext^1(M, N) and the stable Hom(N, tau M) have equal dimensions."""
     t = scoped(tau, m)
@@ -227,7 +225,6 @@ class HierarchyReport:
         }
 
 
-@module_analysis
 def hierarchy_report(
     m: Representation,
     trials: int = 8,
@@ -326,7 +323,6 @@ def _annihilator_reduction(m: Representation):
     return _reduction(m, annihilator(m.algebra, m))
 
 
-@module_analysis
 def reduce_and_compare(
     algebra,
     m: Representation,
@@ -340,7 +336,9 @@ def reduce_and_compare(
 
     The e and E inequalities e_B <= e_A, E_B <= E_A are asserted.  The
     annihilator, B and M over B are computed once per analysis record of
-    M, so a repeated call on M reuses them and their analyses."""
+    M, so a repeated call on M reuses them and their analyses.  Every
+    A-side invariant comes before the B-side ones: with an explicit ideal,
+    M over B starts a record of its own, and the calls switch records once."""
     if m.algebra is not algebra:
         raise ValueError("module defined over a different algebra")
     if ideal is None:
@@ -349,15 +347,15 @@ def reduce_and_compare(
         ideal, quot, m_b = _reduction(m, ideal)
 
     pd_a = proj_dim(m, cap=cap)
-    pd_b = proj_dim(m_b, cap=cap)
     e_a = ext1_dim(m, m)
-    e_b = ext1_dim(m_b, m_b)
     big_e_a = e_invariant(m)
+    va = is_tau_regular(m, trials=trials, seed=seed)
+    pd_b = proj_dim(m_b, cap=cap)
+    e_b = ext1_dim(m_b, m_b)
     big_e_b = e_invariant(m_b)
+    vb = is_tau_regular(m_b, trials=trials, seed=seed)
     if e_b > e_a or big_e_b > big_e_a:
         raise AssertionError("reduction increased e or E; this must not happen")
-    va = is_tau_regular(m, trials=trials, seed=seed)
-    vb = is_tau_regular(m_b, trials=trials, seed=seed)
     return ReduceReport(
         ideal_dim=ideal.dim,
         quotient_dim=quot.dim,

@@ -9,10 +9,7 @@ lets every operation here run unchanged over B.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import itertools
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,10 +237,21 @@ def injective(algebra, i, field=QQ):
     return dual_rep(ProjRealization(op, mults, field).rep)
 
 
+def _check_same_base(m: Representation, n: Representation):
+    """ValueError unless M and N share a quiver and a field."""
+    if m.algebra is not n.algebra and m.algebra.quiver is not n.algebra.quiver:
+        raise ValueError("representations over different algebras")
+    if m.field.name != n.field.name:
+        raise ValueError(
+            f"representations over different fields ({m.field.name}, {n.field.name})")
+
+
 def direct_sum(reps):
     reps = list(reps)
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
+    for r in reps[1:]:
+        _check_same_base(reps[0], r)
     alg, f = reps[0].algebra, reps[0].field
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(alg.quiver.n))
     arrows = {
@@ -258,11 +266,7 @@ def direct_sum(reps):
 
 def _hom_system(m: Representation, n: Representation):
     """Constraint matrix for intertwiners f: M -> N, unknowns stacked per vertex."""
-    if m.algebra is not n.algebra and m.algebra.quiver is not n.algebra.quiver:
-        raise ValueError("representations over different algebras")
-    if m.field.name != n.field.name:
-        raise ValueError(
-            f"representations over different fields ({m.field.name}, {n.field.name})")
+    _check_same_base(m, n)
     alg, f = m.algebra, m.field
     q = alg.quiver
     offsets = {}
@@ -545,67 +549,35 @@ def syzygy(m: Representation):
     return scoped(cover_kernel, m)[1]
 
 
-# -- call-scoped analysis ------------------------------------------------------
+# -- the analysis record -------------------------------------------------------
 
-# `scoped` fills the open record, {(function, id(obj)): (obj, value)}, or
-# computes afresh when none is open (None).  A top-level `module_analysis`
-# call keeps its record in `_kept` as (module, record) when it returns, and
-# the next top-level call on the same module object starts from it; a call
-# on another module starts afresh and a call that raises keeps nothing.
-# Both are context variables, so each thread has its own, and at most one
-# record is kept: memory stays bounded by one module's analysis.
-_analysis = ContextVar("taurank_analysis", default=None)
-_kept = ContextVar("taurank_kept_analysis", default=None)
-
-
-@contextmanager
-def analysis_scope():
-    """Open a record for `scoped` (a nested scope reuses the open one); it
-    is dropped on return or raise.  Usable as a decorator."""
-    record = _analysis.get()
-    token = _analysis.set({} if record is None else record)
-    try:
-        yield
-    finally:
-        _analysis.reset(token)
-
-
-def module_analysis(fn):
-    """Decorator for an analysis of the module passed as `fn`'s parameter
-    `m`: inside an open scope the call shares it; otherwise it runs in the
-    kept record when that record is its module's, or in a fresh one, which
-    it keeps."""
-    pos = list(inspect.signature(fn).parameters).index("m")
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        if _analysis.get() is not None:
-            return fn(*args, **kwargs)
-        m = args[pos] if pos < len(args) else kwargs.get("m")
-        kept = _kept.get()
-        record = kept[1] if kept is not None and kept[0] is m else {}
-        _kept.set(None)  # until the call returns
-        token = _analysis.set(record)
-        try:
-            result = fn(*args, **kwargs)
-        finally:
-            _analysis.reset(token)
-        _kept.set((m, record))
-        return result
-
-    return call
+# The record of the module analysed last, (members, values): members maps
+# id -> module for that module and every module derived from it, and values
+# maps (function, id(module)) -> value.  Holding the members keeps their
+# ids from being reused.  A context variable, so each thread has its own,
+# and at most one record is kept: memory stays bounded by one analysis.
+_record = ContextVar("taurank_analysis_record", default=None)
 
 
 def scoped(fn, obj):
-    """fn(obj), computed once per open analysis scope (every time when
-    none is open).  The entry keeps obj alive, so its id is not reused."""
-    record = _analysis.get()
-    if record is None:
-        return fn(obj)
+    """fn(obj), computed once while obj's analysis is the kept record.
+
+    A module outside the record starts a new record rooted at it.  Every
+    module in the value (or in its top-level tuple), such as the kernel of
+    a cover or tau M, joins the record."""
+    record = _record.get()
+    if record is None or id(obj) not in record[0]:
+        record = ({id(obj): obj}, {})
+        _record.set(record)
+    members, values = record
     key = (fn, id(obj))
-    if key not in record:
-        record[key] = (obj, fn(obj))
-    return record[key][1]
+    if key not in values:
+        value = fn(obj)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, Representation):
+                members[id(x)] = x
+        values[key] = value
+    return values[key]
 
 
 # -- invariants ----------------------------------------------------------------

@@ -359,18 +359,18 @@ def test_verdict_json_keys(alg_b):
         assert key in data
 
 
-# -- the call-scoped analysis -------------------------------------------------
+# -- the analysis record -----------------------------------------------------
 
 
 def cover_spy(monkeypatch):
     """Patch projective_cover where the scoped callers look it up; returns
-    the (module, cover, scope open) triples of every call."""
+    the (module, cover) pairs of every call."""
     calls = []
     original = reps.projective_cover
 
     def spy(m):
         cover = original(m)
-        calls.append((m, cover, reps._analysis.get() is not None))
+        calls.append((m, cover))
         return cover
 
     monkeypatch.setattr(reps, "projective_cover", spy)
@@ -378,19 +378,36 @@ def cover_spy(monkeypatch):
     return calls
 
 
-def test_scope_is_open_only_during_public_calls(monkeypatch, alg_b0):
+def members():
+    """The modules of this thread's analysis record, its root first."""
+    record = reps._record.get()
+    return [] if record is None else list(record[0].values())
+
+
+def test_consecutive_analyses_build_no_second_cover(monkeypatch, alg_b0):
     m = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
+    hierarchy_report(m, trials=2, seed=1)
     calls = cover_spy(monkeypatch)
-    for run in (
-        lambda: hierarchy_report(m, trials=2, seed=1),
-        lambda: ar_formula_check(m, simple(alg_b0, 1)),
-        lambda: reduce_and_compare(alg_b0, m, trials=2, seed=1),
-    ):
-        calls.clear()
-        run()
-        assert calls and all(open_ for _, _, open_ in calls)
-        assert reps._analysis.get() is None
-    assert reps.projective_cover(m) is not None and not calls[-1][2]
+    got = tau(m), ext1_dim(m, m), is_tau_regular(m, trials=2, seed=1).to_json()
+    assert calls == []
+    # the same values from a fresh record, which covers m and its syzygy
+    reps._record.set(None)
+    want = tau(m), ext1_dim(m, m), is_tau_regular(m, trials=2, seed=1).to_json()
+    assert got == want and len(calls) == 2
+    calls.clear()
+    ar_formula_check(m, simple(alg_b0, 1))
+    reduce_and_compare(alg_b0, m, trials=2, seed=1)
+    assert calls and not [arg for arg, _ in calls if arg is m]
+
+
+def test_record_keeps_only_the_last_module(alg_b0):
+    kept = [simple(alg_b0, 1), simple(alg_b0, 2), simple(alg_b0, 3),
+            projective(alg_b0, 3), injective(alg_b0, 1)]
+    for m in kept:
+        hierarchy_report(m, trials=2, seed=1)
+    held = members()
+    assert held[0] is kept[-1]
+    assert not [m for m in kept[:-1] if any(x is m for x in held)]
 
 
 def test_repeated_reduction_reuses_its_quotient_and_analyses(monkeypatch, alg_b0):
@@ -409,72 +426,54 @@ def test_repeated_reduction_reuses_its_quotient_and_analyses(monkeypatch, alg_b0
     assert calls
 
 
+def test_an_explicit_ideal_switches_records_once(monkeypatch, alg_c):
+    m = direct_sum([simple(alg_c, 1), simple(alg_c, 2)])
+    ideal = Ideal.from_generators(alg_c, [alg_c.arrow_element("a")])
+    calls = cover_spy(monkeypatch)
+    reduce_and_compare(alg_c, m, ideal=ideal, trials=2, seed=1)
+    # M and its syzygy over A, then M over B and its syzygy
+    assert [arg.algebra is alg_c for arg, _ in calls] == [True, True, False, False]
+    assert calls[0][0] is m and members()[0] is calls[2][0]
+
+
 def test_reduce_rejects_a_module_over_another_algebra(alg_b, alg_b0):
     with pytest.raises(ValueError, match="different algebra"):
         reduce_and_compare(alg_b, simple(alg_b0, 1))
-
-
-def test_scope_closes_when_a_call_raises(monkeypatch, alg_b):
-    m = direct_sum([projective(alg_b, 2)])
-    ideal = Ideal.from_generators(alg_b, [alg_b.arrow_element("a")])
-    with pytest.raises(ValueError, match="annihilate"):
-        reduce_and_compare(alg_b, m, ideal=ideal)
-    assert reps._analysis.get() is None
-
-    def boom(*args):
-        assert reps._analysis.get() is not None
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(artheory, "ext1_dim", boom)
-    s2 = simple(alg_b, 2)
-    for run in (lambda: hierarchy_report(s2, trials=2), lambda: ar_formula_check(s2, s2)):
-        with pytest.raises(RuntimeError, match="boom"):
-            run()
-        assert reps._analysis.get() is None
 
 
 def test_each_call_covers_its_module_once_and_afresh(monkeypatch, alg_a):
     m = cok_f(alg_a, (1, 0, 0))
     calls = cover_spy(monkeypatch)
     hierarchy_report(m, trials=2, seed=1)
-    first = [cover for arg, cover, _ in calls if arg is m]
-    # the next call on the same module starts from the kept record ...
+    first = [cover for arg, cover in calls if arg is m]
+    # the next analysis of the same module starts from its record, and
+    # D M for tau^- joins it ...
     calls.clear()
+    tau_minus(m)
     hierarchy_report(m, trials=2, seed=1)
-    assert not [arg for arg, _, _ in calls if arg is m]
-    # ... and a call on another module in between drops it
+    ar_formula_check(m, m)
+    assert not [arg for arg, _ in calls if arg is m]
+    # ... and an analysis of another module in between drops it
     hierarchy_report(cok_f(alg_a, (0, 1, 0)), trials=2, seed=1)
     calls.clear()
     hierarchy_report(m, trials=2, seed=1)
-    second = [cover for arg, cover, _ in calls if arg is m]
+    second = [cover for arg, cover in calls if arg is m]
     assert len(first) == len(second) == 1
     assert first[0] is not second[0]
     assert first[0].epi.maps == second[0].epi.maps
-    # calls nested in an open scope share its record
-    calls.clear()
-    with reps.analysis_scope():
-        hierarchy_report(m, trials=2, seed=1)
-        ar_formula_check(m, m)
-        assert any(obj is m for obj, _ in reps._analysis.get().values())
-    assert [arg for arg, _, _ in calls].count(m) == 1
-    assert reps._analysis.get() is None
 
 
 def reached_from(root, record):
-    """Whether every module keyed in an analysis record is `root` or a module
-    inside the value of an entry whose module is reached."""
-    reached, entries = {id(root)}, list(record.values())
-    grew = True
-    while grew:
-        grew = False
-        for obj, value in entries:
-            if id(obj) not in reached:
-                continue
-            for x in value if isinstance(value, tuple) else (value,):
-                if isinstance(x, reps.Representation) and id(x) not in reached:
-                    reached.add(id(x))
-                    grew = True
-    return all(id(obj) in reached for obj, _ in entries)
+    """Whether `root` is the record's first member and every other member is
+    a module inside the value of an entry whose module is a member."""
+    members, values = record
+    found = {id(root)}
+    for (_, key), value in values.items():
+        assert key in members
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, reps.Representation):
+                found.add(id(x))
+    return next(iter(members.values())) is root and set(members) == found
 
 
 @settings(max_examples=30, deadline=None)
@@ -497,38 +496,34 @@ def test_kept_record_changes_no_result(fixture, field, seed):
 
     # ar_formula_check starts from hierarchy_report's record ...
     kept = analyse(lambda: None)
-    root, record = reps._kept.get()
-    assert root is m and reached_from(m, record)
-    assert not any(obj is n for obj, _ in record.values())
+    assert reached_from(m, reps._record.get())
+    assert not any(x is n for x in members())
     # ... or, with another module analysed in between, afresh
     fresh = analyse(lambda: hierarchy_report(other, trials=2, seed=seed))
     assert kept == fresh
     assert type(kept[1]) is bool
-    assert reps._kept.get()[0] is m and reps._analysis.get() is None
+    assert members()[0] is m
     hierarchy_report(other, trials=2, seed=seed)
-    root, record = reps._kept.get()
-    assert root is other and reached_from(other, record)
-    assert not any(obj is m for obj, _ in record.values())
+    assert reached_from(other, reps._record.get())
+    assert not any(x is m for x in members())
 
 
-def test_a_call_that_raises_keeps_nothing(monkeypatch, alg_b):
+def test_a_call_that_raises_leaves_a_correct_record(monkeypatch, alg_b):
     s2, s3 = simple(alg_b, 2), simple(alg_b, 3)
-    calls = cover_spy(monkeypatch)
+    want = hierarchy_report(s2, trials=2).to_json(), ar_formula_check(s2, s3)
+    reps._record.set(None)
 
     def boom(*args):
         raise RuntimeError("boom")
 
-    for m in (s2, s3):  # the kept module, then another
-        hierarchy_report(s2, trials=2)
-        assert reps._kept.get()[0] is s2
-        with monkeypatch.context() as patch:
-            patch.setattr(artheory, "ext1_dim", boom)
-            with pytest.raises(RuntimeError, match="boom"):
-                ar_formula_check(m, s2)
-        assert reps._kept.get() is None and reps._analysis.get() is None
-    calls.clear()
-    ar_formula_check(s2, s3)
-    assert [arg for arg, _, _ in calls].count(s2) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(artheory, "ext1_dim", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            hierarchy_report(s2, trials=2)
+    # the presentation made before the raise is kept and reused
+    calls = cover_spy(monkeypatch)
+    assert (hierarchy_report(s2, trials=2).to_json(), ar_formula_check(s2, s3)) == want
+    assert not [arg for arg, _ in calls if arg is s2]
 
 
 def test_kept_record_is_per_thread(alg_b):
@@ -537,15 +532,16 @@ def test_kept_record_is_per_thread(alg_b):
     seen = []
 
     def other_thread():
+        seen.append(reps._record.get())
         hierarchy_report(s3, trials=2)
-        seen.append(reps._kept.get()[0])
+        seen.append(members()[0])
 
     worker = threading.Thread(target=other_thread)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert seen == [s3]
-    assert reps._kept.get()[0] is s2
+    assert seen[0] is None and seen[1] is s3
+    assert members()[0] is s2
 
 
 @settings(max_examples=30, deadline=None)
@@ -553,10 +549,15 @@ def test_kept_record_is_per_thread(alg_b):
 def test_hierarchy_report_matches_unscoped_calls(fixture, seed):
     m = random_module(load_fixture(fixture), SeedStream(seed), max_total_dim=7)
     rep = hierarchy_report(m, trials=2, seed=seed)
-    assert reps._analysis.get() is None
-    t = tau(m)
-    assert rep.E_value == e_invariant(m) == (0 if t.is_zero() else hom_dim(m, t))
-    assert rep.e_value == ext1_dim(m, m)
-    assert rep.pd == proj_dim(m)
-    assert rep.verdict.to_json() == is_tau_regular(m, trials=2, seed=seed).to_json()
+
+    def fresh(fn, *args, **kwargs):
+        """fn on a record of its own, none of hierarchy_report's values."""
+        reps._record.set(None)
+        return fn(*args, **kwargs)
+
+    t = fresh(tau, m)
+    assert rep.E_value == fresh(e_invariant, m) == (0 if t.is_zero() else hom_dim(m, t))
+    assert rep.e_value == fresh(ext1_dim, m, m)
+    assert rep.pd == fresh(proj_dim, m)
+    assert rep.verdict.to_json() == fresh(is_tau_regular, m, trials=2, seed=seed).to_json()
     assert rep.projective == t.is_zero()

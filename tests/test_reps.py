@@ -95,6 +95,16 @@ def test_direct_sum_dims(alg_a, alg_b):
     assert direct_sum([m, zero_rep(alg_b)]).dims == m.dims
 
 
+def test_direct_sum_rejects_summands_over_another_base(alg_a, alg_b):
+    with pytest.raises(ValueError, match="different algebras"):
+        direct_sum([simple(alg_a, 1), simple(alg_b, 1)])
+    with pytest.raises(ValueError, match=r"different fields \(Q, F_7\)"):
+        direct_sum([simple(alg_a, 1), simple(alg_a, 2, PrimeField(7))])
+    # a quotient shares its parent's quiver, as in Hom
+    quot, _ = alg_b.quotient(Ideal.from_generators(alg_b, [alg_b.arrow_element("a")]))
+    assert direct_sum([simple(alg_b, 1), simple(quot, 2)]).dims == (1, 1, 0)
+
+
 def test_hom_dim_examples(alg_a):
     p2, p3 = projective(alg_a, 2), projective(alg_a, 3)
     assert hom_dim(p2, p3) == 3
