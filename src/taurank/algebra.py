@@ -286,9 +286,8 @@ class Algebra:
         # (i, j) -> template of Hom(P(i), P(j)), for every field; filled by
         # presentations.HomSpace
         self.hom_templates = {}
-        # ((mults1, mults0, field name), items, generator cells, vertex
-        # shapes, cell count, runs, [gather plan]) of the last HomSpace
-        # built; one entry, filled by presentations.HomSpace
+        # the tables of the last Hom space built, keyed by (mults1, mults0,
+        # field name); one entry, owned by presentations.HomSpace
         self.hom_tables = None
 
     # -- construction helpers -----------------------------------------

@@ -202,23 +202,13 @@ class SeedStream:
         return SeedStream(_mix(self.seed, index))
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform int in [lo, hi]; the same draws as `random.Random.randint`
-        (which rejects getrandbits(k) values >= n, k = n.bit_length())."""
-        n = hi - lo + 1
-        if n <= 0:
-            raise ValueError(f"empty range for randint({lo}, {hi})")
-        bits = self._bits
-        if bits is None:
-            bits = self._bits = random.Random(self.seed).getrandbits
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return lo + r
+        """Uniform int in [lo, hi]; one draw of `randints`."""
+        return self.randints(lo, hi, 1)[0]
 
     def randints(self, lo: int, hi: int, count: int) -> list:
-        """`count` draws of `randint(lo, hi)` in one pass: the same
-        getrandbits(k) values, each rejected when >= n."""
+        """`count` uniform ints in [lo, hi]; the same draws as `count`
+        calls of `random.Random.randint`, which rejects getrandbits(k)
+        values >= n, k = n.bit_length()."""
         n = hi - lo + 1
         if n <= 0:
             raise ValueError(f"empty range for randints({lo}, {hi})")
@@ -228,7 +218,7 @@ class SeedStream:
         if bits is None:
             bits = self._bits = random.Random(self.seed).getrandbits
         # islice pulls exactly `count` accepted values, so the stream ends
-        # where `count` randint calls would leave it
+        # where `count` single draws would leave it
         accepted = filter(n.__gt__, map(bits, repeat(n.bit_length())))
         return list(map(lo.__add__, islice(accepted, count)))
 

@@ -7,7 +7,8 @@ arithmetic uses Python's operators on them, and `Matrix.__init__`
 reduces F_p cells, so every matrix is built from its finished cells.  The
 one matrix source that reduces its own is the Hom-space assembly
 (`presentations.HomSpace.morphism_from_coeffs`), which hands its reduced
-rows to `Matrix.adopt`.  Two engines eliminate:
+rows to `Matrix.adopt`; `Matrix.block_sum` adopts the cells of its
+blocks.  Two engines eliminate:
 
 - `_packed_rank` eliminates mod the Mersenne prime p = 2**31 - 1 on
   packed rows.  It gives the rank over F_p for this p, and it is the
@@ -34,10 +35,10 @@ writes.  Three exact certificates stand in for eliminations:
   rank, the most nonzero cells with no two in one line, which bounds the
   rank over Q from above as well (Edmonds 1967).  Equality certifies the
   rank over Q; otherwise the exact elimination runs.
-- Block sums.  `Matrix.rank_from_blocks` checks cell for cell that a
-  matrix is a block-diagonal sum up to a row and a column permutation and
-  memoizes the sum of the blocks' ranks; the block sums that
-  `presentations.combine_complexes` builds are ranked so.
+- Block sums.  `Matrix.block_sum` places blocks at rows and columns that
+  cover every line once, so the sum is block-diagonal up to a row and a
+  column permutation, and memoizes the sum of the blocks' ranks; the
+  block sums that `presentations.combine_complexes` builds are ranked so.
 
 A packed row is one int with a 64-bit slot per column; cells enter,
 over either field, reduced mod p.  As 2**31 = 1 (mod p),
@@ -60,7 +61,6 @@ from array import array
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
 
 
 class Matrix:
@@ -70,11 +70,11 @@ class Matrix:
     (`adopt` takes rows that are fresh and finished already).  A
     cell written in place into a matrix already built must therefore be
     reduced already (a field element from `field`, or a cell of another
-    matrix over it), and it must be written before any `rank` or
-    `rank_from_blocks` call, because both memoize the rank on the matrix.  The code that
-    writes cells in place (`identity` and `block_diag` here; `projective`,
-    `cokernel`, `projective_cover` and `conjugate` in `reps`) fills a
-    matrix it has just made.
+    matrix over it), and it must be written before any `rank` call,
+    because `rank` memoizes the rank on the matrix (as `block_sum` does on
+    the sum it builds).  The code that writes cells in place (`identity`
+    and `block_diag` here; `projective`, `cokernel`, `projective_cover`
+    and `conjugate` in `reps`) fills a matrix it has just made.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
@@ -239,47 +239,43 @@ class Matrix:
             c0 += m.ncols
         return out
 
+    @staticmethod
+    def block_sum(field, blocks, nrows, ncols):
+        """The nrows x ncols block-diagonal sum of `blocks` up to a row and a
+        column permutation, with its rank memoized as the sum of theirs.
+
+        `blocks` lists (block, rows, cols): cell (i, j) of the block goes to
+        cell (rows[i], cols[j]), and every other cell is zero.  The blocks'
+        rows must together be every row once and their columns every column
+        once (AssertionError if not).  A block's rank is read from its memo,
+        or computed into it."""
+        z = field.zero
+        out = [[z] * ncols for _ in range(nrows)]
+        all_rows, all_cols, total = [], [], 0
+        for blk, rows, cols in blocks:
+            if (len(rows), len(cols)) != blk.shape():
+                raise AssertionError("block positions do not match the block's shape")
+            for i, row in zip(rows, blk.rows):
+                cells = out[i]
+                for j, x in zip(cols, row):
+                    cells[j] = x
+            all_rows += rows
+            all_cols += cols
+            if blk._rank is None:
+                blk._rank = blk._compute_rank()
+            total += blk._rank
+        if sorted(all_rows) != list(range(nrows)) or sorted(all_cols) != list(range(ncols)):
+            raise AssertionError("the blocks do not cover every row and column once")
+        m = Matrix.adopt(field, out, ncols)
+        m._rank = total
+        return m
+
     # -- elimination-based operations ------------------------------------
 
     def rank(self):
         if self._rank is None:
             self._rank = self._compute_rank()
         return self._rank
-
-    def rank_from_blocks(self, blocks):
-        """Memoize the rank of this matrix as the sum of its blocks' ranks.
-
-        `blocks` lists (block, rows, cols): cell (i, j) of the block sits at
-        cell (rows[i], cols[j]) here.  The blocks' rows must together be
-        every row once, their columns every column once, and every other
-        cell zero; this is checked cell for cell (AssertionError if not), so
-        the matrix is the block-diagonal sum up to a row and a column
-        permutation and its rank is the sum.  A block's rank is read from
-        its memo, or computed into it."""
-        all_rows, all_cols, nonzero, total = [], [], 0, 0
-        for blk, rows, cols in blocks:
-            if (len(rows), len(cols)) != blk.shape():
-                raise AssertionError("block positions do not match the block's shape")
-            if cols:
-                pick = itemgetter(*cols, cols[0])  # a tuple, even for one column
-                for i, row in zip(rows, blk.rows):
-                    if pick(self.rows[i])[:-1] != tuple(row):
-                        raise AssertionError("matrix is not the block sum of its blocks")
-                nonzero += _nonzero_cells(blk.rows)
-            all_rows += rows
-            all_cols += cols
-            if blk._rank is None:
-                blk._rank = blk._compute_rank()
-            total += blk._rank
-        # the blocks' places cover every cell once and hold all the nonzero
-        # ones, so every other cell is zero
-        if (
-            sorted(all_rows) != list(range(self.nrows))
-            or sorted(all_cols) != list(range(self.ncols))
-            or _nonzero_cells(self.rows) != nonzero
-        ):
-            raise AssertionError("matrix is not the block sum of its blocks")
-        self._rank = total
 
     def _compute_rank(self):
         p = self.field.characteristic
@@ -356,10 +352,6 @@ class Matrix:
 
 
 # -- elimination engines -------------------------------------------------
-
-
-def _nonzero_cells(rows):
-    return sum([len(r) - r.count(0) for r in rows])
 
 
 def _int_rows(m: Matrix):

@@ -180,8 +180,7 @@ class PolyMatrix:
         )
 
 
-def poly_rank(pm: PolyMatrix, max_dim: int = ORACLE_MAX_DIM,
-              max_terms: int = ORACLE_MAX_TERMS) -> int:
+def poly_rank(pm: PolyMatrix) -> int:
     """Rank of `pm` over the rational function field Q(x_1..x_m).
 
     Fraction-free Bareiss elimination with exact polynomial pivots; the
@@ -189,9 +188,9 @@ def poly_rank(pm: PolyMatrix, max_dim: int = ORACLE_MAX_DIM,
     Equals the maximal rank of any specialization of the variables over
     an algebraically closed field of characteristic zero.
     """
-    if pm.nrows > max_dim or pm.ncols > max_dim:
+    if pm.nrows > ORACLE_MAX_DIM or pm.ncols > ORACLE_MAX_DIM:
         raise OracleBudgetError(
-            f"matrix {pm.nrows}x{pm.ncols} exceeds oracle size budget {max_dim}"
+            f"matrix {pm.nrows}x{pm.ncols} exceeds oracle size budget {ORACLE_MAX_DIM}"
         )
     m = [row[:] for row in pm.entries]
     rows = list(range(pm.nrows))
@@ -223,13 +222,13 @@ def poly_rank(pm: PolyMatrix, max_dim: int = ORACLE_MAX_DIM,
             lead = m[r_i][cols[rank]]
             for j in range(rank + 1, len(cols)):
                 c_j = cols[j]
-                num = p.mul(m[r_i][c_j], max_terms)
+                num = p.mul(m[r_i][c_j], ORACLE_MAX_TERMS)
                 if not lead.is_zero():
-                    num = num - lead.mul(m[rows[rank]][c_j], max_terms)
+                    num = num - lead.mul(m[rows[rank]][c_j], ORACLE_MAX_TERMS)
                 m[r_i][c_j] = num.exact_div(prev)
-                if m[r_i][c_j].n_terms() > max_terms:
+                if m[r_i][c_j].n_terms() > ORACLE_MAX_TERMS:
                     raise OracleBudgetError(
-                        f"entry exceeded {max_terms} terms during elimination"
+                        f"entry exceeded {ORACLE_MAX_TERMS} terms during elimination"
                     )
             m[r_i][cols[rank]] = Poly(pm.nvars)
         prev = p

@@ -81,23 +81,17 @@ class HomSpace:
     cells, and its coefficient itself is the cell of its generator's
     image.  One template per (source type, target type), kept on the
     algebra (`_hom_template`), places the items of one copy of P(i) into
-    one copy of P(j); the copies of one type are consecutive summands, and
-    each further copy of P(i) moves the cells len(paths(i, v)) columns on
-    in block v, each further copy of P(j) len(paths(j, v)) rows.  The
-    tables hold the items, their generator cells and one run per type
-    pair with items: where the items of the first copies start, the first
-    summands, the copies of P(i) and of P(j), how many places later the
-    items of each further copy of P(i) start, and the template.
+    one copy of P(j); each further copy of P(j) moves the cells
+    len(paths(j, v)) rows on in block v.
 
-    `morphism_from_coeffs` assembles by a gather plan, built from the runs
-    on the first call for a table and kept with it, so a space that is
-    only read by `coeffs_of_morphism` never builds one.  Per cell the plan
-    holds the item whose coefficient lands there, or the padding index
-    dim when none does, and its c; a cell that takes more than one item
-    keeps its first there and the others in a correction list.  A
-    morphism is then one index gather, one product per cell when some c
-    is not 1, and over F_p one reduction: of the coefficients when every
-    cell is one of them, else of the cells.
+    `_hom_tables` builds the items, their generator cells and the gather
+    plan of `morphism_from_coeffs` in one pass.  Per cell the plan holds
+    the item whose coefficient lands there, or the padding index -1 when
+    none does, and its c; a cell that takes more than one item keeps its
+    first there and the others in a correction list.  A morphism is then
+    one index gather, one product per cell when some c is not 1, and over
+    F_p one reduction: of the coefficients when every cell is one of them,
+    else of the cells.
     """
 
     def __init__(self, r1: ProjRealization, r0: ProjRealization):
@@ -111,88 +105,9 @@ class HomSpace:
         key = (r1.mults, r0.mults, f.name)
         tables = alg.hom_tables
         if tables is None or tables[0] != key:
-            shapes, first, ncells = [], {}, 0
-            for v in alg.quiver.vertices:
-                nrows, ncols = r0.rep.vertex_dim(v), r1.rep.vertex_dim(v)
-                shapes.append((v, ncells, nrows, ncols))
-                first[v] = (ncells, ncols)
-                ncells += nrows * ncols
-            # target type j -> (its first summand, its copies)
-            types0 = {j: (s0, r0.mults[j - 1]) for s0, (j, c0) in enumerate(r0.summands) if not c0}
-            offsets0 = r0.offsets
-            items, gen_cells, runs = [], [], []
-            for s1, (i, c1) in enumerate(r1.summands):
-                if not c1:
-                    # the items of copy c1 of P(i) start c1 * stride places later
-                    stride = sum(m * len(alg.paths(j, i)) for j, (_, m) in types0.items())
-                at, ncols = first[i]
-                for j, (s0, m0) in types0.items():
-                    template = xs, gen_col, _, _, _ = _hom_template(alg, i, j)
-                    if not xs:
-                        continue
-                    if not c1:
-                        runs.append((len(items), s1, s0, r1.mults[i - 1], m0, stride, template))
-                    items += [(s1, s, x) for s in range(s0, s0 + m0) for x in xs]
-                    # the coefficient of item (s1, s, xs[px]) is the cell at row
-                    # offsets0[s][i] + px, column offsets1[s1][i] + gen_col of block i
-                    base = at + r1.offsets[s1][i] + gen_col
-                    gen_cells += [
-                        base + (offsets0[s][i] + px) * ncols
-                        for s in range(s0, s0 + m0) for px in range(len(xs))
-                    ]
-            # the last slot holds the gather plan once it is built
-            tables = alg.hom_tables = (key, items, gen_cells, shapes, ncells, runs, [None])
-        _, self.items, self._gen_cells, self._shapes, self._ncells, self._runs, \
-            self._plan = tables
+            tables = alg.hom_tables = (key, *_hom_tables(r1, r0))
+        _, self.items, self._gen_cells, self._plan = tables
         self.dim = len(self.items)
-
-    def _gather_plan(self):
-        """(gather, multipliers or None when every c is 1, corrections,
-        row slicer, per vertex (v, first row, end row, ncols)).  Both
-        getters take two padding places more, so they return a tuple even
-        for zero or one cell or row; the extra values are never read."""
-        dim, ncells, f = self.dim, self._ncells, self.field
-        first = {v: (at, ncols) for v, at, _, ncols in self._shapes}
-        src, mults, extra = [dim] * ncells, None, []
-        for start, s1, s0, m1, m0, stride, (xs, _, entries, dups, unit) in self._runs:
-            nx = len(xs)
-            off1, off0 = self.r1.offsets[s1], self.r0.offsets[s0]
-            if not unit and mults is None:
-                mults = [1] * ncells
-            for group in (entries, dups):
-                for v, r, col, px, c, wj, wi in group:
-                    # the cell for copies (0, 0) of P(i) and P(j); each
-                    # further copy of P(j) moves it wj rows, of P(i) wi columns
-                    at, ncols = first[v]
-                    at += (off0[v] + r) * ncols + off1[v] + col
-                    rstep = wj * ncols
-                    if type(c) is not int:
-                        c = f.from_fraction(c)
-                    if group is dups:
-                        extra += [
-                            (at + c1 * wi + c0 * rstep, start + c1 * stride + c0 * nx + px, c)
-                            for c1 in range(m1) for c0 in range(m0)
-                        ]
-                        continue
-                    # per copy of P(i), the copies of P(j) put the cells and
-                    # their items on two arithmetic progressions
-                    for c1 in range(m1):
-                        a, item = at + c1 * wi, start + c1 * stride + px
-                        src[a : a + m0 * rstep : rstep] = range(item, item + m0 * nx, nx)
-                        if not unit:
-                            mults[a : a + m0 * rstep : rstep] = [c] * m0
-        row_slices, spans = [], []
-        for v, at, nrows, ncols in self._shapes:
-            spans.append((v, len(row_slices), len(row_slices) + nrows, ncols))
-            row_slices += [slice(at + r * ncols, at + (r + 1) * ncols) for r in range(nrows)]
-        pad = slice(0, 0)
-        return (
-            itemgetter(*src, dim, dim),
-            mults,
-            extra,
-            itemgetter(*row_slices, pad, pad),
-            spans,
-        )
 
     def morphism_from_coeffs(self, coeffs):
         """The morphism Σ coeffs[k] · item k; raises ValueError unless
@@ -201,13 +116,10 @@ class HomSpace:
         over F_p the cells are reduced here, once."""
         if len(coeffs) != self.dim:
             raise ValueError(f"{len(coeffs)} coefficients for a Hom space of dimension {self.dim}")
-        plan = self._plan[0]
-        if plan is None:
-            plan = self._plan[0] = self._gather_plan()
-        gather, mults, extra, row_getter, spans = plan
+        gather, mults, extra, row_getter, spans = self._plan
         f = self.field
         p = f.characteristic
-        coeffs = [*coeffs, 0]  # index dim is the padding zero
+        coeffs = [*coeffs, 0]  # index -1 is the padding zero
         if not p and set(map(type, coeffs)) != {int}:
             # integral coefficients are gathered as ints
             coeffs = [c if type(c) is int else f.from_fraction(c) for c in coeffs]
@@ -228,7 +140,7 @@ class HomSpace:
     def coeffs_of_morphism(self, fmor: Morphism):
         """Coordinates of a morphism in this basis, read off the source
         generators (valid for any module morphism between the realizations)."""
-        flat = [c for v, _, _, _ in self._shapes for row in fmor.maps[v].rows for c in row]
+        flat = [c for v in self.algebra.quiver.vertices for row in fmor.maps[v].rows for c in row]
         return [flat[cell] for cell in self._gen_cells]
 
     def sample_coeffs(self, rng: SeedStream, bound=COEFF_BOUND):
@@ -255,26 +167,78 @@ class HomSpace:
         return out
 
 
+def _hom_tables(r1, r0):
+    """(items, generator cells, gather plan) of Hom(r1, r0), as
+    `HomSpace` describes them.  The plan is (gather, multipliers or None
+    when every c is 1, corrections, row slicer, per vertex (v, first row,
+    end row, ncols)); both getters take two padding places more, so they
+    return a tuple even for zero or one cell or row, and the extra values
+    are never read."""
+    alg, f = r1.algebra, r1.field
+    first, row_slices, spans, ncells = {}, [], [], 0
+    for v in alg.quiver.vertices:
+        nrows, ncols = r0.rep.vertex_dim(v), r1.rep.vertex_dim(v)
+        first[v] = (ncells, ncols)
+        spans.append((v, len(row_slices), len(row_slices) + nrows, ncols))
+        row_slices += [slice(ncells + r * ncols, ncells + (r + 1) * ncols) for r in range(nrows)]
+        ncells += nrows * ncols
+    # per target type j: its first summand and its copies
+    types0 = [(j, s0, r0.mults[j - 1]) for s0, (j, c0) in enumerate(r0.summands) if not c0]
+    items, gen_cells, src, mults, extra = [], [], [-1] * ncells, None, []
+    for s1, (i, _) in enumerate(r1.summands):
+        off1 = r1.offsets[s1]
+        for j, s0, m0 in types0:
+            xs, gen_col, entries, dups, unit = _hom_template(alg, i, j)
+            if not xs:
+                continue
+            start, nx, off0 = len(items), len(xs), r0.offsets[s0]
+            items += [(s1, s, x) for s in range(s0, s0 + m0) for x in xs]
+            # the coefficient of item start + k is the cell at row
+            # off0[i] + k, column off1[i] + gen_col of block i
+            at, ncols = first[i]
+            at += off0[i] * ncols + off1[i] + gen_col
+            gen_cells += range(at, at + m0 * nx * ncols, ncols)
+            if not unit and mults is None:
+                mults = [1] * ncells
+            for group in (entries, dups):
+                for v, r, col, px, c, wj in group:
+                    # the cell for the first copy of P(j); each further copy
+                    # moves it wj rows, and its item nx places
+                    at, ncols = first[v]
+                    at += (off0[v] + r) * ncols + off1[v] + col
+                    rstep, item = wj * ncols, start + px
+                    if type(c) is not int:
+                        c = f.from_fraction(c)
+                    if group is dups:
+                        extra += [(at + c0 * rstep, item + c0 * nx, c) for c0 in range(m0)]
+                        continue
+                    src[at : at + m0 * rstep : rstep] = range(item, item + m0 * nx, nx)
+                    if not unit:
+                        mults[at : at + m0 * rstep : rstep] = [c] * m0
+    pad = slice(0, 0)
+    plan = (itemgetter(*src, -1, -1), mults, extra, itemgetter(*row_slices, pad, pad), spans)
+    return items, gen_cells, plan
+
+
 def _hom_template(alg, i, j):
     """Hom(P(i), P(j)) between one copy of each, in the coordinates of
     the vertex blocks of P(i) and P(j): (xs, gen_col, entries, dups,
     unit), kept in `Algebra.hom_templates`.  Item px sends e_i to the path
     xs[px] of paths(j, i), which sits at row px, column gen_col of block i.
-    An entry (v, r, col, px, c, wj, wi) says that item px adds c times its
-    coefficient at row r, column col of block v, whose rows and columns
-    number wj = len(paths(j, v)) and wi = len(paths(i, v)); c is an int
-    when integral, else a Fraction.  entries hold the first entry at each
-    place, dups the further ones in item order, and unit says whether
-    every c in entries is 1."""
+    An entry (v, r, col, px, c, wj) says that item px adds c times its
+    coefficient at row r, column col of block v, whose rows number
+    wj = len(paths(j, v)); c is an int when integral, else a Fraction.
+    entries hold the first entry at each place, dups the further ones in
+    item order, and unit says whether every c in entries is 1."""
     template = alg.hom_templates.get((i, j))
     if template is None:
         xs = alg.paths(j, i)
         entries, dups, seen = [], [], set()
         for px, x in enumerate(xs):
             for v, triples in alg.right_mult_blocks(i, x).items():
-                w = (len(alg.paths(j, v)), len(alg.paths(i, v)))
+                wj = len(alg.paths(j, v))
                 for r, col, c in triples:
-                    (dups if (v, r, col) in seen else entries).append((v, r, col, px, c, *w))
+                    (dups if (v, r, col) in seen else entries).append((v, r, col, px, c, wj))
                     seen.add((v, r, col))
         gen_col = alg.paths(i, i).index(alg.idempotent_index[i])
         unit = all(e[4] == 1 for e in entries)
@@ -448,9 +412,10 @@ def generic_rank(
 
     Trial i draws its coefficients from split i of the master seed; the
     reported witness is the lowest-index trial attaining the maximum,
-    or the best extra sample when that is strictly better.  Certified
-    when the covering dimension bound is attained or when the symbolic
-    oracle ran and agreed."""
+    or the best extra sample when that is strictly better; an extra sample
+    must be a morphism from the realization of P1 to that of P0 over
+    `field` (ValueError if not).  Certified when the covering dimension
+    bound is attained or when the symbolic oracle ran and agreed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hs = realize_pair(algebra, p1, p0, field)
@@ -464,6 +429,9 @@ def generic_rank(
             value, witness_coeffs = rk, coeffs
     best_extra = None
     for f in extra_samples:
+        if (f.source, f.target) != (hs.r1.rep, hs.r0.rep):
+            raise ValueError("an extra sample is not a morphism from the realization of P1 "
+                             "to that of P0")
         rk = f.rank()
         if rk > value:
             value = rk
@@ -515,24 +483,17 @@ def generic_rank(
     )
 
 
-def _summand_positions(summed, side, shift):
-    """Index in the realization `summed` of each summand (i, c) of the
-    realization `side`, whose copies sit shift[i - 1] places up in `summed`."""
-    where = {s: n for n, s in enumerate(summed.summands)}
-    return [where[i, c + shift[i - 1]] for i, c in side.summands]
-
-
-def _block_positions(summed, side, at):
+def _block_positions(summed, side, shift):
     """Per vertex v, the places in vertex block v of the realization
     `summed` of the basis of vertex block v of the realization `side`, in
-    order; summand s of `side` is summand at[s] of `summed`.  The copies of
-    one type sit in one run of consecutive summands there, so each type's
-    basis is one range."""
-    alg, runs, s = summed.algebra, [], 0
-    for i, m in zip(alg.quiver.vertices, side.mults):
+    order, where copy c of P(i) in `side` is copy c + shift[i - 1] in
+    `summed`.  The copies of one type are consecutive summands in both, so
+    each type's basis is one range."""
+    alg, runs, first = summed.algebra, [], 0
+    for i, m, m_summed in zip(alg.quiver.vertices, side.mults, summed.mults):
         if m:
-            runs.append((i, m, summed.offsets[at[s]]))
-            s += m
+            runs.append((i, m, summed.offsets[first + shift[i - 1]]))
+        first += m_summed
     return {
         v: [k for i, m, off in runs for k in range(off[v], off[v] + m * len(alg.paths(i, v)))]
         for v in alg.quiver.vertices
@@ -543,33 +504,39 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     """Block-diagonal sum of two complexes over the summed decompositions,
     expressed in the canonical realization of the sum.
 
-    Each vertex matrix of the sum is that of ca and that of cb up to a row
-    and a column permutation, which `Matrix.rank_from_blocks` checks cell
-    for cell before it memoizes the rank as the sum of theirs."""
+    Each vertex matrix of the sum is placed by `Matrix.block_sum` from
+    that of ca and that of cb, which memoizes the rank as the sum of
+    theirs.  The coefficients are read off the generators, and the
+    morphism they assemble must be the placed one."""
     if ca.algebra is not cb.algebra:
         raise ValueError("complexes over different algebras")
     alg = ca.algebra
     field = ca.hom.field
+    if field.name != cb.hom.field.name:
+        raise ValueError(f"complexes over different fields ({field.name}, {cb.hom.field.name})")
     p1 = ca.p1 + cb.p1
     p0 = ca.p0 + cb.p0
     hs = realize_pair(alg, p1, p0, field)
-    position = {item: n for n, item in enumerate(hs.items)}
-    coeffs = [field.zero] * hs.dim
     no_shift = (0,) * alg.quiver.n
-    places = []
-    for cx, shift1, shift0 in ((ca, no_shift, no_shift), (cb, ca.p1.mults, ca.p0.mults)):
-        at1 = _summand_positions(hs.r1, cx.hom.r1, shift1)
-        at0 = _summand_positions(hs.r0, cx.hom.r0, shift0)
-        for coeff, (s1, s0, x) in zip(cx.coeffs, cx.hom.items):
-            coeffs[position[at1[s1], at0[s0], x]] = coeff
-        places.append(
-            (cx.map.maps, _block_positions(hs.r0, cx.hom.r0, at0),
-             _block_positions(hs.r1, cx.hom.r1, at1))
-        )
-    out = TwoComplex(p1, p0, hs, hs.morphism_from_coeffs(coeffs), coeffs)
+    places = [
+        (cx.map.maps, _block_positions(hs.r0, cx.hom.r0, shift0),
+         _block_positions(hs.r1, cx.hom.r1, shift1))
+        for cx, shift1, shift0 in ((ca, no_shift, no_shift), (cb, ca.p1.mults, ca.p0.mults))
+    ]
     rank_a, rank_b = ca.rank(), cb.rank()
-    for v, m in out.map.maps.items():
-        m.rank_from_blocks([(maps[v], rows[v], cols[v]) for maps, rows, cols in places])
+    source, target = hs.r1.rep, hs.r0.rep
+    maps = {
+        v: Matrix.block_sum(
+            field, [(blocks[v], rows[v], cols[v]) for blocks, rows, cols in places],
+            target.vertex_dim(v), source.vertex_dim(v),
+        )
+        for v in alg.quiver.vertices
+    }
+    fmap = Morphism(source, target, maps)
+    coeffs = hs.coeffs_of_morphism(fmap)
+    if hs.morphism_from_coeffs(coeffs).maps != fmap.maps:
+        raise AssertionError("the block sum is not a morphism of the summed Hom space")
+    out = TwoComplex(p1, p0, hs, fmap, coeffs)
     if out.rank() != rank_a + rank_b:
         raise AssertionError("block-diagonal rank failed to add")
     return out

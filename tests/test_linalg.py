@@ -625,20 +625,37 @@ def test_rational_rank_of_structured_int_matrices_is_exact(shaped):
     assert _rank_certified_mod_p(m) in (None, want)
 
 
-def test_rank_from_blocks_needs_every_line_once():
+def test_block_sum_needs_every_line_once():
     one = Matrix(QQ, [[1]])
-    blocks = [(one, [0], [1]), (Matrix(QQ, [[2, 0]]), [1], [0, 2])]
-    m = Matrix(QQ, [[0, 1, 0], [2, 0, 0]])
-    m.rank_from_blocks(blocks)
-    assert m._rank == 2 == Matrix(QQ, m.rows).rank()
-    # cells and nonzero counts match, but a cell is used twice: rank 1, not 2
+    m = Matrix.block_sum(QQ, [(one, [0], [1]), (Matrix(QQ, [[2, 0]]), [1], [0, 2])], 2, 3)
+    assert m.rows == [[0, 1, 0], [2, 0, 0]]
+    assert m._rank == 2 == len(_echelon(m)[1])
+    # a line used twice: the cells would fit a rank-1 matrix, not rank 2
     for rows, cols in (([0], [0]), ([0], [1])):
         with pytest.raises(AssertionError):
-            Matrix(QQ, [[1, 1]]).rank_from_blocks([(one, [0], [0]), (one, rows, cols)])
+            Matrix.block_sum(QQ, [(one, [0], [0]), (one, rows, cols)], 1, 2)
     with pytest.raises(AssertionError):
-        Matrix(QQ, [[1, 0], [0, 0]]).rank_from_blocks([(one, [0], [0])])  # lines left out
+        Matrix.block_sum(QQ, [(one, [0], [0])], 2, 2)  # lines left out
     with pytest.raises(AssertionError):
-        Matrix(QQ, [[1, 0]]).rank_from_blocks([(one, [0], [0, 1])])  # wrong shape
+        Matrix.block_sum(QQ, [(one, [0], [0, 1])], 1, 2)  # misshaped block
+    # the memo equals elimination, over Q and F_p, blocks of every rank
+    rng = random.Random(5)
+    for field in (QQ, PrimeField(7), PrimeField(_P)):
+        for _ in range(20):
+            blocks, nrows, ncols = [], 0, 0
+            for _ in range(rng.randint(1, 3)):
+                r, c = rng.randint(0, 4), rng.randint(0, 4)
+                cells = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(c)] for _ in range(r)]
+                blocks.append((Matrix.from_int_rows(field, cells, c), r, c))
+                nrows, ncols = nrows + r, ncols + c
+            rows, cols = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+            placed = []
+            for blk, r, c in blocks:
+                placed.append((blk, rows[:r], cols[:c]))
+                rows, cols = rows[r:], cols[c:]
+            m = Matrix.block_sum(field, placed, nrows, ncols)
+            assert m._rank == len(_echelon(m)[1])
+            assert m == Matrix(field, m.rows, ncols)  # cells reduced, shape kept
 
 
 def test_rank_of_dense_int_matrices_with_cells_near_the_prime():

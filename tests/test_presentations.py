@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taurank import presentations
 from taurank.algebra import build_algebra
 from taurank.artheory import tau
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
@@ -63,7 +64,7 @@ def test_poly_rank_two_by_two():
 def test_poly_rank_budget():
     pm = PolyMatrix.zeros(50, 50, 1)
     with pytest.raises(OracleBudgetError):
-        poly_rank(pm, max_dim=40)
+        poly_rank(pm)
 
 
 def test_poly_rank_of_alg_a_intertwiner_family(alg_a):
@@ -317,7 +318,7 @@ def test_block_sum_ranks_match_a_fresh_elimination(all_fixture_algebras, field):
                     assert m._rank == len(_echelon(m)[1]), (name, m1, m0)
 
 
-def test_block_sum_rank_checks_every_cell(alg_a):
+def test_block_sum_rank_checks_every_cell(monkeypatch, alg_a):
     fa = f_lambda(alg_a, (1, 0, 0))
     fb = f_lambda(alg_a, (0, 1, 2))
     both = combine_complexes(fa, fb)
@@ -326,31 +327,36 @@ def test_block_sum_rank_checks_every_cell(alg_a):
     rows_a, rows_b = list(range(a.nrows)), list(range(a.nrows, m.nrows))
     cols_a, cols_b = list(range(a.ncols)), list(range(a.ncols, m.ncols))
     assert m.shape() == (a.nrows + b.nrows, a.ncols + b.ncols)
+    assert m._rank == a.rank() + b.rank()
+    positions = presentations._block_positions
 
-    def memo(rows, blocks):
-        fresh = Matrix(m.field, rows, m.ncols)
-        fresh.rank_from_blocks(blocks)
-        return fresh._rank
+    def placed(rows_fa, cols_fa, rows_fb, cols_fb):
+        """combine_complexes(fa, fb) with the blocks at vertex v placed so."""
+        at = {id(fa.hom.r0): rows_fa, id(fa.hom.r1): cols_fa,
+              id(fb.hom.r0): rows_fb, id(fb.hom.r1): cols_fb}
 
-    assert memo(m.rows, [(a, rows_a, cols_a), (b, rows_b, cols_b)]) == a.rank() + b.rank()
+        def fake(summed, side, shift):
+            out = positions(summed, side, shift)
+            out[v] = at[id(side)]
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(presentations, "_block_positions", fake)
+            return combine_complexes(fa, fb)
+
+    assert placed(rows_a, cols_a, rows_b, cols_b).map.maps[v] == m
     bad = [
         # a and b have the same shape and rank, so only the cells tell
-        [(b, rows_a, cols_a), (a, rows_b, cols_b)],
-        [(a, rows_b, cols_b), (b, rows_a, cols_a)],
-        [(a, rows_a[::-1], cols_a), (b, rows_b, cols_b)],
-        [(a, rows_a, cols_a), (b, rows_b, cols_b[1:] + cols_b[:1])],
-        [(a, rows_a, cols_a), (b, rows_a, cols_b)],  # rows used twice
-        [(a, rows_a, cols_a)],  # b left out
+        (rows_b, cols_b, rows_a, cols_a),  # swapped
+        (rows_a[::-1], cols_a, rows_b, cols_b),  # reversed
+        (rows_a, cols_a, rows_b, cols_b[1:] + cols_b[:1]),  # rotated
     ]
+    for case in bad:
+        with pytest.raises(AssertionError, match="block sum"):
+            placed(*case)
+    with pytest.raises(AssertionError, match="every row and column once"):
+        placed(rows_a, cols_a, rows_a, cols_b)  # rows used twice
     assert a.rank() == b.rank()
-    for blocks in bad:
-        with pytest.raises(AssertionError):
-            memo(m.rows, blocks)
-    for i, j in ((0, 0), (0, m.ncols - 1), (m.nrows - 1, 0)):
-        perturbed = [list(r) for r in m.rows]
-        perturbed[i][j] += 1
-        with pytest.raises(AssertionError):
-            memo(perturbed, [(a, rows_a, cols_a), (b, rows_b, cols_b)])
 
 
 def test_combine_complexes_rejects_a_perturbed_sum(monkeypatch, alg_a):
@@ -366,6 +372,32 @@ def test_combine_complexes_rejects_a_perturbed_sum(monkeypatch, alg_a):
     monkeypatch.setattr(HomSpace, "morphism_from_coeffs", perturbed)
     with pytest.raises(AssertionError, match="block sum"):
         combine_complexes(fa, fb)
+
+
+def test_combine_complexes_rejects_complexes_over_different_fields(alg_a):
+    p1, p0 = ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1))
+    over_q = generic_rank(alg_a, p1, p0).witness
+    over_f7 = generic_rank(alg_a, p1, p0, field=PrimeField(7)).witness
+    with pytest.raises(ValueError, match=r"different fields \(Q, F_7\)"):
+        combine_complexes(over_q, over_f7)
+    with pytest.raises(ValueError, match=r"different fields \(F_7, Q\)"):
+        combine_complexes(over_f7, over_q)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_generic_rank_rejects_a_foreign_extra_sample(alg_a, alg_b, field):
+    """Over F_7 a rank-8 sample of the doubled pair used to give value 8
+    above the bound 4; over Q it tripped the oracle's assertion."""
+    p1, p0 = ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1))
+    doubled = generic_rank(alg_a, p1.scale(2), p0.scale(2), field=field).witness
+    other_field = generic_rank(alg_a, p1, p0, field=PrimeField(11)).witness
+    other_algebra = generic_rank(alg_b, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)),
+                                 field=field).witness
+    for foreign in (doubled, other_field, other_algebra):
+        with pytest.raises(ValueError, match="extra sample"):
+            generic_rank(alg_a, p1, p0, field=field, extra_samples=[foreign.map])
+    own = generic_rank(alg_a, p1, p0, field=field, seed=7).witness
+    assert generic_rank(alg_a, p1, p0, field=field, extra_samples=[own.map]).value == 3
 
 
 def test_hom_space_dim_matches_intertwiner_solver(alg_a, alg_b):
