@@ -446,7 +446,7 @@ class Algebra:
         return Ideal(self, rows, closed=True)
 
     def quotient(self, ideal: "Ideal"):
-        """Quotient algebra A/I plus the vertex projection map.
+        """Quotient algebra A/I.
 
         The quotient keeps the parent quiver; vertices whose idempotent
         lies in I are dropped from the surviving vertex list and every
@@ -479,12 +479,8 @@ class Algebra:
         arrow_elements = {
             a.name: project(self.arrow_element(a.name)) for a in self.quiver.arrows
         }
-        quot = Algebra(self.quiver, basis, products, arrow_elements,
+        return Algebra(self.quiver, basis, products, arrow_elements,
                        relations=self.relations, parent=self, parent_ideal=ideal)
-        vertex_map = {
-            i: i for i in self.vertices if i in quot.idempotent_index
-        }
-        return quot, vertex_map
 
     def root(self):
         return self if self.parent is None else self.parent.root()
@@ -575,6 +571,9 @@ class Ideal:
             and other.algebra is self.algebra
             and other.rows == self.rows
         )
+
+    def __hash__(self):
+        return hash((id(self.algebra), tuple(map(tuple, self.rows))))
 
     def __repr__(self):
         return f"Ideal(dim {self.dim} of {self.algebra!r})"

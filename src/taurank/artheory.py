@@ -314,7 +314,7 @@ def _reduction(m: Representation, ideal: Ideal):
     if ideal.dim == algebra.dim:
         raise ValueError("the ideal is the whole algebra (the module is zero), "
                          "so A/I does not exist")
-    quot, _ = algebra.quotient(ideal)
+    quot = algebra.quotient(ideal)
     return ideal, quot, Representation(quot, m.field, m.dims, m.arrows)
 
 
@@ -335,16 +335,15 @@ def reduce_and_compare(
     homological invariants on both sides.
 
     The e and E inequalities e_B <= e_A, E_B <= E_A are asserted.  The
-    annihilator, B and M over B are computed once per analysis record of
-    M, so a repeated call on M reuses them and their analyses.  Every
-    A-side invariant comes before the B-side ones: with an explicit ideal,
-    M over B starts a record of its own, and the calls switch records once."""
+    ideal (the annihilator, or the given one), B and M over B are computed
+    once per analysis record of M, and M over B joins that record, so a
+    repeated call on M with the same ideal reuses them and their analyses."""
     if m.algebra is not algebra:
         raise ValueError("module defined over a different algebra")
     if ideal is None:
         ideal, quot, m_b = scoped(_annihilator_reduction, m)
     else:
-        ideal, quot, m_b = _reduction(m, ideal)
+        ideal, quot, m_b = scoped(_reduction, m, ideal)
 
     pd_a = proj_dim(m, cap=cap)
     e_a = ext1_dim(m, m)

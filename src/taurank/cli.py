@@ -31,7 +31,7 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .io import ModuleFormatError, load_module_arg
 from .presentations import ProjDecomp, additivity_scan
 from .quiver import QuiverSyntaxError, parse_path_poly, parse_quiver_file
-from .reps import annihilator, ext1_dim, hom_dim, injective, projective
+from .reps import ext1_dim, hom_dim, injective
 from .artheory import tau, tau_minus
 
 EXIT_OK = 0

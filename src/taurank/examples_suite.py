@@ -152,7 +152,7 @@ def run_paper_examples(trials=8, seed=42):
 
     # ALG-C: quotient by (a) is Kronecker-shaped; S(1)+S(2) flips regularity
     ideal_a = Ideal.from_generators(alg_c, [alg_c.arrow_element("a")])
-    quot, _ = alg_c.quotient(ideal_a)
+    quot = alg_c.quotient(ideal_a)
     kron_shape = (
         quot.dim == 4
         and len(quot.vertices) == 2

@@ -4,8 +4,9 @@ Cells are plain Python numbers in row-major lists: over Q an `int` or a
 `Fraction` (the two mix freely; the reduced echelon form gives an `int`
 where a cell is integral), over F_p an `int` in [0, p).  The
 arithmetic uses Python's operators on them, and `Matrix.__init__`
-reduces F_p cells, so every matrix is built from its finished cells.  The
-one matrix source that reduces its own is the Hom-space assembly
+reduces F_p cells, so every matrix is built from its finished cells, and
+no code writes a matrix after it is built.  The one matrix source that
+reduces its own is the Hom-space assembly
 (`presentations.HomSpace.morphism_from_coeffs`), which hands its reduced
 rows to `Matrix.adopt`; `Matrix.block_sum` adopts the cells of its
 blocks.  Two engines eliminate:
@@ -37,8 +38,9 @@ writes.  Three exact certificates stand in for eliminations:
   rank over Q; otherwise the exact elimination runs.
 - Block sums.  `Matrix.block_sum` places blocks at rows and columns that
   cover every line once, so the sum is block-diagonal up to a row and a
-  column permutation, and memoizes the sum of the blocks' ranks; the
-  block sums that `presentations.combine_complexes` builds are ranked so.
+  column permutation; when every block has a rank memo, the sum memoizes
+  their sum.  `presentations.combine_complexes` ranks its blocks first,
+  so the block sums it builds are ranked so.
 
 A packed row is one int with a 64-bit slot per column; cells enter,
 over either field, reduced mod p.  As 2**31 = 1 (mod p),
@@ -67,14 +69,8 @@ class Matrix:
     """A dense nrows x ncols matrix over `field`, as row lists.
 
     The constructor copies the rows and reduces F_p cells into [0, p)
-    (`adopt` takes rows that are fresh and finished already).  A
-    cell written in place into a matrix already built must therefore be
-    reduced already (a field element from `field`, or a cell of another
-    matrix over it), and it must be written before any `rank` call,
-    because `rank` memoizes the rank on the matrix (as `block_sum` does on
-    the sum it builds).  The code that writes cells in place (`identity`
-    and `block_diag` here; `projective`, `cokernel`, `projective_cover`
-    and `conjugate` in `reps`) fills a matrix it has just made.
+    (`adopt` takes rows that are fresh and finished already).  No code
+    writes a matrix after it is built, so the rank memo stays valid.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
@@ -110,15 +106,8 @@ class Matrix:
 
     @staticmethod
     def identity(field, n):
-        m = Matrix.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
-
-    @staticmethod
-    def from_int_rows(field, rows, ncols=None):
-        conv = field.from_int
-        return Matrix(field, [[conv(x) for x in r] for r in rows], ncols)
+        z, one = field.zero, field.one
+        return Matrix(field, [[one if i == j else z for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(field, cols, nrows):
@@ -227,31 +216,19 @@ class Matrix:
         return Matrix(field, rows, c)
 
     @staticmethod
-    def block_diag(field, mats):
-        nr = sum(m.nrows for m in mats)
-        nc = sum(m.ncols for m in mats)
-        out = Matrix.zeros(field, nr, nc)
-        r0 = c0 = 0
-        for m in mats:
-            for i, row in enumerate(m.rows):
-                out.rows[r0 + i][c0 : c0 + m.ncols] = row
-            r0 += m.nrows
-            c0 += m.ncols
-        return out
-
-    @staticmethod
     def block_sum(field, blocks, nrows, ncols):
         """The nrows x ncols block-diagonal sum of `blocks` up to a row and a
-        column permutation, with its rank memoized as the sum of theirs.
+        column permutation.
 
         `blocks` lists (block, rows, cols): cell (i, j) of the block goes to
         cell (rows[i], cols[j]), and every other cell is zero.  The blocks'
         rows must together be every row once and their columns every column
-        once (AssertionError if not).  A block's rank is read from its memo,
-        or computed into it."""
+        once (AssertionError if not).  When every block has a rank memo, the
+        sum memoizes the sum of theirs; otherwise it has none, so a block
+        sum runs no elimination."""
         z = field.zero
         out = [[z] * ncols for _ in range(nrows)]
-        all_rows, all_cols, total = [], [], 0
+        all_rows, all_cols = [], []
         for blk, rows, cols in blocks:
             if (len(rows), len(cols)) != blk.shape():
                 raise AssertionError("block positions do not match the block's shape")
@@ -261,13 +238,12 @@ class Matrix:
                     cells[j] = x
             all_rows += rows
             all_cols += cols
-            if blk._rank is None:
-                blk._rank = blk._compute_rank()
-            total += blk._rank
         if sorted(all_rows) != list(range(nrows)) or sorted(all_cols) != list(range(ncols)):
             raise AssertionError("the blocks do not cover every row and column once")
         m = Matrix.adopt(field, out, ncols)
-        m._rank = total
+        ranks = [blk._rank for blk, _, _ in blocks]
+        if None not in ranks:
+            m._rank = sum(ranks)
         return m
 
     # -- elimination-based operations ------------------------------------

@@ -505,9 +505,10 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     expressed in the canonical realization of the sum.
 
     Each vertex matrix of the sum is placed by `Matrix.block_sum` from
-    that of ca and that of cb, which memoizes the rank as the sum of
-    theirs.  The coefficients are read off the generators, and the
-    morphism they assemble must be the placed one."""
+    that of ca and that of cb.  Both are ranked first, so every block has
+    a rank memo and the sum memoizes the sum of theirs.  The coefficients
+    are read off the generators, and the morphism they assemble must be
+    the placed one."""
     if ca.algebra is not cb.algebra:
         raise ValueError("complexes over different algebras")
     alg = ca.algebra

@@ -70,8 +70,7 @@ class Morphism:
         for v in source.algebra.quiver.vertices:
             m = self.maps.get(v)
             if m is None:
-                m = Matrix.zeros(source.field, target.vertex_dim(v), source.vertex_dim(v))
-                self.maps[v] = m
+                raise ValueError(f"vertex {v} has no map")
             if m.shape() != (target.vertex_dim(v), source.vertex_dim(v)):
                 raise ValueError(f"vertex {v} map has wrong shape")
 
@@ -89,9 +88,9 @@ class Morphism:
         return all(m.is_zero() for m in self.maps.values())
 
     def compose(self, first):
-        """self after first."""
-        if first.target is not self.source and first.target.dims != self.source.dims:
-            raise ValueError("composition shape mismatch")
+        """self after first; ValueError unless first ends where self starts."""
+        if first.target is not self.source and first.target != self.source:
+            raise ValueError("composition through different modules")
         return Morphism(
             first.source,
             self.target,
@@ -112,7 +111,10 @@ def identity_morphism(m: Representation):
 
 
 def zero_morphism(source, target):
-    return Morphism(source, target, {})
+    return Morphism(source, target, {
+        v: Matrix.zeros(source.field, target.vertex_dim(v), source.vertex_dim(v))
+        for v in source.algebra.quiver.vertices
+    })
 
 
 # -- the action of algebra elements ----------------------------------------
@@ -200,14 +202,15 @@ def projective(algebra, i, field=QQ):
     dims = tuple(len(algebra.paths(i, v)) for v in algebra.quiver.vertices)
     arrows = {}
     for a in algebra.quiver.arrows:
-        mat = Matrix.zeros(field, dims[a.target - 1], dims[a.source - 1])
+        ncols = dims[a.source - 1]
+        cells = [[field.zero] * ncols for _ in range(dims[a.target - 1])]
         row_of = {k: r for r, k in enumerate(algebra.paths(i, a.target))}
         for col, k in enumerate(algebra.paths(i, a.source)):
             for k2, c in algebra.arrow_left_mult(a.name, k).items():
                 if k2 not in row_of:
                     raise AssertionError("projective arrow image left its block")
-                mat.rows[row_of[k2]][col] = field.from_fraction(c)
-        arrows[a.name] = mat
+                cells[row_of[k2]][col] = field.from_fraction(c)
+        arrows[a.name] = Matrix(field, cells, ncols)
     return Representation(algebra, field, dims, arrows)
 
 
@@ -253,9 +256,17 @@ def direct_sum(reps):
     for r in reps[1:]:
         _check_same_base(reps[0], r)
     alg, f = reps[0].algebra, reps[0].field
-    dims = tuple(sum(r.dims[v] for r in reps) for v in range(alg.quiver.n))
+    # lines[k][v - 1]: the range of summand k's basis at vertex v in the sum
+    lines, dims = [], (0,) * alg.quiver.n
+    for r in reps:
+        lines.append([range(o, o + d) for o, d in zip(dims, r.dims)])
+        dims = tuple(o + d for o, d in zip(dims, r.dims))
     arrows = {
-        a.name: Matrix.block_diag(f, [r.arrows[a.name] for r in reps])
+        a.name: Matrix.block_sum(
+            f, [(r.arrows[a.name], ln[a.target - 1], ln[a.source - 1])
+                for r, ln in zip(reps, lines)],
+            dims[a.target - 1], dims[a.source - 1],
+        )
         for a in alg.quiver.arrows
     }
     return Representation(alg, f, dims, arrows)
@@ -370,12 +381,14 @@ def cokernel(f: Morphism):
         rref_rows, pivots = f.maps[v].transpose().rref()
         pivot_set = set(pivots)
         free = [j for j in range(d) if j not in pivot_set]
-        pm = Matrix.zeros(fl, len(free), d)
-        for fi, j in enumerate(free):
-            pm.rows[fi][j] = fl.one
-            for ri, p in enumerate(pivots):
-                pm.rows[fi][p] = fl.neg(rref_rows.rows[ri][j])
-        projs[v], frees[v] = pm, free
+        pm = []
+        for j in free:
+            row = [fl.zero] * d
+            row[j] = 1
+            for r, p in zip(rref_rows.rows, pivots):
+                row[p] = -r[j]
+            pm.append(row)
+        projs[v], frees[v] = Matrix(fl, pm, d), free
     dims = tuple(projs[v].nrows for v in alg.quiver.vertices)
     arrows = {}
     for a in alg.quiver.arrows:
@@ -503,20 +516,17 @@ def projective_cover(m: Representation):
         mults.append(len(tops))
         gens += tops
     real = ProjRealization(alg, tuple(mults), fl)
-    maps = {
-        v: Matrix.zeros(fl, m.vertex_dim(v), real.rep.vertex_dim(v))
-        for v in alg.quiver.vertices
-    }
+    cols = {v: [] for v in alg.quiver.vertices}  # in the realization's layout
     acts = {}  # basis index -> matrix of its action, shared by every summand
     for s, p in enumerate(gens):
         i, _ = real.summands[s]
         for v in alg.quiver.vertices:
-            for col, k in enumerate(alg.paths(i, v), real.offsets[s][v]):
+            for k in alg.paths(i, v):
                 if k not in acts:
                     b = alg.basis[k]
                     acts[k] = act_word(m, b.word, b.source)
-                for row, x in zip(maps[v].rows, acts[k].rows):
-                    row[col] = x[p]
+                cols[v].append([x[p] for x in acts[k].rows])
+    maps = {v: Matrix.from_columns(fl, cols[v], m.vertex_dim(v)) for v in alg.quiver.vertices}
     epi = Morphism(real.rep, m, maps)
     for v in alg.quiver.vertices:
         if epi.maps[v].rank() != m.vertex_dim(v):
@@ -553,26 +563,28 @@ def syzygy(m: Representation):
 
 # The record of the module analysed last, (members, values): members maps
 # id -> module for that module and every module derived from it, and values
-# maps (function, id(module)) -> value.  Holding the members keeps their
-# ids from being reused.  A context variable, so each thread has its own,
-# and at most one record is kept: memory stays bounded by one analysis.
+# maps ((function, *further arguments), id(module)) -> value.  Holding the
+# members keeps their ids from being reused.  A context variable, so each
+# thread has its own, and at most one record is kept: memory stays bounded
+# by one analysis.
 _record = ContextVar("taurank_analysis_record", default=None)
 
 
-def scoped(fn, obj):
-    """fn(obj), computed once while obj's analysis is the kept record.
+def scoped(fn, obj, *args):
+    """fn(obj, *args), computed once per value of the further (hashable)
+    arguments while obj's analysis is the kept record.
 
     A module outside the record starts a new record rooted at it.  Every
     module in the value (or in its top-level tuple), such as the kernel of
-    a cover or tau M, joins the record."""
+    a cover, tau M or M over a quotient, joins the record."""
     record = _record.get()
     if record is None or id(obj) not in record[0]:
         record = ({id(obj): obj}, {})
         _record.set(record)
     members, values = record
-    key = (fn, id(obj))
+    key = ((fn, *args), id(obj))
     if key not in values:
-        value = fn(obj)
+        value = fn(obj, *args)
         for x in value if isinstance(value, tuple) else (value,):
             if isinstance(x, Representation):
                 members[id(x)] = x
@@ -724,13 +736,13 @@ def conjugate(m: Representation, rng: SeedStream):
     gs, gis = {}, {}
     for v in alg.quiver.vertices:
         d = m.vertex_dim(v)
-        low = Matrix.identity(f, d)
-        up = Matrix.identity(f, d)
+        low = [[int(i == j) for j in range(d)] for i in range(d)]
+        up = [[int(i == j) for j in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(i):
-                low.rows[i][j] = f.from_int(rng.randint(-3, 3))
-                up.rows[j][i] = f.from_int(rng.randint(-3, 3))
-        g = low * up
+                low[i][j] = rng.randint(-3, 3)
+                up[j][i] = rng.randint(-3, 3)
+        g = Matrix(f, low, d) * Matrix(f, up, d)
         gi = g.inverse()
         gs[v], gis[v] = g, gi
     arrows = {

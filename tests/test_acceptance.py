@@ -145,7 +145,7 @@ def test_criterion_07_two_vertex_fixture():
     alg = load_fixture("ALG-C")
     with Timer("criterion 7: ALG-C/(a) Kronecker; regularity flips; pd infinite", 1.0):
         ideal = Ideal.from_generators(alg, [alg.arrow_element("a")])
-        quot, _ = alg.quotient(ideal)
+        quot = alg.quotient(ideal)
         assert quot.dim == 4
         assert len(quot.vertices) == 2
         assert quot.dims_of_projective(1) == (1, 0)

@@ -426,14 +426,18 @@ def test_repeated_reduction_reuses_its_quotient_and_analyses(monkeypatch, alg_b0
     assert calls
 
 
-def test_an_explicit_ideal_switches_records_once(monkeypatch, alg_c):
+def test_an_explicit_ideal_reduction_joins_the_module_record(monkeypatch, alg_c):
     m = direct_sum([simple(alg_c, 1), simple(alg_c, 2)])
     ideal = Ideal.from_generators(alg_c, [alg_c.arrow_element("a")])
     calls = cover_spy(monkeypatch)
-    reduce_and_compare(alg_c, m, ideal=ideal, trials=2, seed=1)
+    first = reduce_and_compare(alg_c, m, ideal=ideal, trials=2, seed=1)
     # M and its syzygy over A, then M over B and its syzygy
     assert [arg.algebra is alg_c for arg, _ in calls] == [True, True, False, False]
-    assert calls[0][0] is m and members()[0] is calls[2][0]
+    held = members()
+    assert calls[0][0] is m and held[0] is m and any(x is calls[2][0] for x in held)
+    calls.clear()
+    again = reduce_and_compare(alg_c, m, ideal=ideal, trials=2, seed=1)
+    assert calls == [] and again.to_json() == first.to_json()
 
 
 def test_reduce_rejects_a_module_over_another_algebra(alg_b, alg_b0):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taurank import linalg
 from taurank.fields import QQ, PrimeField, SeedStream, is_prime
 from taurank.linalg import (
     _P,
@@ -18,7 +19,7 @@ from taurank.linalg import (
 
 
 def qmat(rows):
-    return Matrix.from_int_rows(QQ, rows)
+    return Matrix(QQ, rows)
 
 
 def test_rank_identity():
@@ -90,7 +91,7 @@ def test_intersect_row_spaces():
 def test_prime_field_arithmetic():
     f = PrimeField(7)
     assert f.div(f.from_int(3), f.from_int(5)) == (3 * pow(5, -1, 7)) % 7
-    m = Matrix.from_int_rows(f, [[2, 4], [1, 2]])
+    m = Matrix(f, [[2, 4], [1, 2]])
     assert m.rank() == 1
     assert len(m.kernel_basis()) == 1
 
@@ -627,9 +628,13 @@ def test_rational_rank_of_structured_int_matrices_is_exact(shaped):
 
 def test_block_sum_needs_every_line_once():
     one = Matrix(QQ, [[1]])
-    m = Matrix.block_sum(QQ, [(one, [0], [1]), (Matrix(QQ, [[2, 0]]), [1], [0, 2])], 2, 3)
+    blocks = [(one, [0], [1]), (Matrix(QQ, [[2, 0]]), [1], [0, 2])]
+    m = Matrix.block_sum(QQ, blocks, 2, 3)
     assert m.rows == [[0, 1, 0], [2, 0, 0]]
-    assert m._rank == 2 == len(_echelon(m)[1])
+    assert m._rank is None  # the blocks have no memo
+    for blk, _, _ in blocks:
+        blk.rank()
+    assert Matrix.block_sum(QQ, blocks, 2, 3)._rank == 2 == len(_echelon(m)[1])
     # a line used twice: the cells would fit a rank-1 matrix, not rank 2
     for rows, cols in (([0], [0]), ([0], [1])):
         with pytest.raises(AssertionError):
@@ -638,7 +643,8 @@ def test_block_sum_needs_every_line_once():
         Matrix.block_sum(QQ, [(one, [0], [0])], 2, 2)  # lines left out
     with pytest.raises(AssertionError):
         Matrix.block_sum(QQ, [(one, [0], [0, 1])], 1, 2)  # misshaped block
-    # the memo equals elimination, over Q and F_p, blocks of every rank
+    # the memo, once the blocks have theirs, equals elimination, over Q and
+    # F_p, blocks of every rank
     rng = random.Random(5)
     for field in (QQ, PrimeField(7), PrimeField(_P)):
         for _ in range(20):
@@ -646,16 +652,39 @@ def test_block_sum_needs_every_line_once():
             for _ in range(rng.randint(1, 3)):
                 r, c = rng.randint(0, 4), rng.randint(0, 4)
                 cells = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(c)] for _ in range(r)]
-                blocks.append((Matrix.from_int_rows(field, cells, c), r, c))
+                blocks.append((Matrix(field, cells, c), r, c))
                 nrows, ncols = nrows + r, ncols + c
             rows, cols = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
             placed = []
             for blk, r, c in blocks:
+                blk.rank()
                 placed.append((blk, rows[:r], cols[:c]))
                 rows, cols = rows[r:], cols[c:]
             m = Matrix.block_sum(field, placed, nrows, ncols)
             assert m._rank == len(_echelon(m)[1])
             assert m == Matrix(field, m.rows, ncols)  # cells reduced, shape kept
+
+
+def eliminated(*args, **kwargs):
+    raise AssertionError("an elimination ran")
+
+
+def test_block_sum_of_blocks_without_memo_eliminates_nothing(monkeypatch):
+    rng = random.Random(11)
+    for field in (QQ, PrimeField(7), PrimeField(_P)):
+        blocks, nrows, ncols = [], 0, 0
+        for _ in range(3):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            cells = [[rng.choice([0, 1, -1, 2]) for _ in range(c)] for _ in range(r)]
+            blocks.append((Matrix(field, cells, c), range(nrows, nrows + r),
+                           range(ncols, ncols + c)))
+            nrows, ncols = nrows + r, ncols + c
+        with monkeypatch.context() as patch:
+            for engine in ("_echelon", "_packed_rank"):
+                patch.setattr(linalg, engine, eliminated)
+            m = Matrix.block_sum(field, blocks, nrows, ncols)
+        assert m._rank is None and all(blk._rank is None for blk, _, _ in blocks)
+        assert m.rank() == len(_echelon(Matrix(field, m.rows, ncols))[1])
 
 
 def test_rank_of_dense_int_matrices_with_cells_near_the_prime():

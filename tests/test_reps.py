@@ -13,6 +13,7 @@ from taurank.presentations import (
     realize_pair,
 )
 from taurank.reps import (
+    Morphism,
     ProjRealization,
     Representation,
     act_element,
@@ -101,7 +102,7 @@ def test_direct_sum_rejects_summands_over_another_base(alg_a, alg_b):
     with pytest.raises(ValueError, match=r"different fields \(Q, F_7\)"):
         direct_sum([simple(alg_a, 1), simple(alg_a, 2, PrimeField(7))])
     # a quotient shares its parent's quiver, as in Hom
-    quot, _ = alg_b.quotient(Ideal.from_generators(alg_b, [alg_b.arrow_element("a")]))
+    quot = alg_b.quotient(Ideal.from_generators(alg_b, [alg_b.arrow_element("a")]))
     assert direct_sum([simple(alg_b, 1), simple(quot, 2)]).dims == (1, 1, 0)
 
 
@@ -166,6 +167,28 @@ def test_rank_of_identity_and_zero(alg_b):
     m = projective(alg_b, 3)
     assert identity_morphism(m).rank() == m.dim_total
     assert zero_morphism(m, m).rank() == 0
+
+
+def test_morphism_needs_a_map_of_the_right_shape_at_every_vertex(alg_b):
+    m = projective(alg_b, 3)
+    maps = dict(identity_morphism(m).maps)
+    del maps[2]
+    with pytest.raises(ValueError, match="vertex 2 has no map"):
+        Morphism(m, m, maps)
+    maps[2] = Matrix.zeros(QQ, m.vertex_dim(2) + 1, m.vertex_dim(2))
+    with pytest.raises(ValueError, match="vertex 2 map has wrong shape"):
+        Morphism(m, m, maps)
+
+
+def test_compose_needs_one_middle_module(alg_b):
+    m = direct_sum([simple(alg_b, 1), simple(alg_b, 2)])
+    p = projective(alg_b, 2)
+    assert p.dims == m.dims
+    # the vertex maps compose, but not into a morphism P(2) -> M
+    with pytest.raises(ValueError, match="different modules"):
+        identity_morphism(m).compose(identity_morphism(p))
+    twin = direct_sum([simple(alg_b, 1), simple(alg_b, 2)])
+    identity_morphism(m).compose(identity_morphism(twin)).check_intertwines()
 
 
 def test_kernel_image_cokernel_basics(alg_b):
@@ -336,7 +359,7 @@ def test_annihilator_intersection_of_simples(alg_b):
 def test_quotient_by_annihilator_is_faithful(alg_b0):
     m = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
     ann = annihilator(alg_b0, m)
-    quot, _ = alg_b0.quotient(ann)
+    quot = alg_b0.quotient(ann)
     m_b = Representation(quot, m.field, m.dims, m.arrows)
     assert check_relations(m_b)
     assert annihilator(quot, m_b).is_zero()
@@ -484,8 +507,8 @@ def test_check_relations_checks_every_parent_ideal(alg_b0):
     # B0 / (b) / (a): M below is killed by a but not by b, so it fails the
     # ideal of the first quotient, one level up from the algebra it lives on
     b = Ideal.from_generators(alg_b0, [alg_b0.arrow_element("b")])
-    q1, _ = alg_b0.quotient(b)
-    q2, _ = q1.quotient(Ideal.from_generators(q1, [q1.arrow_element("a")]))
+    q1 = alg_b0.quotient(b)
+    q2 = q1.quotient(Ideal.from_generators(q1, [q1.arrow_element("a")]))
     arrows = {"a": _line(0), "b": _line(1)}
     m = Representation(q2, QQ, (1, 1, 1), arrows)
     assert annihilates(q2.parent_ideal, Representation(q1, QQ, m.dims, arrows))
@@ -541,7 +564,7 @@ def test_duals_of_standard_modules_satisfy_the_opposite_relations(all_fixture_al
 
 def test_check_relations_checks_the_ideal_of_an_opposite_quotient(alg_b0):
     # (B0 / (b))^op = B0^op / (b): b must act as zero there
-    q, _ = alg_b0.quotient(Ideal.from_generators(alg_b0, [alg_b0.arrow_element("b")]))
+    q = alg_b0.quotient(Ideal.from_generators(alg_b0, [alg_b0.arrow_element("b")]))
     op = q.opposite()
     assert op.parent is alg_b0.opposite() and op.opposite() is q
     m = Representation(op, QQ, (1, 1, 1), {"a": _line(0), "b": _line(1)})
