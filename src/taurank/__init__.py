@@ -24,10 +24,8 @@ from .reps import (
     hom_basis,
     hom_dim,
     injective,
-    injective_envelope,
     injective_envelope_mults,
     is_faithful,
-    is_sincere,
     iso_test,
     image,
     kernel,
@@ -47,7 +45,6 @@ from .presentations import (
     RankScanReport,
     TwoComplex,
     additivity_scan,
-    direct_sum_complex,
     generic_rank,
     min_presentation,
     random_module,
@@ -62,7 +59,6 @@ from .artheory import (
     e_invariant,
     hierarchy_report,
     is_tau_regular,
-    is_tau_rigid,
     nakayama_complex,
     reduce_and_compare,
     stable_hom_dim_inj,

@@ -39,9 +39,6 @@ class BasisElement:
     def length(self):
         return len(self.word)
 
-    def label(self):
-        return "*".join(self.word) if self.word else f"e{self.source}"
-
 
 def _word_key(quiver, source, word):
     return (len(word), tuple(quiver.arrow_index[a] for a in word), source)

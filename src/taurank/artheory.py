@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import Ideal
 from .presentations import (
+    GenericRankResult,
     TwoComplex,
     generic_rank,
     min_presentation,
@@ -83,24 +84,52 @@ def e_invariant(m: Representation, n: Representation | None = None) -> int:
     return hom_dim(n if n is not None else m, t)
 
 
-def is_tau_rigid(m: Representation) -> bool:
-    return e_invariant(m) == 0
+_NOTES = {
+    "certified-yes": "",
+    "certified-no": "witness of strictly larger rank found",
+    "probable-yes": (
+        "no sampled morphism beat the presentation rank, but the maximal "
+        "rank was not certified; a larger-rank element may exist"
+    ),
+}
 
 
 @dataclass
 class Verdict:
-    """Three-valued outcome of a randomized decision.
+    """Three-valued outcome of a randomized decision: the presentation's
+    rank against the maximal rank that `result` found.
 
     certified-no always carries a witness of strictly larger rank;
     certified-yes requires the generic rank itself to be certified."""
 
-    outcome: str  # "certified-yes" | "certified-no" | "probable-yes"
     presentation_rank: int
-    generic_rank: int
-    certified: bool
-    method: str | None
-    witness: TwoComplex | None = None
-    note: str = ""
+    result: GenericRankResult
+
+    @property
+    def outcome(self):
+        if self.presentation_rank < self.result.value:
+            return "certified-no"
+        return "certified-yes" if self.result.certified else "probable-yes"
+
+    @property
+    def generic_rank(self):
+        return self.result.value
+
+    @property
+    def certified(self):
+        return self.outcome != "probable-yes"
+
+    @property
+    def method(self):
+        return self.result.method
+
+    @property
+    def witness(self):
+        return self.result.witness
+
+    @property
+    def note(self):
+        return _NOTES[self.outcome]
 
     def is_yes(self):
         return self.outcome in ("certified-yes", "probable-yes")
@@ -108,7 +137,7 @@ class Verdict:
     def to_json(self):
         return {
             "outcome": self.outcome,
-            "witness_rank": self.witness.rank() if self.witness else None,
+            "witness_rank": self.witness.rank(),
             "generic_rank": self.generic_rank,
             "presentation_rank": self.presentation_rank,
             "certified": self.certified,
@@ -121,47 +150,9 @@ def is_tau_regular(m: Representation, trials: int = 8, seed: int = 42) -> Verdic
     """Rank criterion: M is tau-regular iff its minimal presentation map
     attains the maximal rank r(P1, P0)."""
     cx = scoped(min_presentation, m)
-    res = generic_rank(
-        m.algebra,
-        cx.p1,
-        cx.p0,
-        trials=trials,
-        seed=seed,
-        extra_samples=[cx.map],
-        field=m.field,
-    )
-    rk = cx.rank()
-    if rk < res.value:
-        return Verdict(
-            outcome="certified-no",
-            presentation_rank=rk,
-            generic_rank=res.value,
-            certified=True,
-            method=res.method,
-            witness=res.witness,
-            note="witness of strictly larger rank found",
-        )
-    if res.certified:
-        return Verdict(
-            outcome="certified-yes",
-            presentation_rank=rk,
-            generic_rank=res.value,
-            certified=True,
-            method=res.method,
-            witness=res.witness,
-        )
-    return Verdict(
-        outcome="probable-yes",
-        presentation_rank=rk,
-        generic_rank=res.value,
-        certified=False,
-        method=None,
-        witness=res.witness,
-        note=(
-            "no sampled morphism beat the presentation rank, but the maximal "
-            "rank was not certified; a larger-rank element may exist"
-        ),
-    )
+    res = generic_rank(m.algebra, cx.p1, cx.p0, trials=trials, seed=seed,
+                       extra_samples=[cx.map], field=m.field)
+    return Verdict(cx.rank(), res)
 
 
 def stable_hom_dim_inj(n: Representation, x: Representation) -> int:
@@ -201,14 +192,26 @@ class HierarchyError(AssertionError):
 class HierarchyReport:
     projective: bool
     pd_le_1: bool
-    rigid: bool
-    tau_rigid: bool
-    partial_tilting: bool
-    tau_regular: bool
     verdict: Verdict
     pd: object
     e_value: int
     E_value: int
+
+    @property
+    def rigid(self):
+        return self.e_value == 0
+
+    @property
+    def tau_rigid(self):
+        return self.E_value == 0
+
+    @property
+    def partial_tilting(self):
+        return self.rigid and self.pd_le_1
+
+    @property
+    def tau_regular(self):
+        return self.verdict.is_yes()
 
     def to_json(self):
         return {
@@ -233,73 +236,55 @@ def hierarchy_report(
 ) -> HierarchyReport:
     """All six hierarchy flags, with the implication edges asserted."""
     cx = scoped(min_presentation, m)
-    projective = cx.p1.is_zero()
-    pd1 = cx.rank() == cx.hom.r1.total_dim  # presentation map injective
-    e_val = ext1_dim(m, m)
-    rigid = e_val == 0
-    big_e = e_invariant(m)
-    tau_rigid = big_e == 0
-    partial_tilting = rigid and pd1
-    verdict = is_tau_regular(m, trials=trials, seed=seed)
-    tau_regular = verdict.is_yes()
-    pd = proj_dim(m, cap=cap)
-
+    r = HierarchyReport(
+        projective=cx.p1.is_zero(),
+        pd_le_1=cx.rank() == cx.hom.r1.total_dim,  # presentation map injective
+        e_value=ext1_dim(m, m),
+        E_value=e_invariant(m),
+        verdict=is_tau_regular(m, trials=trials, seed=seed),
+        pd=proj_dim(m, cap=cap),
+    )
     edges = [
-        (not projective or partial_tilting, "projective => partial tilting"),
-        (not partial_tilting or (pd1 and tau_rigid), "partial tilting => pd<=1 and tau-rigid"),
-        (not pd1 or tau_regular, "pd<=1 => tau-regular"),
-        (not tau_rigid or (tau_regular and rigid), "tau-rigid => tau-regular and rigid"),
-        (partial_tilting == (pd1 and rigid), "partilt = P<=1 ∩ rigid"),
-        (partial_tilting == (pd1 and tau_rigid), "partilt = P<=1 ∩ tau-rigid"),
-        (not pd1 or pd.le(1), "presentation-injectivity agrees with proj_dim"),
-        (e_val <= big_e, "e(M) <= E(M)"),
+        (not r.projective or r.partial_tilting, "projective => partial tilting"),
+        (not r.partial_tilting or (r.pd_le_1 and r.tau_rigid),
+         "partial tilting => pd<=1 and tau-rigid"),
+        (not r.pd_le_1 or r.tau_regular, "pd<=1 => tau-regular"),
+        (not r.tau_rigid or (r.tau_regular and r.rigid), "tau-rigid => tau-regular and rigid"),
+        (r.partial_tilting == (r.pd_le_1 and r.rigid), "partilt = P<=1 ∩ rigid"),
+        (r.partial_tilting == (r.pd_le_1 and r.tau_rigid), "partilt = P<=1 ∩ tau-rigid"),
+        (not r.pd_le_1 or r.pd.le(1), "presentation-injectivity agrees with proj_dim"),
+        (r.e_value <= r.E_value, "e(M) <= E(M)"),
     ]
     for ok, label in edges:
         if not ok:
             raise HierarchyError(f"hierarchy violated: {label}")
-    return HierarchyReport(
-        projective=projective,
-        pd_le_1=pd1,
-        rigid=rigid,
-        tau_rigid=tau_rigid,
-        partial_tilting=partial_tilting,
-        tau_regular=tau_regular,
-        verdict=verdict,
-        pd=pd,
-        e_value=e_val,
-        E_value=big_e,
-    )
+    return r
 
 
 @dataclass
 class ReduceReport:
+    """M over A (`parent`) against M over B = A/I (`quotient`)."""
+
     ideal_dim: int
     quotient_dim: int
-    pd_parent: object
-    pd_quotient: object
-    tau_rigid_parent: bool
-    tau_rigid_quotient: bool
-    tau_regular_parent: Verdict
-    tau_regular_quotient: Verdict
-    e_parent: int
-    e_quotient: int
-    E_parent: int
-    E_quotient: int
+    parent: HierarchyReport
+    quotient: HierarchyReport
 
     def to_json(self):
+        a, b = self.parent, self.quotient
         return {
             "ideal_dim": self.ideal_dim,
             "quotient_dim": self.quotient_dim,
-            "pd_A": self.pd_parent.to_json(),
-            "pd_B": self.pd_quotient.to_json(),
-            "tau_rigid_A": self.tau_rigid_parent,
-            "tau_rigid_B": self.tau_rigid_quotient,
-            "tau_regular_A": self.tau_regular_parent.to_json(),
-            "tau_regular_B": self.tau_regular_quotient.to_json(),
-            "e_A": self.e_parent,
-            "e_B": self.e_quotient,
-            "E_A": self.E_parent,
-            "E_B": self.E_quotient,
+            "pd_A": a.pd.to_json(),
+            "pd_B": b.pd.to_json(),
+            "tau_rigid_A": a.tau_rigid,
+            "tau_rigid_B": b.tau_rigid,
+            "tau_regular_A": a.verdict.to_json(),
+            "tau_regular_B": b.verdict.to_json(),
+            "e_A": a.e_value,
+            "e_B": b.e_value,
+            "E_A": a.E_value,
+            "E_B": b.E_value,
         }
 
 
@@ -320,11 +305,10 @@ def _reduction(m: Representation, ideal: Ideal):
 
 def _annihilator_reduction(m: Representation):
     """The reduction of M along its annihilator."""
-    return _reduction(m, annihilator(m.algebra, m))
+    return _reduction(m, annihilator(m))
 
 
 def reduce_and_compare(
-    algebra,
     m: Representation,
     ideal: Ideal | None = None,
     trials: int = 8,
@@ -332,40 +316,18 @@ def reduce_and_compare(
     cap: int = 10,
 ) -> ReduceReport:
     """Reduce M to B = A/I (I the annihilator by default) and compare the
-    homological invariants on both sides.
+    hierarchy reports of M over A and over B.
 
     The e and E inequalities e_B <= e_A, E_B <= E_A are asserted.  The
     ideal (the annihilator, or the given one), B and M over B are computed
     once per analysis record of M, and M over B joins that record, so a
     repeated call on M with the same ideal reuses them and their analyses."""
-    if m.algebra is not algebra:
-        raise ValueError("module defined over a different algebra")
     if ideal is None:
         ideal, quot, m_b = scoped(_annihilator_reduction, m)
     else:
         ideal, quot, m_b = scoped(_reduction, m, ideal)
-
-    pd_a = proj_dim(m, cap=cap)
-    e_a = ext1_dim(m, m)
-    big_e_a = e_invariant(m)
-    va = is_tau_regular(m, trials=trials, seed=seed)
-    pd_b = proj_dim(m_b, cap=cap)
-    e_b = ext1_dim(m_b, m_b)
-    big_e_b = e_invariant(m_b)
-    vb = is_tau_regular(m_b, trials=trials, seed=seed)
-    if e_b > e_a or big_e_b > big_e_a:
+    a = hierarchy_report(m, trials=trials, seed=seed, cap=cap)
+    b = hierarchy_report(m_b, trials=trials, seed=seed, cap=cap)
+    if b.e_value > a.e_value or b.E_value > a.E_value:
         raise AssertionError("reduction increased e or E; this must not happen")
-    return ReduceReport(
-        ideal_dim=ideal.dim,
-        quotient_dim=quot.dim,
-        pd_parent=pd_a,
-        pd_quotient=pd_b,
-        tau_rigid_parent=big_e_a == 0,
-        tau_rigid_quotient=big_e_b == 0,
-        tau_regular_parent=va,
-        tau_regular_quotient=vb,
-        e_parent=e_a,
-        e_quotient=e_b,
-        E_parent=big_e_a,
-        E_quotient=big_e_b,
-    )
+    return ReduceReport(ideal.dim, quot.dim, a, b)

@@ -13,7 +13,9 @@ paper-examples), 3 invalid module (for reduce also the zero module, whose
 annihilator is the whole algebra), 4 ideal does not annihilate, 10 scan
 violations found, 11 scan violations found on an uncertified r(1) only.
 Exits 2, 3 and 4 print a single `error:` line on stderr.
-`--oracle-params 0` is valid and runs no symbolic oracle.
+`--oracle-params 0` is valid and runs no symbolic oracle.  Only check and
+reduce take `--cap`, the projective-dimension search cap; argparse rejects
+it elsewhere with exit 2.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def cmd_reduce(args):
     ideal = _parse_ideal_file(alg, args.ideal) if args.ideal else None
     try:
         report = reduce_and_compare(
-            alg, m, ideal=ideal, trials=args.trials, seed=args.seed, cap=args.cap
+            m, ideal=ideal, trials=args.trials, seed=args.seed, cap=args.cap
         )
     except ValueError as exc:
         if "annihilate" in str(exc):
@@ -263,14 +265,13 @@ def cmd_reduce(args):
         if not m.dim_total:
             raise CliError(f"invalid module {args.module!r}: {exc}", EXIT_MODULE)
         raise
+    a, b = report.parent, report.quotient
     human = (
         f"ideal dim {report.ideal_dim}, quotient dim {report.quotient_dim}; "
-        f"pd_A = {report.pd_parent}, pd_B = {report.pd_quotient}; "
-        f"tau-rigid A/B = {report.tau_rigid_parent}/{report.tau_rigid_quotient}; "
-        f"tau-regular A = {report.tau_regular_parent.outcome}, "
-        f"B = {report.tau_regular_quotient.outcome}; "
-        f"e: {report.e_quotient} <= {report.e_parent}, "
-        f"E: {report.E_quotient} <= {report.E_parent}"
+        f"pd_A = {a.pd}, pd_B = {b.pd}; "
+        f"tau-rigid A/B = {a.tau_rigid}/{b.tau_rigid}; "
+        f"tau-regular A = {a.verdict.outcome}, B = {b.verdict.outcome}; "
+        f"e: {b.e_value} <= {a.e_value}, E: {b.E_value} <= {a.E_value}"
     )
     _emit(args, report.to_json(), human)
     return EXIT_OK
@@ -308,12 +309,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, module=False, other=False, randomized=False):
+    def common(p, module=False, other=False, randomized=False, cap=False):
         p.add_argument("--field", default="q", help="q (default) or fp:<prime>")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if randomized:
             p.add_argument("--trials", type=int, default=8)
             p.add_argument("--seed", type=int, default=42)
+        if cap:
             p.add_argument("--cap", type=int, default=10,
                            help="projective-dimension search cap")
         if module:
@@ -328,7 +330,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="hierarchy flags and tau-regularity verdict")
     p.add_argument("algebra")
-    common(p, module=True, randomized=True)
+    common(p, module=True, randomized=True, cap=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("hom", help="dimension of Hom(M, N)")
@@ -360,7 +362,7 @@ def build_parser():
     p = sub.add_parser("reduce", help="reduce a module to A/I and compare invariants")
     p.add_argument("algebra")
     p.add_argument("--ideal", help="ideal generator file; default: the annihilator")
-    common(p, module=True, randomized=True)
+    common(p, module=True, randomized=True, cap=True)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("paper-examples",

@@ -125,10 +125,11 @@ def run_paper_examples(trials=8, seed=42):
     m_b0 = direct_sum(
         [projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)]
     )
-    ann = annihilator(alg_b0, m_b0)
+    ann = annihilator(m_b0)
     ab = alg_b0.element_from_terms([(1, ("a", "b"))])
     ann_ok = ann == Ideal.from_generators(alg_b0, [ab])
-    red = reduce_and_compare(alg_b0, m_b0, trials=trials, seed=seed)
+    red = reduce_and_compare(m_b0, trials=trials, seed=seed)
+    a, b = red.parent, red.quotient
     checks.append(
         _check(
             "ALG-B0: annihilator of P(2)+I(2)+S(3) is (a*b)",
@@ -140,13 +141,12 @@ def run_paper_examples(trials=8, seed=42):
         _check(
             "ALG-B0: pd_A = 1, pd_B = 2, not tau-rigid, tau_A-regular, "
             "certified not tau_B-regular",
-            red.pd_parent.value == 1
-            and red.pd_quotient.value == 2
-            and not red.tau_rigid_parent
-            and red.tau_regular_parent.is_yes()
-            and red.tau_regular_quotient.outcome == "certified-no",
-            f"pd_A={red.pd_parent}, pd_B={red.pd_quotient}, "
-            f"A:{red.tau_regular_parent.outcome}, B:{red.tau_regular_quotient.outcome}",
+            a.pd.value == 1
+            and b.pd.value == 2
+            and not a.tau_rigid
+            and a.verdict.is_yes()
+            and b.verdict.outcome == "certified-no",
+            f"pd_A={a.pd}, pd_B={b.pd}, A:{a.verdict.outcome}, B:{b.verdict.outcome}",
         )
     )
 
@@ -160,7 +160,8 @@ def run_paper_examples(trials=8, seed=42):
         and quot.dims_of_projective(2) == (2, 1)
     )
     n_c = direct_sum([simple(alg_c, 1), simple(alg_c, 2)])
-    red_c = reduce_and_compare(alg_c, n_c, ideal=ideal_a, trials=trials, seed=seed)
+    red_c = reduce_and_compare(n_c, ideal=ideal_a, trials=trials, seed=seed)
+    a, b = red_c.parent, red_c.quotient
     checks.append(
         _check(
             "ALG-C: A/(a) is the Kronecker path algebra (2 vertices, dim 4)",
@@ -172,11 +173,10 @@ def run_paper_examples(trials=8, seed=42):
         _check(
             "ALG-C: S(1)+S(2) is tau_B-regular, certified not tau_A-regular, "
             "pd_A certified infinite",
-            red_c.tau_regular_quotient.is_yes()
-            and red_c.tau_regular_parent.outcome == "certified-no"
-            and red_c.pd_parent.kind == "infinite",
-            f"B:{red_c.tau_regular_quotient.outcome}, A:{red_c.tau_regular_parent.outcome}, "
-            f"pd_A={red_c.pd_parent}",
+            b.verdict.is_yes()
+            and a.verdict.outcome == "certified-no"
+            and a.pd.kind == "infinite",
+            f"B:{b.verdict.outcome}, A:{a.verdict.outcome}, pd_A={a.pd}",
         )
     )
     return checks

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .fields import QQ, SeedStream
 from .linalg import Matrix
@@ -42,15 +42,8 @@ class ProjDecomp:
         if any(m < 0 for m in self.mults):
             raise ValueError("negative multiplicity")
 
-    @staticmethod
-    def zero(n):
-        return ProjDecomp((0,) * n)
-
     def scale(self, t):
         return ProjDecomp(tuple(t * m for m in self.mults))
-
-    def __add__(self, other):
-        return ProjDecomp(tuple(a + b for a, b in zip(self.mults, other.mults)))
 
     def sub(self, other):
         out = tuple(a - b for a, b in zip(self.mults, other.mults))
@@ -300,23 +293,30 @@ def _block_cover_bound(alg, mults1, mults0):
 
 @dataclass
 class TwoComplex:
-    """A morphism P1 -> P0 between explicit projective direct sums."""
+    """A morphism P1 -> P0 between explicit projective direct sums: a map
+    of the Hom space between their realizations."""
 
-    p1: ProjDecomp
-    p0: ProjDecomp
     hom: HomSpace
     map: Morphism
-    coeffs: list
 
     @property
     def algebra(self):
         return self.hom.algebra
 
+    @property
+    def p1(self):
+        return ProjDecomp(self.hom.r1.mults)
+
+    @property
+    def p0(self):
+        return ProjDecomp(self.hom.r0.mults)
+
+    @property
+    def coeffs(self):
+        return self.hom.coeffs_of_morphism(self.map)
+
     def rank(self):
         return self.map.rank()
-
-    def is_zero_complex(self):
-        return self.p1.is_zero() and self.p0.is_zero()
 
 
 def realize_pair(algebra, p1: ProjDecomp, p0: ProjDecomp, field=QQ):
@@ -325,16 +325,16 @@ def realize_pair(algebra, p1: ProjDecomp, p0: ProjDecomp, field=QQ):
     return HomSpace(r1, r0)
 
 
-def complex_from_coeffs(algebra, p1, p0, coeffs, field=QQ, hom=None):
-    hs = hom or realize_pair(algebra, p1, p0, field)
-    return TwoComplex(p1, p0, hs, hs.morphism_from_coeffs(coeffs), list(coeffs))
+def complex_from_coeffs(algebra, p1, p0, coeffs, field=QQ):
+    hs = realize_pair(algebra, p1, p0, field)
+    return TwoComplex(hs, hs.morphism_from_coeffs(coeffs))
 
 
-def zero_complex(algebra, field=QQ):
-    n = algebra.quiver.n
-    p = ProjDecomp.zero(n)
-    hs = realize_pair(algebra, p, p, field)
-    return TwoComplex(p, p, hs, hs.morphism_from_coeffs([]), [])
+def _from_zero(r0: ProjRealization) -> TwoComplex:
+    """The zero map 0 -> P0 into the realization r0."""
+    alg = r0.algebra
+    hs = HomSpace(ProjRealization(alg, (0,) * alg.quiver.n, r0.field), r0)
+    return TwoComplex(hs, hs.morphism_from_coeffs([]))
 
 
 def min_presentation(m: Representation) -> TwoComplex:
@@ -343,22 +343,14 @@ def min_presentation(m: Representation) -> TwoComplex:
     P0 covers M, P1 covers the kernel of the cover; the composite map
     lands in rad P0 and its cokernel has the dimension vector of M
     (both asserted)."""
-    alg = m.algebra
     if m.is_zero():
-        return zero_complex(alg, m.field)
+        alg = m.algebra
+        return _from_zero(ProjRealization(alg, (0,) * alg.quiver.n, m.field))
     cover0, k, incl = scoped(cover_kernel, m)
-    p0 = ProjDecomp(cover0.mults)
     if k.is_zero():
-        p1 = ProjDecomp.zero(alg.quiver.n)
-        hs = HomSpace(ProjRealization(alg, p1.mults, m.field), cover0.realization)
-        return TwoComplex(p1, p0, hs, hs.morphism_from_coeffs([]), [])
+        return _from_zero(cover0.realization)
     cover1 = scoped(projective_cover, k)
-    p1 = ProjDecomp(cover1.mults)
-    fmap = incl.compose(cover1.epi)
-    hs = HomSpace(cover1.realization, cover0.realization)
-    fmap = Morphism(cover1.realization.rep, cover0.realization.rep, fmap.maps)
-    coeffs = hs.coeffs_of_morphism(fmap)
-    cx = TwoComplex(p1, p0, hs, fmap, coeffs)
+    cx = TwoComplex(HomSpace(cover1.realization, cover0.realization), incl.compose(cover1.epi))
     _assert_minimal(cx, m)
     return cx
 
@@ -378,12 +370,18 @@ def _assert_minimal(cx: TwoComplex, m: Representation):
 class GenericRankResult:
     value: int
     witness: TwoComplex
-    certified: bool
-    method: str | None  # "oracle" | "dimension-bound" | None
-    params: int
+    method: str | None  # "oracle" | "dimension-bound" | None when not certified
     upper_bound: int
     trials: int
     seed: int
+
+    @property
+    def certified(self):
+        return self.method is not None
+
+    @property
+    def params(self):
+        return self.witness.hom.dim
 
     def to_json(self):
         return {
@@ -394,7 +392,7 @@ class GenericRankResult:
             "upper_bound": self.upper_bound,
             "trials": self.trials,
             "seed": self.seed,
-            "witness_rank": self.witness.rank() if self.witness else None,
+            "witness_rank": self.witness.rank(),
         }
 
 
@@ -440,10 +438,9 @@ def generic_rank(
         witness_coeffs = hs.coeffs_of_morphism(best_extra)
 
     upper = cover_upper_bound(hs)
-    certified = False
     method = None
     if value == upper:
-        certified, method = True, "dimension-bound"
+        method = "dimension-bound"
     elif (
         field.characteristic == 0
         and hs.dim <= oracle_max_params
@@ -469,14 +466,11 @@ def generic_rank(
                     if value == oracle_value:
                         break
             if value == oracle_value:
-                certified, method = True, "oracle"
-    witness = TwoComplex(p1, p0, hs, hs.morphism_from_coeffs(witness_coeffs), witness_coeffs)
+                method = "oracle"
     return GenericRankResult(
         value=value,
-        witness=witness,
-        certified=certified,
+        witness=TwoComplex(hs, hs.morphism_from_coeffs(witness_coeffs)),
         method=method,
-        params=hs.dim,
         upper_bound=upper,
         trials=trials,
         seed=seed,
@@ -515,14 +509,15 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     field = ca.hom.field
     if field.name != cb.hom.field.name:
         raise ValueError(f"complexes over different fields ({field.name}, {cb.hom.field.name})")
-    p1 = ca.p1 + cb.p1
-    p0 = ca.p0 + cb.p0
-    hs = realize_pair(alg, p1, p0, field)
+    a1, a0 = ca.hom.r1.mults, ca.hom.r0.mults
+    m1 = tuple(map(add, a1, cb.hom.r1.mults))
+    m0 = tuple(map(add, a0, cb.hom.r0.mults))
+    hs = HomSpace(ProjRealization(alg, m1, field), ProjRealization(alg, m0, field))
     no_shift = (0,) * alg.quiver.n
     places = [
         (cx.map.maps, _block_positions(hs.r0, cx.hom.r0, shift0),
          _block_positions(hs.r1, cx.hom.r1, shift1))
-        for cx, shift1, shift0 in ((ca, no_shift, no_shift), (cb, ca.p1.mults, ca.p0.mults))
+        for cx, shift1, shift0 in ((ca, no_shift, no_shift), (cb, a1, a0))
     ]
     rank_a, rank_b = ca.rank(), cb.rank()
     source, target = hs.r1.rep, hs.r0.rep
@@ -534,25 +529,11 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
         for v in alg.quiver.vertices
     }
     fmap = Morphism(source, target, maps)
-    coeffs = hs.coeffs_of_morphism(fmap)
-    if hs.morphism_from_coeffs(coeffs).maps != fmap.maps:
+    if hs.morphism_from_coeffs(hs.coeffs_of_morphism(fmap)).maps != fmap.maps:
         raise AssertionError("the block sum is not a morphism of the summed Hom space")
-    out = TwoComplex(p1, p0, hs, fmap, coeffs)
+    out = TwoComplex(hs, fmap)
     if out.rank() != rank_a + rank_b:
         raise AssertionError("block-diagonal rank failed to add")
-    return out
-
-
-def direct_sum_complex(cx: TwoComplex, t: int) -> TwoComplex:
-    """t-fold block-diagonal sum of a complex; rank multiplies by t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if t == 1:
-        return cx
-    out = cx
-    # every step asserts that the ranks add, so the rank is t * cx.rank()
-    for _ in range(t - 1):
-        out = combine_complexes(out, cx)
     return out
 
 
@@ -576,12 +557,15 @@ class RankScanReport:
     p0: ProjDecomp
     t_max: int
     r_values: list
-    certified: list
     methods: list
     violations: list
     seed: int
     trials: int
     field_name: str = "Q"
+
+    @property
+    def certified(self):
+        return [m is not None for m in self.methods]
 
     def to_json(self):
         return {
@@ -617,7 +601,7 @@ def additivity_scan(
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     master = SeedStream(seed)
-    r_values, certified, methods = [], [], []
+    r_values, methods = [], []
     for t in range(1, t_max + 1):
         extra = [combine_complexes(prev, w1).map] if t > 1 else []
         res = generic_rank(
@@ -631,7 +615,6 @@ def additivity_scan(
             oracle_max_params=oracle_max_params,
         )
         r_values.append(res.value)
-        certified.append(res.certified)
         methods.append(res.method)
         prev = res.witness
         if t == 1:
@@ -642,7 +625,6 @@ def additivity_scan(
         p0=p0,
         t_max=t_max,
         r_values=r_values,
-        certified=certified,
         methods=methods,
         violations=violations,
         seed=seed,
@@ -670,8 +652,7 @@ def random_presentation(algebra, rng: SeedStream, max_total_dim=9, field=QQ):
         if p1.total_dim(algebra) > 3 * max_total_dim:
             continue
         hs = realize_pair(algebra, p1, p0, field)
-        coeffs = hs.sample_coeffs(sub, 9)
-        return complex_from_coeffs(algebra, p1, p0, coeffs, field, hom=hs)
+        return TwoComplex(hs, hs.morphism_from_coeffs(hs.sample_coeffs(sub, 9)))
     raise RuntimeError("could not draw a random presentation")
 
 

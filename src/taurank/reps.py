@@ -250,12 +250,18 @@ def _check_same_base(m: Representation, n: Representation):
 
 
 def direct_sum(reps):
+    """The direct sum, over the summands' algebra, or over the common root
+    of their algebras when these differ (ValueError when there is none)."""
     reps = list(reps)
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
     for r in reps[1:]:
         _check_same_base(reps[0], r)
     alg, f = reps[0].algebra, reps[0].field
+    if any(r.algebra is not alg for r in reps):
+        alg = alg.root()
+        if any(r.algebra.root() is not alg for r in reps):
+            raise ValueError("summands over algebras with no common root")
     # lines[k][v - 1]: the range of summand k's basis at vertex v in the sum
     lines, dims = [], (0,) * alg.quiver.n
     for r in reps:
@@ -492,7 +498,6 @@ def _realization_parts(algebra, summands, field):
 
 @dataclass
 class ProjCover:
-    mults: tuple
     realization: ProjRealization
     epi: Morphism
 
@@ -531,7 +536,7 @@ def projective_cover(m: Representation):
     for v in alg.quiver.vertices:
         if epi.maps[v].rank() != m.vertex_dim(v):
             raise AssertionError("projective cover map is not surjective")
-    return ProjCover(tuple(mults), real, epi)
+    return ProjCover(real, epi)
 
 
 def injective_envelope_mults(m: Representation):
@@ -541,12 +546,7 @@ def injective_envelope_mults(m: Representation):
     # the dual of the epi P -> D M, with D D M = M (DD = id on matrices)
     env = dual_rep(cover.epi.source)
     mono = Morphism(m, env, {v: mat.transpose() for v, mat in cover.epi.maps.items()})
-    return env, mono, cover.mults
-
-
-def injective_envelope(m: Representation):
-    """(E, mono M -> E) via the opposite-algebra projective cover."""
-    return injective_envelope_mults(m)[:2]
+    return env, mono, cover.realization.mults
 
 
 def cover_kernel(m: Representation):
@@ -601,7 +601,7 @@ def ext1_dim(m: Representation, n: Representation):
         return 0
     cover, k, _ = scoped(cover_kernel, m)
     hom_p0_n = sum(
-        cover.mults[i - 1] * n.vertex_dim(i) for i in m.algebra.quiver.vertices
+        cover.realization.mults[i - 1] * n.vertex_dim(i) for i in m.algebra.quiver.vertices
     )
     return hom_dim(k, n) - hom_p0_n + hom_dim(m, n)
 
@@ -703,12 +703,9 @@ def iso_test(m: Representation, n: Representation, trials: int = 8, seed: int = 
     return False
 
 
-def is_sincere(m: Representation):
-    return all(m.vertex_dim(v) > 0 for v in m.algebra.vertices)
-
-
-def annihilator(algebra, m: Representation) -> Ideal:
-    """I_M = {a in A : aM = 0}, as a (two-sided) ideal of the algebra."""
+def annihilator(m: Representation) -> Ideal:
+    """I_M = {a in A : aM = 0}, as a (two-sided) ideal of M's algebra A."""
+    algebra = m.algebra
     if m.field.characteristic != 0:
         raise ValueError("annihilator ideals are computed over Q only")
     total = m.dim_total
@@ -726,8 +723,8 @@ def annihilator(algebra, m: Representation) -> Ideal:
     return Ideal(algebra, Matrix(QQ, rows, algebra.dim).kernel_basis(), closed=True)
 
 
-def is_faithful(algebra, m: Representation):
-    return annihilator(algebra, m).is_zero()
+def is_faithful(m: Representation):
+    return annihilator(m).is_zero()
 
 
 def conjugate(m: Representation, rng: SeedStream):

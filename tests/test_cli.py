@@ -251,6 +251,18 @@ def test_check_cap_zero_exits_2(capsys):
     assert_one_error_line(err)
 
 
+def test_cap_belongs_to_check_and_reduce_only(capsys):
+    code, err = run_err(capsys, ["reduce", "ALG-B", "S(2)", "--cap", "0"])
+    assert code == 2
+    assert_one_error_line(err)
+    for argv in (["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--cap", "3"],
+                 ["paper-examples", "--cap", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+
+
 def test_field_composite_modulus_exits_2(capsys):
     code, err = run_err(capsys, ["hom", "ALG-B", "S(2)", "S(2)", "--field", "fp:4"])
     assert code == 2
