@@ -25,16 +25,13 @@ from .reps import (
     hom_dim,
     injective,
     injective_envelope_mults,
-    is_faithful,
     iso_test,
-    image,
     kernel,
     proj_dim,
     projective,
     projective_cover,
     radical_of,
     simple,
-    socle,
     syzygy,
     top,
     zero_rep,
@@ -65,7 +62,7 @@ from .artheory import (
     tau,
     tau_minus,
 )
-from .io import load_module_arg, load_module_file, module_from_expr, save_module_file
+from .io import load_module_arg, load_module_file, module_from_expr
 from .fixtures import FIXTURE_NAMES, load_fixture
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, intersect_row_spaces
+from .linalg import Matrix
 from .fields import QQ
 from .quiver import Quiver, RelationPoly, QuiverSyntaxError
 
@@ -331,9 +331,6 @@ class Algebra:
     def idempotent(self, i):
         return {self.idempotent_index[i]: Fraction(1)}
 
-    def one(self):
-        return {j: Fraction(1) for j in self.idempotent_index.values()}
-
     def arrow_element(self, name):
         return dict(self.arrow_element_cache[name])
 
@@ -498,10 +495,6 @@ class Ideal:
         self.dim = len(self.rows)
 
     @staticmethod
-    def zero(algebra):
-        return Ideal(algebra, [], closed=True)
-
-    @staticmethod
     def from_generators(algebra, elements):
         return Ideal(algebra, [_dense(algebra.dim, el) for el in elements])
 
@@ -555,12 +548,6 @@ class Ideal:
 
     def is_zero(self):
         return self.dim == 0
-
-    def intersect(self, other: "Ideal"):
-        if other.algebra is not self.algebra:
-            raise ValueError("ideals over different algebras")
-        rows = intersect_row_spaces(QQ, self.rows, other.rows, self.algebra.dim)
-        return Ideal(self.algebra, rows, closed=True)
 
     def __eq__(self, other):
         return (

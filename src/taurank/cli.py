@@ -6,12 +6,13 @@ ALG-B0, ALG-C, ALG-K); module arguments are .mod.json files or inline
 expressions like "S(2)+S(3)".  Identical seeds produce byte-identical
 JSON reports.
 
-Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error or
-invalid option value (--trials, --tmax or --cap below 1, --oracle-params
-below 0, a --field modulus that is not prime, a prime field for reduce or
-paper-examples), 3 invalid module (for reduce also the zero module, whose
-annihilator is the whole algebra), 4 ideal does not annihilate, 10 scan
-violations found, 11 scan violations found on an uncertified r(1) only.
+Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error, a
+command line that argparse rejects, or an invalid option value (--trials,
+--tmax or --cap below 1, --oracle-params below 0, a --field modulus that
+is not prime, a prime field for reduce or paper-examples), 3 invalid
+module (for reduce also the zero module, whose annihilator is the whole
+algebra), 4 ideal does not annihilate, 10 scan violations found, 11 scan
+violations found on an uncertified r(1) only.
 Exits 2, 3 and 4 print a single `error:` line on stderr.
 `--oracle-params 0` is valid and runs no symbolic oracle.  Only check and
 reduce take `--cap`, the projective-dimension search cap; argparse rejects
@@ -30,7 +31,7 @@ from .artheory import hierarchy_report, reduce_and_compare
 from .examples_suite import run_paper_examples
 from .fields import DEFAULT_PRIME, QQ, PrimeField
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .io import ModuleFormatError, load_module_arg
+from .io import ModuleFormatError, load_module_arg, module_to_dict
 from .presentations import ProjDecomp, additivity_scan
 from .quiver import QuiverSyntaxError, parse_path_poly, parse_quiver_file
 from .reps import ext1_dim, hom_dim, injective
@@ -218,12 +219,7 @@ def cmd_tau(args):
     m = _load_module(alg, args.module, field)
     t = tau_minus(m) if args.minus else tau(m)
     name = "tau^-(M)" if args.minus else "tau(M)"
-    payload = {
-        "dim": list(t.dims),
-        "arrows": {a: [[field.to_json(x) for x in row] for row in mat.rows]
-                   for a, mat in t.arrows.items()},
-    }
-    _emit(args, payload, f"{name} has dimension vector {tuple(t.dims)}")
+    _emit(args, module_to_dict(t), f"{name} has dimension vector {tuple(t.dims)}")
     return EXIT_OK
 
 
@@ -298,8 +294,16 @@ def cmd_paper_examples(args):
     return EXIT_OK if all_pass else EXIT_EXAMPLES_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through `add_subparsers` its subcommands,
+    that reports a rejected command line as one `error:` line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"error: {self.prog}: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taurank",
         description=(
             "exact computations with bound quiver algebras: Hom spaces, minimal "

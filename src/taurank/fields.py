@@ -12,9 +12,10 @@ holds ints only, which the modular rank shortcut of `linalg` needs.
 `SeedStream.randint`; a Hom space draws all its coefficients in one call.
 The linear algebra layer computes on scalars with Python's operators and
 reduces F_p cells once, when it builds a matrix (see `linalg`); the
-per-scalar methods `add`, `sub`, `mul`, `neg`, `div` and `is_zero` return
-reduced results and serve the symbolic oracle and code that computes one
-scalar at a time, such as the reference eliminations of the tests.
+per-scalar methods `add`, `sub`, `mul`, `div` and `is_zero` return
+reduced results and serve code that computes one scalar at a time: the
+reference eliminations of the tests, `Poly.evaluate` and the tracer's
+count of nonzero Hom coefficients (`is_zero`).
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def div(self, a, b):
         if b == 0:
@@ -138,9 +136,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def div(self, a, b):
         if b % self.p == 0:

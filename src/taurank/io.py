@@ -1,8 +1,9 @@
 """Module files (.mod.json) and inline module expressions.
 
-A module file is a JSON object with keys "algebra" (informational path
-to the .qa source), "dim" (integer dimension vector) and "arrows"
-(arrow name -> row-major matrix; entries are ints or "p/q" strings).
+A module file is a JSON object with keys "dim" (integer dimension
+vector) and "arrows" (arrow name -> row-major matrix; entries are ints
+or "p/q" strings); other keys, such as an informational "algebra" path
+to the .qa source, are ignored.  `module_to_dict` gives this object.
 Expressions like "S(2)+S(3)" or "P(1)^2+I(2)" name sums of standard
 modules directly on the command line.
 """
@@ -71,22 +72,15 @@ def load_module_file(algebra, path, field=QQ):
     return module_from_dict(algebra, data, field)
 
 
-def module_to_dict(m: Representation, algebra_path=""):
+def module_to_dict(m: Representation):
     f = m.field
     return {
-        "algebra": algebra_path,
         "dim": list(m.dims),
         "arrows": {
             name: [[f.to_json(x) for x in row] for row in mat.rows]
             for name, mat in m.arrows.items()
         },
     }
-
-
-def save_module_file(m: Representation, path, algebra_path=""):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(module_to_dict(m, algebra_path), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 _TERM_RE = re.compile(r"^([SPI])\((\d+)\)(?:\^(\d+))?$")

@@ -141,23 +141,13 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        self._check_same_shape(other)
+        if self.shape() != other.shape():
+            raise ValueError(f"shape mismatch {self.shape()} vs {other.shape()}")
         return Matrix(
             self.field,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c):
         return Matrix(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
@@ -173,18 +163,8 @@ class Matrix:
             other.ncols,
         )
 
-    def apply(self, vec):
-        """Matrix times column vector (a plain list)."""
-        p = self.field.characteristic
-        out = [sum([a * b for a, b in zip(r, vec) if a and b]) for r in self.rows]
-        return [x % p for x in out] if p else out
-
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def _check_same_shape(self, other):
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch {self.shape()} vs {other.shape()}")
 
     # -- block assembly -------------------------------------------------
 
@@ -201,19 +181,6 @@ class Matrix:
             for i in range(n):
                 rows[i].extend(m.rows[i])
         return Matrix(field, rows, sum(m.ncols for m in mats))
-
-    @staticmethod
-    def vstack(field, mats, ncols=None):
-        mats = list(mats)
-        if not mats:
-            return Matrix.zeros(field, 0, ncols or 0)
-        c = mats[0].ncols
-        rows = []
-        for m in mats:
-            if m.ncols != c:
-                raise ValueError("vstack: column count mismatch")
-            rows.extend(m.rows)
-        return Matrix(field, rows, c)
 
     @staticmethod
     def block_sum(field, blocks, nrows, ncols):
@@ -508,18 +475,3 @@ def _divided(row, d):
     if d == 1:
         return row
     return [x // d if not x % d else Fraction(x, d) for x in row]
-
-
-def intersect_row_spaces(field, rows_u, rows_v, ncols):
-    """Canonical basis rows of span(rows_u) ∩ span(rows_v)."""
-    if not rows_u or not rows_v:
-        return []
-    mu = Matrix(field, rows_u, ncols)
-    mv = Matrix(field, rows_v, ncols)
-    # x = a·U = b·V  <=>  [U^T | -V^T] (a,b)^T = 0
-    stacked = Matrix.hstack(field, [mu.transpose(), (-mv).transpose()])
-    combos = stacked.kernel_basis()
-    if not combos:
-        return []
-    a = Matrix(field, [w[: mu.nrows] for w in combos], mu.nrows)
-    return (a * mu).row_space_rows()

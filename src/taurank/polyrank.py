@@ -92,9 +92,6 @@ class Poly:
                 )
         return Poly(self.nvars, out)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def lead(self):
         """Leading (monomial, coeff) under graded lex; None for zero."""
         if not self.terms:

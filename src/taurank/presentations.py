@@ -383,18 +383,6 @@ class GenericRankResult:
     def params(self):
         return self.witness.hom.dim
 
-    def to_json(self):
-        return {
-            "value": self.value,
-            "certified": self.certified,
-            "method": self.method,
-            "params": self.params,
-            "upper_bound": self.upper_bound,
-            "trials": self.trials,
-            "seed": self.seed,
-            "witness_rank": self.witness.rank(),
-        }
-
 
 def generic_rank(
     algebra,

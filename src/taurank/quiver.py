@@ -73,13 +73,6 @@ class Quiver:
                 return False
         return True
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Quiver)
-            and self.n == other.n
-            and self.arrows == other.arrows
-        )
-
     def __repr__(self):
         return f"Quiver({self.n} vertices, {len(self.arrows)} arrows)"
 
@@ -94,7 +87,10 @@ class RelationPoly:
 
     @staticmethod
     def make(quiver: Quiver, terms, line=None):
-        cleaned = []
+        """The relation with these (coefficient, word) terms; the
+        coefficients of a repeated word are summed, and words whose sum is
+        zero are dropped."""
+        sums = {}  # word -> summed coefficient, in order of first occurrence
         src = tgt = None
         for coeff, word in terms:
             coeff = Fraction(coeff)
@@ -120,10 +116,11 @@ class RelationPoly:
                     f"({s}->{t} vs {src}->{tgt})",
                     line,
                 )
-            cleaned.append((coeff, word))
+            sums[word] = sums.get(word, 0) + coeff
+        cleaned = tuple((c, w) for w, c in sums.items() if c)
         if not cleaned:
             raise QuiverSyntaxError("empty relation", line)
-        return RelationPoly(tuple(cleaned), src, tgt)
+        return RelationPoly(cleaned, src, tgt)
 
 
 _COEF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -137,7 +134,10 @@ def _parse_term(tok, line):
     if len(parts) == 2:
         if not _COEF_RE.match(parts[0]):
             raise QuiverSyntaxError(f"bad coefficient {parts[0]!r}", line)
-        coeff = Fraction(parts[0])
+        try:
+            coeff = Fraction(parts[0])
+        except ZeroDivisionError:
+            raise QuiverSyntaxError(f"zero denominator in {parts[0]!r}", line) from None
         path_tok = parts[1]
     elif len(parts) == 1:
         path_tok = parts[0]

@@ -84,9 +84,6 @@ class Morphism:
     def rank(self):
         return sum(m.rank() for m in self.maps.values())
 
-    def is_zero(self):
-        return all(m.is_zero() for m in self.maps.values())
-
     def compose(self, first):
         """self after first; ValueError unless first ends where self starts."""
         if first.target is not self.source and first.target != self.source:
@@ -103,18 +100,6 @@ class Morphism:
 
 def zero_rep(algebra, field=QQ):
     return Representation(algebra, field, (0,) * algebra.quiver.n, {})
-
-
-def identity_morphism(m: Representation):
-    return Morphism(m, m, {v: Matrix.identity(m.field, m.vertex_dim(v))
-                           for v in m.algebra.quiver.vertices})
-
-
-def zero_morphism(source, target):
-    return Morphism(source, target, {
-        v: Matrix.zeros(source.field, target.vertex_dim(v), source.vertex_dim(v))
-        for v in source.algebra.quiver.vertices
-    })
 
 
 # -- the action of algebra elements ----------------------------------------
@@ -339,7 +324,7 @@ def hom_dim(m: Representation, n: Representation):
     return nvars - sys_m.rank()
 
 
-# -- kernels, images, cokernels ----------------------------------------------
+# -- kernels and cokernels ---------------------------------------------------
 
 
 def _subrep(m: Representation, cols, what):
@@ -363,13 +348,6 @@ def kernel(f: Morphism):
     cols = {v: Matrix.from_columns(m.field, f.maps[v].kernel_basis(), m.vertex_dim(v))
             for v in m.algebra.quiver.vertices}
     return _subrep(m, cols, "kernel")
-
-
-def image(f: Morphism):
-    """(Im f, inclusion Im f -> target)."""
-    n = f.target
-    cols = {v: f.maps[v].column_space_basis() for v in n.algebra.quiver.vertices}
-    return _subrep(n, cols, "image")
 
 
 def cokernel(f: Morphism):
@@ -406,7 +384,7 @@ def cokernel(f: Morphism):
     return q, proj
 
 
-# -- radical, top, socle ------------------------------------------------------
+# -- radical and top ----------------------------------------------------------
 
 
 def radical_span(m: Representation, v):
@@ -425,20 +403,6 @@ def top(m: Representation):
     """(top M, projection M -> M/rad M)."""
     _, incl = radical_of(m)
     return cokernel(incl)
-
-
-def socle(m: Representation):
-    """(soc M, inclusion): joint kernel of all arrow maps."""
-    alg, fl = m.algebra, m.field
-    cols = {}
-    for v in alg.quiver.vertices:
-        parts = [m.arrows[a.name] for a in alg.quiver.arrows if a.source == v]
-        basis = Matrix.vstack(fl, parts, ncols=m.vertex_dim(v)).kernel_basis()
-        cols[v] = Matrix.from_columns(fl, basis, m.vertex_dim(v))
-    dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
-    soc = Representation(alg, fl, dims, {})
-    incl = Morphism(soc, m, {v: cols[v] for v in alg.quiver.vertices})
-    return soc, incl
 
 
 # -- projective realizations and covers ---------------------------------------
@@ -721,29 +685,3 @@ def annihilator(m: Representation) -> Ideal:
             if any(x != 0 for x in row):
                 rows.append(row)
     return Ideal(algebra, Matrix(QQ, rows, algebra.dim).kernel_basis(), closed=True)
-
-
-def is_faithful(m: Representation):
-    return annihilator(m).is_zero()
-
-
-def conjugate(m: Representation, rng: SeedStream):
-    """Transport M along a random change of basis at every vertex."""
-    alg, f = m.algebra, m.field
-    gs, gis = {}, {}
-    for v in alg.quiver.vertices:
-        d = m.vertex_dim(v)
-        low = [[int(i == j) for j in range(d)] for i in range(d)]
-        up = [[int(i == j) for j in range(d)] for i in range(d)]
-        for i in range(d):
-            for j in range(i):
-                low[i][j] = rng.randint(-3, 3)
-                up[j][i] = rng.randint(-3, 3)
-        g = Matrix(f, low, d) * Matrix(f, up, d)
-        gi = g.inverse()
-        gs[v], gis[v] = g, gi
-    arrows = {
-        a.name: gs[a.target] * m.arrows[a.name] * gis[a.source]
-        for a in alg.quiver.arrows
-    }
-    return Representation(alg, f, m.dims, arrows)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from taurank.cli import main
-from taurank.io import save_module_file, module_from_expr
+from taurank.io import module_from_expr, module_to_dict
 from taurank.examples_suite import cok_f_100
 from taurank.reps import direct_sum
 
@@ -76,7 +76,7 @@ def test_check_module_file_certified_no(capsys, tmp_path, alg_a):
     m = cok_f_100(alg_a)
     mm = direct_sum([m, m])
     path = tmp_path / "double.mod.json"
-    save_module_file(mm, path, algebra_path="ALG-A")
+    path.write_text(json.dumps(module_to_dict(mm)))
     code, out = run(capsys, ["check", "ALG-A", str(path), "--json"])
     assert code == 0
     data = json.loads(out)
@@ -251,16 +251,76 @@ def test_check_cap_zero_exits_2(capsys):
     assert_one_error_line(err)
 
 
+def run_rejected(capsys, argv):
+    """(exit code, stderr) of a command line that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
 def test_cap_belongs_to_check_and_reduce_only(capsys):
     code, err = run_err(capsys, ["reduce", "ALG-B", "S(2)", "--cap", "0"])
     assert code == 2
     assert_one_error_line(err)
     for argv in (["scan", "ALG-A", "--p1", "0,1,0", "--p0", "0,0,1", "--cap", "3"],
                  ["paper-examples", "--cap", "3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+        code, err = run_rejected(capsys, argv)
+        assert code == 2
+        assert_one_error_line(err)
+        assert "unrecognized arguments: --cap 3" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hom", "ALG-B", "S(1)"], "taurank hom: the following arguments are required: other"),
+    ([], "taurank: the following arguments are required: command"),
+    (["check", "ALG-B", "S(1)", "--trials", "x"], "invalid int value: 'x'"),
+], ids=["missing-positional", "no-command", "bad-int"])
+def test_rejected_command_line_prints_one_error_line(capsys, argv, message):
+    code, err = run_rejected(capsys, argv)
+    assert code == 2
+    assert_one_error_line(err)
+    assert message in err
+
+
+TWO_PATHS = ("vertices: 1 2 3\narrow a1: 2 -> 1\narrow a2: 2 -> 1\n"
+             "arrow b1: 3 -> 2\narrow b2: 3 -> 2\nrelations:\n")
+
+
+def test_a_repeated_relation_word_sums_its_coefficients(capsys, tmp_path):
+    # a1*b1 - a1*b1 + a2*b2 is the relation a2*b2, so the module with
+    # a1 = b1 = 1 is a module over the algebra either text builds
+    module = tmp_path / "m.mod.json"
+    module.write_text(json.dumps({"dim": [1, 1, 1], "arrows": {"a1": [[1]], "b1": [[1]]}}))
+    outs = []
+    for name, relation in (("repeated", "a1*b1 - a1*b1 + a2*b2"), ("plain", "a2*b2")):
+        qa = tmp_path / f"{name}.qa"
+        qa.write_text(TWO_PATHS + relation + "\n")
+        outs.append([run(capsys, [cmd, str(qa), *more, "--json"])
+                     for cmd, *more in (["info"], ["check", str(module)])])
+    assert outs[0] == outs[1]
+    assert all(code == 0 for code, _ in outs[0])
+
+
+def test_a_relation_that_cancels_exits_2(capsys, tmp_path):
+    qa = tmp_path / "loop.qa"
+    qa.write_text("vertices: 1\narrow x: 1 -> 1\nrelations:\nx*x*x - x*x*x\n")
+    code, err = run_err(capsys, ["info", str(qa)])
+    assert code == 2
+    assert_one_error_line(err)
+    assert "empty relation (line 4)" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["info", "zero.qa"], "vertices: 1 2 3\narrow a: 2 -> 1\narrow b: 3 -> 2\nrelations:\n1/0 a*b\n"),
+    (["reduce", "ALG-B", "S(2)", "--ideal", "zero.txt"], "1/0 a*b\n"),
+], ids=["algebra-file", "ideal-file"])
+def test_a_zero_denominator_exits_2(capsys, tmp_path, argv, text):
+    path = tmp_path / argv[-1]
+    path.write_text(text)
+    code, err = run_err(capsys, argv[:-1] + [str(path)])
+    assert code == 2
+    assert_one_error_line(err)
+    assert "zero denominator in '1/0'" in err
 
 
 def test_field_composite_modulus_exits_2(capsys):
@@ -498,8 +558,7 @@ PINNED_CHECKS = [
 
 
 def test_check_reduce_tau_json_bytes_pinned(capsys, tmp_path, monkeypatch, alg_a):
-    save_module_file(cok_f_100(alg_a), tmp_path / "cok_f_100.mod.json",
-                     algebra_path="ALG-A")
+    (tmp_path / "cok_f_100.mod.json").write_text(json.dumps(module_to_dict(cok_f_100(alg_a))))
     monkeypatch.chdir(tmp_path)
     for argv, want_code, want_out in PINNED_CHECKS:
         code, out = run(capsys, argv)

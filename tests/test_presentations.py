@@ -32,7 +32,6 @@ from taurank.quiver import parse_quiver_file
 from taurank.reps import (
     ProjRealization,
     cokernel,
-    conjugate,
     direct_sum,
     hom_dim,
     iso_test,
@@ -40,6 +39,8 @@ from taurank.reps import (
     simple,
     zero_rep,
 )
+
+from helpers import conjugate
 
 
 def f_lambda(alg_a, lam):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from taurank.quiver import QuiverSyntaxError, parse_path_poly, parse_quiver_file
@@ -73,8 +75,6 @@ def test_empty_relations_block_is_hereditary():
 def test_coefficients_and_signs():
     terms = parse_path_poly("-1/2 a1*b2 + a2*b1 - 3 a3*b3")
     coeffs = {w: c for c, w in terms}
-    from fractions import Fraction
-
     assert coeffs[("a1", "b2")] == Fraction(-1, 2)
     assert coeffs[("a2", "b1")] == 1
     assert coeffs[("a3", "b3")] == -3
@@ -96,3 +96,17 @@ b*a
 def test_comments_ignored():
     quiver, _ = parse_quiver_file("# header\nvertices: 1  # one vertex\n")
     assert quiver.n == 1
+
+
+def test_a_repeated_word_sums_its_coefficients():
+    text = ("vertices: 1 2 3\narrow a1: 2 -> 1\narrow a2: 2 -> 1\narrow b1: 3 -> 2\n"
+            "arrow b2: 3 -> 2\nrelations:\na1*b1 + 2 a2*b2 - a1*b1 + 1/2 a1*b1\n")
+    _, (relation,) = parse_quiver_file(text)
+    assert relation.terms == ((Fraction(1, 2), ("a1", "b1")), (2, ("a2", "b2")))
+    with pytest.raises(QuiverSyntaxError, match="empty relation"):
+        parse_quiver_file(text.replace("+ 1/2 a1*b1", "- 2 a2*b2"))
+
+
+def test_zero_denominator_rejected_with_its_line():
+    with pytest.raises(QuiverSyntaxError, match=r"zero denominator in '1/0' \(line 1\)"):
+        parse_path_poly("a*b + 1/0 c*d", 1)

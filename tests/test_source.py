@@ -1,11 +1,13 @@
 """Rules on the package source, checked on its syntax trees."""
 
 import ast
+import re
 from pathlib import Path
 
 import taurank
 
 PACKAGE = Path(taurank.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def modules():
@@ -127,3 +129,124 @@ def test_the_rule_sees_unused_imports():
     tree = ast.parse("from __future__ import annotations\nimport os.path\n"
                      "from x import a, b as c\nprint(a)\n")
     assert unused_imports(tree) == {"os": 2, "c": 3}
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# The names that only a test reads, each with a test file that reads it
+TEST_READERS = {
+    "top": "test_reps.py",  # the cover against its construction from top M
+    "radical_of": "test_reps.py",  # ... and rad P0 -> M against top M
+    "evaluate": "test_presentations.py",  # Hom-space matrices at their coefficients
+    "div": "test_linalg.py",  # the fields' scalar arithmetic of the reference eliminations
+    "reduce_presentation": "test_acceptance.py",  # criterion 8(e)
+    "check_intertwines": "test_reps.py",  # that a Hom basis consists of morphisms
+    "params": "test_acceptance.py",  # the Hom dimension of a rank witness
+}
+
+
+def read_names(node):
+    """Identifiers that node reads outside the functions and classes it
+    defines: names, attribute names, and string constants that are
+    identifiers (the tracer names the methods it wraps by string)."""
+    names, todo = set(), list(ast.iter_child_nodes(node))
+    while todo:
+        n = todo.pop()
+        if isinstance(n, DEFS):
+            continue
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            names.add(n.value)
+        todo.extend(ast.iter_child_nodes(n))
+    return names
+
+
+def definitions(tree):
+    """(definition, the definition around it or None) for every function,
+    method and class in tree."""
+    out, todo = [], [(tree, None)]
+    while todo:
+        node, around = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFS):
+                out.append((child, around))
+                todo.append((child, child))
+            else:
+                todo.append((child, around))
+    return out
+
+
+def all_read_names(tree):
+    """Identifiers read anywhere in tree, dead code included."""
+    return read_names(tree).union(*(read_names(d) for d, _ in definitions(tree)))
+
+
+def outside_readers():
+    """Names read outside the package and the tests: by benchmarks/*.py,
+    the README's python blocks and the pyproject.toml script entries."""
+    trees = [ast.parse(path.read_text()) for path in sorted((REPO / "benchmarks").glob("*.py"))]
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    trees += [ast.parse(code) for code in re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)]
+    names = set().union(*map(all_read_names, trees))
+    pyproject = (REPO / "pyproject.toml").read_text()
+    (scripts,) = re.findall(r"^\[project\.scripts\]\n(.*?)^$", pyproject, re.M | re.S)
+    return names | set(re.findall(r':(\w+)"', scripts))
+
+
+def unread_definitions(trees, readers):
+    """'module:name' of each definition that no live place reads, by name.
+
+    The places outside every definition are live, and so is each
+    definition whose name `readers` holds or a live place reads, when the
+    definition around it (if any) is live; a dunder needs only that.  Code
+    that only dead code reads is dead too."""
+    defs = [(module, d, around) for module, tree in trees.items()
+            for d, around in definitions(tree)]
+    read = set(readers).union(*map(read_names, trees.values()))
+    live, grew = set(), True
+    while grew:
+        grew = False
+        for _, d, around in defs:
+            if id(d) not in live and (around is None or id(around) in live) and (
+                    d.name in read or d.name.startswith("__") and d.name.endswith("__")):
+                live.add(id(d))
+                read |= read_names(d)
+                grew = True
+    return sorted(f"{module}:{d.name}" for module, d, _ in defs if id(d) not in live)
+
+
+def test_every_definition_has_a_reader_outside_the_tests():
+    assert unread_definitions(modules(), outside_readers() | set(TEST_READERS)) == []
+
+
+def test_each_test_reader_reads_a_name_nothing_else_reads():
+    unread = unread_definitions(modules(), outside_readers())
+    for name, test in TEST_READERS.items():
+        assert any(found.endswith(f":{name}") for found in unread), name
+        assert name in all_read_names(ast.parse((REPO / "tests" / test).read_text())), name
+
+
+def test_the_rule_sees_unread_definitions():
+    tree = ast.parse(
+        "def used():\n    helper()\n"
+        "def helper():\n    pass\n"
+        "def dead():\n    inner()\n"
+        "def inner():\n    pass\n"
+        "class C:\n    def __eq__(self, o):\n        return self.m()\n"
+        "    def m(self):\n        pass\n"
+        "    def gone(self):\n        gone_too()\n"
+        "def gone_too():\n    pass\n"
+        "def recursive():\n    recursive()\n"
+        "def by_string():\n    pass\n"
+        "class Dead:\n    def __init__(self):\n        kept_by_dead()\n"
+        "def kept_by_dead():\n    pass\n"
+        "TRACED = ['by_string']\n"
+        "used, C\n"
+    )
+    assert unread_definitions({"m.py": tree}, set()) == [
+        "m.py:Dead", "m.py:__init__", "m.py:dead", "m.py:gone", "m.py:gone_too",
+        "m.py:inner", "m.py:kept_by_dead", "m.py:recursive"]
+    assert "m.py:dead" not in unread_definitions({"m.py": tree}, {"dead"})
