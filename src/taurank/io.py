@@ -2,8 +2,10 @@
 
 A module file is a JSON object with keys "dim" (integer dimension
 vector) and "arrows" (arrow name -> row-major matrix; entries are ints
-or "p/q" strings); other keys, such as an informational "algebra" path
-to the .qa source, are ignored.  `module_to_dict` gives this object.
+or "p/q" strings), and optionally "algebra", an informational path to
+the .qa source; any other key is a `ModuleFormatError`, so a misspelled
+"arrows" is not read as a module with no arrows.  `module_to_dict`
+gives this object.
 Expressions like "S(2)+S(3)" or "P(1)^2+I(2)" name sums of standard
 modules directly on the command line.
 """
@@ -37,6 +39,10 @@ def _parse_scalar(field, x):
 def module_from_dict(algebra, data, field=QQ):
     if not isinstance(data, dict):
         raise ModuleFormatError("a module file must hold a JSON object")
+    unknown = sorted(set(data) - {"dim", "arrows", "algebra"})
+    if unknown:
+        raise ModuleFormatError(f"unknown key {unknown[0]!r} in module file "
+                                "(the keys are 'dim', 'arrows' and 'algebra')")
     if "dim" not in data:
         raise ModuleFormatError("module file is missing 'dim'")
     dims = data["dim"]

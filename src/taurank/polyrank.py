@@ -161,12 +161,6 @@ class PolyMatrix:
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
             raise ValueError("entry grid does not match shape")
 
-    @staticmethod
-    def zeros(nrows, ncols, nvars):
-        return PolyMatrix(
-            nrows, ncols, nvars, [[Poly(nvars) for _ in range(ncols)] for _ in range(nrows)]
-        )
-
     def evaluate(self, point, field=QQ):
         from .linalg import Matrix
 

@@ -78,13 +78,14 @@ class HomSpace:
     len(paths(j, v)) rows on in block v.
 
     `_hom_tables` builds the items, their generator cells and the gather
-    plan of `morphism_from_coeffs` in one pass.  Per cell the plan holds
-    the item whose coefficient lands there, or the padding index -1 when
-    none does, and its c; a cell that takes more than one item keeps its
-    first there and the others in a correction list.  A morphism is then
-    one index gather, one product per cell when some c is not 1, and over
-    F_p one reduction: of the coefficients when every cell is one of them,
-    else of the cells.
+    plan in one pass; the plan is the one description of the family, read
+    by `morphism_from_coeffs` and by `generic_vertex_matrices` alike.  Per
+    cell the plan holds the item whose coefficient lands there, or the
+    padding index -1 when none does, and its c; a cell that takes more
+    than one item keeps its first there and the others in a correction
+    list.  A morphism is then one index gather, one product per cell when
+    some c is not 1, and over F_p one reduction: of the coefficients when
+    every cell is one of them, else of the cells.
     """
 
     def __init__(self, r1: ProjRealization, r0: ProjRealization):
@@ -109,7 +110,7 @@ class HomSpace:
         over F_p the cells are reduced here, once."""
         if len(coeffs) != self.dim:
             raise ValueError(f"{len(coeffs)} coefficients for a Hom space of dimension {self.dim}")
-        gather, mults, extra, row_getter, spans = self._plan
+        _, gather, mults, extra, row_getter, spans = self._plan
         f = self.field
         p = f.characteristic
         coeffs = [*coeffs, 0]  # index -1 is the padding zero
@@ -140,33 +141,29 @@ class HomSpace:
         return self.field.sample(rng, bound, self.dim)
 
     def generic_vertex_matrices(self):
-        """Per-vertex PolyMatrix of the generic morphism, one variable per item."""
-        nvars = self.dim
-        out = {}
-        for v in self.algebra.quiver.vertices:
-            out[v] = PolyMatrix.zeros(
-                self.r0.rep.vertex_dim(v), self.r1.rep.vertex_dim(v), nvars
-            )
-        for t, (s1, s0, x) in enumerate(self.items):
-            i, _ = self.r1.summands[s1]
-            for v, triples in self.algebra.right_mult_blocks(i, x).items():
-                coff = self.r1.offsets[s1][v]
-                roff = self.r0.offsets[s0][v]
-                pm = out[v]
-                for r, col, c in triples:
-                    pm.entries[roff + r][coff + col] = pm.entries[roff + r][
-                        coff + col
-                    ] + Poly.variable(nvars, t, c)
+        """Per-vertex PolyMatrix of the generic morphism, one variable per
+        item: each cell is the plan's item times its c, plus its corrections."""
+        src, _, mults, extra, _, spans = self._plan
+        n = self.dim
+        cells = [Poly.variable(n, k, mults[cell] if mults else 1) if k >= 0 else Poly(n)
+                 for cell, k in enumerate(src)]
+        for cell, k, c in extra:
+            cells[cell] += Poly.variable(n, k, c)
+        out, at = {}, 0
+        for v, a, b, ncols in spans:
+            out[v] = PolyMatrix(b - a, ncols, n, [cells[at + r * ncols : at + (r + 1) * ncols]
+                                                  for r in range(b - a)])
+            at += (b - a) * ncols
         return out
 
 
 def _hom_tables(r1, r0):
     """(items, generator cells, gather plan) of Hom(r1, r0), as
-    `HomSpace` describes them.  The plan is (gather, multipliers or None
-    when every c is 1, corrections, row slicer, per vertex (v, first row,
-    end row, ncols)); both getters take two padding places more, so they
-    return a tuple even for zero or one cell or row, and the extra values
-    are never read."""
+    `HomSpace` describes them.  The plan is (per cell its item or -1,
+    gather, multipliers or None when every c is 1, corrections, row slicer,
+    per vertex (v, first row, end row, ncols)); both getters take two
+    padding places more, so they return a tuple even for zero or one cell
+    or row, and the extra values are never read."""
     alg, f = r1.algebra, r1.field
     first, row_slices, spans, ncells = {}, [], [], 0
     for v in alg.quiver.vertices:
@@ -209,7 +206,7 @@ def _hom_tables(r1, r0):
                     if not unit:
                         mults[at : at + m0 * rstep : rstep] = [c] * m0
     pad = slice(0, 0)
-    plan = (itemgetter(*src, -1, -1), mults, extra, itemgetter(*row_slices, pad, pad), spans)
+    plan = (src, itemgetter(*src, -1, -1), mults, extra, itemgetter(*row_slices, pad, pad), spans)
     return items, gen_cells, plan
 
 
@@ -222,7 +219,10 @@ def _hom_template(alg, i, j):
     coefficient at row r, column col of block v, whose rows number
     wj = len(paths(j, v)); c is an int when integral, else a Fraction.
     entries hold the first entry at each place, dups the further ones in
-    item order, and unit says whether every c in entries is 1."""
+    item order, and unit says whether every c in entries is 1.  This is
+    the one reader of `Algebra.right_mult_blocks`: the gather plan, and
+    through it the oracle's matrices, and the cover bound's nonzero blocks
+    all come from the templates."""
     template = alg.hom_templates.get((i, j))
     if template is None:
         xs = alg.paths(j, i)
@@ -263,31 +263,24 @@ def cover_upper_bound(hs: HomSpace):
 
 def _block_cover_bound(alg, mults1, mults0):
     """The block-cover bound of `cover_upper_bound` for Hom(P1, P0) with
-    these multiplicities, computed afresh."""
+    these multiplicities, computed afresh from the templates' entries."""
     # per vertex: the (source type i, target type j) with a nonzero block
     support = {v: set() for v in alg.quiver.vertices}
-    for i in alg.quiver.vertices:
-        for j in alg.quiver.vertices:
-            if mults1[i - 1] and mults0[j - 1]:
-                for x in alg.paths(j, i):
-                    for v in alg.right_mult_blocks(i, x):
-                        support[v].add((i, j))
+    for i, j in itertools.product(alg.quiver.vertices, repeat=2):
+        if mults1[i - 1] and mults0[j - 1]:
+            for v, *_ in _hom_template(alg, i, j)[2]:
+                support[v].add((i, j))
     total = 0
     for v in alg.quiver.vertices:
-        col_types = sorted({i for i, _ in support[v]})
-        row_types = sorted({j for _, j in support[v]})
-        col_dim = {i: mults1[i - 1] * len(alg.paths(i, v)) for i in col_types}
-        row_dim = {j: mults0[j - 1] * len(alg.paths(j, v)) for j in row_types}
-        best = None
-        for csub in itertools.chain.from_iterable(
-            itertools.combinations(col_types, r) for r in range(len(col_types) + 1)
-        ):
-            cset = set(csub)
-            rneeded = {j for (i, j) in support[v] if i not in cset}
-            cost = sum(col_dim[i] for i in cset) + sum(row_dim[j] for j in rneeded)
-            if best is None or cost < best:
-                best = cost
-        total += best or 0
+        types = sorted({i for i, _ in support[v]})
+        # keep the columns of the source types in `kept`, and the rows of
+        # every target type with a block outside them
+        total += min(
+            sum(mults1[i - 1] * len(alg.paths(i, v)) for i in kept)
+            + sum(mults0[j - 1] * len(alg.paths(j, v))
+                  for j in {j for i, j in support[v] if i not in kept})
+            for r in range(len(types) + 1) for kept in itertools.combinations(types, r)
+        )
     return total
 
 
@@ -543,13 +536,21 @@ def reduce_presentation(cx: TwoComplex):
 class RankScanReport:
     p1: ProjDecomp
     p0: ProjDecomp
-    t_max: int
     r_values: list
     methods: list
-    violations: list
     seed: int
     trials: int
     field_name: str = "Q"
+
+    @property
+    def t_max(self):
+        return len(self.r_values)
+
+    @property
+    def violations(self):
+        """Every t >= 2 whose value exceeds t * r(P1, P0)."""
+        r = self.r_values
+        return [t for t in range(2, len(r) + 1) if r[t - 1] > t * r[0]]
 
     @property
     def certified(self):
@@ -607,18 +608,8 @@ def additivity_scan(
         prev = res.witness
         if t == 1:
             w1 = prev
-    violations = [t for t in range(2, t_max + 1) if r_values[t - 1] > t * r_values[0]]
-    return RankScanReport(
-        p1=p1,
-        p0=p0,
-        t_max=t_max,
-        r_values=r_values,
-        methods=methods,
-        violations=violations,
-        seed=seed,
-        trials=trials,
-        field_name=field.name,
-    )
+    return RankScanReport(p1=p1, p0=p0, r_values=r_values, methods=methods, seed=seed,
+                          trials=trials, field_name=field.name)
 
 
 def random_presentation(algebra, rng: SeedStream, max_total_dim=9, field=QQ):

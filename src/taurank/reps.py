@@ -184,7 +184,7 @@ def projective(algebra, i, field=QQ):
     """P(i) = A e_i; its basis at vertex v is paths(i, v), in that order."""
     if i not in algebra.idempotent_index:
         raise ValueError(f"vertex {i} has no projective over this algebra")
-    dims = tuple(len(algebra.paths(i, v)) for v in algebra.quiver.vertices)
+    dims = algebra.dims_of_projective(i)
     arrows = {}
     for a in algebra.quiver.arrows:
         ncols = dims[a.source - 1]

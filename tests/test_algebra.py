@@ -5,7 +5,7 @@ import pytest
 
 from taurank.algebra import Algebra, Ideal, NotFiniteDimensional, build_algebra
 from taurank.quiver import Quiver, Arrow, RelationPoly, parse_quiver_file
-from taurank import fixtures
+from taurank import algebra, fixtures
 
 
 def brute_force_paths(quiver, max_len=10):
@@ -51,6 +51,16 @@ def test_infinite_dimensional_detected():
     quiver = Quiver(1, [Arrow("x", 1, 1)])
     with pytest.raises(NotFiniteDimensional):
         build_algebra(quiver, [], max_len=8)
+
+
+def test_build_stops_past_the_residue_cap(monkeypatch):
+    # ALG-B has 5 residues: a cap of 5 keeps it, a cap of 4 stops it
+    source = fixtures.FIXTURE_SOURCES["ALG-B"]
+    monkeypatch.setattr(algebra, "MAX_RESIDUES", 5)
+    assert build_algebra(*parse_quiver_file(source)).dim == 5
+    monkeypatch.setattr(algebra, "MAX_RESIDUES", 4)
+    with pytest.raises(NotFiniteDimensional, match="more than 4 path residues"):
+        build_algebra(*parse_quiver_file(source))
 
 
 def test_loop_with_nilpotency_relation():

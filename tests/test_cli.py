@@ -1,10 +1,12 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
+from taurank.algebra import MAX_RESIDUES
 from taurank.cli import main
 from taurank.io import module_from_expr, module_to_dict
 from taurank.examples_suite import cok_f_100
@@ -46,6 +48,23 @@ def test_info_malformed_file_exits_2(capsys, tmp_path):
     qa.write_text("vertices: 1 2\narrow a: 1 => 2\n")
     code, _ = run(capsys, ["info", str(qa)])
     assert code == 2
+
+
+def test_info_on_a_free_algebra_exits_2_at_the_residue_cap(tmp_path):
+    # k<x, y> has 2^L paths of length L; the build must stop at the cap,
+    # long before the depth limit, in a process with 800 MB of address space
+    qa = tmp_path / "free.qa"
+    qa.write_text("vertices: 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "taurank.cli", "info", str(qa)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_one_error_line(proc.stderr)
+    assert f"more than {MAX_RESIDUES} path residues" in proc.stderr
 
 
 def test_info_missing_file_exits_2(capsys):
@@ -364,6 +383,18 @@ def test_check_boolean_module_input_exits_3(capsys, tmp_path, algebra, data, as_
     assert code == 3
     assert captured.out == ""
     assert_one_error_line(captured.err)
+
+
+def test_check_misspelled_arrows_key_exits_3(capsys, tmp_path):
+    # read with the key ignored, this would be S(1)+S(2) and exit 0
+    bad = tmp_path / "m.mod.json"
+    bad.write_text(json.dumps({"dim": [1, 1, 0], "arrow": {"a": [[1]]}}))
+    code = main(["check", "ALG-B", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "'arrow'" in captured.err
 
 
 @pytest.mark.parametrize("line", ["e9", "zz", "b*a", "a*(b)"],

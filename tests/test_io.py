@@ -78,6 +78,17 @@ def test_unknown_arrow_rejected(alg_b):
         module_from_dict(alg_b, data)
 
 
+def test_unknown_key_rejected(alg_b):
+    # a misspelled "arrows" must not load as the module with no arrows
+    for data in ({"dim": [1, 1, 0], "arrow": {"a": [[1]]}},
+                 {"dim": [1, 1, 0], "arrows": {"a": [[1]]}, "field": "Q"}):
+        with pytest.raises(ModuleFormatError, match="unknown key"):
+            module_from_dict(alg_b, data)
+    # "algebra" is an informational key
+    data = {"algebra": "ALG-B", "dim": [1, 1, 0], "arrows": {"a": [[1]]}}
+    assert module_from_dict(alg_b, data).arrows["a"].rows == [[1]]
+
+
 def test_expr_parsing(alg_b):
     m = module_from_expr(alg_b, "S(2) + S(3)")
     assert m.dims == (0, 1, 1)

@@ -61,7 +61,7 @@ def test_poly_rank_two_by_two():
 
 
 def test_poly_rank_budget():
-    pm = PolyMatrix.zeros(50, 50, 1)
+    pm = PolyMatrix(50, 50, 1, [[Poly(1) for _ in range(50)] for _ in range(50)])
     with pytest.raises(OracleBudgetError):
         poly_rank(pm)
 
@@ -656,6 +656,40 @@ def scatter_from_per_item_tables(hs, coeffs):
             for v, at, nrows, ncols in shapes}
 
 
+def generic_rows_from_per_item_tables(r1, r0):
+    """Per vertex, the rows of the generic morphism Σ x_k · item k, added
+    up cell by cell from `per_item_tables`, with no plan."""
+    items, cells, _, shapes, ncells = per_item_tables(r1, r0)
+    polys = [Poly(len(items)) for _ in range(ncells)]
+    for k, entries in enumerate(cells):
+        for cell, c in entries:
+            polys[cell] += Poly.variable(len(items), k, c)
+    return {v: [polys[at + r * ncols : at + (r + 1) * ncols] for r in range(nrows)]
+            for v, at, nrows, ncols in shapes}
+
+
+def assert_generic_matrices_match_the_per_item_rows(hs):
+    want = generic_rows_from_per_item_tables(hs.r1, hs.r0)
+    got = hs.generic_vertex_matrices()
+    assert got.keys() == want.keys()
+    for v, rows in want.items():
+        pm = got[v]
+        assert (pm.nrows, pm.ncols, pm.nvars) == (len(rows), hs.r1.rep.vertex_dim(v), hs.dim)
+        assert [[e.terms for e in r] for r in pm.entries] == [[e.terms for e in r] for r in rows]
+        # Fraction coefficients: int / int in the oracle's division is a float
+        assert all(type(c) is Fraction for r in pm.entries for e in r for c in e.terms.values())
+
+
+def test_generic_matrices_match_a_per_item_build(all_fixture_algebras):
+    """The oracle's matrices read the gather plan; here they are built
+    afresh from `right_mult_blocks`, item by item."""
+    for alg in all_fixture_algebras.values():
+        for m1, m0 in handful_of_pairs(alg.quiver.n):
+            for t in (1, 2):
+                assert_generic_matrices_match_the_per_item_rows(
+                    realize_pair(alg, ProjDecomp(m1).scale(t), ProjDecomp(m0).scale(t)))
+
+
 def coefficient_lists(field, dim, seed):
     """Coefficient lists that reach every branch of the assembly: over Q
     ints, integral Fractions and non-integral Fractions; over F_p ints
@@ -716,6 +750,7 @@ def test_hom_assembly_adds_the_entries_a_cell_shares():
             # right multiplication by x and by y both reach the cell of q*x
             shared = Counter(cell for entries in cells for cell, _ in entries)
             assert max(shared.values()) == 2
+            assert_generic_matrices_match_the_per_item_rows(hs)
             for coeffs in coefficient_lists(field, hs.dim, 5):
                 assert_assembly_matches_the_scatter(hs, coeffs)
                 assert_assembly_matches_poly(hs, coeffs)

@@ -250,3 +250,34 @@ def test_the_rule_sees_unread_definitions():
         "m.py:Dead", "m.py:__init__", "m.py:dead", "m.py:gone", "m.py:gone_too",
         "m.py:inner", "m.py:kept_by_dead", "m.py:recursive"]
     assert "m.py:dead" not in unread_definitions({"m.py": tree}, {"dead"})
+
+
+def readers(tree, name):
+    """The name of the function or class around each read of `name`, as an
+    attribute (x.name) or a plain name, sorted; "<module>" outside them."""
+    found, todo = [], [(tree, "<module>")]
+    while todo:
+        node, around = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if name in (getattr(child, "attr", None), getattr(child, "id", None)):
+                found.append(around)
+            todo.append((child, child.name if isinstance(child, DEFS) else around))
+    return sorted(found)
+
+
+def test_only_the_hom_template_reads_right_multiplication():
+    # one description of Hom(P1, P0): the templates, which the gather plan,
+    # the oracle's matrices and the cover bound all read
+    found = {name: found for name, tree in modules().items()
+             if (found := readers(tree, "right_mult_blocks"))}
+    assert found == {"presentations.py": ["_hom_template"]}
+
+
+def test_the_rule_sees_reads_of_a_name():
+    tree = ast.parse(
+        "def f(alg):\n    return alg.right_mult_blocks(1, 2)\n"
+        "class C:\n    def g(self):\n        def h():\n            right_mult_blocks()\n"
+        "blocks = alg.right_mult_blocks\n"
+        "def right_mult_blocks(self):\n    self.other\n"
+    )
+    assert readers(tree, "right_mult_blocks") == ["<module>", "f", "h"]
