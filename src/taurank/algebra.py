@@ -32,6 +32,16 @@ class NotFiniteDimensional(RuntimeError):
 # (Python 3.11, 2-CPU Linux host), so a build at the cap ends in seconds.
 MAX_RESIDUES = 1024
 
+# Most vectors a build reduces against its tip table while closing the
+# ideal.  Each insert is a full reduction, and the closure can visit nearly
+# every path below the nilpotency length: k[x, y]/(x^a, y^a, xy - yx) makes
+# about 4^a inserts (130815 at a = 8, a build of about 2 s on the host
+# above), so past the cap a build stops in seconds instead of running on.
+MAX_TIP_INSERTS = 1 << 17
+
+# Longest path a build searches for a surviving residue.
+MAX_LEN = 30
+
 
 @dataclass(frozen=True)
 class BasisElement:
@@ -116,15 +126,15 @@ class _TipTable:
         return tip
 
 
-def build_algebra(quiver: Quiver, relations, max_len: int = 30):
+def build_algebra(quiver: Quiver, relations):
     """Construct KQ/I with the length-graded residue basis.
 
     Raises NotFiniteDimensional if path residues still survive at
-    max_len, or once more than MAX_RESIDUES survive.  The associativity
-    of the structure constants is checked exhaustively over the basis.
+    MAX_LEN, once more than MAX_RESIDUES survive, or once closing the
+    ideal takes more than MAX_TIP_INSERTS tip-table inserts.  The
+    associativity of the structure constants is checked exhaustively over
+    the basis.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     for rel in relations:
         if not isinstance(rel, RelationPoly):
             raise TypeError("relations must be RelationPoly instances")
@@ -161,8 +171,11 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30):
                 out[(arrow.source, word + (arrow.name,))] = c
         return out
 
+    inserts = 0
+
     def drain(upto):
         """Process all pending vectors with lead length <= upto."""
+        nonlocal inserts
         while True:
             levels = sorted(l for l in pending if l <= upto)
             if not levels:
@@ -170,11 +183,16 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30):
             lvl = levels[0]
             vecs = pending.pop(lvl)
             for vec in vecs:
+                inserts += 1
+                if inserts > MAX_TIP_INSERTS:
+                    raise NotFiniteDimensional(
+                        f"closing the ideal takes more than {MAX_TIP_INSERTS} tip-table "
+                        "inserts; too large to build")
                 tip = table.insert(vec)
                 if tip is None:
                     continue
                 g = table.by_tip[tip]
-                if len(tip[1]) + 1 <= max_len:
+                if len(tip[1]) + 1 <= MAX_LEN:
                     for a in arrows:
                         schedule(left_mult(a, g))
                         schedule(right_mult(g, a))
@@ -182,7 +200,7 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30):
     # survivors per length; terminate at the first empty level
     survivors = {0: [(i, ()) for i in quiver.vertices]}
     nilpotency = None
-    for length in range(1, max_len + 1):
+    for length in range(1, MAX_LEN + 1):
         drain(length)
         prev = survivors[length - 1]
         level = []
@@ -203,7 +221,7 @@ def build_algebra(quiver: Quiver, relations, max_len: int = 30):
             break
     if nilpotency is None:
         raise NotFiniteDimensional(
-            f"path residues still survive at length {max_len}; "
+            f"path residues still survive at length {MAX_LEN}; "
             "not finite-dimensional within max_len"
         )
 

@@ -10,9 +10,10 @@ Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error, a
 command line that argparse rejects, or an invalid option value (--trials,
 --tmax or --cap below 1, --oracle-params below 0, a --field modulus that
 is not prime, a prime field for reduce or paper-examples), 3 invalid
-module (for reduce also the zero module, whose annihilator is the whole
-algebra), 4 ideal does not annihilate, 10 scan violations found, 11 scan
-violations found on an uncertified r(1) only.
+module (also one above `io.MAX_MODULE_DIM` in total dimension; for reduce
+also the zero module, whose annihilator is the whole algebra), 4 ideal
+does not annihilate, 10 scan violations found, 11 scan violations found
+on an uncertified r(1) only.
 Exits 2, 3 and 4 print a single `error:` line on stderr.
 `--oracle-params 0` is valid and runs no symbolic oracle.  Only check and
 reduce take `--cap`, the projective-dimension search cap; argparse rejects

@@ -7,7 +7,8 @@ the .qa source; any other key is a `ModuleFormatError`, so a misspelled
 "arrows" is not read as a module with no arrows.  `module_to_dict`
 gives this object.
 Expressions like "S(2)+S(3)" or "P(1)^2+I(2)" name sums of standard
-modules directly on the command line.
+modules directly on the command line.  Either form is a
+`ModuleFormatError` when its total dimension exceeds `MAX_MODULE_DIM`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,22 @@ from .reps import Representation, check_relations, direct_sum, injective, projec
 
 class ModuleFormatError(ValueError):
     pass
+
+
+# Largest total dimension a loaded module may have, checked before the
+# module is assembled.  The dense Hom systems behind e, E and Ext^1 grow
+# with the square of the dimensions, and `check` time with about its
+# sixth power: on ALG-A, S(2)^k took 0.5 s at k = 10, 4.4 s at
+# k = 15 and 25 s at k = 20, and I(1)^40 ran out of memory (Python 3.11,
+# 2-CPU Linux host).  S(2)^k is the slowest fixture module measured per
+# dimension, so at the cap `check` and `reduce` end in about 5 s.
+MAX_MODULE_DIM = 15
+
+
+def _check_size(total):
+    if total > MAX_MODULE_DIM:
+        raise ModuleFormatError(f"module of total dimension {total} is above the cap of "
+                                f"{MAX_MODULE_DIM}")
 
 
 def _parse_scalar(field, x):
@@ -50,6 +67,7 @@ def module_from_dict(algebra, data, field=QQ):
         type(d) is not int or d < 0 for d in dims
     ):
         raise ModuleFormatError("'dim' must be a vector of non-negative ints, one per vertex")
+    _check_size(sum(dims))
     arrows = {}
     raw = data.get("arrows", {})
     if not isinstance(raw, dict):
@@ -106,10 +124,12 @@ def module_from_expr(algebra, expr, field=QQ):
         kind, vertex, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
         if vertex not in algebra.idempotent_index:
             raise ModuleFormatError(f"vertex {vertex} does not exist in this algebra")
-        parts.extend([makers[kind](algebra, vertex, field)] * power)
-    if not parts:
+        parts.append((makers[kind](algebra, vertex, field), power))
+    total = sum(p.dim_total * power for p, power in parts)
+    if not total:
         raise ModuleFormatError("empty module expression")
-    return direct_sum(parts)
+    _check_size(total)
+    return direct_sum([p for p, power in parts for _ in range(power)])
 
 
 def load_module_arg(algebra, arg, field=QQ):

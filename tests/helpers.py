@@ -25,3 +25,9 @@ def conjugate(m: Representation, rng: SeedStream):
         for a in alg.quiver.arrows
     }
     return Representation(alg, f, m.dims, arrows)
+
+
+def commutative_square(a):
+    """k[x, y]/(x^a, y^a, xy - yx) as .qa text; its dimension is a^2."""
+    return (f"vertices: 1\narrow x: 1 -> 1\narrow y: 1 -> 1\nrelations:\nx*y - y*x\n"
+            f"{'*'.join('x' * a)}\n{'*'.join('y' * a)}\n")

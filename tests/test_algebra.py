@@ -7,6 +7,8 @@ from taurank.algebra import Algebra, Ideal, NotFiniteDimensional, build_algebra
 from taurank.quiver import Quiver, Arrow, RelationPoly, parse_quiver_file
 from taurank import algebra, fixtures
 
+from helpers import commutative_square
+
 
 def brute_force_paths(quiver, max_len=10):
     """Independent oracle: enumerate all paths of the quiver by length."""
@@ -47,10 +49,11 @@ def test_no_arrow_quiver_is_semisimple():
     assert all(alg.dims_of_projective(i)[i - 1] == 1 for i in quiver.vertices)
 
 
-def test_infinite_dimensional_detected():
+def test_infinite_dimensional_detected(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_LEN", 8)
     quiver = Quiver(1, [Arrow("x", 1, 1)])
-    with pytest.raises(NotFiniteDimensional):
-        build_algebra(quiver, [], max_len=8)
+    with pytest.raises(NotFiniteDimensional, match="still survive at length 8"):
+        build_algebra(quiver, [])
 
 
 def test_build_stops_past_the_residue_cap(monkeypatch):
@@ -61,6 +64,21 @@ def test_build_stops_past_the_residue_cap(monkeypatch):
     monkeypatch.setattr(algebra, "MAX_RESIDUES", 4)
     with pytest.raises(NotFiniteDimensional, match="more than 4 path residues"):
         build_algebra(*parse_quiver_file(source))
+
+
+def test_build_stops_past_the_tip_insert_cap(monkeypatch):
+    # closing ALG-A's ideal takes 6 inserts: a cap of 6 keeps it, 5 stops it
+    source = fixtures.FIXTURE_SOURCES["ALG-A"]
+    monkeypatch.setattr(algebra, "MAX_TIP_INSERTS", 6)
+    assert build_algebra(*parse_quiver_file(source)).dim == 12
+    monkeypatch.setattr(algebra, "MAX_TIP_INSERTS", 5)
+    with pytest.raises(NotFiniteDimensional, match="more than 5 tip-table inserts"):
+        build_algebra(*parse_quiver_file(source))
+
+
+def test_small_commutative_square_builds():
+    alg = build_algebra(*parse_quiver_file(commutative_square(4)))
+    assert alg.dim == 16
 
 
 def test_loop_with_nilpotency_relation():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from taurank import artheory, presentations, reps
 from taurank.algebra import Ideal
 from taurank.artheory import (
+    Verdict,
     ar_formula_check,
     e_invariant,
     hierarchy_report,
@@ -23,6 +24,8 @@ from taurank.linalg import Matrix
 from taurank.presentations import (
     ProjDecomp,
     complex_from_coeffs,
+    cover_upper_bound,
+    generic_rank,
     min_presentation,
     random_module,
 )
@@ -124,11 +127,19 @@ def test_tau_regular_projective(alg_b):
     assert v.outcome == "certified-yes"
 
 
-def test_tau_regular_cok_family(alg_a):
+def test_tau_regular_cok_family(monkeypatch, alg_a):
+    # both presentations stay below the cover bound, so each is sampled
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return generic_rank(*args, **kwargs)
+
+    monkeypatch.setattr(artheory, "generic_rank", spy)
     m = cok_f(alg_a, (1, 0, 0))
     assert m.dims == (1, 2, 1)
     v = is_tau_regular(m, trials=8, seed=42)
-    assert v.outcome == "certified-yes"
+    assert v.outcome == "certified-yes" and v.method == "oracle"
     assert v.presentation_rank == 3 == v.generic_rank
 
     mm = direct_sum([m, m])
@@ -137,6 +148,7 @@ def test_tau_regular_cok_family(alg_a):
     assert v2.presentation_rank == 6
     assert v2.generic_rank == 8
     assert v2.witness.rank() == 8
+    assert len(calls) == 2
 
 
 def test_tau_regular_alg_b_sum(alg_b):
@@ -144,6 +156,38 @@ def test_tau_regular_alg_b_sum(alg_b):
     v = is_tau_regular(m, trials=8, seed=42)
     assert v.outcome == "certified-yes"
     assert v.presentation_rank == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FIXTURE_NAMES),
+    st.sampled_from([QQ, PrimeField(2**31 - 1)]),
+    st.integers(0, 10**6),
+)
+def test_verdict_equals_sampling_with_the_presentation_as_extra_sample(fixture, field, seed):
+    # the cover-bound shortcut must give the bytes of the sampled verdict
+    m = random_module(load_fixture(fixture), SeedStream(seed), max_total_dim=7, field=field)
+    cx = min_presentation(m)
+    sampled = generic_rank(m.algebra, cx.p1, cx.p0, trials=2, seed=seed,
+                           extra_samples=[cx.map], field=field)
+    want = Verdict(cx.rank(), sampled).to_json()
+    assert is_tau_regular(m, trials=2, seed=seed).to_json() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.integers(0, 10**6))
+def test_pd_le_1_modules_draw_no_sample(fixture, seed):
+    m = random_module(load_fixture(fixture), SeedStream(seed), max_total_dim=7)
+    cx = reps.scoped(min_presentation, m)  # the presentation is_tau_regular reads
+    if cx.rank() < cx.hom.r1.total_dim:  # not injective: pd M > 1
+        return
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artheory, "generic_rank", lambda *a, **k: calls.append(a))
+        v = is_tau_regular(m, trials=2, seed=seed)
+    assert not calls
+    assert v.outcome == "certified-yes" and v.method == "dimension-bound"
+    assert v.witness is cx and v.generic_rank == cover_upper_bound(cx.hom)
 
 
 def test_stable_hom_examples(alg_b):

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
-from taurank.algebra import MAX_RESIDUES
+from taurank.algebra import MAX_RESIDUES, MAX_TIP_INSERTS
 from taurank.cli import main
-from taurank.io import module_from_expr, module_to_dict
+from taurank.io import MAX_MODULE_DIM, module_from_expr, module_to_dict
 from taurank.examples_suite import cok_f_100
 from taurank.reps import direct_sum
+
+from helpers import commutative_square
 
 
 def run(capsys, argv):
@@ -50,21 +52,38 @@ def test_info_malformed_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def run_bounded(argv, timeout=20):
+    """The CLI in a child process with 800 MB of address space."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run(
+        [sys.executable, "-m", "taurank.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20)),
+    )
+
+
 def test_info_on_a_free_algebra_exits_2_at_the_residue_cap(tmp_path):
     # k<x, y> has 2^L paths of length L; the build must stop at the cap,
     # long before the depth limit, in a process with 800 MB of address space
     qa = tmp_path / "free.qa"
     qa.write_text("vertices: 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "taurank.cli", "info", str(qa)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20)),
-    )
+    proc = run_bounded(["info", str(qa)])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert_one_error_line(proc.stderr)
     assert f"more than {MAX_RESIDUES} path residues" in proc.stderr
+
+
+def test_info_on_a_large_ideal_exits_2_at_the_insert_cap(tmp_path):
+    # k[x, y]/(x^10, y^10, xy - yx) has dimension 100, but closing its
+    # ideal visits nearly every path of length below 19
+    qa = tmp_path / "square.qa"
+    qa.write_text(commutative_square(10))
+    proc = run_bounded(["info", str(qa)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_one_error_line(proc.stderr)
+    assert f"more than {MAX_TIP_INSERTS} tip-table inserts" in proc.stderr
 
 
 def test_info_missing_file_exits_2(capsys):
@@ -101,6 +120,35 @@ def test_check_module_file_certified_no(capsys, tmp_path, alg_a):
     data = json.loads(out)
     assert data["verdict"]["outcome"] == "certified-no"
     assert data["verdict"]["witness_rank"] == 8
+
+
+def test_check_on_a_module_past_the_size_cap_exits_3():
+    # I(1)^40 over ALG-A has dimension 280; its Hom system once ran out of
+    # memory, so the loader must refuse it before building any of it
+    proc = run_bounded(["check", "ALG-A", "I(1)^40"], timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert_one_error_line(proc.stderr)
+    assert f"total dimension 280 is above the cap of {MAX_MODULE_DIM}" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "ALG-A", "S(2)", "S(2)^1000000000000"],
+    ["reduce", "ALG-B", "{file}"],
+])
+def test_module_inputs_past_the_size_cap_exit_3(capsys, tmp_path, argv):
+    path = tmp_path / "big.mod.json"
+    path.write_text(json.dumps({"dim": [MAX_MODULE_DIM, 1, 0], "arrows": {}}))
+    code, err = run_err(capsys, [a.format(file=path) for a in argv])
+    assert code == 3
+    assert_one_error_line(err)
+    assert f"is above the cap of {MAX_MODULE_DIM}" in err
+
+
+def test_a_module_at_the_size_cap_is_read(capsys):
+    code, out = run(capsys, ["check", "ALG-K", f"S(1)^{MAX_MODULE_DIM}", "--json"])
+    assert code == 0
+    assert json.loads(out)["dim"] == [MAX_MODULE_DIM, 0]
 
 
 def test_check_invalid_module_exits_3(capsys, tmp_path):
