@@ -222,7 +222,7 @@ def build_algebra(quiver: Quiver, relations):
     if nilpotency is None:
         raise NotFiniteDimensional(
             f"path residues still survive at length {MAX_LEN}; "
-            "not finite-dimensional within max_len"
+            f"not finite-dimensional within path length {MAX_LEN}"
         )
 
     basis = []

@@ -1,4 +1,5 @@
-"""Dense exact matrices: rank, null spaces, solving, block assembly.
+"""Exact matrices: dense rank, null spaces, solving, block assembly, and
+the rank of sparse rows.
 
 Cells are plain Python numbers in row-major lists: over Q an `int` or a
 `Fraction` (the two mix freely; the reduced echelon form gives an `int`
@@ -9,7 +10,7 @@ no code writes a matrix after it is built.  The one matrix source that
 reduces its own is the Hom-space assembly
 (`presentations.HomSpace.morphism_from_coeffs`), which hands its reduced
 rows to `Matrix.adopt`; `Matrix.block_sum` adopts the cells of its
-blocks.  Two engines eliminate:
+blocks.  Three engines eliminate:
 
 - `_packed_rank` eliminates mod the Mersenne prime p = 2**31 - 1 on
   packed rows.  It gives the rank over F_p for this p, and it is the
@@ -24,6 +25,14 @@ blocks.  Two engines eliminate:
   which rref, kernels, solving and row spaces read.  A linear solve
   A X = B runs one elimination of [A | B], whatever the number of
   right-hand columns.
+- `sparse_rank` ranks rows given as dicts {column: cell} and touches
+  only their nonzeros.  A row is reduced by the kept row that leads at
+  its leading column until it vanishes or is kept; over Q on
+  cleared-denominator integer rows, fraction-free as in `_echelon`, over
+  F_p with pivots scaled to 1.  It ranks the intertwiner constraints of
+  `reps.hom_dim`, whose rows hold one to a few nonzeros each among
+  sum_v dim M_v dim N_v unknowns; `reps.hom_basis` fills a dense
+  `Matrix` from the same rows for `kernel_basis`.
 
 A matrix memoizes its rank in the slot `_rank`, which only this module
 writes.  Three exact certificates stand in for eliminations:
@@ -468,6 +477,53 @@ def _echelon(m: Matrix, reduced=False):
     if reduced and not p:
         rows = [_divided(row, row[c]) for row, c in zip(rows, pivots)]
     return rows, pivots
+
+
+def sparse_rank(field, rows):
+    """The rank of the matrix whose rows are the dicts `rows`, each
+    {column: cell}; a row or cell left out is zero.  The rows are not
+    changed.
+
+    Each row is reduced by the kept pivot row at its leading (smallest)
+    column until it vanishes or leads at a column no kept row leads at,
+    and is then kept.  Over Q the rows are cleared of denominators and
+    combined fraction-free, each divided by the gcd of its cells; over
+    F_p each kept row is scaled to a pivot of 1."""
+    p = field.characteristic
+    pivots = {}  # leading column -> kept row
+    for row in rows:
+        if p:
+            row = {c: y for c, x in row.items() if (y := x % p)}
+        else:
+            den = lcm(*[x.denominator for x in row.values()])
+            row = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                if p:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: x * inv % p for c, x in row.items()}
+                pivots[lead] = row
+                break
+            v = row[lead]
+            if p:
+                for c, y in prow.items():
+                    if x := (row.pop(c, 0) - v * y) % p:
+                        row[c] = x
+            else:
+                pv = prow[lead]
+                g = gcd(pv, v)
+                a, b = pv // g, v // g
+                if a != 1:
+                    row = {c: a * x for c, x in row.items()}
+                for c, y in prow.items():
+                    if x := row.pop(c, 0) - b * y:
+                        row[c] = x
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+    return len(pivots)
 
 
 def _divided(row, d):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebra import Ideal
 from .fields import QQ, SeedStream
-from .linalg import Matrix
+from .linalg import Matrix, sparse_rank
 
 
 class Representation:
@@ -266,46 +266,49 @@ def direct_sum(reps):
 # -- Hom spaces --------------------------------------------------------------
 
 
-def _hom_system(m: Representation, n: Representation):
-    """Constraint matrix for intertwiners f: M -> N, unknowns stacked per vertex."""
+def _hom_rows(m: Representation, n: Representation):
+    """(rows, offsets, nvars): the constraints F_v M_a = N_a F_u on the
+    intertwiners f: M -> N as sparse rows {unknown: coefficient}, with the
+    unknowns F_v[r][j] stacked per vertex from offsets[v].  An unknown
+    whose two terms cancel (on a loop) is left out, and so is a row left
+    empty."""
     _check_same_base(m, n)
-    alg, f = m.algebra, m.field
-    q = alg.quiver
-    offsets = {}
-    off = 0
-    for v in q.vertices:
-        offsets[v] = off
-        off += n.vertex_dim(v) * m.vertex_dim(v)
-    nvars = off
+    q = m.algebra.quiver
+    p = m.field.characteristic
+    offsets, nvars = {}, 0
+    for v, dm, dn in zip(q.vertices, m.dims, n.dims):
+        offsets[v] = nvars
+        nvars += dn * dm
     rows = []
-    zero = f.zero
     for a in q.arrows:
         u, v = a.source, a.target
-        ma, na = m.arrows[a.name], n.arrows[a.name]
-        dnv, dmu = n.vertex_dim(v), m.vertex_dim(u)
-        dmv, dnu = m.vertex_dim(v), n.vertex_dim(u)
-        for r in range(dnv):
-            for c in range(dmu):
-                row = [zero] * nvars
-                # (F_v · M_a)[r][c] = sum_j F_v[r][j] M_a[j][c]
-                for j in range(dmv):
-                    coef = ma.rows[j][c]
-                    if coef:
-                        row[offsets[v] + r * dmv + j] = coef
-                # -(N_a · F_u)[r][c] = -sum_i N_a[r][i] F_u[i][c]
-                for i in range(dnu):
-                    coef = na.rows[r][i]
-                    if coef:
-                        row[offsets[u] + i * dmu + c] -= coef
-                rows.append(row)
-    return Matrix(f, rows, nvars), offsets, nvars
+        ma, na = m.arrows[a.name].rows, n.arrows[a.name].rows
+        dmv, dmu = m.dims[v - 1], m.dims[u - 1]
+        # row r, column c: sum_j F_v[r][j] M_a[j][c] - sum_i N_a[r][i] F_u[i][c]
+        ma_cols = [[(j, row[c]) for j, row in enumerate(ma) if row[c]] for c in range(dmu)]
+        na_rows = [[(offsets[u] + i * dmu, -x % p if p else -x) for i, x in enumerate(row) if x]
+                   for row in na]
+        for r, na_row in enumerate(na_rows):
+            fv = offsets[v] + r * dmv
+            for c, ma_col in enumerate(ma_cols):
+                row = {fv + j: x for j, x in ma_col}
+                for k, y in na_row:
+                    k += c
+                    y += row.pop(k, 0)
+                    if p:
+                        y %= p
+                    if y:
+                        row[k] = y
+                if row:
+                    rows.append(row)
+    return rows, offsets, nvars
 
 
 def hom_basis(m: Representation, n: Representation):
-    sys_m, offsets, nvars = _hom_system(m, n)
-    if nvars == 0:
-        return []
-    kernel = sys_m.kernel_basis()
+    rows, offsets, nvars = _hom_rows(m, n)
+    z = m.field.zero
+    dense = [[row.get(k, z) for k in range(nvars)] for row in rows]
+    kernel = Matrix(m.field, dense, nvars).kernel_basis()
     out = []
     for vec in kernel:
         maps = {}
@@ -318,10 +321,8 @@ def hom_basis(m: Representation, n: Representation):
 
 
 def hom_dim(m: Representation, n: Representation):
-    sys_m, _, nvars = _hom_system(m, n)
-    if nvars == 0:
-        return 0
-    return nvars - sys_m.rank()
+    rows, _, nvars = _hom_rows(m, n)
+    return nvars - sparse_rank(m.field, rows)
 
 
 # -- kernels and cokernels ---------------------------------------------------

@@ -52,7 +52,8 @@ def test_no_arrow_quiver_is_semisimple():
 def test_infinite_dimensional_detected(monkeypatch):
     monkeypatch.setattr(algebra, "MAX_LEN", 8)
     quiver = Quiver(1, [Arrow("x", 1, 1)])
-    with pytest.raises(NotFiniteDimensional, match="still survive at length 8"):
+    with pytest.raises(NotFiniteDimensional, match="still survive at length 8; "
+                       "not finite-dimensional within path length 8"):
         build_algebra(quiver, [])
 
 

@@ -14,6 +14,7 @@ from taurank.linalg import (
     _echelon,
     _rank_certified_mod_p,
     _term_rank,
+    sparse_rank,
 )
 
 
@@ -815,3 +816,39 @@ def test_seed_stream_randint_matches_random_randint():
             assert ours.randint(lo, hi) == ref.randint(lo, hi)
     with pytest.raises(ValueError):
         SeedStream(1).randint(3, 2)
+
+
+def test_sparse_rank_of_no_rows_is_zero():
+    assert sparse_rank(QQ, []) == 0
+    assert sparse_rank(PrimeField(7), [{}, {3: 0}]) == 0
+
+
+def test_sparse_rank_of_a_rank_deficient_rational_system():
+    rows = [{0: Fraction(1, 2), 2: 3}, {1: Fraction(2, 3), 2: -1},
+            {0: 1, 1: Fraction(4, 3), 2: 4}, {5: 0}]
+    # the third row is twice the first plus twice the second
+    assert sparse_rank(QQ, rows) == 2
+    dense = [[r.get(j, 0) for j in range(6)] for r in rows]
+    assert qmat(dense).rank() == 2
+    assert rows[0] == {0: Fraction(1, 2), 2: 3}  # the input is not changed
+
+
+def test_sparse_rank_over_f7():
+    f7 = PrimeField(7)
+    # mod 7 the rows of [[1, 2, 3], [2, 4, 6], [0, 1, 1]], entered unreduced
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 13}, {1: 1, 2: -6}]
+    assert sparse_rank(f7, rows) == 2
+    assert sparse_rank(QQ, rows) == 3
+    assert sparse_rank(f7, rows + [{0: 3}]) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 7, _P]), st.integers(0, 10**6))
+def test_sparse_rank_matches_the_dense_rank(p, seed):
+    field = PrimeField(p) if p else QQ
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+    cells = [0, 0, 0, 1, 2, p - 1] if p else [0, 0, 0, 1, -1, 2, Fraction(1, 3)]
+    dense = [[rng.choice(cells) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [{j: x for j, x in enumerate(r) if x} for r in dense]
+    assert sparse_rank(field, rows) == Matrix(field, dense, ncols).rank()

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taurank.algebra import Ideal
+from taurank.algebra import Ideal, build_algebra
+from taurank.artheory import e_invariant
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
 from taurank.linalg import Matrix
@@ -12,10 +13,12 @@ from taurank.presentations import (
     random_module,
     realize_pair,
 )
+from taurank.quiver import parse_quiver_file
 from taurank.reps import (
     Morphism,
     ProjRealization,
     Representation,
+    _hom_rows,
     act_element,
     act_word,
     annihilates,
@@ -41,7 +44,7 @@ from taurank.reps import (
     zero_rep,
 )
 
-from helpers import conjugate
+from helpers import conjugate, dense_hom_dim
 
 
 def regular_module(alg):
@@ -129,6 +132,44 @@ def test_hom_dim_examples(alg_a):
     # oracle: dim e_3 A e_3 from the path basis
     e3ae3 = sum(1 for b in alg_a.basis if b.source == 3 and b.target == 3)
     assert hom_dim(p3, p3) == e3ae3 == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.sampled_from([0, 7, DEFAULT_PRIME]),
+       st.integers(0, 10**6))
+def test_sparse_hom_dim_matches_the_dense_system(fixture, p, seed):
+    field = PrimeField(p) if p else QQ
+    alg, rng = load_fixture(fixture), SeedStream(seed)
+    m, n = (random_module(alg, rng.split(k), field=field) for k in (0, 1))
+    for a, b in ((m, n), (n, m), (m, m)):
+        basis = hom_basis(a, b)
+        assert hom_dim(a, b) == len(basis) == dense_hom_dim(a, b)
+        for f in basis:
+            f.check_intertwines()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_hom_on_a_loop_whose_two_terms_cancel(field):
+    # on k[x]/(x^2), the constraint F M_x = M_x F at cell (r, r) has the
+    # unknown F[r][r] from both sides with M_x[r][r] - M_x[r][r] = 0
+    alg = build_algebra(*parse_quiver_file("vertices: 1\narrow x: 1 -> 1\nrelations:\nx*x\n"))
+    m = Representation(alg, field, (2,), {"x": Matrix(field, [[1, 1], [-1, -1]])})
+    check_relations(m)
+    rows, _, _ = _hom_rows(m, m)
+    assert all(all(row.values()) for row in rows)
+    assert 0 not in rows[0] and 3 not in rows[-1]  # F[r][r] at cell (r, r)
+    basis = hom_basis(m, m)
+    assert hom_dim(m, m) == len(basis) == dense_hom_dim(m, m) == 2
+    for f in basis:
+        f.check_intertwines()
+
+
+def test_hom_at_the_module_size_cap(alg_a):
+    # S(2)^15 is the slowest fixture module at the cap; Hom(M, tau M) has
+    # 1800 unknowns, and ranking its dense system took about 10 s
+    m = direct_sum([simple(alg_a, 2)] * 15)
+    assert hom_dim(m, m) == 225
+    assert e_invariant(m) == 0
 
 
 def test_hom_rejects_modules_over_different_algebras_or_fields(alg_a, alg_k):
