@@ -27,13 +27,13 @@ class ModuleFormatError(ValueError):
 
 
 # Largest total dimension a loaded module may have, checked before the
-# module is assembled.  The Hom systems behind e, E and Ext^1 are ranked
-# sparse (`linalg.sparse_rank`), but covers, presentations and every
-# other elimination stay dense, and the cap bounds them all.  With it
-# lifted, `check` on ALG-A's S(2)^k, the slowest fixture module measured
-# per dimension, took 0.2 s at k = 10, 0.4 s at k = 15, 0.7 s at k = 20
-# and 3.8 s at k = 40, and on I(1)^40 (dimension 280) 23 s (Python 3.11,
-# 2-CPU Linux host).  At the cap, `check` and `reduce` end in about 0.5 s.
+# module is assembled.  Every exact elimination touches only nonzero
+# cells, but the matrices of covers, presentations and kernels are built
+# and multiplied dense, and the cap bounds them all.  With it lifted,
+# `check` on ALG-A's S(2)^k, the slowest fixture module measured per
+# dimension, took 0.2 s at k = 10, 0.4 s at k = 15, 0.8 s at k = 20 and
+# 4.0 s at k = 40, and on I(1)^40 (dimension 280) 19 s (Python 3.11,
+# 2-CPU Linux host).  At the cap, `check` and `reduce` end in about 0.4 s.
 MAX_MODULE_DIM = 15
 
 

@@ -1,5 +1,4 @@
-"""Exact matrices: dense rank, null spaces, solving, block assembly, and
-the rank of sparse rows.
+"""Exact matrices: rank, null spaces, solving and block assembly.
 
 Cells are plain Python numbers in row-major lists: over Q an `int` or a
 `Fraction` (the two mix freely; the reduced echelon form gives an `int`
@@ -10,29 +9,28 @@ no code writes a matrix after it is built.  The one matrix source that
 reduces its own is the Hom-space assembly
 (`presentations.HomSpace.morphism_from_coeffs`), which hands its reduced
 rows to `Matrix.adopt`; `Matrix.block_sum` adopts the cells of its
-blocks.  Three engines eliminate:
+blocks.  Two parts eliminate:
 
-- `_packed_rank` eliminates mod the Mersenne prime p = 2**31 - 1 on
-  packed rows.  It gives the rank over F_p for this p, and it is the
-  first try for the rank over Q of an all-int matrix.
-- `_echelon` serves every other elimination.  Over Q it runs on
-  cleared-denominator integer rows (fraction-free: cross multiplication
-  with per-row gcd normalization), over F_p on rows with pivots scaled to
-  1.  Its forward pass gives the rank over other primes and over Q when
-  the packed shortcut does not decide it, and the pivot columns that
-  span a column space; with `reduced=True` the same
-  loop clears above each pivot too and gives the reduced echelon form,
-  which rref, kernels, solving and row spaces read.  A linear solve
-  A X = B runs one elimination of [A | B], whatever the number of
-  right-hand columns.
-- `sparse_rank` ranks rows given as dicts {column: cell} and touches
-  only their nonzeros.  A row is reduced by the kept row that leads at
-  its leading column until it vanishes or is kept; over Q on
-  cleared-denominator integer rows, fraction-free as in `_echelon`, over
-  F_p with pivots scaled to 1.  It ranks the intertwiner constraints of
-  `reps.hom_dim`, whose rows hold one to a few nonzeros each among
-  sum_v dim M_v dim N_v unknowns; `reps.hom_basis` fills a dense
-  `Matrix` from the same rows for `kernel_basis`.
+- The packed modular shortcut.  `_packed_rank` eliminates mod the
+  Mersenne prime p = 2**31 - 1 on packed rows.  It gives the rank over
+  F_p for this p, and it is the first try for the rank over Q of an
+  all-int matrix.
+- The one exact engine.  `_echelon(field, rows, reduced)` takes rows as
+  fresh dicts {column: nonzero cell}, F_p cells reduced, and may change
+  them; it touches only nonzeros.  Each row is reduced by the kept row
+  that leads at its leading column until it vanishes or is kept: over Q
+  fraction-free on cleared-denominator integer rows (cross
+  multiplication, each row divided by the gcd of its cells), over F_p
+  with pivots scaled to 1.  This forward pass gives the rank over other
+  primes and over Q when the shortcut does not decide it, and the pivot
+  columns that span a column space; with `reduced=True` a back
+  substitution from the highest pivot down and, over Q, one division by
+  each pivot at the end give the reduced echelon form, which rref,
+  kernels, solving and row spaces read.  A linear solve A X = B runs one
+  elimination of [A | B], whatever the number of right-hand columns.
+  Every `Matrix` method hands its rows in as dicts and reads the result
+  back; `reps.hom_dim` hands in its intertwiner constraints, which it
+  builds as sparse rows.
 
 A matrix memoizes its rank in the slot `_rank`, which only this module
 writes.  Three exact certificates stand in for eliminations:
@@ -44,7 +42,7 @@ writes.  Three exact certificates stand in for eliminations:
 - The term rank.  A rank mod p short of b is compared with the term
   rank, the most nonzero cells with no two in one line, which bounds the
   rank over Q from above as well (Edmonds 1967).  Equality certifies the
-  rank over Q; otherwise the exact elimination runs.
+  rank over Q; otherwise the exact engine runs.
 - Block sums.  `Matrix.block_sum` places blocks at rows and columns that
   cover every line once, so the sum is block-diagonal up to a row and a
   column permutation; when every block has a rank memo, the sum memoizes
@@ -235,29 +233,31 @@ class Matrix:
             cells = array("Q", chain.from_iterable(self.rows))
             return _packed_rank(cells, self.ncols, _rank_bound(self.rows))
         r = None if p else _rank_certified_mod_p(self)
-        return len(_echelon(self)[1]) if r is None else r
+        return len(_echelon(self.field, _dict_rows(self.rows))[1]) if r is None else r
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
-        rows, pivots = _echelon(self, reduced=True)
-        rows += [[self.field.zero] * self.ncols for _ in range(self.nrows - len(rows))]
-        return Matrix(self.field, rows, self.ncols), pivots
+        rows, pivots = _echelon(self.field, _dict_rows(self.rows), reduced=True)
+        n = self.ncols
+        dense = [[row.get(j, 0) for j in range(n)] for row in rows]
+        dense += [[0] * n for _ in range(self.nrows - len(rows))]
+        return Matrix.adopt(self.field, dense, n), pivots
 
     def kernel_basis(self):
         """Basis of the right null space, as a list of column vectors."""
-        rows, pivots = _echelon(self, reduced=True)
-        f = self.field
-        p = f.characteristic
+        rows, pivots = _echelon(self.field, _dict_rows(self.rows), reduced=True)
+        p = self.field.characteristic
+        n = self.ncols
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for fcol in free:
-            v = [f.zero] * self.ncols
-            v[fcol] = f.one
-            for row, c in zip(rows, pivots):
-                v[c] = -row[fcol] % p if p else -row[fcol]
-            basis.append(v)
-        return basis
+        basis = {j: [0] * n for j in range(n) if j not in pivot_set}
+        for j, v in basis.items():
+            v[j] = 1
+        # a reduced row's cells off its pivot lie in free columns
+        for row, c in zip(rows, pivots):
+            for j, x in row.items():
+                if j != c:
+                    basis[j][c] = -x % p if p else -x
+        return list(basis.values())
 
     def solve(self, b):
         """A particular solution of self * x = b, or None if inconsistent."""
@@ -272,13 +272,15 @@ class Matrix:
         n = self.ncols
         if not b.ncols:
             return Matrix.zeros(self.field, n, 0)
-        rows, pivots = _echelon(Matrix.hstack(self.field, [self, b]), reduced=True)
+        augmented = _dict_rows(ra + rb for ra, rb in zip(self.rows, b.rows))
+        rows, pivots = _echelon(self.field, augmented, reduced=True)
         if pivots and pivots[-1] >= n:
             return None
-        x = [[self.field.zero] * b.ncols for _ in range(n)]
-        for row, p in zip(rows, pivots):
-            x[p] = row[n:]
-        return Matrix(self.field, x, b.ncols)
+        right = range(n, n + b.ncols)
+        x = [[0] * b.ncols for _ in range(n)]
+        for row, c in zip(rows, pivots):
+            x[c] = [row.get(j, 0) for j in right]
+        return Matrix.adopt(self.field, x, b.ncols)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -291,7 +293,7 @@ class Matrix:
     def pivot_columns(self):
         """Pivot columns of the echelon form, from the forward pass alone:
         the leftmost columns that span the column space."""
-        return _echelon(self)[1]
+        return _echelon(self.field, _dict_rows(self.rows))[1]
 
     def column_space_basis(self):
         """Matrix whose columns span the column space (pivot columns)."""
@@ -300,26 +302,11 @@ class Matrix:
 
     def row_space_rows(self):
         """Canonical (RREF) spanning rows of the row space, zero rows dropped."""
-        return _echelon(self, reduced=True)[0]
+        rows = _echelon(self.field, _dict_rows(self.rows), reduced=True)[0]
+        return [[row.get(j, 0) for j in range(self.ncols)] for row in rows]
 
 
 # -- elimination engines -------------------------------------------------
-
-
-def _int_rows(m: Matrix):
-    """Clear denominators of int or Fraction entries: integer rows (Q only)."""
-    out = []
-    for row in m.rows:
-        den = lcm(*[x.denominator for x in row])
-        if den == 1:
-            ints = [x.numerator for x in row]
-        else:
-            ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
 
 
 _P = (1 << 31) - 1  # a Mersenne prime: 2**31 = 1 (mod _P)
@@ -424,110 +411,72 @@ def _packed_rank(cells, ncols, bound):
     return rank
 
 
-def _echelon(m: Matrix, reduced=False):
-    """Row echelon form of m: (its nonzero rows, their pivot columns).
-
-    Over Q the elimination runs on `_int_rows`: each step takes the
-    smallest |pivot| in its column, clears the column by cross
-    multiplication and divides each changed row by the gcd of its cells.
-    Over F_p each pivot row is scaled to 1.  With `reduced`, each step also
-    clears the rows above its pivot and, over Q, each row is divided by its
-    pivot at the end, which gives the reduced echelon form over the field.
-    """
-    p = m.field.characteristic
-    rows = list(m.rows) if p else _int_rows(m)  # rows are replaced, never mutated
-    nrows = len(rows)
-    pivots = []
-    for c in range(m.ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = best = None
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                a = abs(v)
-                if best is None or a < best:
-                    best, piv = a, i
-                    if a == 1:
-                        break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if p:
-            inv = pow(pv, -1, p)
-            rows[r] = prow = [x * inv % p for x in prow]
-        # prow is zero left of c, so whole rows combine
-        for i in range(0 if reduced else r + 1, nrows):
-            ri = rows[i]
-            v = ri[c]
-            if v and i != r:
-                if p:
-                    rows[i] = [(x - v * y) % p for x, y in zip(ri, prow)]
-                else:
-                    g = gcd(pv, v)
-                    a, b = pv // g, v // g
-                    ri = [a * x - b * y for x, y in zip(ri, prow)]
-                    g = gcd(*ri)
-                    rows[i] = [x // g for x in ri] if g > 1 else ri
-        pivots.append(c)
-    rows = rows[: len(pivots)]
-    if reduced and not p:
-        rows = [_divided(row, row[c]) for row, c in zip(rows, pivots)]
-    return rows, pivots
-
-
-def sparse_rank(field, rows):
-    """The rank of the matrix whose rows are the dicts `rows`, each
-    {column: cell}; a row or cell left out is zero.  The rows are not
-    changed.
-
-    Each row is reduced by the kept pivot row at its leading (smallest)
-    column until it vanishes or leads at a column no kept row leads at,
-    and is then kept.  Over Q the rows are cleared of denominators and
-    combined fraction-free, each divided by the gcd of its cells; over
-    F_p each kept row is scaled to a pivot of 1."""
+def _echelon(field, rows, reduced=False):
+    """(The kept rows, their pivot columns in ascending order) of the
+    matrix with these rows, or with `reduced` the rows of its reduced
+    echelon form (the module docstring gives the steps).  `rows` are
+    fresh dicts {column: nonzero cell}, F_p cells reduced; the engine may
+    change them."""
+    if not rows:
+        return [], []
     p = field.characteristic
-    pivots = {}  # leading column -> kept row
+    kept = {}  # leading column -> kept row
     for row in rows:
-        if p:
-            row = {c: y for c, x in row.items() if (y := x % p)}
-        else:
+        if not p and not {int}.issuperset(map(type, row.values())):
             den = lcm(*[x.denominator for x in row.values()])
-            row = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
         while row:
             lead = min(row)
-            prow = pivots.get(lead)
+            prow = kept.get(lead)
             if prow is None:
-                if p:
+                if p and row[lead] != 1:
                     inv = pow(row[lead], -1, p)
                     row = {c: x * inv % p for c, x in row.items()}
-                pivots[lead] = row
+                kept[lead] = row
                 break
-            v = row[lead]
-            if p:
-                for c, y in prow.items():
-                    if x := (row.pop(c, 0) - v * y) % p:
-                        row[c] = x
-            else:
-                pv = prow[lead]
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                if a != 1:
-                    row = {c: a * x for c, x in row.items()}
-                for c, y in prow.items():
-                    if x := row.pop(c, 0) - b * y:
-                        row[c] = x
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {c: x // g for c, x in row.items()}
-    return len(pivots)
+            row = _cleared(p, row, lead, prow)
+    pivots = sorted(kept)
+    if reduced:
+        # a kept row has no cell at the other pivot columns once every
+        # higher one is done, so clearing by it adds none
+        for lead in reversed(pivots):
+            row = kept[lead]
+            for c in [c for c in row if c != lead and c in kept]:
+                row = _cleared(p, row, c, kept[c])
+            kept[lead] = row
+        if not p:
+            for c in pivots:
+                row = kept[c]
+                if (d := row[c]) != 1:
+                    kept[c] = {k: x // d if not x % d else Fraction(x, d) for k, x in row.items()}
+    return [kept[c] for c in pivots], pivots
 
 
-def _divided(row, d):
-    """The int row divided by d over Q: an int where the quotient is one."""
-    if d == 1:
+def _cleared(p, row, c, prow):
+    """`row` with its cell at column c cleared by `prow`, whose pivot is
+    at c: over F_p, row - row[c] * prow (the pivot is 1); over Q, the
+    fraction-free combination pv * row - row[c] * prow, both cut by their
+    gcd, and then divided by the gcd of its cells."""
+    v = row[c]
+    if p:
+        for k, y in prow.items():
+            if x := (row.pop(k, 0) - v * y) % p:
+                row[k] = x
         return row
-    return [x // d if not x % d else Fraction(x, d) for x in row]
+    pv = prow[c]
+    g = gcd(pv, v)
+    a, b = pv // g, v // g
+    if a != 1:
+        row = {k: a * x for k, x in row.items()}
+    for k, y in prow.items():
+        if x := row.pop(k, 0) - b * y:
+            row[k] = x
+    g = gcd(*row.values())
+    if g > 1:
+        row = {k: x // g for k, x in row.items()}
+    return row
+
+
+def _dict_rows(rows):
+    """The rows as fresh dicts {column: cell} of their nonzero cells."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]

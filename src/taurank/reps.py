@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebra import Ideal
 from .fields import QQ, SeedStream
-from .linalg import Matrix, sparse_rank
+from .linalg import Matrix, _echelon
 
 
 class Representation:
@@ -322,7 +322,7 @@ def hom_basis(m: Representation, n: Representation):
 
 def hom_dim(m: Representation, n: Representation):
     rows, _, nvars = _hom_rows(m, n)
-    return nvars - sparse_rank(m.field, rows)
+    return nvars - len(_echelon(m.field, rows)[1])
 
 
 # -- kernels and cokernels ---------------------------------------------------

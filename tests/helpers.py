@@ -1,8 +1,13 @@
 """Tools the tests share."""
 
 from taurank.fields import SeedStream
-from taurank.linalg import Matrix
+from taurank.linalg import Matrix, _dict_rows, _echelon
 from taurank.reps import Representation
+
+
+def echelon_rank(m: Matrix):
+    """The rank of m by the exact engine alone, with no shortcut."""
+    return len(_echelon(m.field, _dict_rows(m.rows))[1])
 
 
 def conjugate(m: Representation, rng: SeedStream):

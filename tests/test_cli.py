@@ -3,13 +3,16 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taurank.algebra import MAX_RESIDUES, MAX_TIP_INSERTS
 from taurank.cli import main
 from taurank.io import MAX_MODULE_DIM, module_from_expr, module_to_dict
 from taurank.examples_suite import cok_f_100
+from taurank.fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, load_fixture
 from taurank.reps import direct_sum
 
 from helpers import commutative_square
@@ -696,3 +699,105 @@ def test_cli_output_does_not_depend_on_the_hash_seed():
         assert out_a or err_a.startswith("error: ")
         codes.append(a.returncode)
     assert codes == [0, 10, 0, 0, 3, 0, 0, 0]
+
+
+# -- random input through the command line ------------------------------------
+
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 10, 11}
+# no lone surrogates (a file could not hold them) and no NUL (an argument
+# cannot)
+noise = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                max_size=12)
+QA_LINES = ["vertices: 1 2", "vertices: 1 2 3", "vertices:", "vertices: 0 1", "vertices: x",
+            "arrow a: 2 -> 1", "arrow b: 1 -> 2", "arrow a: 3 -> 2", "arrow c: 2 => 1",
+            "arrow x: 1 -> 1", "arrow: 1 -> 2", "relations:", "a*b", "b*a - a*b", "x*x*x",
+            "2/3*a*b", "1/0*a", "a +", "e1", "compose: before", "# a comment", ""]
+
+
+def spliced(draw, text):
+    """text with a short slice replaced by noise, or as it is."""
+    if draw(st.booleans()):
+        return text
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 12)))
+    return text[:i] + draw(noise) + text[j:]
+
+
+@st.composite
+def qa_texts(draw):
+    """A bundled fixture's source, spliced, or lines drawn from valid and
+    broken .qa lines."""
+    if draw(st.booleans()):
+        return spliced(draw, FIXTURE_SOURCES[draw(st.sampled_from(FIXTURE_NAMES))])
+    return "\n".join(draw(st.lists(st.sampled_from(QA_LINES), max_size=8))) + "\n"
+
+
+expr_terms = st.builds(
+    "{}({}){}".format, st.sampled_from("SPISPIQ"),
+    st.sampled_from(["1", "2", "1", "2", "3", "0", "9", "", "x"]),
+    st.sampled_from(["", "", "", "^2", "^0", "^99", "^", "^-1", "^" + "9" * 30]))
+expressions = st.one_of(st.lists(expr_terms, min_size=1, max_size=3).map("+".join), noise)
+json_cells = st.one_of(st.integers(-2, 2), st.sampled_from(
+    ["1/2", "-3/4", "1/0", "x", "", 2.5, None, True, [], 10**30, "9" * 40]))
+
+
+@st.composite
+def module_texts(draw, algebra):
+    """.mod.json text: a module of the fixture `algebra`, with a cell, the
+    dimension vector or a key redrawn or not, spliced or not."""
+    alg = load_fixture(algebra if algebra in FIXTURE_NAMES else "ALG-B")
+    try:
+        obj = module_to_dict(module_from_expr(alg, draw(expressions)))
+    except ValueError:
+        obj = {"dim": [1] * alg.quiver.n, "arrows": {}}
+    change = draw(st.sampled_from(["none", "none", "cell", "dim", "key"]))
+    if change == "cell" and obj["arrows"]:
+        rows = obj["arrows"][draw(st.sampled_from(sorted(obj["arrows"])))]
+        if rows and rows[0]:
+            rows[draw(st.integers(0, len(rows) - 1))][0] = draw(json_cells)
+    elif change == "dim":
+        obj["dim"] = draw(st.sampled_from([[], [-1, 1, 0], [10**9, 0, 0], "1", None, [1, 1]]))
+    elif change == "key":
+        obj[draw(st.sampled_from(["dims", "arrow", "algebra"]))] = obj.pop("arrows")
+    return spliced(draw, json.dumps(obj))
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, files): a command on a fixture or a drawn .qa file, with
+    modules given inline or as drawn .mod.json files."""
+    files = {}
+    algebra = draw(st.sampled_from([*FIXTURE_NAMES, "alg.qa"]))
+    if algebra == "alg.qa":
+        files[algebra] = draw(qa_texts())
+
+    def module(name):
+        if draw(st.booleans()):
+            return draw(expressions)
+        files[name] = draw(module_texts(algebra))
+        return name
+
+    command = draw(st.sampled_from(["info", "check", "hom", "ext1", "tau", "reduce"]))
+    argv = [command, algebra]
+    if command != "info":
+        argv.append(module("m.mod.json"))
+    if command in ("hom", "ext1"):
+        argv.append(module("n.mod.json"))
+    if command in ("check", "reduce"):
+        argv += ["--trials", "1"]
+    return argv, files
+
+
+@settings(max_examples=25, deadline=None)
+@given(command_lines())
+def test_random_input_exits_with_a_documented_code_and_one_error_line(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        proc = run_bounded([os.path.join(tmp, a) if a in files else a for a in argv])
+    assert proc.returncode in DOCUMENTED_EXITS, (argv, proc.stderr)
+    assert "Traceback" not in proc.stdout + proc.stderr, (argv, proc.stderr)
+    assert proc.stderr.count("\n") <= 1, (argv, proc.stderr)
+    assert not proc.stderr or proc.stderr.startswith("error:"), (argv, proc.stderr)

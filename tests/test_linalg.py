@@ -11,11 +11,13 @@ from taurank.fields import QQ, PrimeField, SeedStream, is_prime
 from taurank.linalg import (
     _P,
     Matrix,
+    _dict_rows,
     _echelon,
     _rank_certified_mod_p,
     _term_rank,
-    sparse_rank,
 )
+
+from helpers import echelon_rank
 
 
 def qmat(rows):
@@ -616,7 +618,7 @@ def structured_int_rows(draw):
 def test_rational_rank_of_structured_int_matrices_is_exact(shaped):
     rows, ncols = shaped
     m = Matrix(QQ, rows, ncols)
-    want = len(_echelon(Matrix(QQ, rows, ncols))[1])
+    want = echelon_rank(Matrix(QQ, rows, ncols))
     assert want == exact_rank(rows, ncols)
     assert m.rank() == want
     assert _rank_certified_mod_p(m) in (None, want)
@@ -630,7 +632,7 @@ def test_block_sum_needs_every_line_once():
     assert m._rank is None  # the blocks have no memo
     for blk, _, _ in blocks:
         blk.rank()
-    assert Matrix.block_sum(QQ, blocks, 2, 3)._rank == 2 == len(_echelon(m)[1])
+    assert Matrix.block_sum(QQ, blocks, 2, 3)._rank == 2 == echelon_rank(m)
     # a line used twice: the cells would fit a rank-1 matrix, not rank 2
     for rows, cols in (([0], [0]), ([0], [1])):
         with pytest.raises(AssertionError):
@@ -657,7 +659,7 @@ def test_block_sum_needs_every_line_once():
                 placed.append((blk, rows[:r], cols[:c]))
                 rows, cols = rows[r:], cols[c:]
             m = Matrix.block_sum(field, placed, nrows, ncols)
-            assert m._rank == len(_echelon(m)[1])
+            assert m._rank == echelon_rank(m)
             assert m == Matrix(field, m.rows, ncols)  # cells reduced, shape kept
 
 
@@ -680,7 +682,7 @@ def test_block_sum_of_blocks_without_memo_eliminates_nothing(monkeypatch):
                 patch.setattr(linalg, engine, eliminated)
             m = Matrix.block_sum(field, blocks, nrows, ncols)
         assert m._rank is None and all(blk._rank is None for blk, _, _ in blocks)
-        assert m.rank() == len(_echelon(Matrix(field, m.rows, ncols))[1])
+        assert m.rank() == echelon_rank(Matrix(field, m.rows, ncols))
 
 
 def test_rank_of_dense_int_matrices_with_cells_near_the_prime():
@@ -818,37 +820,83 @@ def test_seed_stream_randint_matches_random_randint():
         SeedStream(1).randint(3, 2)
 
 
-def test_sparse_rank_of_no_rows_is_zero():
-    assert sparse_rank(QQ, []) == 0
-    assert sparse_rank(PrimeField(7), [{}, {3: 0}]) == 0
+def test_echelon_of_no_rows_is_empty():
+    assert _echelon(QQ, []) == ([], [])
+    assert _echelon(PrimeField(7), [{}, {}], reduced=True) == ([], [])
 
 
-def test_sparse_rank_of_a_rank_deficient_rational_system():
+def test_echelon_of_a_rank_deficient_rational_system():
     rows = [{0: Fraction(1, 2), 2: 3}, {1: Fraction(2, 3), 2: -1},
-            {0: 1, 1: Fraction(4, 3), 2: 4}, {5: 0}]
+            {0: 1, 1: Fraction(4, 3), 2: 4}, {}]
     # the third row is twice the first plus twice the second
-    assert sparse_rank(QQ, rows) == 2
     dense = [[r.get(j, 0) for j in range(6)] for r in rows]
+    assert len(_echelon(QQ, [dict(r) for r in rows])[1]) == 2
     assert qmat(dense).rank() == 2
-    assert rows[0] == {0: Fraction(1, 2), 2: 3}  # the input is not changed
+    reduced, pivots = _echelon(QQ, rows, reduced=True)
+    assert pivots == [0, 1]
+    assert reduced == [{0: 1, 2: 6}, {1: 1, 2: Fraction(-3, 2)}]
 
 
-def test_sparse_rank_over_f7():
+def test_echelon_over_f7():
     f7 = PrimeField(7)
-    # mod 7 the rows of [[1, 2, 3], [2, 4, 6], [0, 1, 1]], entered unreduced
-    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 13}, {1: 1, 2: -6}]
-    assert sparse_rank(f7, rows) == 2
-    assert sparse_rank(QQ, rows) == 3
-    assert sparse_rank(f7, rows + [{0: 3}]) == 3
+    # mod 7 the rows of [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
+    assert _echelon(f7, [dict(r) for r in rows])[1] == [0, 1]
+    assert _echelon(QQ, [dict(r) for r in rows])[1] == [0, 1]
+    assert _echelon(f7, [dict(r) for r in rows] + [{0: 3}])[1] == [0, 1, 2]
+    # over Q the second row is twice the first, but [2, 4, 13] is not
+    assert _echelon(QQ, [dict(r) for r in rows[:2]] + [{0: 2, 1: 4, 2: 13}])[1] == [0, 2]
+    assert _echelon(f7, rows, reduced=True) == ([{0: 1, 2: 1}, {1: 1, 2: 1}], [0, 1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([0, 7, _P]), st.integers(0, 10**6))
-def test_sparse_rank_matches_the_dense_rank(p, seed):
+def test_echelon_rank_matches_the_dense_rank(p, seed):
     field = PrimeField(p) if p else QQ
     rng = random.Random(seed)
     nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
     cells = [0, 0, 0, 1, 2, p - 1] if p else [0, 0, 0, 1, -1, 2, Fraction(1, 3)]
     dense = [[rng.choice(cells) for _ in range(ncols)] for _ in range(nrows)]
-    rows = [{j: x for j, x in enumerate(r) if x} for r in dense]
-    assert sparse_rank(field, rows) == Matrix(field, dense, ncols).rank()
+    assert echelon_rank(Matrix(field, dense, ncols)) == Matrix(field, dense, ncols).rank()
+
+
+@st.composite
+def engine_inputs(draw):
+    """(field, rows, ncols): over Q ints, `Fraction`s and integral
+    `Fraction`s such as Fraction(3, 1); over F_7 and F_(2^31-1) reduced
+    cells, with rows repeated so that rows vanish."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), FP]))
+    p = field.characteristic
+    if p:
+        cells = st.one_of(st.just(0), st.sampled_from([1, 2, p - 1]), st.integers(0, p - 1))
+    else:
+        cells = st.one_of(st.just(0), st.integers(-3, 3), fractions,
+                          st.builds(Fraction, st.integers(-4, 4)), big_ints)
+    rows, ncols = draw(shaped_rows(cells, max_dim=7))
+    if rows:
+        copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+        rows = draw(st.permutations(rows + [list(rows[i]) for i in copies]))
+    return field, rows, ncols
+
+
+def cell_kind(x):
+    return int if x.denominator == 1 else Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_inputs())
+def test_engine_gives_the_reduced_echelon_form(shaped):
+    field, rows, ncols = shaped
+    want_rows, want_pivots = reference_rref(field, rows, ncols)
+    got_rows, got_pivots = _echelon(field, _dict_rows(rows), reduced=True)
+    assert got_pivots == want_pivots
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in got_rows]
+    assert dense == want_rows
+    assert all(x for r in got_rows for x in r.values())  # no zero cell is kept
+    reduced, pivots = Matrix(field, rows, ncols).rref()
+    assert pivots == want_pivots
+    assert reduced.rows[: len(pivots)] == want_rows
+    assert not any(map(any, reduced.rows[len(pivots):]))
+    for out in (dense, reduced.rows):
+        assert [[type(x) for x in r] for r in out] == [[cell_kind(x) for x in r] for r in out]
+    assert _echelon(field, _dict_rows(rows))[1] == want_pivots

@@ -281,3 +281,30 @@ def test_the_rule_sees_reads_of_a_name():
         "def right_mult_blocks(self):\n    self.other\n"
     )
     assert readers(tree, "right_mult_blocks") == ["<module>", "f", "h"]
+
+
+def engine_readers(tree):
+    """`readers` of the exact engine `_echelon`, read by its own name, as an
+    attribute, or under a name that an import binds it to."""
+    names = {"_echelon"} | {alias.asname for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) for alias in node.names
+                            if alias.name == "_echelon" and alias.asname}
+    return sorted(found for name in names for found in readers(tree, name))
+
+
+def test_only_hom_dim_reads_the_exact_engine():
+    # one way into exact elimination: the Matrix methods, and the Hom
+    # systems, which reps builds as sparse rows already
+    found = {name: found for name, tree in modules().items()
+             if name != "linalg.py" and (found := engine_readers(tree))}
+    assert found == {"reps.py": ["hom_dim"]}
+
+
+def test_the_rule_sees_reads_of_the_engine():
+    tree = ast.parse(
+        "from .linalg import _echelon as eliminate\nfrom . import linalg\n"
+        "def f(m):\n    return eliminate(m.field, [])\n"
+        "def g(m):\n    return linalg._echelon(m.field, [], reduced=True)\n"
+        "class C:\n    def rank(self):\n        return len(_echelon(self.field, [])[1])\n"
+    )
+    assert engine_readers(tree) == ["f", "g", "rank"]
