@@ -43,11 +43,11 @@ writes.  Three exact certificates stand in for eliminations:
   rank, the most nonzero cells with no two in one line, which bounds the
   rank over Q from above as well (Edmonds 1967).  Equality certifies the
   rank over Q; otherwise the exact engine runs.
-- Block sums.  `Matrix.block_sum` places blocks at rows and columns that
-  cover every line once, so the sum is block-diagonal up to a row and a
-  column permutation; when every block has a rank memo, the sum memoizes
-  their sum.  `presentations.combine_complexes` ranks its blocks first,
-  so the block sums it builds are ranked so.
+- Block sums.  `Matrix.block_sum` places blocks by groups of lines, so
+  a row and a column permutation make the sum block-diagonal; when every
+  block has a rank memo, the sum memoizes their sum.
+  `presentations.combine_complexes` ranks its blocks first, so the block
+  sums it builds are ranked so.
 
 A packed row is one int with a 64-bit slot per column; cells enter,
 over either field, reduced mod p.  As 2**31 = 1 (mod p),
@@ -75,9 +75,10 @@ from math import gcd, lcm
 class Matrix:
     """A dense nrows x ncols matrix over `field`, as row lists.
 
-    The constructor copies the rows and reduces F_p cells into [0, p)
-    (`adopt` takes rows that are fresh and finished already).  No code
-    writes a matrix after it is built, so the rank memo stays valid.
+    The constructor copies the rows and reduces F_p cells into [0, p),
+    a `Fraction` by `field.from_fraction` (`adopt` takes rows that are
+    fresh and finished already).  No code writes a matrix after it is
+    built, so the rank memo stays valid.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
@@ -94,6 +95,9 @@ class Matrix:
         for r in self.rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
+        if p and type(sum(map(sum, self.rows))) is not int:  # Fraction % p is a Fraction
+            self.rows = [[x if type(x) is int else field.from_fraction(x) for x in r]
+                         for r in self.rows]
 
     # -- constructors -------------------------------------------------
 
@@ -190,31 +194,45 @@ class Matrix:
         return Matrix(field, rows, sum(m.ncols for m in mats))
 
     @staticmethod
-    def block_sum(field, blocks, nrows, ncols):
-        """The nrows x ncols block-diagonal sum of `blocks` up to a row and a
-        column permutation.
-
-        `blocks` lists (block, rows, cols): cell (i, j) of the block goes to
-        cell (rows[i], cols[j]), and every other cell is zero.  The blocks'
-        rows must together be every row once and their columns every column
-        once (AssertionError if not).  When every block has a rank memo, the
-        sum memoizes the sum of theirs; otherwise it has none, so a block
-        sum runs no elimination."""
-        z = field.zero
-        out = [[z] * ncols for _ in range(nrows)]
-        all_rows, all_cols = [], []
-        for blk, rows, cols in blocks:
-            if (len(rows), len(cols)) != blk.shape():
-                raise AssertionError("block positions do not match the block's shape")
-            for i, row in zip(rows, blk.rows):
-                cells = out[i]
-                for j, x in zip(cols, row):
-                    cells[j] = x
-            all_rows += rows
-            all_cols += cols
-        if sorted(all_rows) != list(range(nrows)) or sorted(all_cols) != list(range(ncols)):
-            raise AssertionError("the blocks do not cover every row and column once")
-        m = Matrix.adopt(field, out, ncols)
+    def block_sum(field, blocks):
+        """The sum of `blocks`, a list of (block, row sizes, column sizes).
+        The sizes cut a block's rows, and its columns, into consecutive
+        groups; row group g of the sum is row group g of each block in turn,
+        and so are the column groups (ValueError for unlike numbers of groups,
+        or sizes that are negative or do not add up to a block's shape).  A
+        row is its block's row in `pieces`, each after the zeros that other
+        blocks' columns take.  The sum memoizes the sum of the blocks' rank
+        memos when all have one, so a block sum runs no elimination."""
+        misfit = "block sum: the group sizes do not fit the blocks"
+        pieces, ends, used, at = [[] for _ in blocks], [0] * len(blocks), [0] * len(blocks), 0
+        for group in zip(*[cs for _, _, cs in blocks]):
+            for k, c in enumerate(group):
+                if c > 0:
+                    pieces[k].append(([0] * (at - ends[k]), used[k], used[k] + c))
+                    used[k] += c
+                    at = ends[k] = at + c
+        placed, shape = [], (len(blocks[0][1]), len(blocks[0][2])) if blocks else ()
+        for (blk, rs, cs), ps, end, u in zip(blocks, pieces, ends, used):
+            # sizes that add up to the shape, as their positive ones do
+            if (u, sum(cs), sum(rs), len(rs), len(cs)) != (blk.ncols, u, blk.nrows, *shape):
+                raise ValueError(misfit)
+            rows, tail = [], [0] * (at - end)
+            for r in blk.rows:
+                row = []
+                for zeros, a, e in ps:
+                    row += zeros
+                    row += r[a:e]
+                rows.append(row + tail)
+            placed.append(rows)
+        out, used = [], [0] * len(blocks)
+        for group in zip(*[rs for _, rs, _ in blocks]):
+            for k, n in enumerate(group):
+                if n > 0:
+                    out += placed[k][used[k] : used[k] + n]
+                    used[k] += n
+        if used != [blk.nrows for blk, _, _ in blocks]:
+            raise ValueError(misfit)
+        m = Matrix.adopt(field, out, at)
         ranks = [blk._rank for blk, _, _ in blocks]
         if None not in ranks:
             m._rank = sum(ranks)

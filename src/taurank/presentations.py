@@ -30,6 +30,7 @@ from .reps import (
 )
 
 COEFF_BOUND = 1000  # sampled coefficients lie in [-COEFF_BOUND, COEFF_BOUND]
+BUILT_KEPT = 64  # morphisms a HomSpace keeps, which bounds a long trial run's memory
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,11 @@ class HomSpace:
     list.  A morphism is then one index gather, one product per cell when
     some c is not 1, and over F_p one reduction: of the coefficients when
     every cell is one of them, else of the cells.
+
+    The first BUILT_KEPT morphisms built are kept by their coefficient
+    tuples and handed back for equal coefficients, so the witness that
+    `generic_rank` rebuilds is its trial's morphism, with the rank memos.
+    No code writes a built morphism, so sharing one is safe.
     """
 
     def __init__(self, r1: ProjRealization, r0: ProjRealization):
@@ -102,22 +108,26 @@ class HomSpace:
             tables = alg.hom_tables = (key, *_hom_tables(r1, r0))
         _, self.items, self._gen_cells, self._plan = tables
         self.dim = len(self.items)
+        self._built = {}
 
     def morphism_from_coeffs(self, coeffs):
-        """The morphism Σ coeffs[k] · item k; raises ValueError unless
-        there is one coefficient per item.  Over Q a cell is an `int`
-        unless a non-integral coefficient or c makes it a `Fraction`;
-        over F_p the cells are reduced here, once."""
+        """The morphism Σ coeffs[k] · item k, built once per coefficient
+        tuple (ValueError unless one per item).  A non-int coefficient goes
+        through `field.from_fraction`; over Q a cell is an `int` unless a
+        non-integral coefficient or c makes it a `Fraction`, over F_p the
+        cells are reduced here, once."""
+        built = self._built.get(key := tuple(coeffs))
+        if built is not None:
+            return built
         if len(coeffs) != self.dim:
             raise ValueError(f"{len(coeffs)} coefficients for a Hom space of dimension {self.dim}")
         _, gather, mults, extra, row_getter, spans = self._plan
         f = self.field
         p = f.characteristic
         coeffs = [*coeffs, 0]  # index -1 is the padding zero
-        if not p and set(map(type, coeffs)) != {int}:
-            # integral coefficients are gathered as ints
+        if set(map(type, coeffs)) != {int}:
             coeffs = [c if type(c) is int else f.from_fraction(c) for c in coeffs]
-        elif p and mults is None and not extra:
+        if p and mults is None and not extra:
             # every cell is one coefficient, so reducing those reduces the cells
             coeffs = [c % p for c in coeffs]
             p = 0
@@ -129,7 +139,10 @@ class HomSpace:
             cells = [x % p for x in cells]
         rows = row_getter(cells)
         maps = {v: Matrix.adopt(f, list(rows[a:b]), ncols) for v, a, b, ncols in spans}
-        return Morphism(self.r1.rep, self.r0.rep, maps)
+        built = Morphism(self.r1.rep, self.r0.rep, maps)
+        if len(self._built) < BUILT_KEPT:
+            self._built[key] = built
+        return built
 
     def coeffs_of_morphism(self, fmor: Morphism):
         """Coordinates of a morphism in this basis, read off the source
@@ -458,58 +471,31 @@ def generic_rank(
     )
 
 
-def _block_positions(summed, side, shift):
-    """Per vertex v, the places in vertex block v of the realization
-    `summed` of the basis of vertex block v of the realization `side`, in
-    order, where copy c of P(i) in `side` is copy c + shift[i - 1] in
-    `summed`.  The copies of one type are consecutive summands in both, so
-    each type's basis is one range."""
-    alg, runs, first = summed.algebra, [], 0
-    for i, m, m_summed in zip(alg.quiver.vertices, side.mults, summed.mults):
-        if m:
-            runs.append((i, m, summed.offsets[first + shift[i - 1]]))
-        first += m_summed
-    return {
-        v: [k for i, m, off in runs for k in range(off[v], off[v] + m * len(alg.paths(i, v)))]
-        for v in alg.quiver.vertices
-    }
-
-
 def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     """Block-diagonal sum of two complexes over the summed decompositions,
     expressed in the canonical realization of the sum.
 
-    Each vertex matrix of the sum is placed by `Matrix.block_sum` from
-    that of ca and that of cb.  Both are ranked first, so every block has
-    a rank memo and the sum memoizes the sum of theirs.  The coefficients
-    are read off the generators, and the morphism they assemble must be
-    the placed one."""
+    Each vertex matrix of the sum is placed by `Matrix.block_sum`, grouped
+    by the runs of each projective type (`ProjRealization.runs`): the
+    sum's run of a type is ca's run followed by cb's.  Both are ranked
+    first, so every block has a rank memo and the sum memoizes the sum of
+    theirs.  The coefficients are read off the generators, and the
+    morphism they assemble must be the placed one."""
     if ca.algebra is not cb.algebra:
         raise ValueError("complexes over different algebras")
-    alg = ca.algebra
-    field = ca.hom.field
+    alg, field = ca.algebra, ca.hom.field
     if field.name != cb.hom.field.name:
         raise ValueError(f"complexes over different fields ({field.name}, {cb.hom.field.name})")
-    a1, a0 = ca.hom.r1.mults, ca.hom.r0.mults
-    m1 = tuple(map(add, a1, cb.hom.r1.mults))
-    m0 = tuple(map(add, a0, cb.hom.r0.mults))
+    m1 = tuple(map(add, ca.hom.r1.mults, cb.hom.r1.mults))
+    m0 = tuple(map(add, ca.hom.r0.mults, cb.hom.r0.mults))
     hs = HomSpace(ProjRealization(alg, m1, field), ProjRealization(alg, m0, field))
-    no_shift = (0,) * alg.quiver.n
-    places = [
-        (cx.map.maps, _block_positions(hs.r0, cx.hom.r0, shift0),
-         _block_positions(hs.r1, cx.hom.r1, shift1))
-        for cx, shift1, shift0 in ((ca, no_shift, no_shift), (cb, a1, a0))
-    ]
     rank_a, rank_b = ca.rank(), cb.rank()
-    source, target = hs.r1.rep, hs.r0.rep
     maps = {
-        v: Matrix.block_sum(
-            field, [(blocks[v], rows[v], cols[v]) for blocks, rows, cols in places],
-            target.vertex_dim(v), source.vertex_dim(v),
-        )
+        v: Matrix.block_sum(field, [(cx.map.maps[v], cx.hom.r0.runs[v], cx.hom.r1.runs[v])
+                                    for cx in (ca, cb)])
         for v in alg.quiver.vertices
     }
-    fmap = Morphism(source, target, maps)
+    fmap = Morphism(hs.r1.rep, hs.r0.rep, maps)
     if hs.morphism_from_coeffs(hs.coeffs_of_morphism(fmap)).maps != fmap.maps:
         raise AssertionError("the block sum is not a morphism of the summed Hom space")
     out = TwoComplex(hs, fmap)

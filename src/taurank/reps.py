@@ -236,7 +236,8 @@ def _check_same_base(m: Representation, n: Representation):
 
 def direct_sum(reps):
     """The direct sum, over the summands' algebra, or over the common root
-    of their algebras when these differ (ValueError when there is none)."""
+    of their algebras when these differ (ValueError when there is none):
+    each arrow matrix is a `Matrix.block_sum` with one group per side."""
     reps = list(reps)
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
@@ -247,17 +248,10 @@ def direct_sum(reps):
         alg = alg.root()
         if any(r.algebra.root() is not alg for r in reps):
             raise ValueError("summands over algebras with no common root")
-    # lines[k][v - 1]: the range of summand k's basis at vertex v in the sum
-    lines, dims = [], (0,) * alg.quiver.n
-    for r in reps:
-        lines.append([range(o, o + d) for o, d in zip(dims, r.dims)])
-        dims = tuple(o + d for o, d in zip(dims, r.dims))
+    dims = tuple(map(sum, zip(*[r.dims for r in reps])))
     arrows = {
-        a.name: Matrix.block_sum(
-            f, [(r.arrows[a.name], ln[a.target - 1], ln[a.source - 1])
-                for r, ln in zip(reps, lines)],
-            dims[a.target - 1], dims[a.source - 1],
-        )
+        a.name: Matrix.block_sum(f, [(m, [m.nrows], [m.ncols])
+                                     for m in (r.arrows[a.name] for r in reps)])
         for a in alg.quiver.arrows
     }
     return Representation(alg, f, dims, arrows)
@@ -415,7 +409,8 @@ class ProjRealization:
     Summands s = (i, copy) are ordered by ascending vertex i, then copy.
     The one layout: basis path k of summand s at vertex v sits at
     offsets[s][v] + (position of k in algebra.paths(i, v)), so the basis
-    at each vertex is the concatenation of the summands' path bases.
+    at each vertex is the concatenation of the summands' path bases, and
+    runs[v] lists the sizes m_i·|paths(i, v)| of the runs of each type i.
     """
 
     def __init__(self, algebra, mults, field=QQ):
@@ -438,27 +433,28 @@ class ProjRealization:
         if parts is None:
             parts = _realization_parts(algebra, self.summands, field)
             algebra.realization_cache[key] = parts
-        self.rep, self.offsets = parts
+        self.rep, self.offsets, self.runs = parts
         self.total_dim = self.rep.dim_total
 
 
 def _realization_parts(algebra, summands, field):
-    """(rep, offsets) of the sum of the projectives P(i) over the summands
-    (i, copy); shared by every realization of the same sum, so neither
-    may be mutated."""
+    """(rep, offsets, runs) of the sum of the projectives P(i) over the
+    summands (i, copy); shared by every realization of the same sum, so
+    none may be mutated."""
     if summands:
         projs = {i: projective(algebra, i, field) for i, _ in summands}
         rep = direct_sum([projs[i] for i, _ in summands])
     else:
         rep = zero_rep(algebra, field)
     # offsets[s][v]: column offset of summand s inside vertex block v
-    offsets = []
+    offsets, runs = [], {v: [0] * algebra.quiver.n for v in algebra.quiver.vertices}
     off = {v: 0 for v in algebra.quiver.vertices}
     for i, _ in summands:
         offsets.append(dict(off))
         for v in off:
             off[v] += len(algebra.paths(i, v))
-    return rep, offsets
+            runs[v][i - 1] += len(algebra.paths(i, v))
+    return rep, offsets, runs
 
 
 @dataclass

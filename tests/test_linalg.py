@@ -128,6 +128,20 @@ def test_reduced_echelon_cells_are_ints_where_integral():
     assert row == [1, Fraction(1, 2), 2] and [type(x) for x in row] == [int, Fraction, int]
 
 
+def test_prime_field_cells_that_are_fractions_are_their_residues():
+    f7 = PrimeField(7)
+    m = Matrix(f7, [[Fraction(1, 2), 1]])
+    assert m.rows == [[4, 1]] and m.rank() == 1  # 1/2 = 4 in F_7
+    assert [type(x) for x in m.rows[0]] == [int, int]
+    m = Matrix(f7, [[Fraction(1, 2), 3], [1, Fraction(-8, 1)]])
+    assert m.rows == [[4, 3], [1, 6]] and m.rank() == 1 == echelon_rank(m)
+    big = Matrix(PrimeField(_P), [[Fraction(1, 3), 0], [0, Fraction(-5, 2)]])
+    assert big.rows == [[pow(3, -1, _P), 0], [0, -5 * pow(2, -1, _P) % _P]]
+    assert big.rank() == 2 == echelon_rank(big)
+    with pytest.raises(ZeroDivisionError):
+        Matrix(f7, [[1, Fraction(1, 7)]])
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(10)
@@ -624,43 +638,93 @@ def test_rational_rank_of_structured_int_matrices_is_exact(shaped):
     assert _rank_certified_mod_p(m) in (None, want)
 
 
+def placed_cell_by_cell(field, blocks):
+    """The grouped block sum, one cell at a time: the lines of row group g
+    of each block in turn, then of group g + 1, and so for the columns."""
+    def places(k, sizes_of):
+        out, at = [], 0
+        for g in range(len(sizes_of[0])):
+            for b, sizes in enumerate(sizes_of):
+                if b == k:
+                    out += range(at, at + sizes[g])
+                at += sizes[g]
+        return out
+
+    rows_of, cols_of = [rs for _, rs, _ in blocks], [cs for _, _, cs in blocks]
+    nrows, ncols = sum(map(sum, rows_of)), sum(map(sum, cols_of))
+    cells = [[0] * ncols for _ in range(nrows)]
+    for k, (blk, _, _) in enumerate(blocks):
+        for i, row in zip(places(k, rows_of), blk.rows):
+            for j, x in zip(places(k, cols_of), row):
+                cells[i][j] = x
+    return Matrix(field, cells, ncols)
+
+
 def test_block_sum_needs_every_line_once():
+    """Every line of every block is placed once: group sizes that do not
+    add up to a block's shape, or that differ in number between blocks,
+    raise."""
     one = Matrix(QQ, [[1]])
-    blocks = [(one, [0], [1]), (Matrix(QQ, [[2, 0]]), [1], [0, 2])]
-    m = Matrix.block_sum(QQ, blocks, 2, 3)
-    assert m.rows == [[0, 1, 0], [2, 0, 0]]
+    two = Matrix(QQ, [[2, 0], [0, 3]])
+    blocks = [(one, [1, 0], [0, 1]), (two, [1, 1], [1, 1])]
+    m = Matrix.block_sum(QQ, blocks)
+    assert m.rows == [[0, 1, 0], [2, 0, 0], [0, 0, 3]]
+    assert m == placed_cell_by_cell(QQ, blocks)
     assert m._rank is None  # the blocks have no memo
     for blk, _, _ in blocks:
         blk.rank()
-    assert Matrix.block_sum(QQ, blocks, 2, 3)._rank == 2 == echelon_rank(m)
-    # a line used twice: the cells would fit a rank-1 matrix, not rank 2
-    for rows, cols in (([0], [0]), ([0], [1])):
-        with pytest.raises(AssertionError):
-            Matrix.block_sum(QQ, [(one, [0], [0]), (one, rows, cols)], 1, 2)
-    with pytest.raises(AssertionError):
-        Matrix.block_sum(QQ, [(one, [0], [0])], 2, 2)  # lines left out
-    with pytest.raises(AssertionError):
-        Matrix.block_sum(QQ, [(one, [0], [0, 1])], 1, 2)  # misshaped block
-    # the memo, once the blocks have theirs, equals elimination, over Q and
-    # F_p, blocks of every rank
-    rng = random.Random(5)
-    for field in (QQ, PrimeField(7), PrimeField(_P)):
-        for _ in range(20):
-            blocks, nrows, ncols = [], 0, 0
-            for _ in range(rng.randint(1, 3)):
-                r, c = rng.randint(0, 4), rng.randint(0, 4)
-                cells = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(c)] for _ in range(r)]
-                blocks.append((Matrix(field, cells, c), r, c))
-                nrows, ncols = nrows + r, ncols + c
-            rows, cols = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
-            placed = []
-            for blk, r, c in blocks:
-                blk.rank()
-                placed.append((blk, rows[:r], cols[:c]))
-                rows, cols = rows[r:], cols[c:]
-            m = Matrix.block_sum(field, placed, nrows, ncols)
-            assert m._rank == echelon_rank(m)
-            assert m == Matrix(field, m.rows, ncols)  # cells reduced, shape kept
+    assert Matrix.block_sum(QQ, blocks)._rank == 3 == echelon_rank(m)
+    assert Matrix.block_sum(QQ, [(two, [2], [2]), (one, [1], [1])]).rows == [
+        [2, 0, 0], [0, 3, 0], [0, 0, 1]]
+    for bad in (
+        [(one, [1], [1]), (two, [1], [2])],  # a row of two left out
+        [(one, [1], [1]), (two, [3], [2])],  # a row too many
+        [(one, [1], [0, 1]), (two, [2], [2])],  # column groups differ in number
+        [(one, [2, -1], [1]), (two, [1, 1], [2])],  # a negative size
+    ):
+        with pytest.raises(ValueError, match="group sizes"):
+            Matrix.block_sum(QQ, bad)
+    assert Matrix.block_sum(QQ, []).shape() == (0, 0)
+
+
+@st.composite
+def grouped_blocks(draw):
+    """(field, blocks) for Matrix.block_sum: one to three blocks with the
+    same numbers of row and column groups, sizes 0 to 2, cells of every
+    rank."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(_P)]))
+    ngroups = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sizes = st.integers(0, 2)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        rs, cs = (draw(st.lists(sizes, min_size=n, max_size=n)) for n in ngroups)
+        cells = [[draw(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 3)])) for _ in range(sum(cs))]
+                 for _ in range(sum(rs))]
+        blocks.append((Matrix(field, cells, sum(cs)), rs, cs))
+    return field, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_blocks(), st.booleans())
+def test_grouped_block_sum_places_groups_in_turn(drawn, ranked):
+    field, blocks = drawn
+    if ranked:
+        for blk, _, _ in blocks:
+            blk.rank()
+    m = Matrix.block_sum(field, blocks)
+    assert m == placed_cell_by_cell(field, blocks)
+    if ranked:
+        assert m._rank == echelon_rank(m) == sum(blk.rank() for blk, _, _ in blocks)
+    else:
+        assert m._rank is None
+    # a line too many, or a column group fewer than the other blocks have
+    blk, rs, cs = blocks[0]
+    wrong = [(blk, [*rs[:-1], rs[-1] + 1], cs)]
+    if len(blocks) > 1:
+        wrong.append((blk, rs, cs[:-1]))
+    for bad in wrong:
+        with pytest.raises(ValueError, match="group sizes"):
+            Matrix.block_sum(field, [bad, *blocks[1:]])
 
 
 def eliminated(*args, **kwargs):
@@ -670,19 +734,17 @@ def eliminated(*args, **kwargs):
 def test_block_sum_of_blocks_without_memo_eliminates_nothing(monkeypatch):
     rng = random.Random(11)
     for field in (QQ, PrimeField(7), PrimeField(_P)):
-        blocks, nrows, ncols = [], 0, 0
+        blocks = []
         for _ in range(3):
             r, c = rng.randint(1, 4), rng.randint(1, 4)
             cells = [[rng.choice([0, 1, -1, 2]) for _ in range(c)] for _ in range(r)]
-            blocks.append((Matrix(field, cells, c), range(nrows, nrows + r),
-                           range(ncols, ncols + c)))
-            nrows, ncols = nrows + r, ncols + c
+            blocks.append((Matrix(field, cells, c), [r], [c]))
         with monkeypatch.context() as patch:
             for engine in ("_echelon", "_packed_rank"):
                 patch.setattr(linalg, engine, eliminated)
-            m = Matrix.block_sum(field, blocks, nrows, ncols)
+            m = Matrix.block_sum(field, blocks)
         assert m._rank is None and all(blk._rank is None for blk, _, _ in blocks)
-        assert m.rank() == echelon_rank(Matrix(field, m.rows, ncols))
+        assert m.rank() == echelon_rank(Matrix(field, m.rows, m.ncols))
 
 
 def test_rank_of_dense_int_matrices_with_cells_near_the_prime():

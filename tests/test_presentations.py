@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taurank import presentations
+from taurank import linalg, presentations
 from taurank.algebra import build_algebra
 from taurank.artheory import tau
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
@@ -318,6 +318,9 @@ def test_block_sum_ranks_match_a_fresh_elimination(all_fixture_algebras, field):
 
 
 def test_block_sum_rank_checks_every_cell(monkeypatch, alg_a):
+    """The memo of a block sum is the sum of its blocks' ranks, whatever
+    the placement, so only the cell check of combine_complexes catches
+    blocks placed at the wrong lines."""
     fa = f_lambda(alg_a, (1, 0, 0))
     fb = f_lambda(alg_a, (0, 1, 2))
     both = combine_complexes(fa, fb)
@@ -327,20 +330,25 @@ def test_block_sum_rank_checks_every_cell(monkeypatch, alg_a):
     cols_a, cols_b = list(range(a.ncols)), list(range(a.ncols, m.ncols))
     assert m.shape() == (a.nrows + b.nrows, a.ncols + b.ncols)
     assert m._rank == a.rank() + b.rank()
-    positions = presentations._block_positions
+    block_sum = Matrix.block_sum
 
     def placed(rows_fa, cols_fa, rows_fb, cols_fb):
-        """combine_complexes(fa, fb) with the blocks at vertex v placed so."""
-        at = {id(fa.hom.r0): rows_fa, id(fa.hom.r1): cols_fa,
-              id(fb.hom.r0): rows_fb, id(fb.hom.r1): cols_fb}
-
-        def fake(summed, side, shift):
-            out = positions(summed, side, shift)
-            out[v] = at[id(side)]
+        """combine_complexes(fa, fb) with the blocks at vertex v placed
+        cell by cell at these lines, the memo the sum of their ranks."""
+        def fake(field, blocks):
+            if blocks[0][0] is not a:
+                return block_sum(field, blocks)
+            cells = [[0] * m.ncols for _ in range(m.nrows)]
+            for blk, rows, cols in ((a, rows_fa, cols_fa), (b, rows_fb, cols_fb)):
+                for i, row in zip(rows, blk.rows):
+                    for j, x in zip(cols, row):
+                        cells[i][j] = x
+            out = Matrix(field, cells, m.ncols)
+            out._rank = a.rank() + b.rank()
             return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(presentations, "_block_positions", fake)
+            patch.setattr(Matrix, "block_sum", staticmethod(fake))
             return combine_complexes(fa, fb)
 
     assert placed(rows_a, cols_a, rows_b, cols_b).map.maps[v] == m
@@ -349,13 +357,15 @@ def test_block_sum_rank_checks_every_cell(monkeypatch, alg_a):
         (rows_b, cols_b, rows_a, cols_a),  # swapped
         (rows_a[::-1], cols_a, rows_b, cols_b),  # reversed
         (rows_a, cols_a, rows_b, cols_b[1:] + cols_b[:1]),  # rotated
+        (rows_a, cols_a, rows_a, cols_b),  # rows used twice
     ]
     for case in bad:
         with pytest.raises(AssertionError, match="block sum"):
             placed(*case)
-    with pytest.raises(AssertionError, match="every row and column once"):
-        placed(rows_a, cols_a, rows_a, cols_b)  # rows used twice
     assert a.rank() == b.rank()
+    # sizes that do not fit the blocks raise instead of placing
+    with pytest.raises(ValueError, match="group sizes"):
+        Matrix.block_sum(a.field, [(a, [2], [3]), (b, [3], [3])])
 
 
 def test_combine_complexes_rejects_a_perturbed_sum(monkeypatch, alg_a):
@@ -534,15 +544,15 @@ def test_realizations_keep_their_field_and_repeat(alg_a, alg_k):
 
 
 def test_shared_realizations_survive_their_callers(alg_a, alg_b):
-    """Scans, presentations and tau reuse cached realization reps and
-    offsets; none of them may alter one, so each still equals a fresh
-    direct sum laid out by the algebra's paths."""
+    """Scans, presentations and tau reuse cached realization reps,
+    offsets and runs; none of them may alter one, so each still equals a
+    fresh direct sum laid out by the algebra's paths."""
     additivity_scan(alg_a, ProjDecomp((1, 1, 0)), ProjDecomp((0, 1, 1)), t_max=2, trials=2)
     m = random_module(alg_b, SeedStream(5))
     reduce_presentation(min_presentation(m))
     tau(m)
     for alg in (alg_a, alg_b, alg_a.opposite(), alg_b.opposite()):
-        for (mults, _), (rep, offsets) in alg.realization_cache.items():
+        for (mults, _), (rep, offsets, runs) in alg.realization_cache.items():
             if any(mults):
                 summands = [i for i in alg.quiver.vertices for _ in range(mults[i - 1])]
                 fresh = direct_sum([projective(alg, i, rep.field) for i in summands])
@@ -553,6 +563,9 @@ def test_shared_realizations_survive_their_callers(alg_a, alg_b):
                      for v in alg.quiver.vertices}
                     for s in range(len(summands))
                 ]
+                assert runs == {v: [m * len(alg.paths(i, v))
+                                    for i, m in zip(alg.quiver.vertices, mults)]
+                                for v in alg.quiver.vertices}
 
 
 def reference_cover_bound(hs):
@@ -791,3 +804,115 @@ def test_memoized_ranks_survive_a_scan(monkeypatch, fixture, m1, m0, field):
     for m in ranked:
         assert m._rank is not None
         assert m.rank() == Matrix(m.field, m.rows, m.ncols).rank() == m._rank
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_hom_space_hands_back_the_morphism_it_built(alg_a, alg_b0, field):
+    for alg, m1, m0 in ((alg_b0, (1, 0, 1), (0, 2, 1)), (alg_a, (0, 1, 0), (0, 0, 1))):
+        p1, p0 = ProjDecomp(m1), ProjDecomp(m0)
+        hs = realize_pair(alg, p1, p0, field)
+        coeffs = hs.sample_coeffs(SeedStream(5))
+        fmor = hs.morphism_from_coeffs(coeffs)
+        assert hs.morphism_from_coeffs(list(coeffs)) is fmor
+        assert hs.morphism_from_coeffs(tuple(coeffs)) is fmor
+        if field is QQ:  # an int and an equal Fraction are one key
+            assert hs.morphism_from_coeffs([Fraction(c) for c in coeffs]) is fmor
+        other = hs.morphism_from_coeffs(hs.sample_coeffs(SeedStream(6)))
+        assert other is not fmor and other.maps != fmor.maps
+        fresh = realize_pair(alg, p1, p0, field).morphism_from_coeffs(coeffs)
+        assert fresh is not fmor and fresh.maps == fmor.maps
+    # a long run of distinct coefficients keeps only the first BUILT_KEPT
+    hs = realize_pair(alg_b0, ProjDecomp((1, 0, 1)), ProjDecomp((0, 2, 1)), field)
+    runs = [hs.sample_coeffs(SeedStream(k)) for k in range(presentations.BUILT_KEPT + 5)]
+    built = [hs.morphism_from_coeffs(coeffs) for coeffs in runs]
+    assert len(hs._built) == presentations.BUILT_KEPT
+    assert hs.morphism_from_coeffs(runs[0]) is built[0]
+    late = hs.morphism_from_coeffs(runs[-1])
+    assert late is not built[-1] and late.maps == built[-1].maps
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME)], ids=["Q", "Fp"])
+def test_the_witness_is_the_winning_trial(monkeypatch, alg_b0, field):
+    built, build = [], HomSpace.morphism_from_coeffs
+
+    def recording(hs, coeffs):
+        built.append(build(hs, coeffs))
+        return built[-1]
+
+    monkeypatch.setattr(HomSpace, "morphism_from_coeffs", recording)
+    res = generic_rank(alg_b0, ProjDecomp((1, 1, 0)), ProjDecomp((0, 1, 2)), trials=4,
+                       seed=3, field=field)
+    monkeypatch.undo()
+    trials = built[:4]
+    ranks = [f.rank() for f in trials]
+    assert res.value == max(ranks)
+    assert res.witness.map is trials[ranks.index(res.value)]
+    for m in res.witness.map.maps.values():
+        assert m._rank == echelon_rank(m)
+
+
+def scan_inputs():
+    """All ALG-K pairs in {0,1,2}^2 and every ninth ALG-B0 pair in {0,1,2}^3."""
+    for fx, step in (("ALG-K", 1), ("ALG-B0", 9)):
+        alg = load_fixture(fx)
+        vecs = list(itertools.product(range(3), repeat=alg.quiver.n))
+        yield from ((alg, m1, m0) for m1, m0 in
+                    itertools.islice(itertools.product(vecs, vecs), 0, None, step))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(linalg._P)], ids=["Q", "Fp"])
+def test_a_scan_eliminates_only_its_trials(monkeypatch, field):
+    """The witness of a level is its trial's morphism and a level sum
+    memoizes its rank, so the eliminations of a scan are those of its
+    trials' morphisms, each distinct morphism ranked once."""
+    counts = Counter()
+
+    def counting(name):
+        engine = getattr(linalg, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return engine(*args, **kwargs)
+        return counted
+
+    for name in ("_packed_rank", "_echelon"):
+        monkeypatch.setattr(linalg, name, counting(name))
+    t_max, trials, seed = 4, 2, 42
+    scanned = trial_runs = 0
+    for alg, m1, m0 in scan_inputs():
+        p1, p0 = ProjDecomp(m1), ProjDecomp(m0)
+        before = sum(counts.values())
+        report = additivity_scan(alg, p1, p0, t_max=t_max, trials=trials, seed=seed,
+                                 field=field, oracle_max_params=64)
+        scanned += sum(counts.values()) - before
+        assert report.methods == ["dimension-bound"] * t_max
+        # the trials again, on fresh matrices
+        master = SeedStream(seed)
+        for t in range(1, t_max + 1):
+            hs = realize_pair(alg, p1.scale(t), p0.scale(t), field)
+            level = SeedStream(master.split(t).seed)
+            draws = {tuple(hs.sample_coeffs(level.split(i), presentations.COEFF_BOUND))
+                     for i in range(trials)}
+            before = sum(counts.values())
+            for coeffs in draws:
+                hs.morphism_from_coeffs(coeffs).rank()
+            trial_runs += sum(counts.values()) - before
+    assert scanned == trial_runs > 0
+
+
+def test_prime_field_coefficients_that_are_fractions(alg_a, alg_k):
+    """A Fraction coefficient over F_p is its residue, through either
+    assembly branch: one coefficient per cell (ALG-K), or cells with
+    multipliers (ALG-A)."""
+    f7 = PrimeField(7)
+    for alg, p1, p0 in ((alg_k, ProjDecomp((1, 1)), ProjDecomp((1, 1))),
+                        (alg_a, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)))):
+        hs = realize_pair(alg, p1, p0, f7)
+        halves = [Fraction(k + 1, 2) for k in range(hs.dim)]
+        residues = [(k + 1) * 4 % 7 for k in range(hs.dim)]  # 1/2 = 4 in F_7
+        want = realize_pair(alg, p1, p0, f7).morphism_from_coeffs(residues)
+        assert hs.morphism_from_coeffs(halves).maps == want.maps
+        cx = complex_from_coeffs(alg, p1, p0, halves, f7)
+        assert cx.map.maps == want.maps and cx.rank() == want.rank() > 0
+        with pytest.raises(ZeroDivisionError):
+            hs.morphism_from_coeffs([Fraction(1, 7)] * hs.dim)
