@@ -303,8 +303,8 @@ class Algebra:
         # (mults, field name) -> (rep, offsets) of that projective sum;
         # filled by reps.ProjRealization
         self.realization_cache = {}
-        # (mults1, mults0) with gcd 1 -> block-cover bound of Hom(P1, P0),
-        # for every field; filled by presentations.cover_upper_bound
+        # (mults1, mults0) with gcd 1 -> term rank of Hom(P1, P0)'s generic
+        # map, for every field; filled by presentations.cover_upper_bound
         self.cover_bounds = {}
         # (i, j) -> template of Hom(P(i), P(j)), for every field; filled by
         # presentations._hom_template, the one reader of right_mult_blocks

@@ -151,15 +151,15 @@ def is_tau_regular(m: Representation, trials: int = 8, seed: int = 42) -> Verdic
     """Rank criterion: M is tau-regular iff its minimal presentation map
     attains the maximal rank r(P1, P0).
 
-    A presentation whose rank reaches the block-cover bound of its Hom
-    space has maximal rank, certified: the verdict is certified-yes with
-    the presentation itself as witness, and no sample is drawn.  Every
-    injective presentation (pd M <= 1) is such a one, since its rank is
-    dim P1.  Otherwise `generic_rank` samples the pair with the
-    presentation as an extra sample.  The shortcut lives here, not in
-    `generic_rank`, where an extra sample attaining the bound would also
-    end the trials of scan levels t >= 2, whose counts the benchmark
-    harness pins."""
+    A presentation whose rank reaches the term rank of the generic map of
+    its Hom space (`cover_upper_bound`) has maximal rank, certified: the
+    verdict is certified-yes with the presentation itself as witness, and
+    no sample is drawn.  Every injective presentation (pd M <= 1) is such
+    a one, since its rank is dim P1.  Otherwise `generic_rank` samples the
+    pair with the presentation as an extra sample.  The shortcut lives
+    here, not in `generic_rank`, where an extra sample attaining the bound
+    would also end the trials of scan levels t >= 2, whose counts the
+    benchmark harness pins."""
     cx = scoped(min_presentation, m)
     rank, upper = cx.rank(), cover_upper_bound(cx.hom)
     if rank == upper:

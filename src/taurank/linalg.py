@@ -42,7 +42,8 @@ writes.  Three exact certificates stand in for eliminations:
 - The term rank.  A rank mod p short of b is compared with the term
   rank, the most nonzero cells with no two in one line, which bounds the
   rank over Q from above as well (Edmonds 1967).  Equality certifies the
-  rank over Q; otherwise the exact engine runs.
+  rank over Q; otherwise the exact engine runs.  Of the generic morphism
+  of a Hom space, the term rank is `presentations.cover_upper_bound`.
 - Block sums.  `Matrix.block_sum` places blocks by groups of lines, so
   a row and a column permutation make the sum block-diagonal; when every
   block has a rank memo, the sum memoizes their sum.
@@ -87,7 +88,8 @@ class Matrix:
         self.field = field
         self._rank = None
         p = field.characteristic
-        self.rows = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+        self.rows = [[x % p if type(x) is int else field.from_fraction(x) for x in r]
+                     for r in rows] if p else [list(r) for r in rows]
         self.nrows = len(self.rows)
         if ncols is None:
             ncols = len(self.rows[0]) if self.rows else 0
@@ -95,9 +97,6 @@ class Matrix:
         for r in self.rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        if p and type(sum(map(sum, self.rows))) is not int:  # Fraction % p is a Fraction
-            self.rows = [[x if type(x) is int else field.from_fraction(x) for x in r]
-                         for r in self.rows]
 
     # -- constructors -------------------------------------------------
 

@@ -3,20 +3,19 @@ of Hom(P1, P0), presentation reduction, and the additivity scanner.
 
 The maximal rank r(P1, P0) is estimated by sampling random coefficient
 vectors in the structured Hom basis (one basis morphism per path residue
-between summands) and certified either by a covering dimension bound or
-by the symbolic oracle: fraction-free elimination on the generic
-intertwiner with one indeterminate per Hom-basis element.
+between summands) and certified by the dimension bound, the term rank of
+the generic morphism, or by the symbolic oracle: fraction-free
+elimination on it, with one indeterminate per Hom-basis element.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import add, itemgetter, mul
 
 from .fields import QQ, SeedStream
-from .linalg import Matrix
+from .linalg import Matrix, _term_rank
 from .polyrank import ORACLE_MAX_DIM, OracleBudgetError, Poly, PolyMatrix, poly_rank
 from .reps import (
     Morphism,
@@ -234,8 +233,8 @@ def _hom_template(alg, i, j):
     entries hold the first entry at each place, dups the further ones in
     item order, and unit says whether every c in entries is 1.  This is
     the one reader of `Algebra.right_mult_blocks`: the gather plan, and
-    through it the oracle's matrices, and the cover bound's nonzero blocks
-    all come from the templates."""
+    through it the oracle's matrices, and the cover bound's support all
+    come from the templates."""
     template = alg.hom_templates.get((i, j))
     if template is None:
         xs = alg.paths(j, i)
@@ -253,15 +252,14 @@ def _hom_template(alg, i, j):
 
 
 def cover_upper_bound(hs: HomSpace):
-    """Certified upper bound for the maximal rank: per vertex, minimize
-    (rows kept) + (cols kept) over block covers of the nonzero blocks.
-    The full-row and full-column covers make this at least as sharp as
-    min(dim P1, dim P0).
+    """Certified upper bound for the maximal rank: the term rank of the
+    generic morphism (`_support_term_rank`), at most min(dim P1, dim P0)
+    and at most any cover of its nonzero cells by rows and columns.
 
-    Which blocks are nonzero depends only on which projective types occur,
-    and every cover's cost scales with the multiplicities, so the bound of
-    (g·P1, g·P0) is g times that of (P1, P0).  One value per primitive
-    pair (multiplicities with gcd 1) is kept in `Algebra.cover_bounds`."""
+    The support of (g·P1, g·P0) is that of (P1, P0) with every line
+    repeated g times, so by König its term rank is g times as large; one
+    value per primitive pair (multiplicities with gcd 1) is kept in
+    `Algebra.cover_bounds`.  It reads only hs.algebra, hs.r1 and hs.r0."""
     m1, m0 = hs.r1.mults, hs.r0.mults
     g = math.gcd(*m1, *m0)
     if not g:
@@ -270,31 +268,25 @@ def cover_upper_bound(hs: HomSpace):
     key = (tuple(m // g for m in m1), tuple(m // g for m in m0))
     bound = alg.cover_bounds.get(key)
     if bound is None:
-        bound = alg.cover_bounds[key] = _block_cover_bound(alg, *key)
+        bound, rest = divmod(_support_term_rank(hs), g)
+        if rest:
+            raise AssertionError("a g-fold pair's term rank is not g times its primitive pair's")
+        alg.cover_bounds[key] = bound
     return g * bound
 
 
-def _block_cover_bound(alg, mults1, mults0):
-    """The block-cover bound of `cover_upper_bound` for Hom(P1, P0) with
-    these multiplicities, computed afresh from the templates' entries."""
-    # per vertex: the (source type i, target type j) with a nonzero block
-    support = {v: set() for v in alg.quiver.vertices}
-    for i, j in itertools.product(alg.quiver.vertices, repeat=2):
-        if mults1[i - 1] and mults0[j - 1]:
-            for v, *_ in _hom_template(alg, i, j)[2]:
-                support[v].add((i, j))
-    total = 0
-    for v in alg.quiver.vertices:
-        types = sorted({i for i, _ in support[v]})
-        # keep the columns of the source types in `kept`, and the rows of
-        # every target type with a block outside them
-        total += min(
-            sum(mults1[i - 1] * len(alg.paths(i, v)) for i in kept)
-            + sum(mults0[j - 1] * len(alg.paths(j, v))
-                  for j in {j for i, j in support[v] if i not in kept})
-            for r in range(len(types) + 1) for kept in itertools.combinations(types, r)
-        )
-    return total
+def _support_term_rank(hs):
+    """The term rank of the generic morphism of Hom(P1, P0): per vertex,
+    the cells that some item of some summand pair reaches (the entries of
+    `_hom_template`), then `linalg._term_rank` of that support."""
+    alg, r1, r0 = hs.algebra, hs.r1, hs.r0
+    support = {v: [[0] * r1.rep.vertex_dim(v) for _ in range(r0.rep.vertex_dim(v))]
+               for v in alg.quiver.vertices}
+    for (i, _), off1 in zip(r1.summands, r1.offsets):
+        for (j, _), off0 in zip(r0.summands, r0.offsets):
+            for v, r, col, *_ in _hom_template(alg, i, j)[2]:
+                support[v][off0[v] + r][off1[v] + col] = 1
+    return sum(map(_term_rank, support.values()))
 
 
 @dataclass
@@ -406,8 +398,8 @@ def generic_rank(
     reported witness is the lowest-index trial attaining the maximum,
     or the best extra sample when that is strictly better; an extra sample
     must be a morphism from the realization of P1 to that of P0 over
-    `field` (ValueError if not).  Certified when the covering dimension
-    bound is attained or when the symbolic oracle ran and agreed."""
+    `field` (ValueError if not).  Certified when the dimension bound (the
+    generic term rank, `cover_upper_bound`) is attained or the oracle agreed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hs = realize_pair(algebra, p1, p0, field)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taurank import linalg, presentations
-from taurank.algebra import build_algebra
+from taurank.algebra import Ideal, NotFiniteDimensional, build_algebra
 from taurank.artheory import tau
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, load_fixture
 from taurank.linalg import Matrix
 from taurank.polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from taurank.presentations import (
+    COEFF_BOUND,
     HomSpace,
     ProjDecomp,
     additivity_scan,
@@ -595,13 +596,26 @@ def reference_cover_bound(hs):
     return total
 
 
-@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
-def test_cover_bound_memo_matches_the_unmemoized_bound(fixture):
-    """Warm (the shared fixture, memo filled as the loop goes) and cold (a
-    fresh algebra whose memo is emptied before each call), at every t <= 4:
-    the memo and cover(t·P1, t·P0) = t·cover(P1, P0) change no bound."""
-    warm = load_fixture(fixture)
-    cold = build_algebra(*parse_quiver_file(FIXTURE_SOURCES[fixture]))
+QUOTIENTS = {"ALG-B0/(a*b)": ("ALG-B0", ("a", "b")), "ALG-C/(a)": ("ALG-C", ("a",))}
+
+
+def named_algebra(name, fresh):
+    """A fixture, its opposite (name^op) or a quotient in QUOTIENTS: over
+    the shared fixture, or with `fresh` over one built anew."""
+    base, word = QUOTIENTS.get(name, (name.removesuffix("^op"), None))
+    alg = build_algebra(*parse_quiver_file(FIXTURE_SOURCES[base])) if fresh else load_fixture(base)
+    if word:
+        return alg.quotient(Ideal.from_generators(alg, [alg.element_from_terms([(1, word)])]))
+    return alg.opposite() if name.endswith("^op") else alg
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *(f + "^op" for f in FIXTURE_NAMES), *QUOTIENTS])
+def test_cover_bound_memo_matches_the_unmemoized_bound(name):
+    """Warm (memo filled as the loop goes) and cold (a fresh algebra whose
+    memo is emptied before each call), at every t <= 4: the memo and
+    cover(t·P1, t·P0) = t·cover(P1, P0) change no bound, and on these
+    algebras the term rank equals the block-cover bound."""
+    warm, cold = named_algebra(name, fresh=False), named_algebra(name, fresh=True)
     choices = list(itertools.product(range(3), repeat=warm.quiver.n))
     for m1, m0 in itertools.product(choices, repeat=2):
         for t in range(1, 5):
@@ -617,6 +631,100 @@ def test_cover_bound_memo_matches_the_unmemoized_bound(fixture):
             assert len(cold.cover_bounds) == (not p1.is_zero() or not p0.is_zero())
     # one entry per nonzero primitive pair
     assert all(math.gcd(*m1, *m0) == 1 for m1, m0 in warm.cover_bounds)
+
+
+THIN = """
+vertices: 1 2 3
+arrow a0: 3 -> 2
+arrow a1: 1 -> 3
+arrow a2: 2 -> 2
+arrow a3: 1 -> 2
+relations:
+a2*a0
+a2*a2
+a2*a3
+"""
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME)], ids=["Q", "Fp"])
+def test_term_rank_certifies_what_the_block_cover_left_open(field):
+    """Right multiplication by a2 is thin: the term rank of the generic map
+    is below every cover by whole type blocks, and it certifies each level
+    that the block cover left to the oracle over Q and open over F_p."""
+    alg = build_algebra(*parse_quiver_file(THIN))
+    for m1, m0, bounds, r in (((0, 1, 0), (1, 0, 0), (1, 2), [1, 2, 3]),
+                              ((0, 1, 1), (1, 0, 1), (3, 4), [3, 6])):
+        p1, p0 = ProjDecomp(m1), ProjDecomp(m0)
+        hs = realize_pair(alg, p1, p0, field)
+        assert (cover_upper_bound(hs), reference_cover_bound(hs)) == bounds
+        report = additivity_scan(alg, p1, p0, t_max=len(r), field=field)
+        assert report.r_values == r
+        assert report.methods == ["dimension-bound"] * len(r)
+
+
+def random_bound_quivers(seed, count):
+    """`count` seeded .qa texts: 2-3 vertices, 2-4 arrows (loops allowed)
+    and a random set of the length-2 monomial relations."""
+    rng = SeedStream(seed)
+    for k in range(count):
+        sub = rng.split(k)
+        n = sub.randint(2, 3)
+        arrows = [(f"a{x}", sub.randint(1, n), sub.randint(1, n)) for x in range(sub.randint(2, 4))]
+        # x*y is y, then x
+        relations = [f"{x}*{y}" for x, xs, _ in arrows for y, _, yt in arrows
+                     if yt == xs and sub.randint(0, 1)]
+        yield "\n".join([f"vertices: {' '.join(map(str, range(1, n + 1)))}",
+                         *(f"arrow {a}: {s} -> {t}" for a, s, t in arrows),
+                         "relations:", *relations]) + "\n"
+
+
+def test_term_rank_bound_on_random_bound_quivers(monkeypatch):
+    """Over seeded small bound quivers of dimension at most 20, for every
+    pair of 0/1 multiplicity vectors: the term rank is at most the block
+    cover, at least a sampled rank, and t times as large at t·(P1, P0)."""
+    # bigger builds raise, and an infinite one raises before it gets slow
+    monkeypatch.setattr("taurank.algebra.MAX_RESIDUES", 20)
+    monkeypatch.setattr("taurank.algebra.MAX_TIP_INSERTS", 2048)
+    built = 0
+    for k, text in enumerate(random_bound_quivers(2027, 60)):
+        try:
+            alg = build_algebra(*parse_quiver_file(text))
+        except (ValueError, NotFiniteDimensional):
+            continue
+        built += 1
+        choices = list(itertools.product((0, 1), repeat=alg.quiver.n))
+        for s, (m1, m0) in enumerate(itertools.product(choices, repeat=2)):
+            p1, p0 = ProjDecomp(m1), ProjDecomp(m0)
+            hs = realize_pair(alg, p1, p0)
+            bound = cover_upper_bound(hs)
+            assert bound <= reference_cover_bound(hs), text
+            sampled = hs.morphism_from_coeffs(hs.sample_coeffs(SeedStream(k).split(s))).rank()
+            assert sampled <= bound, text
+            for t in (2, 3):
+                alg.cover_bounds.clear()
+                assert cover_upper_bound(realize_pair(alg, p1.scale(t), p0.scale(t))) == t * bound
+    assert built >= 20
+
+
+def test_oracle_escalation(alg_a, monkeypatch):
+    """On ALG-A (P(2), P(3)), whose cover bound 4 is above the maximal rank
+    3: when every draw at COEFF_BOUND is zero, the wider draws of the
+    escalation reach the oracle's value; when every draw is zero, the
+    value stays 0 and uncertified."""
+    p1, p0 = ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1))
+    draw = HomSpace.sample_coeffs
+
+    def zero_at_the_bound(hs, rng, bound=COEFF_BOUND):
+        return [0] * hs.dim if bound == COEFF_BOUND else draw(hs, rng, bound)
+
+    monkeypatch.setattr(HomSpace, "sample_coeffs", zero_at_the_bound)
+    res = generic_rank(alg_a, p1, p0)
+    assert (res.value, res.method, res.upper_bound) == (3, "oracle", 4)
+    assert res.witness.rank() == 3 and any(res.witness.coeffs)
+    monkeypatch.setattr(HomSpace, "sample_coeffs", lambda hs, rng, bound=COEFF_BOUND: [0] * hs.dim)
+    res = generic_rank(alg_a, p1, p0)
+    assert (res.value, res.method, res.certified) == (0, None, False)
+    assert res.witness.rank() == 0
 
 
 def per_item_tables(r1, r0):
