@@ -2,8 +2,10 @@
 
 `build_algebra` quotients the path algebra by the two-sided ideal the
 relations generate: the relation set is closed level by level under
-left/right multiplication by arrows, echelonized per (source, target)
-pair, and the surviving path residues become the basis.  Its structure
+left/right multiplication by arrows on `linalg`'s exact engine, over
+columns that order paths so that a vector leads at its tip, and the paths
+that are no tip become the basis.  One reduced echelon form of the ideal
+vectors gives each tip's normal form.  Its structure
 constants come from arrow peeling: b_i * b_j applies the arrows of b_i to
 b_j one at a time, each step a reduced word one arrow longer than a basis
 path.  `opposite` and `quotient` inherit their tables from the algebra
@@ -18,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, _echelon, _keep
 from .fields import QQ
 from .quiver import Quiver, RelationPoly, QuiverSyntaxError
 
@@ -32,11 +34,12 @@ class NotFiniteDimensional(RuntimeError):
 # (Python 3.11, 2-CPU Linux host), so a build at the cap ends in seconds.
 MAX_RESIDUES = 1024
 
-# Most vectors a build reduces against its tip table while closing the
-# ideal.  Each insert is a full reduction, and the closure can visit nearly
-# every path below the nilpotency length: k[x, y]/(x^a, y^a, xy - yx) makes
-# about 4^a inserts (130815 at a = 8, a build of about 2 s on the host
-# above), so past the cap a build stops in seconds instead of running on.
+# Most vectors a build inserts while closing the ideal.  An insert reduces
+# one vector at its tip by the ideal vectors kept so far (`linalg._keep`),
+# and the closure can visit nearly every path below the nilpotency length:
+# k[x, y]/(x^a, y^a, xy - yx) makes about 4^a inserts (130815 at a = 8, a
+# build of about 2 s on the host above), so past the cap a build stops in
+# about a second instead of running on.
 MAX_TIP_INSERTS = 1 << 17
 
 # Longest path a build searches for a surviving residue.
@@ -54,10 +57,6 @@ class BasisElement:
     @property
     def length(self):
         return len(self.word)
-
-
-def _word_key(quiver, source, word):
-    return (len(word), tuple(quiver.arrow_index[a] for a in word), source)
 
 
 def _axpy(out, c, vec):
@@ -91,41 +90,6 @@ def _dense(dim, el):
     return v
 
 
-class _TipTable:
-    """Echelonized ideal vectors keyed by their leading path."""
-
-    def __init__(self, quiver):
-        self.quiver = quiver
-        self.by_tip = {}  # (source, word) -> dict[(source, word)] = Fraction
-
-    def order_key(self, key):
-        source, word = key
-        return _word_key(self.quiver, source, word)
-
-    def reduce(self, vec):
-        """Fully reduce vec (dict key->coeff) against the table."""
-        vec = {k: c for k, c in vec.items() if c != 0}
-        while True:
-            hit = None
-            for k in sorted(vec, key=self.order_key, reverse=True):
-                if k in self.by_tip:
-                    hit = k
-                    break
-            if hit is None:
-                return vec
-            g = self.by_tip[hit]
-            _axpy(vec, -vec[hit] / g[hit], g)
-
-    def insert(self, vec):
-        """Reduce and insert; returns the new tip key or None if vec died."""
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        tip = max(vec, key=self.order_key)
-        self.by_tip[tip] = vec
-        return tip
-
-
 def build_algebra(quiver: Quiver, relations):
     """Construct KQ/I with the length-graded residue basis.
 
@@ -139,80 +103,71 @@ def build_algebra(quiver: Quiver, relations):
         if not isinstance(rel, RelationPoly):
             raise TypeError("relations must be RelationPoly instances")
 
-    table = _TipTable(quiver)
-    arrows = quiver.arrows
-    # pending[length] = vectors whose lead has that length
+    arrows, n, m = quiver.arrows, quiver.n, len(quiver.arrows)
+    # The column of a path for the engine is (longest - its length, m - the
+    # index of each arrow, n - its source), so the least column of a vector
+    # is its tip, the greatest path under (length, arrow indices, source).
+    # Every component is >= 0: as hash(-1) == hash(-2), lookups of columns
+    # that differ only there would collide.
+    longest = max([MAX_LEN, *(len(w) for rel in relations for _, w in rel.terms)])
+    letter = {a.name: m - quiver.arrow_index[a.name] for a in arrows}
+
+    def column(src, word):
+        return longest - len(word), tuple(letter[a] for a in word), n - src
+
+    def path(col):
+        _, letters, s = col
+        return n - s, tuple(arrows[m - k].name for k in letters)
+
+    kept = {}  # tip column -> ideal vector that leads there
+    # pending[length] = vectors whose tip has that length
     pending = {}
 
-    def vec_of_relation(rel):
-        return {(rel.source, w): Fraction(c) for c, w in rel.terms}
-
     def schedule(vec):
-        if not vec:
-            return
-        tip = max(vec, key=table.order_key)
-        pending.setdefault(len(tip[1]), []).append(vec)
+        if vec:
+            pending.setdefault(longest - min(vec)[0], []).append(vec)
 
     for rel in relations:
-        schedule(vec_of_relation(rel))
+        schedule({column(rel.source, w): Fraction(c) for c, w in rel.terms})
 
     def left_mult(arrow, vec):
-        out = {}
-        for (src, word), c in vec.items():
-            tgt = quiver.word_target(word) if word else src
-            if tgt == arrow.source:
-                out[(src, (arrow.name,) + word)] = c
-        return out
+        k = letter[arrow.name]
+        return {(spare - 1, (k,) + t, s): c for (spare, t, s), c in vec.items()
+                if (arrows[m - t[0]].target if t else n - s) == arrow.source}
 
     def right_mult(vec, arrow):
-        out = {}
-        for (src, word), c in vec.items():
-            if src == arrow.target:
-                out[(arrow.source, word + (arrow.name,))] = c
-        return out
+        k = letter[arrow.name]
+        return {(spare - 1, t + (k,), n - arrow.source): c for (spare, t, s), c in vec.items()
+                if n - s == arrow.target}
 
     inserts = 0
-
-    def drain(upto):
-        """Process all pending vectors with lead length <= upto."""
-        nonlocal inserts
-        while True:
-            levels = sorted(l for l in pending if l <= upto)
-            if not levels:
-                return
-            lvl = levels[0]
-            vecs = pending.pop(lvl)
-            for vec in vecs:
+    # survivors per length; terminate at the first empty level
+    survivors = {0: [(i, ()) for i in quiver.vertices]}
+    nilpotency = None
+    for length in range(1, MAX_LEN + 1):
+        # drain: insert every pending vector whose tip is at most this long
+        while levels := sorted(lvl for lvl in pending if lvl <= length):
+            for vec in pending.pop(levels[0]):
                 inserts += 1
                 if inserts > MAX_TIP_INSERTS:
                     raise NotFiniteDimensional(
                         f"closing the ideal takes more than {MAX_TIP_INSERTS} tip-table "
                         "inserts; too large to build")
-                tip = table.insert(vec)
-                if tip is None:
-                    continue
-                g = table.by_tip[tip]
-                if len(tip[1]) + 1 <= MAX_LEN:
+                tip = _keep(0, kept, vec)
+                if tip is not None and longest - tip[0] + 1 <= MAX_LEN:
+                    g = kept[tip]
                     for a in arrows:
                         schedule(left_mult(a, g))
                         schedule(right_mult(g, a))
-
-    # survivors per length; terminate at the first empty level
-    survivors = {0: [(i, ()) for i in quiver.vertices]}
-    nilpotency = None
-    for length in range(1, MAX_LEN + 1):
-        drain(length)
-        prev = survivors[length - 1]
         level = []
-        for (src, word) in prev:
+        for (src, word) in survivors[length - 1]:
             tgt = quiver.word_target(word) if word else src
             for a in arrows:
                 if a.source == tgt:
-                    key = (src, (a.name,) + word)
-                    if key not in table.by_tip:
-                        level.append(key)
-        level.sort(key=table.order_key)
-        survivors[length] = level
+                    col = column(src, (a.name,) + word)
+                    if col not in kept:
+                        level.append(col)
+        survivors[length] = [path(col) for col in sorted(level, reverse=True)]
         if sum(map(len, survivors.values())) > MAX_RESIDUES:
             raise NotFiniteDimensional(f"more than {MAX_RESIDUES} path residues survive; "
                                        "not finite-dimensional, or too large to build")
@@ -231,13 +186,18 @@ def build_algebra(quiver: Quiver, relations):
             tgt = quiver.word_target(word) if word else src
             basis.append(BasisElement(src, tgt, word))
     index = {(b.source, b.word): i for i, b in enumerate(basis)}
+    # a tip is minus the rest of its row of the reduced echelon form
+    rows, tips = _echelon(QQ, list(kept.values()), reduced=True)
+    normal_form = {tip: {c: -x for c, x in row.items() if c != tip}
+                   for tip, row in zip(tips, rows)}
 
     def reduce_word(src, word):
-        vec = table.reduce({(src, word): Fraction(1)})
+        col = column(src, word)
+        vec = {path(c): x for c, x in normal_form.get(col, {col: 1}).items()}
         for key in vec:
             if key not in index:
                 raise AssertionError(f"unreduced path {key} escaped the tip table")
-        return {index[key]: c for key, c in vec.items()}
+        return {index[key]: Fraction(x) for key, x in vec.items()}
 
     products, arrow_elements = _tables(quiver, basis, reduce_word)
     alg = Algebra(quiver, basis, products, arrow_elements, relations=list(relations))
@@ -251,7 +211,7 @@ def _tables(quiver, basis, reduce_word):
     b_i * b_j peels the arrows of b_i onto b_j, last arrow first; each step
     is the memoized reduce_word of one arrow on a basis path, so no reduced
     word is more than one arrow longer than a basis path.  That matters:
-    the tip table is only drained up to the nilpotency length."""
+    the ideal is only closed up to the nilpotency length."""
     memo = {}
 
     def arrow_mult(name, j):

@@ -17,20 +17,25 @@ blocks.  Two parts eliminate:
   all-int matrix.
 - The one exact engine.  `_echelon(field, rows, reduced)` takes rows as
   fresh dicts {column: nonzero cell}, F_p cells reduced, and may change
-  them; it touches only nonzeros.  Each row is reduced by the kept row
-  that leads at its leading column until it vanishes or is kept: over Q
-  fraction-free on cleared-denominator integer rows (cross
-  multiplication, each row divided by the gcd of its cells), over F_p
-  with pivots scaled to 1.  This forward pass gives the rank over other
-  primes and over Q when the shortcut does not decide it, and the pivot
-  columns that span a column space; with `reduced=True` a back
+  them; it touches only nonzeros.  A column is any hashable key that is
+  totally ordered with the other columns, since the engine compares
+  columns only with `min` and `sorted`; a row leads at its least column.
+  `_keep` reduces one row by the kept row that leads at its leading
+  column until it vanishes or is kept: over Q fraction-free on
+  cleared-denominator integer rows (cross multiplication, each row
+  divided by the gcd of its cells), over F_p with pivots scaled to 1.
+  `_keep` on each row in turn is the forward pass.  It gives the rank
+  over other primes and over Q when the shortcut does not decide it, and
+  the pivot columns that span a column space; with `reduced=True` a back
   substitution from the highest pivot down and, over Q, one division by
   each pivot at the end give the reduced echelon form, which rref,
   kernels, solving and row spaces read.  A linear solve A X = B runs one
   elimination of [A | B], whatever the number of right-hand columns.
   Every `Matrix` method hands its rows in as dicts and reads the result
   back; `reps.hom_dim` hands in its intertwiner constraints, which it
-  builds as sparse rows.
+  builds as sparse rows.  `algebra.build_algebra` closes a relation
+  ideal with one `_keep` per ideal vector, on columns that order paths,
+  and reads its normal forms from one reduced echelon form.
 
 A matrix memoizes its rank in the slot `_rank`, which only this module
 writes.  Three exact certificates stand in for eliminations:
@@ -439,19 +444,7 @@ def _echelon(field, rows, reduced=False):
     p = field.characteristic
     kept = {}  # leading column -> kept row
     for row in rows:
-        if not p and not {int}.issuperset(map(type, row.values())):
-            den = lcm(*[x.denominator for x in row.values()])
-            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-        while row:
-            lead = min(row)
-            prow = kept.get(lead)
-            if prow is None:
-                if p and row[lead] != 1:
-                    inv = pow(row[lead], -1, p)
-                    row = {c: x * inv % p for c, x in row.items()}
-                kept[lead] = row
-                break
-            row = _cleared(p, row, lead, prow)
+        _keep(p, kept, row)
     pivots = sorted(kept)
     if reduced:
         # a kept row has no cell at the other pivot columns once every
@@ -467,6 +460,28 @@ def _echelon(field, rows, reduced=False):
                 if (d := row[c]) != 1:
                     kept[c] = {k: x // d if not x % d else Fraction(x, d) for k, x in row.items()}
     return [kept[c] for c in pivots], pivots
+
+
+def _keep(p, kept, row):
+    """Reduce `row` at its leading column by the row of `kept` (leading
+    column -> kept row) that leads there, until it vanishes or leads where
+    no kept row does; then keep it there and return that column, or return
+    None.  Over Q the row's denominators are cleared first, over F_p its
+    pivot is scaled to 1."""
+    if not p and not {int}.issuperset(map(type, row.values())):
+        den = lcm(*[x.denominator for x in row.values()])
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    while row:
+        lead = min(row)
+        prow = kept.get(lead)
+        if prow is None:
+            if p and row[lead] != 1:
+                inv = pow(row[lead], -1, p)
+                row = {c: x * inv % p for c, x in row.items()}
+            kept[lead] = row
+            return lead
+        row = _cleared(p, row, lead, prow)
+    return None
 
 
 def _cleared(p, row, c, prow):

@@ -1,5 +1,9 @@
 """Tools the tests share."""
 
+from fractions import Fraction
+
+from taurank import algebra
+from taurank.algebra import Algebra, BasisElement, NotFiniteDimensional, _axpy, _tables
 from taurank.fields import SeedStream
 from taurank.linalg import Matrix, _dict_rows, _echelon
 from taurank.reps import Representation
@@ -61,3 +65,108 @@ def dense_hom_dim(m: Representation, n: Representation):
                     row[offsets[u] + i * dmu + c] -= na[r][i]
                 rows.append(row)
     return nvars - Matrix(m.field, rows, nvars).rank()
+
+
+def random_bound_quivers(seed, count):
+    """`count` seeded .qa texts: 2-3 vertices, 2-4 arrows (loops allowed)
+    and a random set of the length-2 monomial relations."""
+    rng = SeedStream(seed)
+    for k in range(count):
+        sub = rng.split(k)
+        n = sub.randint(2, 3)
+        arrows = [(f"a{x}", sub.randint(1, n), sub.randint(1, n)) for x in range(sub.randint(2, 4))]
+        # x*y is y, then x
+        relations = [f"{x}*{y}" for x, xs, _ in arrows for y, _, yt in arrows
+                     if yt == xs and sub.randint(0, 1)]
+        yield "\n".join([f"vertices: {' '.join(map(str, range(1, n + 1)))}",
+                         *(f"arrow {a}: {s} -> {t}" for a, s, t in arrows),
+                         "relations:", *relations]) + "\n"
+
+
+def reference_build(quiver, relations):
+    """(basis, products, arrow elements, inserts) of KQ/I by an independent
+    closure of the ideal: a table of ideal vectors keyed by their tip, the
+    greatest path under (length, arrow indices, source), each fully reduced
+    against the table, with every term re-sorted at each step.  It raises
+    NotFiniteDimensional where `build_algebra` does, with the same text,
+    and the AssertionError of a table that is not associative, and it reads
+    the caps of `taurank.algebra` when it runs."""
+    def order_key(key):
+        source, word = key
+        return (len(word), tuple(quiver.arrow_index[a] for a in word), source)
+
+    by_tip = {}  # (source, word) -> dict[(source, word)] = Fraction
+
+    def reduce(vec):
+        vec = {k: c for k, c in vec.items() if c != 0}
+        while True:
+            hit = next((k for k in sorted(vec, key=order_key, reverse=True) if k in by_tip),
+                       None)
+            if hit is None:
+                return vec
+            g = by_tip[hit]
+            _axpy(vec, -vec[hit] / g[hit], g)
+
+    arrows, pending = quiver.arrows, {}  # pending[length] = vectors whose tip has that length
+
+    def schedule(vec):
+        if vec:
+            pending.setdefault(len(max(vec, key=order_key)[1]), []).append(vec)
+
+    for rel in relations:
+        schedule({(rel.source, w): Fraction(c) for c, w in rel.terms})
+
+    def left_mult(arrow, vec):
+        return {(src, (arrow.name,) + word): c for (src, word), c in vec.items()
+                if (quiver.word_target(word) if word else src) == arrow.source}
+
+    def right_mult(vec, arrow):
+        return {(arrow.source, word + (arrow.name,)): c for (src, word), c in vec.items()
+                if src == arrow.target}
+
+    inserts = 0
+    survivors = {0: [(i, ()) for i in quiver.vertices]}
+    nilpotency = None
+    for length in range(1, algebra.MAX_LEN + 1):
+        while levels := sorted(lvl for lvl in pending if lvl <= length):
+            for vec in pending.pop(levels[0]):
+                inserts += 1
+                if inserts > algebra.MAX_TIP_INSERTS:
+                    raise NotFiniteDimensional(
+                        f"closing the ideal takes more than {algebra.MAX_TIP_INSERTS} "
+                        "tip-table inserts; too large to build")
+                vec = reduce(vec)
+                if not vec:
+                    continue
+                tip = max(vec, key=order_key)
+                by_tip[tip] = vec
+                if len(tip[1]) + 1 <= algebra.MAX_LEN:
+                    for a in arrows:
+                        schedule(left_mult(a, vec))
+                        schedule(right_mult(vec, a))
+        level = []
+        for (src, word) in survivors[length - 1]:
+            tgt = quiver.word_target(word) if word else src
+            level += [(src, (a.name,) + word) for a in arrows
+                      if a.source == tgt and (src, (a.name,) + word) not in by_tip]
+        survivors[length] = sorted(level, key=order_key)
+        if sum(map(len, survivors.values())) > algebra.MAX_RESIDUES:
+            raise NotFiniteDimensional(f"more than {algebra.MAX_RESIDUES} path residues "
+                                       "survive; not finite-dimensional, or too large to build")
+        if not level:
+            nilpotency = length
+            break
+    if nilpotency is None:
+        raise NotFiniteDimensional(
+            f"path residues still survive at length {algebra.MAX_LEN}; "
+            f"not finite-dimensional within path length {algebra.MAX_LEN}")
+    basis = [BasisElement(src, quiver.word_target(word) if word else src, word)
+             for length in range(nilpotency) for src, word in survivors[length]]
+    index = {(b.source, b.word): i for i, b in enumerate(basis)}
+
+    def reduce_word(src, word):
+        return {index[key]: c for key, c in reduce({(src, word): Fraction(1)}).items()}
+
+    products, arrow_elements = _tables(quiver, basis, reduce_word)
+    Algebra(quiver, basis, products, arrow_elements)._validate()
+    return basis, products, arrow_elements, inserts

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from taurank.algebra import Algebra, Ideal, NotFiniteDimensional, build_algebra
 from taurank.quiver import Quiver, Arrow, RelationPoly, parse_quiver_file
 from taurank import algebra, fixtures
 
-from helpers import commutative_square
+from helpers import commutative_square, random_bound_quivers, reference_build
 
 
 def brute_force_paths(quiver, max_len=10):
@@ -74,6 +75,16 @@ def test_build_stops_past_the_tip_insert_cap(monkeypatch):
     assert build_algebra(*parse_quiver_file(source)).dim == 12
     monkeypatch.setattr(algebra, "MAX_TIP_INSERTS", 5)
     with pytest.raises(NotFiniteDimensional, match="more than 5 tip-table inserts"):
+        build_algebra(*parse_quiver_file(source))
+
+
+def test_a_free_loop_stops_at_the_insert_cap(monkeypatch):
+    # a2 is a free loop, but few residues survive per length, so only the
+    # insert cap stops the build
+    source = ("vertices: 1 2\narrow a0: 2 -> 1\narrow a1: 1 -> 1\narrow a2: 2 -> 2\n"
+              "arrow a3: 1 -> 2\nrelations:\na0*a2\na0*a3\na1*a1\na2*a3\na3*a1\n")
+    monkeypatch.setattr(algebra, "MAX_TIP_INSERTS", 2048)
+    with pytest.raises(NotFiniteDimensional, match="more than 2048 tip-table inserts"):
         build_algebra(*parse_quiver_file(source))
 
 
@@ -220,14 +231,19 @@ def test_ideal_closure_is_two_sided(alg_b0):
     assert ideal.dim == 2
 
 
-def _tables_digest(alg):
-    """sha256 of the basis, the structure constants and the arrow elements,
-    in a canonical order and with the type of every coefficient."""
-    text = repr((
-        [(b.source, b.target, b.word) for b in alg.basis],
-        sorted((k, sorted(v.items())) for k, v in alg.products.items()),
-        sorted((n, sorted(v.items())) for n, v in alg.arrow_element_cache.items()),
+def _tables_text(basis, products, arrow_elements):
+    """The basis, the structure constants and the arrow elements, in a
+    canonical order and with the type of every coefficient."""
+    return repr((
+        [(b.source, b.target, b.word) for b in basis],
+        sorted((k, sorted(v.items())) for k, v in products.items()),
+        sorted((n, sorted(v.items())) for n, v in arrow_elements.items()),
     ))
+
+
+def _tables_digest(alg):
+    """sha256 of `_tables_text` of the algebra."""
+    text = _tables_text(alg.basis, alg.products, alg.arrow_element_cache)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -278,3 +294,57 @@ def test_validate_rejects_a_non_associative_table(alg_b0):
     with pytest.raises(AssertionError, match="associativity fails on basis triple"):
         tampered._validate()
     alg_b0._validate()
+
+
+# Relations with terms of unlike lengths, so a tip's normal form holds
+# shorter paths; the first builds a table that is not associative
+UNLIKE_LENGTHS = [
+    "vertices: 1 2\narrow a: 1 -> 2\narrow b: 2 -> 2\narrow c: 2 -> 2\nrelations:\n"
+    "b*a - c*c*a\nb*b\nc*c*c\nb*c\nc*b - 2 c*c\n",
+    "vertices: 1\narrow x: 1 -> 1\narrow y: 1 -> 1\nrelations:\nx*x - y*y*y\nx*y\ny*x\ny*y*y*y\n",
+    "vertices: 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\narrow c: 1 -> 1\nrelations:\n"
+    "a*b\nb*a - c*c\nc*c*c\nc*b\na*c\n",
+]
+
+
+def _outcome(build, text):
+    """("built", the tables, the insert count) of a build, or the type and
+    text of the error it stops with."""
+    try:
+        basis, products, arrow_elements, inserts = build(*parse_quiver_file(text))
+    except (NotFiniteDimensional, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return "built", _tables_text(basis, products, arrow_elements), inserts
+
+
+def test_build_matches_the_reference_closure(monkeypatch):
+    # each insert is one _keep; low caps make some builds stop at each
+    monkeypatch.setattr(algebra, "MAX_RESIDUES", 20)
+    monkeypatch.setattr(algebra, "MAX_TIP_INSERTS", 2048)
+    inserts, keep = [], algebra._keep
+
+    def counted(*args):
+        inserts.append(args)
+        return keep(*args)
+
+    def build(quiver, relations):
+        inserts.clear()
+        alg = build_algebra(quiver, relations)
+        return alg.basis, alg.products, alg.arrow_element_cache, len(inserts)
+
+    monkeypatch.setattr(algebra, "_keep", counted)
+    texts = [fixtures.FIXTURE_SOURCES[name] for name in fixtures.FIXTURE_NAMES]
+    texts += [commutative_square(a) for a in (2, 3, 4)]
+    texts += [*random_bound_quivers(2027, 60), *random_bound_quivers(77, 60), *UNLIKE_LENGTHS]
+    stops = Counter()
+    for text in texts:
+        want = _outcome(reference_build, text)
+        assert _outcome(build, text) == want, text
+        stops["built" if want[0] == "built" else want[1].split(";")[0]] += 1
+    # every way a build ends occurs
+    assert stops == {
+        "built": 71,
+        "more than 20 path residues survive": 53,
+        "closing the ideal takes more than 2048 tip-table inserts": 6,
+        "associativity fails on basis triple (4,4,5)": 1,
+    }

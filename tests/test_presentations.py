@@ -41,7 +41,7 @@ from taurank.reps import (
     zero_rep,
 )
 
-from helpers import conjugate, echelon_rank
+from helpers import conjugate, echelon_rank, random_bound_quivers
 
 
 def f_lambda(alg_a, lam):
@@ -660,22 +660,6 @@ def test_term_rank_certifies_what_the_block_cover_left_open(field):
         report = additivity_scan(alg, p1, p0, t_max=len(r), field=field)
         assert report.r_values == r
         assert report.methods == ["dimension-bound"] * len(r)
-
-
-def random_bound_quivers(seed, count):
-    """`count` seeded .qa texts: 2-3 vertices, 2-4 arrows (loops allowed)
-    and a random set of the length-2 monomial relations."""
-    rng = SeedStream(seed)
-    for k in range(count):
-        sub = rng.split(k)
-        n = sub.randint(2, 3)
-        arrows = [(f"a{x}", sub.randint(1, n), sub.randint(1, n)) for x in range(sub.randint(2, 4))]
-        # x*y is y, then x
-        relations = [f"{x}*{y}" for x, xs, _ in arrows for y, _, yt in arrows
-                     if yt == xs and sub.randint(0, 1)]
-        yield "\n".join([f"vertices: {' '.join(map(str, range(1, n + 1)))}",
-                         *(f"arrow {a}: {s} -> {t}" for a, s, t in arrows),
-                         "relations:", *relations]) + "\n"
 
 
 def test_term_rank_bound_on_random_bound_quivers(monkeypatch):

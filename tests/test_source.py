@@ -145,17 +145,42 @@ TEST_READERS = {
 }
 
 
+def local_names(node):
+    """The names that a function binds for itself: its arguments, and the
+    names it stores or deletes outside the functions and classes it
+    defines, less those it declares global or nonlocal.  Any other node
+    binds none."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return set()
+    a = node.args
+    names = {arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+             if arg}
+    declared, todo = set(), list(node.body)
+    while todo:
+        n = todo.pop()
+        if isinstance(n, DEFS):
+            continue
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, (ast.Global, ast.Nonlocal)):
+            declared.update(n.names)
+        todo.extend(ast.iter_child_nodes(n))
+    return names - declared
+
+
 def read_names(node):
     """Identifiers that node reads outside the functions and classes it
-    defines: names, attribute names, and string constants that are
-    identifiers (the tracer names the methods it wraps by string)."""
-    names, todo = set(), list(ast.iter_child_nodes(node))
+    defines: names other than its own locals, attribute names, and string
+    constants that are identifiers (the tracer names the methods it wraps
+    by string)."""
+    names, todo, local = set(), list(ast.iter_child_nodes(node)), local_names(node)
     while todo:
         n = todo.pop()
         if isinstance(n, DEFS):
             continue
         if isinstance(n, ast.Name):
-            names.add(n.id)
+            if n.id not in local:
+                names.add(n.id)
         elif isinstance(n, ast.Attribute):
             names.add(n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
@@ -252,6 +277,27 @@ def test_the_rule_sees_unread_definitions():
     assert "m.py:dead" not in unread_definitions({"m.py": tree}, {"dead"})
 
 
+def test_the_rule_skips_a_functions_own_locals():
+    tree = ast.parse(
+        "def f(arg, *rest, key=None, **kw):\n"
+        "    top = arg\n"
+        "    for each in rest:\n        del kw\n"
+        "    return top, each, key, kw, shared, helper()\n"
+        "def g():\n"
+        "    global shared\n"
+        "    shared = 1\n"
+        "    def inner():\n        gone = 2\n"
+        "    return shared, gone, inner\n"
+    )
+    f, g = tree.body
+    assert read_names(f) == {"shared", "helper"}
+    # a def binds no local here, so the function it defines stays read
+    assert read_names(g) == {"shared", "gone", "inner"}
+    # a local that shares its name with a definition does not keep it live
+    tree = ast.parse("def top():\n    pass\ndef build(x):\n    top = x\n    return top\nbuild\n")
+    assert unread_definitions({"m.py": tree}, set()) == ["m.py:top"]
+
+
 def readers(tree, name):
     """The name of the function or class around each read of `name`, as an
     attribute (x.name) or a plain name, sorted; "<module>" outside them."""
@@ -283,21 +329,26 @@ def test_the_rule_sees_reads_of_a_name():
     assert readers(tree, "right_mult_blocks") == ["<module>", "f", "h"]
 
 
+ENGINE = {"_echelon", "_keep"}  # the exact engine and its per-row step
+
+
 def engine_readers(tree):
-    """`readers` of the exact engine `_echelon`, read by its own name, as an
-    attribute, or under a name that an import binds it to."""
-    names = {"_echelon"} | {alias.asname for node in ast.walk(tree)
-                            if isinstance(node, ast.ImportFrom) for alias in node.names
-                            if alias.name == "_echelon" and alias.asname}
+    """`readers` of the exact engine `_echelon` or its per-row step `_keep`,
+    each read by its own name, as an attribute, or under a name that an
+    import binds it to."""
+    names = ENGINE | {alias.asname for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names
+                      if alias.name in ENGINE and alias.asname}
     return sorted(found for name in names for found in readers(tree, name))
 
 
 def test_only_hom_dim_reads_the_exact_engine():
-    # one way into exact elimination: the Matrix methods, and the Hom
-    # systems, which reps builds as sparse rows already
+    # one way into exact elimination: the Matrix methods, the Hom systems,
+    # which reps builds as sparse rows already, and the closure of a
+    # relation ideal, whose vectors are sparse rows over path columns
     found = {name: found for name, tree in modules().items()
              if name != "linalg.py" and (found := engine_readers(tree))}
-    assert found == {"reps.py": ["hom_dim"]}
+    assert found == {"algebra.py": ["build_algebra", "build_algebra"], "reps.py": ["hom_dim"]}
 
 
 def test_the_rule_sees_reads_of_the_engine():
@@ -306,5 +357,8 @@ def test_the_rule_sees_reads_of_the_engine():
         "def f(m):\n    return eliminate(m.field, [])\n"
         "def g(m):\n    return linalg._echelon(m.field, [], reduced=True)\n"
         "class C:\n    def rank(self):\n        return len(_echelon(self.field, [])[1])\n"
+        "from .linalg import _keep as keep\n"
+        "def h(p, kept, row):\n    return _keep(p, kept, row), keep(p, kept, row)\n"
+        "def i(p, kept):\n    return linalg._keep(p, kept, {})\n"
     )
-    assert engine_readers(tree) == ["f", "g", "rank"]
+    assert engine_readers(tree) == ["f", "g", "h", "h", "i", "rank"]
