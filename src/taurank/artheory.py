@@ -69,7 +69,7 @@ def tau(m: Representation) -> Representation:
 
 
 def tau_minus(m: Representation) -> Representation:
-    """Inverse translate, computed as D tau_op(D M); D M joins M's record."""
+    """Inverse translate, computed as D tau_op(D M); D M is kept with M's analyses."""
     dm = scoped(dual_rep, m)
     t = tau(dm)
     if t.is_zero():
@@ -181,11 +181,11 @@ def stable_hom_dim_inj(n: Representation, x: Representation) -> int:
     dim Hom(E, X) - dim Hom(C, X).  Hom(-, X) is additive, so with
     E = sum of k_j copies of I(j), dim Hom(E, X) is the sum of
     k_j dim Hom(I(j), X): one small system per indecomposable injective
-    instead of one for all of E."""
+    instead of one for all of E.  The envelope is kept with N's analyses."""
     base = hom_dim(n, x)
     if base == 0:
         return 0
-    _, mono, mults = injective_envelope_mults(n)
+    _, mono, mults = scoped(injective_envelope_mults, n)
     c, _ = cokernel(mono)
     hom_env = sum(k * hom_dim(injective(n.algebra, j, n.field), x)
                   for j, k in enumerate(mults, start=1) if k)
@@ -254,10 +254,10 @@ def hierarchy_report(
     r = HierarchyReport(
         projective=cx.p1.is_zero(),
         pd_le_1=cx.rank() == cx.hom.r1.total_dim,  # presentation map injective
-        e_value=ext1_dim(m, m),
-        E_value=e_invariant(m),
+        e_value=scoped(ext1_dim, m, m),
+        E_value=scoped(e_invariant, m),
         verdict=is_tau_regular(m, trials=trials, seed=seed),
-        pd=proj_dim(m, cap=cap),
+        pd=scoped(proj_dim, m, cap),
     )
     edges = [
         (not r.projective or r.partial_tilting, "projective => partial tilting"),
@@ -334,9 +334,9 @@ def reduce_and_compare(
     hierarchy reports of M over A and over B.
 
     The e and E inequalities e_B <= e_A, E_B <= E_A are asserted.  The
-    ideal (the annihilator, or the given one), B and M over B are computed
-    once per analysis record of M, and M over B joins that record, so a
-    repeated call on M with the same ideal reuses them and their analyses."""
+    ideal (the annihilator, or the given one), B and M over B are kept with
+    M's analyses, so a repeated call on M with the same ideal reuses them,
+    and M over B's own analyses under its own content key."""
     if ideal is None:
         ideal, quot, m_b = scoped(_annihilator_reduction, m)
     else:

@@ -87,6 +87,11 @@ def _load_algebra(arg):
         return build_algebra(quiver, relations)
     except (QuiverSyntaxError, NotFiniteDimensional) as exc:
         raise CliError(f"cannot build algebra from {arg!r}: {exc}", EXIT_PARSE)
+    except AssertionError as exc:
+        # the build's own consistency checks (associativity on the basis)
+        raise CliError(
+            f"cannot build algebra from {arg!r}: the relation ideal did not close ({exc}); "
+            "this is known for relations whose terms have unlike lengths", EXIT_PARSE)
 
 
 def _load_module(algebra, arg, field):

@@ -77,9 +77,11 @@ class HomSpace:
     one copy of P(j); each further copy of P(j) moves the cells
     len(paths(j, v)) rows on in block v.
 
-    `_hom_tables` builds the items, their generator cells and the gather
-    plan in one pass; the plan is the one description of the family, read
-    by `morphism_from_coeffs` and by `generic_vertex_matrices` alike.  Per
+    `_hom_tables` counts the items and builds their generator cells and
+    the gather plan in one pass, with no per-item tuple (`items` lists
+    them on demand, for the Nakayama functor); the plan is the one
+    description of the family, read by `morphism_from_coeffs` and by
+    `generic_vertex_matrices` alike.  Per
     cell the plan holds the item whose coefficient lands there, or the
     padding index -1 when none does, and its c; a cell that takes more
     than one item keeps its first there and the others in a correction
@@ -105,9 +107,19 @@ class HomSpace:
         tables = alg.hom_tables
         if tables is None or tables[0] != key:
             tables = alg.hom_tables = (key, *_hom_tables(r1, r0))
-        _, self.items, self._gen_cells, self._plan = tables
-        self.dim = len(self.items)
+        _, self.dim, self._gen_cells, self._plan = tables
         self._built = {}
+
+    @property
+    def items(self):
+        """The items (s1, s0, x) in coefficient order, listed afresh on
+        each read: the tables keep only their number."""
+        alg = self.algebra
+        return [(s1, s, x)
+                for s1, (i, _) in enumerate(self.r1.summands)
+                for j, s0, m0 in _target_types(self.r0)
+                for s in range(s0, s0 + m0)
+                for x in _hom_template(alg, i, j)[0]]
 
     def morphism_from_coeffs(self, coeffs):
         """The morphism Σ coeffs[k] · item k, built once per coefficient
@@ -169,8 +181,13 @@ class HomSpace:
         return out
 
 
+def _target_types(r0):
+    """(j, first summand of type j, its number of copies) per target type j."""
+    return [(j, s0, r0.mults[j - 1]) for s0, (j, c0) in enumerate(r0.summands) if not c0]
+
+
 def _hom_tables(r1, r0):
-    """(items, generator cells, gather plan) of Hom(r1, r0), as
+    """(dimension, generator cells, gather plan) of Hom(r1, r0), as
     `HomSpace` describes them.  The plan is (per cell its item or -1,
     gather, multipliers or None when every c is 1, corrections, row slicer,
     per vertex (v, first row, end row, ncols)); both getters take two
@@ -184,17 +201,16 @@ def _hom_tables(r1, r0):
         spans.append((v, len(row_slices), len(row_slices) + nrows, ncols))
         row_slices += [slice(ncells + r * ncols, ncells + (r + 1) * ncols) for r in range(nrows)]
         ncells += nrows * ncols
-    # per target type j: its first summand and its copies
-    types0 = [(j, s0, r0.mults[j - 1]) for s0, (j, c0) in enumerate(r0.summands) if not c0]
-    items, gen_cells, src, mults, extra = [], [], [-1] * ncells, None, []
+    types0 = _target_types(r0)
+    dim, gen_cells, src, mults, extra = 0, [], [-1] * ncells, None, []
     for s1, (i, _) in enumerate(r1.summands):
         off1 = r1.offsets[s1]
         for j, s0, m0 in types0:
             xs, gen_col, entries, dups, unit = _hom_template(alg, i, j)
             if not xs:
                 continue
-            start, nx, off0 = len(items), len(xs), r0.offsets[s0]
-            items += [(s1, s, x) for s in range(s0, s0 + m0) for x in xs]
+            start, nx, off0 = dim, len(xs), r0.offsets[s0]
+            dim += m0 * nx
             # the coefficient of item start + k is the cell at row
             # off0[i] + k, column off1[i] + gen_col of block i
             at, ncols = first[i]
@@ -219,7 +235,7 @@ def _hom_tables(r1, r0):
                         mults[at : at + m0 * rstep : rstep] = [c] * m0
     pad = slice(0, 0)
     plan = (src, itemgetter(*src, -1, -1), mults, extra, itemgetter(*row_slices, pad, pad), spans)
-    return items, gen_cells, plan
+    return dim, gen_cells, plan
 
 
 def _hom_template(alg, i, j):

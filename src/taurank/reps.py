@@ -10,6 +10,7 @@ lets every operation here run unchanged over B.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,12 @@ from .linalg import Matrix, _echelon
 
 
 class Representation:
-    __slots__ = ("algebra", "field", "dims", "arrows")
+    """A module; its dims and arrow matrices are never changed once built,
+    so its content key (algebra, field name, dims, arrow cells in quiver
+    arrow order) is computed once, on first use, and equality and hashing
+    are those of the key."""
+
+    __slots__ = ("algebra", "field", "dims", "arrows", "_key")
 
     def __init__(self, algebra, field, dims, arrows):
         self.algebra = algebra
@@ -36,6 +42,17 @@ class Representation:
                 self.arrows[a.name] = m
             if m.shape() != (self.dims[a.target - 1], self.dims[a.source - 1]):
                 raise ValueError(f"arrow {a.name} matrix has wrong shape")
+        self._key = None
+
+    @property
+    def content_key(self):
+        key = self._key
+        if key is None:
+            # one flat tuple: the dims fix every arrow's shape
+            cells = tuple(itertools.chain.from_iterable(
+                row for a in self.algebra.quiver.arrows for row in self.arrows[a.name].rows))
+            key = self._key = (self.algebra, self.field.name, self.dims, cells)
+        return key
 
     @property
     def dim_total(self):
@@ -48,13 +65,10 @@ class Representation:
         return self.dims[v - 1]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Representation)
-            and other.algebra is self.algebra
-            and other.field.name == self.field.name
-            and other.dims == self.dims
-            and all(other.arrows[a] == self.arrows[a] for a in self.arrows)
-        )
+        return isinstance(other, Representation) and other.content_key == self.content_key
+
+    def __hash__(self):
+        return hash(self.content_key)
 
     def __repr__(self):
         return f"Rep{self.dims}"
@@ -520,37 +534,39 @@ def syzygy(m: Representation):
     return scoped(cover_kernel, m)[1]
 
 
-# -- the analysis record -------------------------------------------------------
+# -- the analysis cache --------------------------------------------------------
 
-# The record of the module analysed last, (members, values): members maps
-# id -> module for that module and every module derived from it, and values
-# maps ((function, *further arguments), id(module)) -> value.  Holding the
-# members keeps their ids from being reused.  A context variable, so each
-# thread has its own, and at most one record is kept: memory stays bounded
-# by one analysis.
-_record = ContextVar("taurank_analysis_record", default=None)
+# Each thread's analyses, keyed by module content (`content_key`): an LRU
+# of at most ANALYSES_KEPT modules, each entry mapping (function, *further
+# arguments) -> value.  An equal module built anew reads the same entry,
+# and a derived module (a syzygy, tau M, D M, M over A/ann M) gets an
+# entry of its own.  A context variable, so threads never share one, and
+# its memory stays bounded by ANALYSES_KEPT modules' analyses.
+ANALYSES_KEPT = 64
+_analyses = ContextVar("taurank_analyses", default=None)
 
 
 def scoped(fn, obj, *args):
-    """fn(obj, *args), computed once per value of the further (hashable)
-    arguments while obj's analysis is the kept record.
-
-    A module outside the record starts a new record rooted at it.  Every
-    module in the value (or in its top-level tuple), such as the kernel of
-    a cover, tau M or M over a quotient, joins the record."""
-    record = _record.get()
-    if record is None or id(obj) not in record[0]:
-        record = ({id(obj): obj}, {})
-        _record.set(record)
-    members, values = record
-    key = ((fn, *args), id(obj))
-    if key not in values:
-        value = fn(obj, *args)
-        for x in value if isinstance(value, tuple) else (value,):
-            if isinstance(x, Representation):
-                members[id(x)] = x
-        values[key] = value
-    return values[key]
+    """fn(obj, *args), computed once per module content and value of the
+    further (hashable) arguments while obj's content is among the last
+    ANALYSES_KEPT modules this thread read; a call that raises keeps
+    nothing for itself."""
+    cache = _analyses.get()
+    if cache is None:
+        cache = OrderedDict()
+        _analyses.set(cache)
+    key = obj.content_key
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = {}
+        if len(cache) > ANALYSES_KEPT:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    call = (fn, *args)
+    if call not in entry:
+        entry[call] = fn(obj, *args)
+    return entry[call]
 
 
 # -- invariants ----------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from taurank import fixtures
+from taurank import fixtures, reps
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,11 @@ def alg_k():
 @pytest.fixture(scope="session")
 def all_fixture_algebras():
     return {name: fixtures.load_fixture(name) for name in fixtures.FIXTURE_NAMES}
+
+
+@pytest.fixture(autouse=True)
+def empty_analysis_cache():
+    """Each test starts from an empty analysis cache: the fixture algebras
+    are shared by the session, so an equal module analysed by an earlier
+    test would otherwise be read from its entry."""
+    reps._analyses.set(None)

@@ -20,6 +20,7 @@ from taurank.artheory import (
 )
 from taurank.fields import QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
+from taurank.io import module_from_dict, module_to_dict
 from taurank.linalg import Matrix
 from taurank.presentations import (
     ProjDecomp,
@@ -399,7 +400,7 @@ def test_verdict_json_keys(alg_b):
         assert key in data
 
 
-# -- the analysis record -----------------------------------------------------
+# -- the analysis cache ------------------------------------------------------
 
 
 def cover_spy(monkeypatch):
@@ -418,10 +419,17 @@ def cover_spy(monkeypatch):
     return calls
 
 
-def members():
-    """The modules of this thread's analysis record, its root first."""
-    record = reps._record.get()
-    return [] if record is None else list(record[0].values())
+def held(m):
+    """Whether this thread's analysis cache has an entry for m's content."""
+    return m.content_key in (reps._analyses.get() or {})
+
+
+def fill_cache(alg, count, first=100):
+    """Read `count` distinct modules S(1)^k, k from `first` on (nothing
+    computed but D M); ANALYSES_KEPT of them push every older entry out."""
+    for k in range(first, first + count):
+        dims = tuple(k if v == 1 else 0 for v in alg.quiver.vertices)
+        reps.scoped(reps.dual_rep, reps.Representation(alg, QQ, dims, {}))
 
 
 def test_consecutive_analyses_build_no_second_cover(monkeypatch, alg_b0):
@@ -430,24 +438,31 @@ def test_consecutive_analyses_build_no_second_cover(monkeypatch, alg_b0):
     calls = cover_spy(monkeypatch)
     got = tau(m), ext1_dim(m, m), is_tau_regular(m, trials=2, seed=1).to_json()
     assert calls == []
-    # the same values from a fresh record, which covers m and its syzygy
-    reps._record.set(None)
+    # the same values from an empty cache, which covers m and its syzygy
+    reps._analyses.set(None)
     want = tau(m), ext1_dim(m, m), is_tau_regular(m, trials=2, seed=1).to_json()
     assert got == want and len(calls) == 2
     calls.clear()
     ar_formula_check(m, simple(alg_b0, 1))
     reduce_and_compare(m, trials=2, seed=1)
-    assert calls and not [arg for arg, _ in calls if arg is m]
+    assert calls and not [arg for arg, _ in calls if arg == m]
 
 
-def test_record_keeps_only_the_last_module(alg_b0):
+def test_cache_keeps_the_last_analyses_kept_modules(alg_b0):
     kept = [simple(alg_b0, 1), simple(alg_b0, 2), simple(alg_b0, 3),
             projective(alg_b0, 3), injective(alg_b0, 1)]
     for m in kept:
         hierarchy_report(m, trials=2, seed=1)
-    held = members()
-    assert held[0] is kept[-1]
-    assert not [m for m in kept[:-1] if any(x is m for x in held)]
+    assert all(held(m) for m in kept)
+    # a module read again moves to the back, so ANALYSES_KEPT - 1 others
+    # push out every module but it, and one more pushes it out too
+    reps.scoped(reps.dual_rep, kept[0])
+    fill_cache(alg_b0, reps.ANALYSES_KEPT - 1)
+    assert held(kept[0]) and not any(held(m) for m in kept[1:])
+    assert len(reps._analyses.get()) == reps.ANALYSES_KEPT
+    fill_cache(alg_b0, 1, first=1000)
+    assert not held(kept[0])
+    assert len(reps._analyses.get()) == reps.ANALYSES_KEPT
 
 
 def test_repeated_reduction_reuses_its_quotient_and_analyses(monkeypatch, alg_b0):
@@ -459,11 +474,15 @@ def test_repeated_reduction_reuses_its_quotient_and_analyses(monkeypatch, alg_b0
     second = reduce_and_compare(m, trials=2, seed=1)
     assert calls == []
     assert second.to_json() == first.to_json()
-    # an explicit ideal builds its own quotient
+    # an explicit ideal builds its own quotient, once per ideal content
     ideal = reps.annihilator(m)
     assert reduce_and_compare(m, ideal=ideal, trials=2, seed=1).to_json() \
         == first.to_json()
     assert calls
+    calls.clear()
+    assert reduce_and_compare(m, ideal=reps.annihilator(m), trials=2, seed=1).to_json() \
+        == first.to_json()
+    assert calls == []
 
 
 def test_an_explicit_ideal_reduction_joins_the_module_record(monkeypatch, alg_c):
@@ -473,8 +492,7 @@ def test_an_explicit_ideal_reduction_joins_the_module_record(monkeypatch, alg_c)
     first = reduce_and_compare(m, ideal=ideal, trials=2, seed=1)
     # M and its syzygy over A, then M over B and its syzygy
     assert [arg.algebra is alg_c for arg, _ in calls] == [True, True, False, False]
-    held = members()
-    assert calls[0][0] is m and held[0] is m and any(x is calls[2][0] for x in held)
+    assert calls[0][0] is m and held(m) and held(calls[2][0])
     calls.clear()
     again = reduce_and_compare(m, ideal=ideal, trials=2, seed=1)
     assert calls == [] and again.to_json() == first.to_json()
@@ -485,16 +503,20 @@ def test_each_call_covers_its_module_once_and_afresh(monkeypatch, alg_a):
     calls = cover_spy(monkeypatch)
     hierarchy_report(m, trials=2, seed=1)
     first = [cover for arg, cover in calls if arg is m]
-    # the next analysis of the same module starts from its record, and
-    # D M for tau^- joins it ...
+    # the next analysis of the same module reads its entry, and D M for
+    # tau^- is kept there too ...
     calls.clear()
     tau_minus(m)
     hierarchy_report(m, trials=2, seed=1)
     ar_formula_check(m, m)
     assert not [arg for arg, _ in calls if arg is m]
-    # ... and an analysis of another module in between drops it
+    # ... an analysis of another module in between keeps it ...
     hierarchy_report(cok_f(alg_a, (0, 1, 0)), trials=2, seed=1)
     calls.clear()
+    hierarchy_report(m, trials=2, seed=1)
+    assert not [arg for arg, _ in calls if arg is m]
+    # ... and ANALYSES_KEPT other modules drop it
+    fill_cache(alg_a, reps.ANALYSES_KEPT)
     hierarchy_report(m, trials=2, seed=1)
     second = [cover for arg, cover in calls if arg is m]
     assert len(first) == len(second) == 1
@@ -502,17 +524,34 @@ def test_each_call_covers_its_module_once_and_afresh(monkeypatch, alg_a):
     assert first[0].epi.maps == second[0].epi.maps
 
 
-def reached_from(root, record):
-    """Whether `root` is the record's first member and every other member is
-    a module inside the value of an entry whose module is a member."""
-    members, values = record
-    found = {id(root)}
-    for (_, key), value in values.items():
-        assert key in members
-        for x in value if isinstance(value, tuple) else (value,):
-            if isinstance(x, reps.Representation):
-                found.add(id(x))
-    return next(iter(members.values())) is root and set(members) == found
+def test_an_equal_module_built_anew_reads_the_same_entry(monkeypatch, alg_a):
+    m = cok_f(alg_a, (1, 2, 0))
+    want = hierarchy_report(m, trials=2, seed=1).to_json(), ar_formula_check(m, m)
+    copy = module_from_dict(alg_a, module_to_dict(m))
+    assert copy is not m and copy == m and hash(copy) == hash(m)
+    calls = cover_spy(monkeypatch)
+    assert (hierarchy_report(copy, trials=2, seed=1).to_json(),
+            ar_formula_check(copy, copy)) == want
+    assert calls == []
+
+
+def test_fields_and_quotients_never_share_an_entry(monkeypatch, alg_c):
+    arrows = {"a": Matrix(QQ, [[1]], 1)}
+    over_q = reps.Representation(alg_c, QQ, (1, 1), arrows)
+    over_f7 = reps.Representation(alg_c, PrimeField(7), (1, 1),
+                                  {"a": Matrix(PrimeField(7), [[1]], 1)})
+    quot = alg_c.quotient(Ideal.from_generators(alg_c, [alg_c.arrow_element("b")]))
+    over_b = reps.Representation(quot, QQ, (1, 1), arrows)
+    assert len({over_q.content_key, over_f7.content_key, over_b.content_key}) == 3
+    assert over_q != over_f7 and over_q != over_b
+    mods = [over_q, over_f7, over_b]
+    calls = cover_spy(monkeypatch)
+    for m in mods:
+        t = tau(m)
+        assert t.field.name == m.field.name and t.algebra is m.algebra
+    # each one covered once, by itself
+    assert [sum(arg is m for arg, _ in calls) for m in mods] == [1, 1, 1]
+    assert all(held(m) for m in mods)
 
 
 @settings(max_examples=30, deadline=None)
@@ -521,7 +560,7 @@ def reached_from(root, record):
     st.sampled_from([QQ, PrimeField(7), PrimeField(2**31 - 1)]),
     st.integers(0, 10**6),
 )
-def test_kept_record_changes_no_result(fixture, field, seed):
+def test_analysis_cache_changes_no_result(fixture, field, seed):
     alg = load_fixture(fixture)
     m, n, other = (
         random_module(alg, SeedStream(seed).split(i), max_total_dim=6, field=field)
@@ -533,24 +572,24 @@ def test_kept_record_changes_no_result(fixture, field, seed):
         between()
         return rep.to_json(), ar_formula_check(m, n)
 
-    # ar_formula_check starts from hierarchy_report's record ...
+    # ar_formula_check reads hierarchy_report's entry for m ...
+    reps._analyses.set(None)
     kept = analyse(lambda: None)
-    assert reached_from(m, reps._record.get())
-    assert not any(x is n for x in members())
-    # ... or, with another module analysed in between, afresh
-    fresh = analyse(lambda: hierarchy_report(other, trials=2, seed=seed))
-    assert kept == fresh
+    assert held(m)
+    # ... or, from an empty cache, computes afresh ...
+    fresh = analyse(lambda: reps._analyses.set(None))
+    # ... or reads it with another module analysed in between
+    between = analyse(lambda: hierarchy_report(other, trials=2, seed=seed))
+    assert kept == fresh == between
     assert type(kept[1]) is bool
-    assert members()[0] is m
-    hierarchy_report(other, trials=2, seed=seed)
-    assert reached_from(other, reps._record.get())
-    assert not any(x is m for x in members())
+    assert held(m) and held(other)
+    assert len(reps._analyses.get()) <= reps.ANALYSES_KEPT
 
 
 def test_a_call_that_raises_leaves_a_correct_record(monkeypatch, alg_b):
     s2, s3 = simple(alg_b, 2), simple(alg_b, 3)
     want = hierarchy_report(s2, trials=2).to_json(), ar_formula_check(s2, s3)
-    reps._record.set(None)
+    reps._analyses.set(None)
 
     def boom(*args):
         raise RuntimeError("boom")
@@ -559,28 +598,32 @@ def test_a_call_that_raises_leaves_a_correct_record(monkeypatch, alg_b):
         patch.setattr(artheory, "ext1_dim", boom)
         with pytest.raises(RuntimeError, match="boom"):
             hierarchy_report(s2, trials=2)
-    # the presentation made before the raise is kept and reused
+    # nothing is kept for the call that raised; the presentation made
+    # before the raise is kept and reused
+    assert (boom, s2) not in reps._analyses.get()[s2.content_key]
     calls = cover_spy(monkeypatch)
     assert (hierarchy_report(s2, trials=2).to_json(), ar_formula_check(s2, s3)) == want
     assert not [arg for arg, _ in calls if arg is s2]
 
 
-def test_kept_record_is_per_thread(alg_b):
-    s2, s3 = simple(alg_b, 2), simple(alg_b, 3)
-    hierarchy_report(s2, trials=2)
+def test_analysis_cache_is_per_thread(alg_b):
+    s1, s3 = simple(alg_b, 1), simple(alg_b, 3)
+    hierarchy_report(s1, trials=2)
+    mine = reps._analyses.get()
+    keys = list(mine)
     seen = []
 
     def other_thread():
-        seen.append(reps._record.get())
+        seen.append(reps._analyses.get())
         hierarchy_report(s3, trials=2)
-        seen.append(members()[0])
+        seen.append(reps._analyses.get())
 
     worker = threading.Thread(target=other_thread)
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert seen[0] is None and seen[1] is s3
-    assert members()[0] is s2
+    assert seen[0] is None and seen[1] is not mine and s3.content_key in seen[1]
+    assert reps._analyses.get() is mine and list(mine) == keys and not held(s3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -590,8 +633,8 @@ def test_hierarchy_report_matches_unscoped_calls(fixture, seed):
     rep = hierarchy_report(m, trials=2, seed=seed)
 
     def fresh(fn, *args, **kwargs):
-        """fn on a record of its own, none of hierarchy_report's values."""
-        reps._record.set(None)
+        """fn on an empty cache, none of hierarchy_report's values."""
+        reps._analyses.set(None)
         return fn(*args, **kwargs)
 
     t = fresh(tau, m)

@@ -89,6 +89,19 @@ def test_info_on_a_large_ideal_exits_2_at_the_insert_cap(tmp_path):
     assert f"more than {MAX_TIP_INSERTS} tip-table inserts" in proc.stderr
 
 
+def test_info_on_an_ideal_that_does_not_close_exits_2(tmp_path):
+    # terms of unlike lengths: the closure stops short and the build's
+    # associativity check fails; one error line, no traceback
+    qa = tmp_path / "unclosed.qa"
+    qa.write_text("vertices: 1 2\narrow a: 1 -> 2\narrow b: 2 -> 2\narrow c: 2 -> 2\n"
+                  "relations:\nb*a - c*c*a\nb*b\nc*c*c\nb*c\nc*b - 2 c*c\n")
+    proc = run_bounded(["info", str(qa)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_one_error_line(proc.stderr)
+    assert "the relation ideal did not close (associativity fails" in proc.stderr
+
+
 def test_info_missing_file_exits_2(capsys):
     code, _ = run(capsys, ["info", "/nonexistent/path.qa"])
     assert code == 2

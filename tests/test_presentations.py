@@ -185,14 +185,14 @@ def test_hom_tables_memo_holds_the_last_pair(alg_k):
     first = realize_pair(alg_k, p1, p0)
     tables = alg_k.hom_tables
     again = realize_pair(alg_k, p1, p0)
-    assert alg_k.hom_tables is tables and again.items is first.items
+    assert alg_k.hom_tables is tables and again._plan is first._plan
     coeffs = first.sample_coeffs(SeedStream(3))
     rank = first.morphism_from_coeffs(coeffs).rank()
     other = realize_pair(alg_k, p0, p1)
-    assert other.items is not first.items
+    assert other._plan is not first._plan
     assert alg_k.hom_tables[0] == ((2, 1), (1, 2), "Q")
     over_fp = realize_pair(alg_k, p1, p0, PrimeField(101))
-    assert over_fp.items is not first.items
+    assert over_fp._plan is not first._plan
     assert alg_k.hom_tables[0] == ((1, 2), (2, 1), "F_101")
     # a replaced entry stays with the HomSpaces that hold it
     assert first.morphism_from_coeffs(coeffs).rank() == rank
