@@ -8,10 +8,13 @@ that are no tip become the basis.  One reduced echelon form of the ideal
 vectors gives each tip's normal form.  Its structure
 constants come from arrow peeling: b_i * b_j applies the arrows of b_i to
 b_j one at a time, each step a reduced word one arrow longer than a basis
-path.  `opposite` and `quotient` inherit their tables from the algebra
-they come from (transposed, or projected modulo the ideal), so quotient
-algebras go through the exact same representation-theoretic code paths as
-quiver presentations.
+path.  An `Ideal` of an algebra is closed on the same engine, one
+`_keep` per product of a kept element with a generator, and holds the
+sparse rows of its reduced echelon form.  `opposite` and `quotient`
+inherit their tables from the algebra they come from (transposed, or
+projected modulo the ideal along those rows), so quotient algebras go
+through the exact same representation-theoretic code paths as quiver
+presentations.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, _echelon, _keep
+from .linalg import _echelon, _keep
 from .fields import QQ
 from .quiver import Quiver, RelationPoly, QuiverSyntaxError
 
@@ -81,13 +84,6 @@ def _peel(vec, word, arrow_mult):
         if not vec:
             break
     return vec
-
-
-def _dense(dim, el):
-    v = [Fraction(0)] * dim
-    for k, c in el.items():
-        v[k] = c
-    return v
 
 
 def build_algebra(quiver: Quiver, relations):
@@ -413,9 +409,8 @@ class Algebra:
         return op
 
     def radical(self):
-        rows = [_dense(self.dim, {i: Fraction(1)})
-                for i, b in enumerate(self.basis) if b.length >= 1]
-        return Ideal(self, rows, closed=True)
+        return Ideal(self, [{i: 1} for i, b in enumerate(self.basis) if b.length >= 1],
+                     closed=True)
 
     def quotient(self, ideal: "Ideal"):
         """Quotient algebra A/I.
@@ -428,7 +423,7 @@ class Algebra:
             raise ValueError("ideal belongs to a different algebra")
         if ideal.dim == self.dim:
             raise ValueError("cannot quotient by the whole algebra (I = A)")
-        pivots = set(ideal.pivots())
+        pivots = set(ideal.pivots)
         keep = [i for i in range(self.dim) if i not in pivots]
         new_index = {old: new for new, old in enumerate(keep)}
         for i in self.vertices:
@@ -462,70 +457,38 @@ class Algebra:
 
 
 class Ideal:
-    """Two-sided ideal, stored as a canonical reduced echelon span."""
+    """Two-sided ideal of `algebra` spanned by sparse `elements` {basis
+    index: coefficient}, closed under left and right multiplication by
+    `generator_elements()` unless `closed`.  The closure is a worklist on
+    `linalg`'s exact engine: each element goes in once through `_keep`, and
+    only a newly kept row queues its products with the generators.  `rows`
+    is the reduced echelon basis, sparse elements in ascending index order,
+    and `pivots` their leading indices in ascending order."""
 
-    def __init__(self, algebra: Algebra, spanning_rows, closed=False):
+    def __init__(self, algebra: Algebra, elements, closed=False):
         self.algebra = algebra
-        rows = [list(r) for r in spanning_rows]
-        if rows and not closed:
-            rows = self._close(rows)
-        self.rows = self._canonical(rows)
-        self.dim = len(self.rows)
-
-    @staticmethod
-    def from_generators(algebra, elements):
-        return Ideal(algebra, [_dense(algebra.dim, el) for el in elements])
-
-    def _canonical(self, rows):
-        if not rows:
-            return []
-        m = Matrix(QQ, rows, self.algebra.dim)
-        return m.row_space_rows()
-
-    def _close(self, rows):
-        """Close the span under multiplication by algebra generators."""
-        alg = self.algebra
-        gens = alg.generator_elements()
-        span = Matrix(QQ, rows, alg.dim).row_space_rows()
-        while True:
-            new_rows = []
-            for r in span:
-                el = {i: c for i, c in enumerate(r) if c}
+        gens = [] if closed else algebra.generator_elements()
+        kept, queue = {}, [{k: c for k, c in el.items() if c} for el in elements]
+        while queue:
+            lead = _keep(0, kept, queue.pop())
+            if lead is not None:
                 for g in gens:
-                    for prod in (alg.multiply(g, el), alg.multiply(el, g)):
-                        if prod:
-                            new_rows.append(_dense(alg.dim, prod))
-            if not new_rows:
-                return span
-            stacked = span + new_rows
-            closed = Matrix(QQ, stacked, alg.dim).row_space_rows()
-            if len(closed) == len(span):
-                return closed
-            span = closed
-
-    def pivots(self):
-        out = []
-        for r in self.rows:
-            for j, x in enumerate(r):
-                if x != 0:
-                    out.append(j)
-                    break
-        return out
+                    queue += (algebra.multiply(g, kept[lead]), algebra.multiply(kept[lead], g))
+        rows, self.pivots = _echelon(QQ, list(kept.values()), reduced=True)
+        self.rows = [dict(sorted(row.items())) for row in rows]
+        self.dim = len(self.rows)
 
     def reduce(self, element):
         """Normal form of a sparse element modulo the ideal."""
         vec = dict(element)
-        for r, p in zip(self.rows, self.pivots()):
+        for r, p in zip(self.rows, self.pivots):
             c = vec.get(p)
             if c:
-                _axpy(vec, -c, {j: x for j, x in enumerate(r) if x})
+                _axpy(vec, -c, r)
         return vec
 
     def contains(self, element):
         return not self.reduce(element)
-
-    def is_zero(self):
-        return self.dim == 0
 
     def __eq__(self, other):
         return (
@@ -535,7 +498,7 @@ class Ideal:
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), tuple(map(tuple, self.rows))))
+        return hash((id(self.algebra), tuple(tuple(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Ideal(dim {self.dim} of {self.algebra!r})"

@@ -137,7 +137,7 @@ def _parse_ideal_file(algebra, path):
         except QuiverSyntaxError as exc:
             where = "" if exc.line is not None else f" (line {lineno})"
             raise CliError(f"bad ideal file line: {exc}{where}", EXIT_PARSE)
-    return Ideal.from_generators(algebra, elements)
+    return Ideal(algebra, elements)
 
 
 def _emit(args, payload, human):
@@ -152,19 +152,20 @@ def cmd_info(args):
     p_dims = {i: list(alg.dims_of_projective(i)) for i in alg.vertices}
     field = _field_of(args)
     i_dims = {i: list(injective(alg, i, field).dims) for i in alg.vertices}
+    rad_dim = alg.radical().dim
     payload = {
         "dim": alg.dim,
         "vertices": list(alg.vertices),
         "arrows": [[a.name, a.source, a.target] for a in alg.quiver.arrows],
         "projectives": p_dims,
         "injectives": i_dims,
-        "radical_dim": alg.radical().dim,
+        "radical_dim": rad_dim,
     }
     human = (
         f"dim A = {alg.dim}; "
         f"P: {' '.join(str(tuple(p_dims[i])) for i in alg.vertices)}; "
         f"I: {' '.join(str(tuple(i_dims[i])) for i in alg.vertices)}; "
-        f"rad dim = {alg.radical().dim}"
+        f"rad dim = {rad_dim}"
     )
     _emit(args, payload, human)
     return EXIT_OK

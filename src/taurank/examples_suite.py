@@ -127,7 +127,7 @@ def run_paper_examples(trials=8, seed=42):
     )
     ann = annihilator(m_b0)
     ab = alg_b0.element_from_terms([(1, ("a", "b"))])
-    ann_ok = ann == Ideal.from_generators(alg_b0, [ab])
+    ann_ok = ann == Ideal(alg_b0, [ab])
     red = reduce_and_compare(m_b0, trials=trials, seed=seed)
     a, b = red.parent, red.quotient
     checks.append(
@@ -151,7 +151,7 @@ def run_paper_examples(trials=8, seed=42):
     )
 
     # ALG-C: quotient by (a) is Kronecker-shaped; S(1)+S(2) flips regularity
-    ideal_a = Ideal.from_generators(alg_c, [alg_c.arrow_element("a")])
+    ideal_a = Ideal(alg_c, [alg_c.arrow_element("a")])
     quot = alg_c.quotient(ideal_a)
     kron_shape = (
         quot.dim == 4

@@ -36,6 +36,8 @@ blocks.  Two parts eliminate:
   builds as sparse rows.  `algebra.build_algebra` closes a relation
   ideal with one `_keep` per ideal vector, on columns that order paths,
   and reads its normal forms from one reduced echelon form.
+  `algebra.Ideal` closes an ideal of an algebra the same way, on basis
+  indices, and keeps the rows of one reduced echelon form.
 
 A matrix memoizes its rank in the slot `_rank`, which only this module
 writes.  Three exact certificates stand in for eliminations:

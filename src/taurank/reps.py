@@ -157,8 +157,7 @@ def act_element(x, m: Representation):
 def annihilates(ideal, m: Representation):
     """Whether every element of the ideal acts as zero on M, a module over
     the ideal's algebra."""
-    return all(act_element({i: c for i, c in enumerate(row) if c}, m).is_zero()
-               for row in ideal.rows)
+    return all(act_element(row, m).is_zero() for row in ideal.rows)
 
 
 def check_relations(m: Representation):
@@ -685,16 +684,9 @@ def annihilator(m: Representation) -> Ideal:
     algebra = m.algebra
     if m.field.characteristic != 0:
         raise ValueError("annihilator ideals are computed over Q only")
-    total = m.dim_total
-    if total == 0:
-        return Ideal(algebra, [[Fraction(1) if i == j else Fraction(0)
-                                for j in range(algebra.dim)]
-                               for i in range(algebra.dim)], closed=True)
-    acts = [act_element({k: Fraction(1)}, m) for k in range(algebra.dim)]
-    rows = []
-    for i in range(total):
-        for j in range(total):
-            row = [acts[k].rows[i][j] for k in range(algebra.dim)]
-            if any(x != 0 for x in row):
-                rows.append(row)
-    return Ideal(algebra, Matrix(QQ, rows, algebra.dim).kernel_basis(), closed=True)
+    # a row per cell of the total space, of that cell in each basis action
+    acts = [act_element({k: Fraction(1)}, m).rows for k in range(algebra.dim)]
+    total = range(m.dim_total)
+    rows = [[act[i][j] for act in acts] for i in total for j in total]
+    kernel = Matrix(QQ, rows, algebra.dim).kernel_basis()
+    return Ideal(algebra, [dict(enumerate(v)) for v in kernel], closed=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from taurank import algebra
 from taurank.algebra import Algebra, BasisElement, NotFiniteDimensional, _axpy, _tables
-from taurank.fields import SeedStream
+from taurank.fields import QQ, SeedStream
 from taurank.linalg import Matrix, _dict_rows, _echelon
 from taurank.reps import Representation
 
@@ -170,3 +170,47 @@ def reference_build(quiver, relations):
     products, arrow_elements = _tables(quiver, basis, reduce_word)
     Algebra(quiver, basis, products, arrow_elements)._validate()
     return basis, products, arrow_elements, inserts
+
+
+def reference_ideal(alg, elements):
+    """(dense rows, pivots) of the two-sided ideal of `alg` that the sparse
+    `elements` generate, by an independent dense closure: the row space of
+    the span and of its products with every generator on both sides,
+    recomputed in reduced echelon form until the dimension stops growing."""
+    def dense(el):
+        return [el.get(k, Fraction(0)) for k in range(alg.dim)]
+
+    gens = alg.generator_elements()
+    span = Matrix(QQ, [dense(el) for el in elements], alg.dim).row_space_rows()
+    while True:
+        products = []
+        for r in span:
+            el = {k: c for k, c in enumerate(r) if c}
+            for g in gens:
+                products += [dense(x) for x in (alg.multiply(g, el), alg.multiply(el, g)) if x]
+        closed = Matrix(QQ, span + products, alg.dim).row_space_rows()
+        if len(closed) == len(span):
+            break
+        span = closed
+    return closed, [next(k for k, x in enumerate(r) if x) for r in closed]
+
+
+def reference_quotient_tables(alg, rows, pivots):
+    """(products, arrow elements) of alg modulo the ideal with these dense
+    reduced echelon rows and pivots: each table entry reduced densely by
+    every row whose pivot it has a cell at, then renumbered over the
+    indices that are no pivot, as `Algebra.quotient` lays out its basis."""
+    new_index = {old: new for new, old in enumerate(k for k in range(alg.dim)
+                                                      if k not in pivots)}
+
+    def project(el):
+        vec = [el.get(k, 0) for k in range(alg.dim)]
+        for r, p in zip(rows, pivots):
+            if c := vec[p]:
+                vec = [x - c * y for x, y in zip(vec, r)]
+        return {new_index[k]: x for k, x in enumerate(vec) if x}
+
+    products = {(new_index[i], new_index[j]): pv for (i, j), vec in alg.products.items()
+                if i in new_index and j in new_index and (pv := project(vec))}
+    arrows = {a.name: project(alg.arrow_element(a.name)) for a in alg.quiver.arrows}
+    return products, arrows

@@ -327,7 +327,7 @@ def test_reduce_b0_module(alg_b0):
 
 def test_reduce_two_vertex_module(alg_c):
     n = direct_sum([simple(alg_c, 1), simple(alg_c, 2)])
-    ideal = Ideal.from_generators(alg_c, [alg_c.arrow_element("a")])
+    ideal = Ideal(alg_c, [alg_c.arrow_element("a")])
     report = reduce_and_compare(n, ideal=ideal, trials=8, seed=42)
     assert report.quotient_dim == 4
     assert report.quotient.verdict.outcome == "certified-yes"
@@ -346,7 +346,7 @@ def test_reduce_tau_rigid_gets_pd_le_1(alg_b):
 
 
 def test_reduce_rejects_non_annihilating_ideal(alg_b):
-    ideal = Ideal.from_generators(alg_b, [alg_b.arrow_element("a")])
+    ideal = Ideal(alg_b, [alg_b.arrow_element("a")])
     m = direct_sum([projective(alg_b, 2)])
     with pytest.raises(ValueError, match="annihilate"):
         reduce_and_compare(m, ideal=ideal)
@@ -487,7 +487,7 @@ def test_repeated_reduction_reuses_its_quotient_and_analyses(monkeypatch, alg_b0
 
 def test_an_explicit_ideal_reduction_joins_the_module_record(monkeypatch, alg_c):
     m = direct_sum([simple(alg_c, 1), simple(alg_c, 2)])
-    ideal = Ideal.from_generators(alg_c, [alg_c.arrow_element("a")])
+    ideal = Ideal(alg_c, [alg_c.arrow_element("a")])
     calls = cover_spy(monkeypatch)
     first = reduce_and_compare(m, ideal=ideal, trials=2, seed=1)
     # M and its syzygy over A, then M over B and its syzygy
@@ -540,7 +540,7 @@ def test_fields_and_quotients_never_share_an_entry(monkeypatch, alg_c):
     over_q = reps.Representation(alg_c, QQ, (1, 1), arrows)
     over_f7 = reps.Representation(alg_c, PrimeField(7), (1, 1),
                                   {"a": Matrix(PrimeField(7), [[1]], 1)})
-    quot = alg_c.quotient(Ideal.from_generators(alg_c, [alg_c.arrow_element("b")]))
+    quot = alg_c.quotient(Ideal(alg_c, [alg_c.arrow_element("b")]))
     over_b = reps.Representation(quot, QQ, (1, 1), arrows)
     assert len({over_q.content_key, over_f7.content_key, over_b.content_key}) == 3
     assert over_q != over_f7 and over_q != over_b

@@ -776,9 +776,22 @@ def module_texts(draw, algebra):
 
 
 @st.composite
+def ideal_texts(draw, algebra):
+    """An ideal file: lines that sum arrow names of the algebra and e1..e3,
+    with or without coefficients, spliced or not."""
+    names = ([a.name for a in load_fixture(algebra).quiver.arrows]
+             if algebra in FIXTURE_NAMES else ["a", "b", "c", "x"]) + ["e1", "e2", "e3"]
+    term = st.builds("{}{}".format, st.sampled_from(["", "", "2 ", "-1/2 ", "0 "]),
+                     st.sampled_from(names))
+    line = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    return spliced(draw, "\n".join(draw(st.lists(line, max_size=3))) + "\n")
+
+
+@st.composite
 def command_lines(draw):
     """(argv, files): a command on a fixture or a drawn .qa file, with
-    modules given inline or as drawn .mod.json files."""
+    modules given inline or as drawn .mod.json files, and for `reduce` a
+    drawn ideal file or none."""
     files = {}
     algebra = draw(st.sampled_from([*FIXTURE_NAMES, "alg.qa"]))
     if algebra == "alg.qa":
@@ -798,6 +811,9 @@ def command_lines(draw):
         argv.append(module("n.mod.json"))
     if command in ("check", "reduce"):
         argv += ["--trials", "1"]
+    if command == "reduce" and draw(st.booleans()):
+        files["ideal.txt"] = draw(ideal_texts(algebra))
+        argv += ["--ideal", "ideal.txt"]
     return argv, files
 
 

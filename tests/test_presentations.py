@@ -605,7 +605,7 @@ def named_algebra(name, fresh):
     base, word = QUOTIENTS.get(name, (name.removesuffix("^op"), None))
     alg = build_algebra(*parse_quiver_file(FIXTURE_SOURCES[base])) if fresh else load_fixture(base)
     if word:
-        return alg.quotient(Ideal.from_generators(alg, [alg.element_from_terms([(1, word)])]))
+        return alg.quotient(Ideal(alg, [alg.element_from_terms([(1, word)])]))
     return alg.opposite() if name.endswith("^op") else alg
 
 

@@ -100,7 +100,7 @@ def test_direct_sum_rejects_summands_over_another_base(alg_a, alg_b):
     with pytest.raises(ValueError, match=r"different fields \(Q, F_7\)"):
         direct_sum([simple(alg_a, 1), simple(alg_a, 2, PrimeField(7))])
     # a quotient shares its parent's quiver, as in Hom
-    quot = alg_b.quotient(Ideal.from_generators(alg_b, [alg_b.arrow_element("a")]))
+    quot = alg_b.quotient(Ideal(alg_b, [alg_b.arrow_element("a")]))
     assert direct_sum([simple(alg_b, 1), simple(quot, 2)]).dims == (1, 1, 0)
     # the same quiver under other relations is not a common root
     from taurank.algebra import build_algebra
@@ -392,28 +392,27 @@ def test_iso_test_basics(alg_b):
 def test_sincere_and_faithful(alg_b, alg_b0):
     reg = regular_module(alg_b)
     assert all(reg.dims)
-    assert annihilator(reg).is_zero()
+    assert annihilator(reg).dim == 0
     m = direct_sum([simple(alg_b, 2), simple(alg_b, 3)])
     assert not all(m.dims)
     n = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
-    assert not annihilator(n).is_zero()
+    assert annihilator(n).dim != 0
 
 
 def test_annihilator_examples(alg_b, alg_b0):
     # regular module is faithful
-    assert annihilator(regular_module(alg_b)).is_zero()
+    assert annihilator(regular_module(alg_b)).dim == 0
     # M = P(2) + I(2) + S(3) over the hereditary algebra: annihilator = (ab)
     m = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
     ann = annihilator(m)
     ab = alg_b0.element_from_terms([(1, ("a", "b"))])
-    assert ann == Ideal.from_generators(alg_b0, [ab])
+    assert ann == Ideal(alg_b0, [ab])
     # S(1) over ALG-B: span{e2, e3, a, b}; oracle = direct action check
     ann_s1 = annihilator(simple(alg_b, 1))
     assert ann_s1.dim == 4
     s1 = simple(alg_b, 1)
     for row in ann_s1.rows:
-        el = {i: c for i, c in enumerate(row) if c}
-        assert act_element(el, s1).is_zero()
+        assert act_element(row, s1).is_zero()
 
 
 def test_annihilator_intersection_of_simples(alg_b):
@@ -428,7 +427,7 @@ def test_quotient_by_annihilator_is_faithful(alg_b0):
     quot = alg_b0.quotient(ann)
     m_b = Representation(quot, m.field, m.dims, m.arrows)
     assert check_relations(m_b)
-    assert annihilator(m_b).is_zero()
+    assert annihilator(m_b).dim == 0
 
 
 def test_act_identity_and_idempotents(alg_b):
@@ -574,9 +573,9 @@ def test_check_relations_rejects_a_violated_relation(alg_b):
 def test_check_relations_checks_every_parent_ideal(alg_b0):
     # B0 / (b) / (a): M below is killed by a but not by b, so it fails the
     # ideal of the first quotient, one level up from the algebra it lives on
-    b = Ideal.from_generators(alg_b0, [alg_b0.arrow_element("b")])
+    b = Ideal(alg_b0, [alg_b0.arrow_element("b")])
     q1 = alg_b0.quotient(b)
-    q2 = q1.quotient(Ideal.from_generators(q1, [q1.arrow_element("a")]))
+    q2 = q1.quotient(Ideal(q1, [q1.arrow_element("a")]))
     arrows = {"a": _line(0), "b": _line(1)}
     m = Representation(q2, QQ, (1, 1, 1), arrows)
     assert annihilates(q2.parent_ideal, Representation(q1, QQ, m.dims, arrows))
@@ -591,9 +590,9 @@ def test_reduce_rejects_an_ideal_that_does_not_annihilate(alg_b0):
     from taurank.artheory import reduce_and_compare
 
     m = direct_sum([projective(alg_b0, 2), injective(alg_b0, 2), simple(alg_b0, 3)])
-    ab = Ideal.from_generators(alg_b0, [alg_b0.element_from_terms([(1, ("a", "b"))])])
+    ab = Ideal(alg_b0, [alg_b0.element_from_terms([(1, ("a", "b"))])])
     assert annihilates(ab, m)
-    a = Ideal.from_generators(alg_b0, [alg_b0.arrow_element("a")])
+    a = Ideal(alg_b0, [alg_b0.arrow_element("a")])
     assert not annihilates(a, m)
     with pytest.raises(ValueError, match="^ideal does not annihilate the module$"):
         reduce_and_compare(m, ideal=a)
@@ -603,7 +602,7 @@ def test_reduce_rejects_the_zero_module(alg_a):
     from taurank.artheory import reduce_and_compare
 
     zero = Representation(alg_a, QQ, (0, 0, 0), {})
-    whole = Ideal.from_generators(alg_a, [alg_a.idempotent(i) for i in alg_a.vertices])
+    whole = Ideal(alg_a, [alg_a.idempotent(i) for i in alg_a.vertices])
     for ideal in (None, whole):
         with pytest.raises(ValueError, match="the module is zero"):
             reduce_and_compare(zero, ideal=ideal)
@@ -632,7 +631,7 @@ def test_duals_of_standard_modules_satisfy_the_opposite_relations(all_fixture_al
 
 def test_check_relations_checks_the_ideal_of_an_opposite_quotient(alg_b0):
     # (B0 / (b))^op = B0^op / (b): b must act as zero there
-    q = alg_b0.quotient(Ideal.from_generators(alg_b0, [alg_b0.arrow_element("b")]))
+    q = alg_b0.quotient(Ideal(alg_b0, [alg_b0.arrow_element("b")]))
     op = q.opposite()
     assert op.parent is alg_b0.opposite() and op.opposite() is q
     m = Representation(op, QQ, (1, 1, 1), {"a": _line(0), "b": _line(1)})

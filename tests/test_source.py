@@ -344,11 +344,14 @@ def engine_readers(tree):
 
 def test_only_hom_dim_reads_the_exact_engine():
     # one way into exact elimination: the Matrix methods, the Hom systems,
-    # which reps builds as sparse rows already, and the closure of a
-    # relation ideal, whose vectors are sparse rows over path columns
+    # which reps builds as sparse rows already, the closure of a relation
+    # ideal, whose vectors are sparse rows over path columns, and the closure
+    # of an `Ideal` (its `__init__`), whose elements are sparse rows over
+    # basis indices
     found = {name: found for name, tree in modules().items()
              if name != "linalg.py" and (found := engine_readers(tree))}
-    assert found == {"algebra.py": ["build_algebra", "build_algebra"], "reps.py": ["hom_dim"]}
+    assert found == {"algebra.py": ["__init__", "__init__", "build_algebra", "build_algebra"],
+                     "reps.py": ["hom_dim"]}
 
 
 def test_the_rule_sees_reads_of_the_engine():
