@@ -20,7 +20,6 @@ from .reps import (
     cokernel,
     direct_sum,
     dual_rep,
-    ext1_dim,
     hom_basis,
     hom_dim,
     injective,
@@ -54,6 +53,7 @@ from .artheory import (
     Verdict,
     ar_formula_check,
     e_invariant,
+    ext1_dim,
     hierarchy_report,
     is_tau_regular,
     nakayama_complex,

@@ -1,6 +1,7 @@
-"""Auslander-Reiten translate via the Nakayama functor, E-invariant,
-tau-rigidity and tau-regularity verdicts, the AR formula, the module
-hierarchy, and reduction to quotient algebras.
+"""Auslander-Reiten translate via the Nakayama functor, the E-map of a
+presentation with the E-invariant and Ext^1 it gives, tau-rigidity and
+tau-regularity verdicts, the AR formula, the module hierarchy, and
+reduction to quotient algebras.
 
 tau(M) is the kernel of the Nakayama functor applied to a minimal
 presentation (0 -> tau M -> nu P1 -> nu P0), which stays inside left
@@ -12,9 +13,11 @@ oracle certifies the generic rank.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import Ideal
+from .linalg import _echelon
 from .presentations import (
     GenericRankResult,
     TwoComplex,
@@ -26,18 +29,20 @@ from .presentations import (
 from .reps import (
     Morphism,
     Representation,
+    _check_same_base,
+    act_word,
     annihilates,
     annihilator,
     cokernel,
     dual_morphism,
     dual_rep,
-    ext1_dim,
     hom_dim,
     injective,
     injective_envelope_mults,
     kernel,
     proj_dim,
     scoped,
+    syzygy,
     zero_rep,
 )
 
@@ -77,12 +82,42 @@ def tau_minus(m: Representation) -> Representation:
     return dual_rep(t)
 
 
+def e_map(cx: TwoComplex, n: Representation):
+    """(rows, columns, rank) of the E-map Hom(P0, N) -> Hom(P1, N),
+    phi -> phi f, of f: P1 -> P0.  Its kernel is Hom(coker f, N), and for
+    a minimal presentation of M its cokernel is D Hom(N, tau M)
+    (Adachi-Iyama-Reiten 2014, Prop. 2.4).  As Hom(P(j), N) = N_j, block
+    (s1, s0) is the sum of c * act_word(N, x) over the Hom items
+    (s1, s0, x) with coefficient c."""
+    hs, p = cx.hom, n.field.characteristic
+    _check_same_base(hs.r0.rep, n)
+    row_at, col_at = ([*itertools.accumulate((n.vertex_dim(i) for i, _ in r.summands),
+                                             initial=0)] for r in (hs.r1, hs.r0))
+    rows = [{} for _ in range(row_at[-1])]
+    for (s1, s0, x), c in zip(hs.items, cx.coeffs):
+        if c:
+            b = hs.algebra.basis[x]
+            for row, act in zip(rows[row_at[s1]:], act_word(n, b.word, b.source).rows):
+                for k, y in enumerate(act, start=col_at[s0]):
+                    if y:
+                        y = c * y + row.pop(k, 0)
+                        if y := (y % p if p else y):
+                            row[k] = y
+    rank = len(_echelon(n.field, rows)[1])
+    return row_at[-1], col_at[-1], rank
+
+
 def e_invariant(m: Representation, n: Representation | None = None) -> int:
-    """dim Hom(N, tau M); with N omitted, the E-invariant dim Hom(M, tau M)."""
-    t = scoped(tau, m)
-    if t.is_zero():
-        return 0
-    return hom_dim(n if n is not None else m, t)
+    """dim Hom(N, tau M) from M's E-map; with N omitted, dim Hom(M, tau M)."""
+    rows, _, rank = e_map(scoped(min_presentation, m), m if n is None else n)
+    return rows - rank
+
+
+def ext1_dim(m: Representation, n: Representation) -> int:
+    """dim Ext^1(M, N) = dim Hom(Omega M, N) minus the rank of M's E-map into
+    N, the rank of Hom(P0, N) -> Hom(Omega M, N), both with kernel Hom(M, N)."""
+    _, _, rank = e_map(scoped(min_presentation, m), n)
+    return hom_dim(syzygy(m), n) - rank
 
 
 _NOTES = {

@@ -13,7 +13,7 @@ is not prime, a prime field for reduce or paper-examples), 3 invalid
 module (also one above `io.MAX_MODULE_DIM` in total dimension; for reduce
 also the zero module, whose annihilator is the whole algebra), 4 ideal
 does not annihilate, 10 scan violations found, 11 scan violations found
-on an uncertified r(1) only.
+on an uncertified r(1) only, 141 stdout closed early (as for SIGPIPE).
 Exits 2, 3 and 4 print a single `error:` line on stderr.
 `--oracle-params 0` is valid and runs no symbolic oracle.  Only check and
 reduce take `--cap`, the projective-dimension search cap; argparse rejects
@@ -24,19 +24,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
 from .algebra import Ideal, NotFiniteDimensional, build_algebra
-from .artheory import hierarchy_report, reduce_and_compare
+from .artheory import ext1_dim, hierarchy_report, reduce_and_compare, tau, tau_minus
 from .examples_suite import run_paper_examples
 from .fields import DEFAULT_PRIME, QQ, PrimeField
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .io import ModuleFormatError, load_module_arg, module_to_dict
 from .presentations import ProjDecomp, additivity_scan
 from .quiver import QuiverSyntaxError, parse_path_poly, parse_quiver_file
-from .reps import ext1_dim, hom_dim, injective
-from .artheory import tau, tau_minus
+from .reps import hom_dim, injective
 
 EXIT_OK = 0
 EXIT_EXAMPLES_FAILED = 1
@@ -45,6 +45,7 @@ EXIT_MODULE = 3
 EXIT_IDEAL = 4
 EXIT_VIOLATIONS = 10
 EXIT_UNCERTIFIED_VIOLATIONS = 11
+EXIT_BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -388,10 +389,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a reader gone early is caught below
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:  # stdout to devnull: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def entry():

@@ -32,10 +32,10 @@ blocks.  Two parts eliminate:
   kernels, solving and row spaces read.  A linear solve A X = B runs one
   elimination of [A | B], whatever the number of right-hand columns.
   Every `Matrix` method hands its rows in as dicts and reads the result
-  back; `reps.hom_dim` hands in its intertwiner constraints, which it
-  builds as sparse rows.  `algebra.build_algebra` closes a relation
-  ideal with one `_keep` per ideal vector, on columns that order paths,
-  and reads its normal forms from one reduced echelon form.
+  back; `reps.hom_dim` and `artheory.e_map` hand in their intertwiner
+  systems and E-maps as sparse rows.  `algebra.build_algebra` closes a
+  relation ideal with one `_keep` per ideal vector, on columns that
+  order paths, and reads its normal forms from one reduced echelon form.
   `algebra.Ideal` closes an ideal of an algebra the same way, on basis
   indices, and keeps the rows of one reduced echelon form.
 

@@ -1,5 +1,5 @@
 """Modules as quiver representations: Hom spaces, simples, projectives,
-injectives, covers and envelopes, Ext^1, projective dimension.
+injectives, covers and envelopes, syzygies, projective dimension.
 
 A representation assigns to every vertex a dimension and to every arrow
 a: u -> v a matrix of shape (d_v, d_u).  Modules over a quotient algebra
@@ -569,17 +569,6 @@ def scoped(fn, obj, *args):
 
 
 # -- invariants ----------------------------------------------------------------
-
-
-def ext1_dim(m: Representation, n: Representation):
-    """dim Ext^1(M, N) from a minimal projective cover of M."""
-    if m.is_zero() or n.is_zero():
-        return 0
-    cover, k, _ = scoped(cover_kernel, m)
-    hom_p0_n = sum(
-        cover.realization.mults[i - 1] * n.vertex_dim(i) for i in m.algebra.quiver.vertices
-    )
-    return hom_dim(k, n) - hom_p0_n + hom_dim(m, n)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from taurank import algebra
 from taurank.algebra import Algebra, BasisElement, NotFiniteDimensional, _axpy, _tables
 from taurank.fields import QQ, SeedStream
 from taurank.linalg import Matrix, _dict_rows, _echelon
-from taurank.reps import Representation
+from taurank.reps import Representation, cover_kernel, hom_dim
 
 
 def echelon_rank(m: Matrix):
@@ -34,6 +34,18 @@ def conjugate(m: Representation, rng: SeedStream):
         for a in alg.quiver.arrows
     }
     return Representation(alg, f, m.dims, arrows)
+
+
+def reference_ext1(m: Representation, n: Representation):
+    """dim Ext^1(M, N) by two intertwiner systems: Hom(-, N) on
+    0 -> Omega M -> P0 -> M -> 0 gives dim Hom(Omega M, N) - dim Hom(P0, N)
+    + dim Hom(M, N), with dim Hom(P0, N) the sum of N_i over P0's summands."""
+    if m.is_zero() or n.is_zero():
+        return 0
+    cover, k, _ = cover_kernel(m)
+    hom_p0_n = sum(mult * n.vertex_dim(i)
+                   for i, mult in zip(m.algebra.quiver.vertices, cover.realization.mults))
+    return hom_dim(k, n) - hom_p0_n + hom_dim(m, n)
 
 
 def commutative_square(a):

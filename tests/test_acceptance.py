@@ -10,6 +10,7 @@ import pytest
 from taurank.algebra import Ideal, build_algebra
 from taurank.artheory import (
     ar_formula_check,
+    ext1_dim,
     hierarchy_report,
     is_tau_regular,
     reduce_and_compare,
@@ -32,7 +33,6 @@ from taurank.quiver import parse_quiver_file
 from taurank.reps import (
     annihilator,
     direct_sum,
-    ext1_dim,
     hom_dim,
     injective,
     proj_dim,

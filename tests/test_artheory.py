@@ -10,6 +10,8 @@ from taurank.artheory import (
     Verdict,
     ar_formula_check,
     e_invariant,
+    e_map,
+    ext1_dim,
     hierarchy_report,
     is_tau_regular,
     nakayama_complex,
@@ -33,7 +35,6 @@ from taurank.presentations import (
 from taurank.reps import (
     cokernel,
     direct_sum,
-    ext1_dim,
     hom_basis,
     hom_dim,
     injective,
@@ -42,7 +43,10 @@ from taurank.reps import (
     proj_dim,
     projective,
     simple,
+    zero_rep,
 )
+
+from helpers import reference_ext1
 
 
 def cok_f(alg_a, lam):
@@ -116,6 +120,80 @@ def test_e_invariant_pairwise(alg_b):
     t = tau(m)
     assert t.dims == (1, 1, 0)
     assert e_invariant(m, simple(alg_b, 2)) == hom_dim(simple(alg_b, 2), t)
+
+
+def drawn_module(alg, field, kind, vertex, seed):
+    """A zero, projective, injective or random module over alg, or a
+    random one plus a simple (a random module is often projective)."""
+    if kind == "zero":
+        return zero_rep(alg, field)
+    v = alg.quiver.vertices[vertex % alg.quiver.n]
+    if kind == "projective":
+        return projective(alg, v, field)
+    if kind == "injective":
+        return injective(alg, v, field)
+    m = random_module(alg, SeedStream(seed), max_total_dim=6, field=field)
+    return m if kind == "random" else direct_sum([m, simple(alg, v, field)])
+
+
+module_draws = st.tuples(st.sampled_from(["random", "random+simple", "zero", "projective",
+                                          "injective"]),
+                         st.integers(0, 2), st.integers(0, 10**6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.sampled_from([QQ, PrimeField(2**31 - 1)]),
+       module_draws, module_draws)
+def test_e_map_reads_hom_hom_into_tau_and_ext1(fixture, field, m_draw, n_draw):
+    # E-map of M's minimal presentation into N: kernel Hom(M, N), cokernel
+    # D Hom(N, tau M), and with Hom(Omega M, N) it gives Ext^1(M, N)
+    alg = load_fixture(fixture)
+    m, n = drawn_module(alg, field, *m_draw), drawn_module(alg, field, *n_draw)
+    rows, cols, rank = e_map(min_presentation(m), n)
+    assert cols - rank == hom_dim(m, n)
+    assert rows - rank == hom_dim(n, tau(m))
+    assert ext1_dim(m, n) == reference_ext1(m, n)
+
+
+def spy(patch, owners, name):
+    """Patch `name` on every owner with one wrapper that records each
+    call's arguments; returns that record."""
+    calls, original = [], getattr(owners[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        patch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_e_and_E_build_no_tau_and_one_hom_system(monkeypatch, fixture):
+    alg = load_fixture(fixture)
+    mods = [simple(alg, v) for v in alg.quiver.vertices]
+    mods += [random_module(alg, SeedStream(7).split(k), max_total_dim=7) for k in range(4)]
+    checked = 0
+    for m, n in zip(mods, mods[1:] + mods[:1]):
+        if min_presentation(m).p1.is_zero():
+            continue
+        checked += 1
+        reps._analyses.set(None)
+        with monkeypatch.context() as patch:
+            taus = spy(patch, [artheory], "tau")
+            homs = spy(patch, [reps, artheory], "hom_dim")
+            hierarchy_report(m, trials=2, seed=1)
+            assert not taus
+            for a, b in ((m, n), (n, m), (m, m)):
+                homs.clear()
+                ext1_dim(a, b)
+                assert len(homs) <= 1
+            stables = spy(patch, [artheory], "stable_hom_dim_inj")
+            ar_formula_check(m, n)
+            assert [args[0] for args in taus] == [m]
+            assert stables == [(n, tau(m))]
+    assert checked
 
 
 def test_tau_rigid_fails_for_b0_reduction_module(alg_b0):

@@ -714,6 +714,23 @@ def test_cli_output_does_not_depend_on_the_hash_seed():
     assert codes == [0, 10, 0, 0, 3, 0, 0, 0]
 
 
+@pytest.mark.parametrize("argv", [["paper-examples", "--json"], ["hom", "ALG-B", "S(2)", "S(2)"]],
+                         ids=["paper-examples", "hom"])
+def test_a_reader_that_closes_stdout_early_gives_exit_141(argv):
+    # the read end is closed before the child writes, as `| head -c 10`
+    # does once it has its bytes: every write fails with EPIPE
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "taurank.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 # -- random input through the command line ------------------------------------
 
 DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 10, 11}

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taurank.algebra import Ideal, build_algebra
-from taurank.artheory import e_invariant
+from taurank.artheory import e_invariant, ext1_dim
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
 from taurank.linalg import Matrix
@@ -27,7 +27,6 @@ from taurank.reps import (
     cokernel,
     direct_sum,
     dual_rep,
-    ext1_dim,
     hom_basis,
     hom_dim,
     injective,

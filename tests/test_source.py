@@ -344,13 +344,15 @@ def engine_readers(tree):
 
 def test_only_hom_dim_reads_the_exact_engine():
     # one way into exact elimination: the Matrix methods, the Hom systems,
-    # which reps builds as sparse rows already, the closure of a relation
-    # ideal, whose vectors are sparse rows over path columns, and the closure
-    # of an `Ideal` (its `__init__`), whose elements are sparse rows over
-    # basis indices
+    # which reps builds as sparse rows already, the E-map of a presentation,
+    # which artheory builds as sparse rows from N's arrow actions, the
+    # closure of a relation ideal, whose vectors are sparse rows over path
+    # columns, and the closure of an `Ideal` (its `__init__`), whose
+    # elements are sparse rows over basis indices
     found = {name: found for name, tree in modules().items()
              if name != "linalg.py" and (found := engine_readers(tree))}
     assert found == {"algebra.py": ["__init__", "__init__", "build_algebra", "build_algebra"],
+                     "artheory.py": ["e_map"],
                      "reps.py": ["hom_dim"]}
 
 
