@@ -268,7 +268,9 @@ class Matrix:
         return Matrix.adopt(self.field, dense, n), pivots
 
     def kernel_basis(self):
-        """Basis of the right null space, as a list of column vectors."""
+        """Basis of the right null space, as column vectors, one per free
+        (non-pivot) column j in ascending order: the vector for j has a 1
+        at j, its last nonzero, and 0 at every other free column."""
         rows, pivots = _echelon(self.field, _dict_rows(self.rows), reduced=True)
         p = self.field.characteristic
         n = self.ncols

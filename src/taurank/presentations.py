@@ -24,7 +24,6 @@ from .reps import (
     cokernel,
     cover_kernel,
     projective_cover,
-    radical_span,
     scoped,
 )
 
@@ -370,12 +369,17 @@ def min_presentation(m: Representation) -> TwoComplex:
 
 
 def _assert_minimal(cx: TwoComplex, m: Representation):
-    for v in m.algebra.quiver.vertices:
-        rad = radical_span(cx.hom.r0.rep, v)
-        if Matrix.hstack(m.field, [rad, cx.map.maps[v]]).rank() != rad.rank():
+    """AssertionError unless the map lands in rad P0 and its cokernel has
+    the dimension vector of M.  rad P0 is every coordinate of P0's layout
+    but e_i, at vertex i, of each summand of type i: the first, as the
+    basis is length-graded."""
+    r0 = cx.hom.r0
+    for (i, _), off in zip(r0.summands, r0.offsets):
+        if any(cx.map.maps[i].rows[off[i]]):
             raise AssertionError("presentation map does not land in rad P0")
+    for v in m.algebra.quiver.vertices:
         # cokernel dims: dim P0_v - rank(map_v)
-        got = cx.hom.r0.rep.vertex_dim(v) - cx.map.maps[v].rank()
+        got = r0.rep.vertex_dim(v) - cx.map.maps[v].rank()
         if got != m.vertex_dim(v):
             raise AssertionError("presentation cokernel has wrong dimension vector")
 
@@ -392,10 +396,6 @@ class GenericRankResult:
     @property
     def certified(self):
         return self.method is not None
-
-    @property
-    def params(self):
-        return self.witness.hom.dim
 
 
 def generic_rank(

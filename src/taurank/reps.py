@@ -335,61 +335,54 @@ def hom_dim(m: Representation, n: Representation):
 # -- kernels and cokernels ---------------------------------------------------
 
 
-def _subrep(m: Representation, cols, what):
-    """(S, inclusion S -> M) for the subspaces of M spanned by the columns
-    of cols[v] at each vertex v; `what` names S if they are not arrow-stable."""
-    alg = m.algebra
-    arrows = {}
-    for a in alg.quiver.arrows:
-        x = cols[a.target].solve_matrix(m.arrows[a.name] * cols[a.source])
-        if x is None:
-            raise AssertionError(f"{what} is not arrow-stable")
-        arrows[a.name] = x
-    dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
-    sub = Representation(alg, m.field, dims, arrows)
-    return sub, Morphism(sub, m, cols)
+def _free_columns(vectors):
+    """The free column of each `Matrix.kernel_basis` vector, its last
+    nonzero: these columns are coordinates on the span of the vectors."""
+    return [max(j for j, x in enumerate(vec) if x) for vec in vectors]
 
 
 def kernel(f: Morphism):
-    """(K, inclusion K -> source)."""
+    """(K, inclusion K -> source).
+
+    K_v has the basis `kernel_basis` of f_v, so an arrow a: u -> v of K is
+    M_a K_u read at the free rows of v."""
     m = f.source
-    cols = {v: Matrix.from_columns(m.field, f.maps[v].kernel_basis(), m.vertex_dim(v))
-            for v in m.algebra.quiver.vertices}
-    return _subrep(m, cols, "kernel")
+    alg, fl = m.algebra, m.field
+    bases = {v: f.maps[v].kernel_basis() for v in alg.quiver.vertices}
+    cols = {v: Matrix.from_columns(fl, bases[v], m.vertex_dim(v)) for v in bases}
+    arrows = {}
+    for a in alg.quiver.arrows:
+        image = m.arrows[a.name] * cols[a.source]
+        if not (f.maps[a.target] * image).is_zero():
+            raise AssertionError("kernel is not arrow-stable")
+        free = _free_columns(bases[a.target])
+        arrows[a.name] = Matrix(fl, [image.rows[j] for j in free], image.ncols)
+    dims = tuple(len(bases[v]) for v in alg.quiver.vertices)
+    k = Representation(alg, fl, dims, arrows)
+    return k, Morphism(k, m, cols)
+
+
+def _quotient(n: Representation, spans):
+    """(N/S, projection N -> N/S) for the submodule S spanned at each
+    vertex v by the columns of spans[v]: the projection's rows are
+    `kernel_basis` of spans[v] transposed, its free coordinates section it,
+    and an arrow of N/S is the projection of the arrow's free columns."""
+    alg, fl = n.algebra, n.field
+    rows = {v: spans[v].transpose().kernel_basis() for v in alg.quiver.vertices}
+    projs = {v: Matrix(fl, rows[v], n.vertex_dim(v)) for v in rows}
+    arrows = {}
+    for a in alg.quiver.arrows:
+        free = _free_columns(rows[a.source])
+        cols = Matrix(fl, [[row[j] for j in free] for row in n.arrows[a.name].rows], len(free))
+        arrows[a.name] = projs[a.target] * cols
+    dims = tuple(len(rows[v]) for v in alg.quiver.vertices)
+    q = Representation(alg, fl, dims, arrows)
+    return q, Morphism(n, q, projs)
 
 
 def cokernel(f: Morphism):
-    """(Coker f, projection target -> coker).
-
-    Coordinates of the cokernel are the non-pivot coordinates of the
-    image; the projection subtracts the image's reduced echelon rows, and
-    its section is the inclusion of those coordinates, so an arrow of the
-    cokernel is the projection applied to the arrow's free columns."""
-    n = f.target
-    alg, fl = n.algebra, n.field
-    projs, frees = {}, {}
-    for v in alg.quiver.vertices:
-        d = n.vertex_dim(v)
-        rref_rows, pivots = f.maps[v].transpose().rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(d) if j not in pivot_set]
-        pm = []
-        for j in free:
-            row = [fl.zero] * d
-            row[j] = 1
-            for r, p in zip(rref_rows.rows, pivots):
-                row[p] = -r[j]
-            pm.append(row)
-        projs[v], frees[v] = Matrix(fl, pm, d), free
-    dims = tuple(projs[v].nrows for v in alg.quiver.vertices)
-    arrows = {}
-    for a in alg.quiver.arrows:
-        free = frees[a.source]
-        cols = Matrix(fl, [[row[j] for j in free] for row in n.arrows[a.name].rows], len(free))
-        arrows[a.name] = projs[a.target] * cols
-    q = Representation(alg, fl, dims, arrows)
-    proj = Morphism(n, q, projs)
-    return q, proj
+    """(Coker f, projection target -> coker)."""
+    return _quotient(f.target, f.maps)
 
 
 # -- radical and top ----------------------------------------------------------
@@ -402,15 +395,13 @@ def radical_span(m: Representation, v):
 
 
 def radical_of(m: Representation):
-    """(rad M, inclusion): the span of all arrow images."""
-    cols = {v: radical_span(m, v).column_space_basis() for v in m.algebra.quiver.vertices}
-    return _subrep(m, cols, "radical")
+    """(rad M, inclusion): the kernel of M -> top M."""
+    return kernel(top(m)[1])
 
 
 def top(m: Representation):
     """(top M, projection M -> M/rad M)."""
-    _, incl = radical_of(m)
-    return cokernel(incl)
+    return _quotient(m, {v: radical_span(m, v) for v in m.algebra.quiver.vertices})
 
 
 # -- projective realizations and covers ---------------------------------------
@@ -592,6 +583,7 @@ class ProjDim:
 
 
 PD_ISO_SEED = 7  # iso_test compares a syzygy with syzygy i under seed PD_ISO_SEED + i
+ISO_TRIALS = 8  # random Hom combinations iso_test tries before its small grid
 PD_GROWTH_GUARD = 600  # proj_dim gives up once a syzygy's total dimension exceeds this
 
 
@@ -630,10 +622,10 @@ def proj_dim(m: Representation, cap: int = 10) -> ProjDim:
     return ProjDim("unknown", detail=f">= {cap}")
 
 
-def iso_test(m: Representation, n: Representation, trials: int = 8, seed: int = 7):
-    """Randomized isomorphism test: random Hom combinations checked for
-    invertibility, with an exhaustive small-grid fallback when the Hom
-    space has at most 6 parameters."""
+def iso_test(m: Representation, n: Representation, seed: int = 7):
+    """Randomized isomorphism test: ISO_TRIALS random Hom combinations
+    checked for invertibility, with an exhaustive small-grid fallback when
+    the Hom space has at most 6 parameters."""
     if m.algebra is not n.algebra or m.dims != n.dims:
         return False
     if m.dim_total == 0:
@@ -656,7 +648,7 @@ def iso_test(m: Representation, n: Representation, trials: int = 8, seed: int = 
 
     rng = SeedStream(seed)
     f = m.field
-    for _ in range(trials):
+    for _ in range(ISO_TRIALS):
         coeffs = [f.from_int(rng.randint(-9, 9)) for _ in basis]
         if invertible(coeffs):
             return True

@@ -6,7 +6,7 @@ from taurank import algebra
 from taurank.algebra import Algebra, BasisElement, NotFiniteDimensional, _axpy, _tables
 from taurank.fields import QQ, SeedStream
 from taurank.linalg import Matrix, _dict_rows, _echelon
-from taurank.reps import Representation, cover_kernel, hom_dim
+from taurank.reps import Morphism, Representation, cover_kernel, hom_dim, radical_span
 
 
 def echelon_rank(m: Matrix):
@@ -46,6 +46,78 @@ def reference_ext1(m: Representation, n: Representation):
     hom_p0_n = sum(mult * n.vertex_dim(i)
                    for i, mult in zip(m.algebra.quiver.vertices, cover.realization.mults))
     return hom_dim(k, n) - hom_p0_n + hom_dim(m, n)
+
+
+def reference_subrep(m: Representation, cols):
+    """(S, inclusion S -> M) for the subspaces of M spanned by the columns
+    of cols[v] at each vertex v, by one solve per arrow: arrow a: u -> v
+    of S solves cols[v] X = M_a cols[u]."""
+    alg = m.algebra
+    arrows = {}
+    for a in alg.quiver.arrows:
+        x = cols[a.target].solve_matrix(m.arrows[a.name] * cols[a.source])
+        assert x is not None, "the subspaces are not arrow-stable"
+        arrows[a.name] = x
+    dims = tuple(cols[v].ncols for v in alg.quiver.vertices)
+    sub = Representation(alg, m.field, dims, arrows)
+    return sub, Morphism(sub, m, cols)
+
+
+def reference_kernel(f: Morphism):
+    """(K, inclusion K -> source), K_v spanned by `kernel_basis` of f_v."""
+    m = f.source
+    cols = {v: Matrix.from_columns(m.field, f.maps[v].kernel_basis(), m.vertex_dim(v))
+            for v in m.algebra.quiver.vertices}
+    return reference_subrep(m, cols)
+
+
+def reference_cokernel(f: Morphism):
+    """(Coker f, projection), with the projection rows built by hand from
+    the reduced echelon form of each f_v transposed: the row for a
+    non-pivot coordinate j has a 1 at j and minus column j of the reduced
+    rows at their pivots; an arrow of the cokernel is the projection
+    applied to the arrow's non-pivot columns."""
+    n = f.target
+    alg, fl = n.algebra, n.field
+    projs, frees = {}, {}
+    for v in alg.quiver.vertices:
+        d = n.vertex_dim(v)
+        rref_rows, pivots = f.maps[v].transpose().rref()
+        free = [j for j in range(d) if j not in pivots]
+        pm = []
+        for j in free:
+            row = [fl.zero] * d
+            row[j] = 1
+            for r, p in zip(rref_rows.rows, pivots):
+                row[p] = -r[j]
+            pm.append(row)
+        projs[v], frees[v] = Matrix(fl, pm, d), free
+    dims = tuple(projs[v].nrows for v in alg.quiver.vertices)
+    arrows = {}
+    for a in alg.quiver.arrows:
+        free = frees[a.source]
+        cols = Matrix(fl, [[row[j] for j in free] for row in n.arrows[a.name].rows], len(free))
+        arrows[a.name] = projs[a.target] * cols
+    q = Representation(alg, fl, dims, arrows)
+    return q, Morphism(n, q, projs)
+
+
+def reference_top(m: Representation):
+    """(top M, projection): the cokernel of the inclusion of rad M, which
+    the pivot columns of each `radical_span` span."""
+    cols = {v: radical_span(m, v).column_space_basis() for v in m.algebra.quiver.vertices}
+    return reference_cokernel(reference_subrep(m, cols)[1])
+
+
+def reference_lands_in_radical(f: Morphism):
+    """Whether f: P1 -> P0 lands in rad P0: at each vertex v, appending
+    f_v to `radical_span` of P0 leaves its rank unchanged."""
+    p0 = f.target
+    for v in p0.algebra.quiver.vertices:
+        rad = radical_span(p0, v)
+        if Matrix.hstack(p0.field, [rad, f.maps[v]]).rank() != rad.rank():
+            return False
+    return True
 
 
 def commutative_square(a):

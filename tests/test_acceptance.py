@@ -81,7 +81,7 @@ def test_criterion_02_max_rank_single_pair():
         assert res.value == 3
         assert res.certified
         assert res.method == "oracle"
-        assert res.params == 3
+        assert res.witness.hom.dim == 3
         # the oracle ran on 4x7-or-smaller vertex blocks of the 3-parameter family
         hs = realize_pair(alg, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)))
         assert hs.r1.total_dim == 4 and hs.r0.total_dim == 7

@@ -558,7 +558,7 @@ def test_scan_json_bytes_pinned(capsys):
 # byte-for-byte outputs of check, reduce and tau, pinned across the
 # call-scoped module analysis: an oracle-certified verdict (cok_f_100 on
 # ALG-A, written to a file by the test), certified-no verdicts, an
-# infinite and a ">= cap" projective dimension, and a prime field
+# infinite and a ">= cap" projective dimension, a prime field, and tau^-
 PINNED_CHECKS = [
     (["check", "ALG-A", "cok_f_100.mod.json", "--json"], 0,
      '{"E": 2, "dim": [1, 2, 1], "e": 2, "partial_tilting": false, "pd_le_1": false, '
@@ -649,6 +649,15 @@ PINNED_CHECKS = [
     (["tau", "ALG-K", "S(2)", "--json"], 0,
      '{"arrows": {"a1": [[0, 0, -1], [0, 1, 0]], "a2": [[1, 0, 0], [0, 0, 1]]}, '
      '"dim": [2, 3]}\n'),
+    (["tau", "ALG-K", "S(2)", "--field", "fp", "--json"], 0,
+     '{"arrows": {"a1": [[0, 0, 2147483646], [0, 1, 0]], "a2": [[1, 0, 0], [0, 0, 1]]}, '
+     '"dim": [2, 3]}\n'),
+    (["tau", "ALG-A", "S(1)", "--minus", "--json"], 0,
+     '{"arrows": {"a1": [[0, 0, 0], [0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, 0, 0], '
+     '[0, 0, 1], [0, 0, 0], [-1, 0, 0]], "a2": [[1, 0, 0], [0, 0, 0], [0, 0, 0], '
+     '[0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]], "a3": [[0, 0, 0], '
+     '[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1]], '
+     '"b1": [[], [], []], "b2": [[], [], []], "b3": [[], [], []]}, "dim": [8, 3, 0]}\n'),
 ]
 
 

@@ -277,6 +277,18 @@ def test_rank_nullity(m):
         assert all(x == 0 for x in times(m, v))
 
 
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.sampled_from([QQ, PrimeField(7), PrimeField(_P)]))
+def test_kernel_basis_vectors_have_their_own_free_column(m, field):
+    # each vector's last nonzero is a 1, at a column where every other
+    # vector is 0
+    kernel = Matrix(field, m.rows, m.ncols).kernel_basis()
+    for k, vec in enumerate(kernel):
+        j = max(c for c, x in enumerate(vec) if x)
+        assert vec[j] == 1
+        assert all(other[j] == 0 for i, other in enumerate(kernel) if i != k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(int_matrices(), st.integers(min_value=0, max_value=997))
 def test_solve_consistency(m, seed):

@@ -135,7 +135,7 @@ def test_generic_rank_claim_one(alg_a):
     assert res.value == 3
     assert res.certified
     assert res.method == "oracle"
-    assert res.params == 3
+    assert res.witness.hom.dim == 3
     assert res.witness.rank() == 3
 
 

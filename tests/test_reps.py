@@ -2,14 +2,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taurank.algebra import Ideal, build_algebra
-from taurank.artheory import e_invariant, ext1_dim
+from taurank.artheory import e_invariant, ext1_dim, nakayama_complex
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
 from taurank.linalg import Matrix
 from taurank.presentations import (
     ProjDecomp,
+    TwoComplex,
     _assert_minimal,
     complex_from_coeffs,
+    min_presentation,
     random_module,
     realize_pair,
 )
@@ -43,7 +45,8 @@ from taurank.reps import (
     zero_rep,
 )
 
-from helpers import conjugate, dense_hom_dim
+from helpers import (conjugate, dense_hom_dim, reference_cokernel, reference_kernel,
+                     reference_lands_in_radical, reference_top)
 
 
 def regular_module(alg):
@@ -556,6 +559,60 @@ def test_assert_minimal_rejects_identity_on_a_projective(all_fixture_algebras):
             assert m.is_zero()
             with pytest.raises(AssertionError, match="does not land in rad P0"):
                 _assert_minimal(cx, m)
+
+
+# -- sub- and quotient modules against their references -------------------------
+
+
+def assert_same(got, want):
+    """Two (module, map) pairs with equal dims, arrow matrices and maps."""
+    (q, f), (q_ref, f_ref) = got, want
+    assert q.dims == q_ref.dims
+    assert q.arrows == q_ref.arrows
+    assert f.maps == f_ref.maps
+
+
+def rejected_as_leaving_rad(cx, m):
+    """Whether `_assert_minimal` finds that cx leaves rad P0."""
+    try:
+        _assert_minimal(cx, m)
+    except AssertionError as exc:
+        return "does not land in rad P0" in str(exc)
+    return False
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_sub_and_quotient_modules_match_their_references(fixture, field, seed):
+    alg = load_fixture(fixture)
+    m = random_module(alg, SeedStream(seed), field=field)
+    epi = projective_cover(m).epi
+    cx = min_presentation(m)
+    _, mono, _ = injective_envelope_mults(m)
+    assert_same(kernel(epi), reference_kernel(epi))
+    assert_same(cokernel(cx.map), reference_cokernel(cx.map))
+    assert_same(cokernel(mono), reference_cokernel(mono))
+    assert_same(top(m), reference_top(m))
+    if not cx.p1.is_zero():
+        nu = nakayama_complex(cx)
+        assert_same(kernel(nu), reference_kernel(nu))
+    assert reference_lands_in_radical(cx.map)
+    assert not rejected_as_leaving_rad(cx, m)
+    # a random endomorphism of P0 leaves rad P0 exactly when an item e_i
+    # from a summand of type i to another has a nonzero coefficient
+    hs = realize_pair(alg, cx.p0, cx.p0, field)
+    tops = [k for k, (_, _, x) in enumerate(hs.items) if x in alg.idempotent_index.values()]
+    coeffs = hs.sample_coeffs(SeedStream(seed), 3)
+    for leaves in (False, True):
+        for k in tops:
+            coeffs[k] = 0
+        if leaves:
+            coeffs[tops[seed % len(tops)]] = 1
+        g = TwoComplex(hs, hs.morphism_from_coeffs(coeffs))
+        assert reference_lands_in_radical(g.map) is not leaves
+        assert rejected_as_leaving_rad(g, m) is leaves
 
 
 def _line(x):

@@ -141,7 +141,6 @@ TEST_READERS = {
     "div": "test_linalg.py",  # the fields' scalar arithmetic of the reference eliminations
     "reduce_presentation": "test_acceptance.py",  # criterion 8(e)
     "check_intertwines": "test_reps.py",  # that a Hom basis consists of morphisms
-    "params": "test_acceptance.py",  # the Hom dimension of a rank witness
 }
 
 
