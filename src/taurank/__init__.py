@@ -45,7 +45,6 @@ from .presentations import (
     min_presentation,
     random_module,
     random_presentation,
-    reduce_presentation,
 )
 from .artheory import (
     HierarchyReport,

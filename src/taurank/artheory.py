@@ -7,8 +7,9 @@ tau(M) is the kernel of the Nakayama functor applied to a minimal
 presentation (0 -> tau M -> nu P1 -> nu P0), which stays inside left
 representations end to end; tau^- runs the same code over the opposite
 algebra.  Non-regularity verdicts always carry a strictly-higher-rank
-witness; regularity is certified only when the rank bound or symbolic
-oracle certifies the generic rank.
+witness; regularity is certified only when the dimension bound, the
+symbolic oracle or cancellation of a common summand certifies the
+generic rank ("dimension-bound", "oracle", "cancellation").
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ also the zero module, whose annihilator is the whole algebra), 4 ideal
 does not annihilate, 10 scan violations found, 11 scan violations found
 on an uncertified r(1) only, 141 stdout closed early (as for SIGPIPE).
 Exits 2, 3 and 4 print a single `error:` line on stderr.
-`--oracle-params 0` is valid and runs no symbolic oracle.  Only check and
-reduce take `--cap`, the projective-dimension search cap; argparse rejects
-it elsewhere with exit 2.
+`--oracle-params` caps the Hom parameters of every pair that scan's
+oracle sees, a cancellation's reduced pair too; 0 is valid and runs no
+oracle, but the reduced pair's dimension bound still certifies.
+Only check and reduce take `--cap`, the projective-dimension search cap;
+argparse rejects it elsewhere with exit 2.
 """
 
 from __future__ import annotations

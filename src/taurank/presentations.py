@@ -1,11 +1,12 @@
 """Two-complexes of projectives, minimal presentations, the maximal rank
-of Hom(P1, P0), presentation reduction, and the additivity scanner.
+of Hom(P1, P0), and the additivity scanner.
 
 The maximal rank r(P1, P0) is estimated by sampling random coefficient
 vectors in the structured Hom basis (one basis morphism per path residue
-between summands) and certified by the dimension bound, the term rank of
-the generic morphism, or by the symbolic oracle: fraction-free
-elimination on it, with one indeterminate per Hom-basis element.
+between summands) and certified by the dimension bound (the term rank
+of the generic morphism), the symbolic oracle (fraction-free elimination
+on it, one indeterminate per Hom-basis element) or the cancellation of
+the common summand min(P1, P0).
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ def _assert_minimal(cx: TwoComplex, m: Representation):
 class GenericRankResult:
     value: int
     witness: TwoComplex
-    method: str | None  # "oracle" | "dimension-bound" | None when not certified
+    method: str | None  # "dimension-bound" | "oracle" | "cancellation" | None when not certified
     upper_bound: int
     trials: int
     seed: int
@@ -414,8 +415,11 @@ def generic_rank(
     reported witness is the lowest-index trial attaining the maximum,
     or the best extra sample when that is strictly better; an extra sample
     must be a morphism from the realization of P1 to that of P0 over
-    `field` (ValueError if not).  Certified when the dimension bound (the
-    generic term rank, `cover_upper_bound`) is attained or the oracle agreed."""
+    `field` (ValueError if not).  Certified by the first upper bound that
+    the value attains: the dimension bound (`cover_upper_bound`), the
+    oracle (`_oracle_bound`), or cancellation, where Q = min(P1, P0) and
+    value - dim Q attains either one of (P1 - Q, P0 - Q), as r(P1, P0) =
+    r(P1 - Q, P0 - Q) + dim Q.  The reduced pair is never sampled."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hs = realize_pair(algebra, p1, p0, field)
@@ -443,32 +447,26 @@ def generic_rank(
     method = None
     if value == upper:
         method = "dimension-bound"
-    elif (
-        field.characteristic == 0
-        and hs.dim <= oracle_max_params
-        and hs.r1.total_dim <= ORACLE_MAX_DIM
-        and hs.r0.total_dim <= ORACLE_MAX_DIM
-    ):
-        try:
-            oracle_value = sum(poly_rank(pm) for pm in hs.generic_vertex_matrices().values())
-        except OracleBudgetError:
-            oracle_value = None
-        if oracle_value is not None:
-            if oracle_value < value:
-                raise AssertionError(
-                    "symbolic oracle below an attained rank; this must not happen"
-                )
-            if oracle_value > value:
-                # astronomically unlucky sampling; escalate once
-                for t in range(trials, 4 * trials + 8):
-                    coeffs = hs.sample_coeffs(master.split(t), 10 * COEFF_BOUND)
-                    rk = hs.morphism_from_coeffs(coeffs).rank()
-                    if rk > value:
-                        value, witness_coeffs = rk, coeffs
-                    if value == oracle_value:
-                        break
-            if value == oracle_value:
-                method = "oracle"
+    elif (oracle := _oracle_bound(hs, oracle_max_params)) is not None:
+        if oracle < value:
+            raise AssertionError("symbolic oracle below an attained rank; this must not happen")
+        if oracle > value:
+            # astronomically unlucky sampling; escalate once
+            for t in range(trials, 4 * trials + 8):
+                coeffs = hs.sample_coeffs(master.split(t), 10 * COEFF_BOUND)
+                rk = hs.morphism_from_coeffs(coeffs).rank()
+                if rk > value:
+                    value, witness_coeffs = rk, coeffs
+                if value == oracle:
+                    break
+        if value == oracle:
+            method = "oracle"
+    q = ProjDecomp(tuple(map(min, p1.mults, p0.mults)))
+    if method is None and not q.is_zero():
+        reduced = realize_pair(algebra, p1.sub(q), p0.sub(q), field)
+        rest = value - q.total_dim(algebra)
+        if rest == cover_upper_bound(reduced) or rest == _oracle_bound(reduced, oracle_max_params):
+            method = "cancellation"
     return GenericRankResult(
         value=value,
         witness=TwoComplex(hs, hs.morphism_from_coeffs(witness_coeffs)),
@@ -477,6 +475,18 @@ def generic_rank(
         trials=trials,
         seed=seed,
     )
+
+
+def _oracle_bound(hs: HomSpace, max_params):
+    """The symbolic oracle's r(P1, P0), or None over F_p, past max_params
+    Hom parameters or `ORACLE_MAX_DIM`, or over its term budget."""
+    if (hs.field.characteristic or hs.dim > max_params
+            or max(hs.r1.total_dim, hs.r0.total_dim) > ORACLE_MAX_DIM):
+        return None
+    try:
+        return sum(poly_rank(pm) for pm in hs.generic_vertex_matrices().values())
+    except OracleBudgetError:
+        return None
 
 
 def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
@@ -510,20 +520,6 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     if out.rank() != rank_a + rank_b:
         raise AssertionError("block-diagonal rank failed to add")
     return out
-
-
-def reduce_presentation(cx: TwoComplex):
-    """Split a two-complex as (minimal presentation of its cokernel)
-    ⊕ (P -> P identity) ⊕ (P' -> 0); returns
-    (c_min, dim of the identity part, zero part decomposition)."""
-    m, _ = cokernel(cx.map)
-    c_min = min_presentation(m)
-    id_part = cx.p0.sub(c_min.p0)
-    zero_part = cx.p1.sub(c_min.p1).sub(id_part)
-    dim_identity = id_part.total_dim(cx.algebra)
-    if cx.rank() != c_min.rank() + dim_identity:
-        raise AssertionError("presentation reduction broke the rank identity")
-    return c_min, dim_identity, zero_part
 
 
 @dataclass

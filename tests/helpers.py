@@ -6,7 +6,15 @@ from taurank import algebra
 from taurank.algebra import Algebra, BasisElement, NotFiniteDimensional, _axpy, _tables
 from taurank.fields import QQ, SeedStream
 from taurank.linalg import Matrix, _dict_rows, _echelon
-from taurank.reps import Morphism, Representation, cover_kernel, hom_dim, radical_span
+from taurank.presentations import TwoComplex, min_presentation
+from taurank.reps import (
+    Morphism,
+    Representation,
+    cokernel,
+    cover_kernel,
+    hom_dim,
+    radical_span,
+)
 
 
 def echelon_rank(m: Matrix):
@@ -46,6 +54,22 @@ def reference_ext1(m: Representation, n: Representation):
     hom_p0_n = sum(mult * n.vertex_dim(i)
                    for i, mult in zip(m.algebra.quiver.vertices, cover.realization.mults))
     return hom_dim(k, n) - hom_p0_n + hom_dim(m, n)
+
+
+def reduce_presentation(cx: TwoComplex):
+    """Split a two-complex as (minimal presentation of its cokernel)
+    ⊕ (P -> P identity) ⊕ (P' -> 0); returns
+    (c_min, dim of the identity part, zero part decomposition): the exact
+    form of the split behind `generic_rank`'s cancellation rung,
+    r(P1 ⊕ Q, P0 ⊕ Q) = r(P1, P0) + dim Q."""
+    m, _ = cokernel(cx.map)
+    c_min = min_presentation(m)
+    id_part = cx.p0.sub(c_min.p0)
+    zero_part = cx.p1.sub(c_min.p1).sub(id_part)
+    dim_identity = id_part.total_dim(cx.algebra)
+    if cx.rank() != c_min.rank() + dim_identity:
+        raise AssertionError("presentation reduction broke the rank identity")
+    return c_min, dim_identity, zero_part
 
 
 def reference_subrep(m: Representation, cols):

@@ -27,7 +27,6 @@ from taurank.presentations import (
     random_module,
     random_presentation,
     realize_pair,
-    reduce_presentation,
 )
 from taurank.quiver import parse_quiver_file
 from taurank.reps import (
@@ -40,6 +39,8 @@ from taurank.reps import (
     simple,
     syzygy,
 )
+
+from helpers import reduce_presentation
 
 
 class Timer:

@@ -558,8 +558,16 @@ def test_scan_json_bytes_pinned(capsys):
 # byte-for-byte outputs of check, reduce and tau, pinned across the
 # call-scoped module analysis: an oracle-certified verdict (cok_f_100 on
 # ALG-A, written to a file by the test), certified-no verdicts, an
-# infinite and a ">= cap" projective dimension, a prime field, and tau^-
+# infinite and a ">= cap" projective dimension, a prime field, tau^-, and
+# a scan whose r(1) only the cancellation of the common summand P(2) + P(3)
+# certifies: (P(2), P(3)) has oracle value 3, so r(1) = 3 + dim(P(2) + P(3))
 PINNED_CHECKS = [
+    (["scan", "ALG-A", "--p1", "0,2,1", "--p0", "0,1,2", "--tmax", "2", "--json"], 10,
+     '{"certified": [true, true], "field": "Q", "methods": ["cancellation", '
+     '"dimension-bound"], "p0": [0, 1, 2], "p1": [0, 2, 1], "r": [14, 30], "seed": 42, '
+     '"t_max": 2, "trials": 8, "violations": [2]}\n'),
+    (["scan", "ALG-A", "--p1", "0,2,1", "--p0", "0,1,2", "--tmax", "2"], 10,
+     "t=1: r = 14 (certified)\nt=2: r = 30 (certified)  <-- violates additivity\n"),
     (["check", "ALG-A", "cok_f_100.mod.json", "--json"], 0,
      '{"E": 2, "dim": [1, 2, 1], "e": 2, "partial_tilting": false, "pd_le_1": false, '
      '"proj_dim": {"detail": "", "kind": "finite", "value": 2}, "projective": false, '

@@ -1,5 +1,6 @@
 import itertools
 import math
+from operator import add
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,7 +28,6 @@ from taurank.presentations import (
     random_module,
     random_presentation,
     realize_pair,
-    reduce_presentation,
 )
 from taurank.quiver import parse_quiver_file
 from taurank.reps import (
@@ -41,7 +41,7 @@ from taurank.reps import (
     zero_rep,
 )
 
-from helpers import conjugate, echelon_rank, random_bound_quivers
+from helpers import conjugate, echelon_rank, random_bound_quivers, reduce_presentation
 
 
 def f_lambda(alg_a, lam):
@@ -709,6 +709,68 @@ def test_oracle_escalation(alg_a, monkeypatch):
     res = generic_rank(alg_a, p1, p0)
     assert (res.value, res.method, res.certified) == (0, None, False)
     assert res.witness.rank() == 0
+
+
+def realized_pairs(monkeypatch):
+    """The list of (P1, P0) multiplicities that `generic_rank` realizes
+    from now on, in call order."""
+    pairs = []
+
+    def spy(alg, p1, p0, field=QQ):
+        pairs.append((p1.mults, p0.mults))
+        return realize_pair(alg, p1, p0, field)
+
+    monkeypatch.setattr(presentations, "realize_pair", spy)
+    return pairs
+
+
+def test_cancellation_declines_below_the_reduced_bounds(alg_a, monkeypatch):
+    """On ALG-A (P(1) + P(2), P(1) + P(3)) with every draw zero, the value
+    stays 0 through the oracle's escalation, and 0 minus dim P(1) meets
+    neither bound of the reduced pair (P(2), P(3)): the rung bounds that
+    pair, samples nothing more and declines."""
+    reduced = realized_pairs(monkeypatch)
+    monkeypatch.setattr(HomSpace, "sample_coeffs", lambda hs, rng, bound=COEFF_BOUND: [0] * hs.dim)
+    res = generic_rank(alg_a, ProjDecomp((1, 1, 0)), ProjDecomp((1, 0, 1)))
+    assert (res.value, res.method, res.certified) == (0, None, False)
+    assert res.witness.rank() == 0
+    assert reduced == [((1, 1, 0), (1, 0, 1)), ((0, 1, 0), (0, 0, 1))]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(DEFAULT_PRIME)], ids=["Q", "Fp"])
+def test_a_bound_certified_scan_never_reaches_the_cancellation_rung(monkeypatch, alg_b0, field):
+    """ALG-B0 (P(1) + P(3), 2 P(2) + P(3)) shares P(3), but every level is
+    certified by the dimension bound, so each level realizes its own pair
+    and no reduced one."""
+    pairs = realized_pairs(monkeypatch)
+    report = additivity_scan(alg_b0, ProjDecomp((1, 0, 1)), ProjDecomp((0, 2, 1)), t_max=4,
+                             trials=3, seed=7, field=field)
+    assert report.methods == ["dimension-bound"] * 4
+    assert pairs == [((t, 0, t), (0, 2 * t, t)) for t in range(1, 5)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIXTURE_NAMES), st.booleans(), st.data())
+def test_cancelling_a_common_summand_subtracts_its_dimension(fixture, prime, data):
+    """The splitting lemma r(P1 + Q, P0 + Q) = r(P1, P0) + dim Q against
+    full sampling: the sampled value of the full pair never exceeds a
+    certified reduced value plus dim Q, and equals it when both are
+    certified."""
+    alg = load_fixture(fixture)
+    field = PrimeField(DEFAULT_PRIME) if prime else QQ
+    n = alg.quiver.n
+    mults = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    p1, p0, q = (ProjDecomp(data.draw(mults)) for _ in range(3))
+    seed = data.draw(st.integers(0, 10**6))
+    reduced = generic_rank(alg, p1, p0, trials=4, seed=seed, field=field)
+    full = generic_rank(alg, ProjDecomp(tuple(map(add, p1.mults, q.mults))),
+                        ProjDecomp(tuple(map(add, p0.mults, q.mults))), trials=4, seed=seed,
+                        field=field)
+    expected = reduced.value + q.total_dim(alg)
+    if reduced.certified:
+        assert full.value <= expected
+        if full.certified:
+            assert full.value == expected
 
 
 def per_item_tables(r1, r0):

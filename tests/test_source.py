@@ -139,7 +139,6 @@ TEST_READERS = {
     "radical_of": "test_reps.py",  # ... and rad P0 -> M against top M
     "evaluate": "test_presentations.py",  # Hom-space matrices at their coefficients
     "div": "test_linalg.py",  # the fields' scalar arithmetic of the reference eliminations
-    "reduce_presentation": "test_acceptance.py",  # criterion 8(e)
     "check_intertwines": "test_reps.py",  # that a Hom basis consists of morphisms
 }
 
