@@ -29,10 +29,8 @@ from .reps import (
     proj_dim,
     projective,
     projective_cover,
-    radical_of,
     simple,
     syzygy,
-    top,
     zero_rep,
 )
 from .presentations import (

@@ -199,8 +199,7 @@ def is_tau_regular(m: Representation, trials: int = 8, seed: int = 42) -> Verdic
     cx = scoped(min_presentation, m)
     rank, upper = cx.rank(), cover_upper_bound(cx.hom)
     if rank == upper:
-        return Verdict(rank, GenericRankResult(value=rank, witness=cx, method="dimension-bound",
-                                               upper_bound=upper, trials=trials, seed=seed))
+        return Verdict(rank, GenericRankResult(rank, cx, "dimension-bound", upper))
     res = generic_rank(m.algebra, cx.p1, cx.p0, trials=trials, seed=seed,
                        extra_samples=[cx.map], field=m.field)
     return Verdict(rank, res)

@@ -9,7 +9,9 @@ JSON reports.
 Exit codes: 0 ok, 1 failed example expectations, 2 parse/build error, a
 command line that argparse rejects, or an invalid option value (--trials,
 --tmax or --cap below 1, --oracle-params below 0, a --field modulus that
-is not prime, a prime field for reduce or paper-examples), 3 invalid
+is not prime, a prime field for reduce or paper-examples, a prime p that
+divides a denominator of the algebra's relation coefficients or
+structure constants, over which it is not defined), 3 invalid
 module (also one above `io.MAX_MODULE_DIM` in total dimension; for reduce
 also the zero module, whose annihilator is the whole algebra), 4 ideal
 does not annihilate, 10 scan violations found, 11 scan violations found
@@ -29,6 +31,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 
 from .algebra import Ideal, NotFiniteDimensional, build_algebra
 from .artheory import ext1_dim, hierarchy_report, reduce_and_compare, tau, tau_minus
@@ -97,6 +100,21 @@ def _load_algebra(arg):
             "this is known for relations whose terms have unlike lengths", EXIT_PARSE)
 
 
+def _algebra_and_field(args):
+    """The algebra and the field of a command that takes a prime field.
+    Over F_p an algebra is defined only when p divides no denominator of
+    a relation coefficient or structure constant; exit 2 otherwise."""
+    alg, field = _load_algebra(args.algebra), _field_of(args)
+    p = field.characteristic
+    tables = chain(alg.products.values(), alg.arrow_element_cache.values())
+    coeffs = chain((c for rel in alg.relations for c, _ in rel.terms),
+                   (c for vec in tables for c in vec.values()))
+    if p and any(c.denominator % p == 0 for c in coeffs):
+        raise CliError(f"{args.algebra!r} is not defined over F_{p}: {p} divides a denominator "
+                       "of its relation coefficients or structure constants", EXIT_PARSE)
+    return alg, field
+
+
 def _load_module(algebra, arg, field):
     try:
         return load_module_arg(algebra, arg, field)
@@ -151,9 +169,8 @@ def _emit(args, payload, human):
 
 
 def cmd_info(args):
-    alg = _load_algebra(args.algebra)
+    alg, field = _algebra_and_field(args)
     p_dims = {i: list(alg.dims_of_projective(i)) for i in alg.vertices}
-    field = _field_of(args)
     i_dims = {i: list(injective(alg, i, field).dims) for i in alg.vertices}
     rad_dim = alg.radical().dim
     payload = {
@@ -175,8 +192,7 @@ def cmd_info(args):
 
 
 def cmd_check(args):
-    alg = _load_algebra(args.algebra)
-    field = _field_of(args)
+    alg, field = _algebra_and_field(args)
     m = _load_module(alg, args.module, field)
     rep = hierarchy_report(m, trials=args.trials, seed=args.seed, cap=args.cap)
     payload = rep.to_json()
@@ -202,8 +218,7 @@ def cmd_check(args):
 
 
 def cmd_hom(args):
-    alg = _load_algebra(args.algebra)
-    field = _field_of(args)
+    alg, field = _algebra_and_field(args)
     m = _load_module(alg, args.module, field)
     n = _load_module(alg, args.other, field)
     d = hom_dim(m, n)
@@ -213,8 +228,7 @@ def cmd_hom(args):
 
 
 def cmd_ext1(args):
-    alg = _load_algebra(args.algebra)
-    field = _field_of(args)
+    alg, field = _algebra_and_field(args)
     m = _load_module(alg, args.module, field)
     n = _load_module(alg, args.other, field)
     d = ext1_dim(m, n)
@@ -224,8 +238,7 @@ def cmd_ext1(args):
 
 
 def cmd_tau(args):
-    alg = _load_algebra(args.algebra)
-    field = _field_of(args)
+    alg, field = _algebra_and_field(args)
     m = _load_module(alg, args.module, field)
     t = tau_minus(m) if args.minus else tau(m)
     name = "tau^-(M)" if args.minus else "tau(M)"
@@ -234,8 +247,7 @@ def cmd_tau(args):
 
 
 def cmd_scan(args):
-    alg = _load_algebra(args.algebra)
-    field = _field_of(args)
+    alg, field = _algebra_and_field(args)
     p1 = _parse_mults(alg, args.p1, "--p1")
     p0 = _parse_mults(alg, args.p0, "--p0")
     report = additivity_scan(

@@ -10,12 +10,10 @@ holds ints only, which the modular rank shortcut of `linalg` needs.
 `sample(rng, bound, count)` draws `count` scalars in one call, through
 `SeedStream.randints`, with the same stream as `count` calls of
 `SeedStream.randint`; a Hom space draws all its coefficients in one call.
-The linear algebra layer computes on scalars with Python's operators and
-reduces F_p cells once, when it builds a matrix (see `linalg`); the
-per-scalar methods `add`, `sub`, `mul`, `div` and `is_zero` return
-reduced results and serve code that computes one scalar at a time: the
-reference eliminations of the tests, `Poly.evaluate` and the tracer's
-count of nonzero Hom coefficients (`is_zero`).
+A field does no arithmetic: every computation uses Python's operators on
+scalars, and `linalg` reduces F_p cells once, when it builds a matrix.
+`is_zero` serves the benchmark tracer's count of nonzero Hom
+coefficients.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from itertools import islice, repeat
 
 
 class RationalField:
-    """Arithmetic over Q.  A scalar is an `int` or a `Fraction`, the two mix
+    """The field Q.  A scalar is an `int` or a `Fraction`, the two mix
     freely; `zero`, `one`, `from_int`, `from_fraction` and `sample` give
-    an `int` for an integral value, and `div` returns a `Fraction`."""
+    an `int` for an integral value."""
 
     name = "Q"
     characteristic = 0
@@ -43,22 +41,6 @@ class RationalField:
     def from_fraction(self, q):
         q = Fraction(q)
         return q.numerator if q.denominator == 1 else q
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        if type(a) is not Fraction:
-            a = Fraction(a)  # int / int would be a float
-        return a / b
 
     def is_zero(self, a):
         return a == 0
@@ -108,7 +90,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic over F_p with int scalars in [0, p)."""
+    """The field F_p, with int scalars in [0, p)."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -127,20 +109,6 @@ class PrimeField:
         if q.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
         return (q.numerator * pow(q.denominator, -1, self.p)) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return (a * pow(b, -1, self.p)) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0

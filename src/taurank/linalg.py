@@ -157,18 +157,6 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch {self.shape()} vs {other.shape()}")
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def scale(self, c):
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows], self.ncols)
-
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape()} * {other.shape()}")

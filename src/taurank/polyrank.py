@@ -4,15 +4,14 @@ fraction-free (Bareiss) elimination over the rational function field.
 The oracle certifies the maximal rank attained on a linear family of
 matrices: the rank of the family's generic member over Q(x_1..x_m)
 equals the maximum rank of any specialization over any extension field
-of characteristic zero.  Budgets keep it at desk scale; exceeding one
-raises `OracleBudgetError` instead of grinding.
+of characteristic zero.  Two fixed budgets, `ORACLE_MAX_DIM` (a matrix
+side) and `ORACLE_MAX_TERMS` (the terms of a product or an entry), keep it
+at desk scale; exceeding one raises `OracleBudgetError` instead of grinding.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .fields import QQ
 
 
 ORACLE_MAX_DIM = 40  # largest matrix side the oracle eliminates
@@ -70,7 +69,8 @@ class Poly:
                 out.pop(m, None)
         return Poly(self.nvars, out)
 
-    def mul(self, other, max_terms=None):
+    def mul(self, other):
+        """The product; OracleBudgetError past ORACLE_MAX_TERMS terms."""
         if not self.terms or not other.terms:
             return Poly(self.nvars)
         # iterate over the smaller factor
@@ -86,9 +86,9 @@ class Poly:
                     out[m] = s
                 else:
                     del out[m]
-            if max_terms is not None and len(out) > max_terms:
+            if len(out) > ORACLE_MAX_TERMS:
                 raise OracleBudgetError(
-                    f"polynomial exceeded {max_terms} terms during elimination"
+                    f"polynomial exceeded {ORACLE_MAX_TERMS} terms during elimination"
                 )
         return Poly(self.nvars, out)
 
@@ -125,17 +125,6 @@ class Poly:
                     rem.pop(mm, None)
         return Poly(self.nvars, quo)
 
-    def evaluate(self, point, field=QQ):
-        """Evaluate at a point (list of field scalars)."""
-        acc = field.zero
-        for m, c in self.terms.items():
-            v = field.from_fraction(c)
-            for e, x in zip(m, point):
-                for _ in range(e):
-                    v = field.mul(v, x)
-            acc = field.add(acc, v)
-        return acc
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -160,15 +149,6 @@ class PolyMatrix:
         self.entries = entries
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
             raise ValueError("entry grid does not match shape")
-
-    def evaluate(self, point, field=QQ):
-        from .linalg import Matrix
-
-        return Matrix(
-            field,
-            [[e.evaluate(point, field) for e in row] for row in self.entries],
-            self.ncols,
-        )
 
 
 def poly_rank(pm: PolyMatrix) -> int:
@@ -213,9 +193,9 @@ def poly_rank(pm: PolyMatrix) -> int:
             lead = m[r_i][cols[rank]]
             for j in range(rank + 1, len(cols)):
                 c_j = cols[j]
-                num = p.mul(m[r_i][c_j], ORACLE_MAX_TERMS)
+                num = p.mul(m[r_i][c_j])
                 if not lead.is_zero():
-                    num = num - lead.mul(m[rows[rank]][c_j], ORACLE_MAX_TERMS)
+                    num = num - lead.mul(m[rows[rank]][c_j])
                 m[r_i][c_j] = num.exact_div(prev)
                 if m[r_i][c_j].n_terms() > ORACLE_MAX_TERMS:
                     raise OracleBudgetError(

@@ -391,8 +391,6 @@ class GenericRankResult:
     witness: TwoComplex
     method: str | None  # "dimension-bound" | "oracle" | "cancellation" | None when not certified
     upper_bound: int
-    trials: int
-    seed: int
 
     @property
     def certified(self):
@@ -472,8 +470,6 @@ def generic_rank(
         witness=TwoComplex(hs, hs.morphism_from_coeffs(witness_coeffs)),
         method=method,
         upper_bound=upper,
-        trials=trials,
-        seed=seed,
     )
 
 

@@ -88,13 +88,6 @@ class Morphism:
             if m.shape() != (target.vertex_dim(v), source.vertex_dim(v)):
                 raise ValueError(f"vertex {v} map has wrong shape")
 
-    def check_intertwines(self):
-        for a in self.source.algebra.quiver.arrows:
-            lhs = self.maps[a.target] * self.source.arrows[a.name]
-            rhs = self.target.arrows[a.name] * self.maps[a.source]
-            if lhs != rhs:
-                raise AssertionError(f"morphism fails to intertwine arrow {a.name}")
-
     def rank(self):
         return sum(m.rank() for m in self.maps.values())
 
@@ -167,13 +160,13 @@ def check_relations(m: Representation):
     for v in alg.quiver.vertices:
         if v not in alg.idempotent_index and m.vertex_dim(v) != 0:
             raise AssertionError(f"vertex {v} is dead in this algebra but has dim > 0")
-    root = alg.root()
-    for rel in root.relations:
-        acc = None
-        for c, word in rel.terms:
-            blk = act_word(m, word).scale(m.field.from_fraction(c))
-            acc = blk if acc is None else acc + blk
-        if acc is not None and not acc.is_zero():
+    for rel in alg.root().relations:
+        coeffs = [m.field.from_fraction(c) for c, _ in rel.terms]
+        mats = [act_word(m, word) for _, word in rel.terms]
+        # each cell of the relation's action, summed over its terms
+        cells = [[sum(c * x for c, x in zip(coeffs, cell)) for cell in zip(*rows)]
+                 for rows in zip(*(x.rows for x in mats))]
+        if mats and not Matrix(m.field, cells, mats[0].ncols).is_zero():
             raise AssertionError("representation violates a defining relation")
     while alg.parent is not None:
         over_parent = Representation(alg.parent, m.field, m.dims, m.arrows)
@@ -385,23 +378,13 @@ def cokernel(f: Morphism):
     return _quotient(f.target, f.maps)
 
 
-# -- radical and top ----------------------------------------------------------
+# -- the radical --------------------------------------------------------------
 
 
 def radical_span(m: Representation, v):
     """The arrow matrices into v side by side; rad M_v is their column span."""
     parts = [m.arrows[a.name] for a in m.algebra.quiver.arrows if a.target == v]
     return Matrix.hstack(m.field, parts, nrows=m.vertex_dim(v))
-
-
-def radical_of(m: Representation):
-    """(rad M, inclusion): the kernel of M -> top M."""
-    return kernel(top(m)[1])
-
-
-def top(m: Representation):
-    """(top M, projection M -> M/rad M)."""
-    return _quotient(m, {v: radical_span(m, v) for v in m.algebra.quiver.vertices})
 
 
 # -- projective realizations and covers ---------------------------------------

@@ -1,18 +1,22 @@
 """Tools the tests share."""
 
 from fractions import Fraction
+from math import prod
 
 from taurank import algebra
 from taurank.algebra import Algebra, BasisElement, NotFiniteDimensional, _axpy, _tables
 from taurank.fields import QQ, SeedStream
 from taurank.linalg import Matrix, _dict_rows, _echelon
+from taurank.polyrank import PolyMatrix
 from taurank.presentations import TwoComplex, min_presentation
 from taurank.reps import (
     Morphism,
     Representation,
+    _quotient,
     cokernel,
     cover_kernel,
     hom_dim,
+    kernel,
     radical_span,
 )
 
@@ -124,6 +128,36 @@ def reference_cokernel(f: Morphism):
         arrows[a.name] = projs[a.target] * cols
     q = Representation(alg, fl, dims, arrows)
     return q, Morphism(n, q, projs)
+
+
+def check_intertwines(f: Morphism):
+    """AssertionError unless f_v M_a = N_a f_u for every arrow a: u -> v."""
+    for a in f.source.algebra.quiver.arrows:
+        lhs = f.maps[a.target] * f.source.arrows[a.name]
+        rhs = f.target.arrows[a.name] * f.maps[a.source]
+        if lhs != rhs:
+            raise AssertionError(f"morphism fails to intertwine arrow {a.name}")
+
+
+def evaluate(pm: PolyMatrix, point, field=QQ):
+    """The matrix of pm at a point: each entry summed term by term with
+    operators over Q, then taken into `field`."""
+    def value(poly):
+        return sum(c * prod(x ** e for x, e in zip(point, mono))
+                   for mono, c in poly.terms.items())
+
+    return Matrix(field, [[field.from_fraction(value(e)) for e in row] for row in pm.entries],
+                  pm.ncols)
+
+
+def top(m: Representation):
+    """(top M, projection M -> M/rad M), rad M_v spanned by `radical_span`."""
+    return _quotient(m, {v: radical_span(m, v) for v in m.algebra.quiver.vertices})
+
+
+def radical_of(m: Representation):
+    """(rad M, inclusion): the kernel of M -> top M."""
+    return kernel(top(m)[1])
 
 
 def reference_top(m: Representation):

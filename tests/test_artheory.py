@@ -46,7 +46,7 @@ from taurank.reps import (
     zero_rep,
 )
 
-from helpers import reference_ext1
+from helpers import check_intertwines, reference_ext1
 
 
 def cok_f(alg_a, lam):
@@ -75,7 +75,7 @@ def test_nakayama_simple_alg_b(alg_b):
     assert nu.source.dims == injective(alg_b, 1).dims
     assert nu.target.dims == injective(alg_b, 2).dims
     assert nu.rank() == 1
-    nu.check_intertwines()
+    check_intertwines(nu)
 
 
 def test_tau_of_projectives_vanishes(alg_a, alg_b):

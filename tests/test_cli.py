@@ -412,6 +412,25 @@ def test_field_composite_modulus_exits_2(capsys):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("relation", ["a1*b1 - 7 a2*b2", "a1*b1 - 1/7 a2*b2"])
+def test_a_prime_that_divides_a_denominator_of_the_algebra_exits_2(capsys, tmp_path, relation):
+    # the algebra has the structure constant 1/7, or the relation
+    # coefficient -1/7: defined over Q and F_11, but not over F_7
+    qa = tmp_path / "x.qa"
+    qa.write_text(TWO_PATHS + relation + "\n")
+    module = tmp_path / "s3.mod.json"
+    module.write_text(json.dumps({"dim": [0, 0, 1], "arrows": {}}))
+    m = str(module)
+    for command, *rest in (["info"], ["check", m], ["tau", m], ["hom", m, m], ["ext1", m, m],
+                           ["scan", "--p1", "0,0,1", "--p0", "1,0,0"]):
+        for field in ("q", "fp:11"):
+            assert run(capsys, [command, str(qa), *rest, "--field", field])[0] == 0
+        code, err = run_err(capsys, [command, str(qa), *rest, "--field", "fp:7"])
+        assert code == 2
+        assert_one_error_line(err)
+        assert "is not defined over F_7: 7 divides a denominator" in err
+
+
 def test_paper_examples_prime_field_exits_2(capsys):
     code, err = run_err(capsys, ["paper-examples", "--field", "fp", "--json"])
     assert code == 2
@@ -758,7 +777,11 @@ noise = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters
 QA_LINES = ["vertices: 1 2", "vertices: 1 2 3", "vertices:", "vertices: 0 1", "vertices: x",
             "arrow a: 2 -> 1", "arrow b: 1 -> 2", "arrow a: 3 -> 2", "arrow c: 2 => 1",
             "arrow x: 1 -> 1", "arrow: 1 -> 2", "relations:", "a*b", "b*a - a*b", "x*x*x",
-            "2/3*a*b", "1/0*a", "a +", "e1", "compose: before", "# a comment", ""]
+            "2/3*a*b", "1/0*a", "a +", "e1", "compose: before", "# a comment", "",
+            # parallel paths 3 -> 2 -> 1, whose coefficients 7 and 1/7 leave
+            # the algebra undefined over F_7
+            "arrow b: 3 -> 2", "arrow c: 2 -> 1", "arrow d: 3 -> 2", "a*b - 7 c*d",
+            "a*b - 1/7 c*d"]
 
 
 def spliced(draw, text):
@@ -848,6 +871,7 @@ def command_lines(draw):
     if command == "reduce" and draw(st.booleans()):
         files["ideal.txt"] = draw(ideal_texts(algebra))
         argv += ["--ideal", "ideal.txt"]
+    argv += ["--field", draw(st.sampled_from(["q", "fp:7", "fp:11"]))]
     return argv, files
 
 

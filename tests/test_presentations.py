@@ -41,7 +41,8 @@ from taurank.reps import (
     zero_rep,
 )
 
-from helpers import conjugate, echelon_rank, random_bound_quivers, reduce_presentation
+from helpers import (conjugate, echelon_rank, evaluate, random_bound_quivers,
+                     reduce_presentation)
 
 
 def f_lambda(alg_a, lam):
@@ -83,11 +84,11 @@ def test_poly_rank_bounds_specializations(alg_a):
     for trial in range(6):
         sub = rng.split(trial)
         point = [Fraction(sub.randint(-50, 50)) for _ in range(hs.dim)]
-        spec = sum(pm.evaluate(point).rank() for pm in mats.values())
+        spec = sum(evaluate(pm, point).rank() for pm in mats.values())
         assert spec <= 3
     # attained at a generic point
     point = [Fraction(1), Fraction(2), Fraction(5)]
-    assert sum(pm.evaluate(point).rank() for pm in mats.values()) == 3
+    assert sum(evaluate(pm, point).rank() for pm in mats.values()) == 3
 
 
 def test_min_presentation_of_projective(alg_a):
@@ -489,7 +490,7 @@ def assert_assembly_matches_poly(hs, coeffs):
     """morphism_from_coeffs against the generic matrices evaluated at coeffs."""
     fmor = hs.morphism_from_coeffs(coeffs)
     for v, pm in hs.generic_vertex_matrices().items():
-        assert fmor.maps[v] == pm.evaluate(coeffs, hs.field)
+        assert fmor.maps[v] == evaluate(pm, coeffs, hs.field)
 
 
 def test_morphism_assembly_matches_generic_matrices(all_fixture_algebras):

@@ -5,6 +5,7 @@ from taurank.algebra import Ideal, build_algebra
 from taurank.artheory import e_invariant, ext1_dim, nakayama_complex
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
+from taurank.io import module_from_dict
 from taurank.linalg import Matrix
 from taurank.presentations import (
     ProjDecomp,
@@ -38,15 +39,14 @@ from taurank.reps import (
     proj_dim,
     projective,
     projective_cover,
-    radical_of,
     simple,
     syzygy,
-    top,
     zero_rep,
 )
 
-from helpers import (conjugate, dense_hom_dim, reference_cokernel, reference_kernel,
-                     reference_lands_in_radical, reference_top)
+from helpers import (check_intertwines, conjugate, dense_hom_dim, radical_of,
+                     reference_cokernel, reference_kernel, reference_lands_in_radical,
+                     reference_top, top)
 
 
 def regular_module(alg):
@@ -147,7 +147,7 @@ def test_sparse_hom_dim_matches_the_dense_system(fixture, p, seed):
         basis = hom_basis(a, b)
         assert hom_dim(a, b) == len(basis) == dense_hom_dim(a, b)
         for f in basis:
-            f.check_intertwines()
+            check_intertwines(f)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
@@ -163,7 +163,7 @@ def test_hom_on_a_loop_whose_two_terms_cancel(field):
     basis = hom_basis(m, m)
     assert hom_dim(m, m) == len(basis) == dense_hom_dim(m, m) == 2
     for f in basis:
-        f.check_intertwines()
+        check_intertwines(f)
 
 
 def test_hom_at_the_module_size_cap(alg_a):
@@ -210,7 +210,7 @@ def test_hom_basis_members_intertwine(alg_a):
     basis = hom_basis(p2, p3)
     assert len(basis) == 3
     for f in basis:
-        f.check_intertwines()
+        check_intertwines(f)
 
 
 def test_hom_projective_identity(all_fixture_algebras):
@@ -257,7 +257,7 @@ def test_compose_needs_one_middle_module(alg_b):
     with pytest.raises(ValueError, match="different modules"):
         identity(m).compose(identity(p))
     twin = direct_sum([simple(alg_b, 1), simple(alg_b, 2)])
-    identity(m).compose(identity(twin)).check_intertwines()
+    check_intertwines(identity(m).compose(identity(twin)))
 
 
 def test_kernel_image_cokernel_basics(alg_b):
@@ -624,6 +624,41 @@ def test_check_relations_rejects_a_violated_relation(alg_b):
     m = Representation(alg_b, QQ, (1, 1, 1), {"a": _line(1), "b": _line(1)})
     with pytest.raises(AssertionError, match="violates a defining relation"):
         check_relations(m)
+
+
+# a cokernel module of ALG-A: a2*b3 and a3*b2 both act as 1, so the
+# relation a2*b3 - a3*b2 holds only through its minus sign
+ALG_A_COKERNEL = {"dim": [1, 2, 1], "arrows": {
+    "a1": [[0, 0]], "a2": [[0, 1]], "a3": [[1, 0]], "b1": [[0], [0]], "b2": [[1], [0]],
+    "b3": [[0], [1]]}}
+
+
+def test_check_relations_reads_the_sign_of_a_coefficient(alg_a):
+    for field in (QQ, PrimeField(7), PrimeField(2)):
+        assert check_relations(module_from_dict(alg_a, ALG_A_COKERNEL, field))
+    flipped = {"dim": ALG_A_COKERNEL["dim"], "arrows": {**ALG_A_COKERNEL["arrows"],
+                                                         "a3": [[-1, 0]]}}
+    for field in (QQ, PrimeField(7)):
+        with pytest.raises(AssertionError, match="violates a defining relation"):
+            module_from_dict(alg_a, flipped, field)
+    # 2 = 0 in F_2
+    assert check_relations(module_from_dict(alg_a, flipped, PrimeField(2)))
+
+
+def test_check_relations_reads_a_fractional_coefficient():
+    # a*b - 1/2 c*d holds when c acts as 2 and a, b and d act as 1
+    alg = build_algebra(*parse_quiver_file(
+        "vertices: 1 2 3\narrow a: 2 -> 1\narrow b: 3 -> 2\narrow c: 2 -> 1\n"
+        "arrow d: 3 -> 2\nrelations:\na*b - 1/2 c*d\n"))
+
+    def module(c, field):
+        arrows = {"a": [[1]], "b": [[1]], "c": [[c]], "d": [[1]]}
+        return module_from_dict(alg, {"dim": [1, 1, 1], "arrows": arrows}, field)
+
+    for field in (QQ, PrimeField(7)):
+        assert check_relations(module(2, field))
+        with pytest.raises(AssertionError, match="violates a defining relation"):
+            module(1, field)
 
 
 def test_check_relations_checks_every_parent_ideal(alg_b0):

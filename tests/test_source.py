@@ -133,16 +133,6 @@ def test_the_rule_sees_unused_imports():
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# The names that only a test reads, each with a test file that reads it
-TEST_READERS = {
-    "top": "test_reps.py",  # the cover against its construction from top M
-    "radical_of": "test_reps.py",  # ... and rad P0 -> M against top M
-    "evaluate": "test_presentations.py",  # Hom-space matrices at their coefficients
-    "div": "test_linalg.py",  # the fields' scalar arithmetic of the reference eliminations
-    "check_intertwines": "test_reps.py",  # that a Hom basis consists of morphisms
-}
-
-
 def local_names(node):
     """The names that a function binds for itself: its arguments, and the
     names it stores or deletes outside the functions and classes it
@@ -242,14 +232,7 @@ def unread_definitions(trees, readers):
 
 
 def test_every_definition_has_a_reader_outside_the_tests():
-    assert unread_definitions(modules(), outside_readers() | set(TEST_READERS)) == []
-
-
-def test_each_test_reader_reads_a_name_nothing_else_reads():
-    unread = unread_definitions(modules(), outside_readers())
-    for name, test in TEST_READERS.items():
-        assert any(found.endswith(f":{name}") for found in unread), name
-        assert name in all_read_names(ast.parse((REPO / "tests" / test).read_text())), name
+    assert unread_definitions(modules(), outside_readers()) == []
 
 
 def test_the_rule_sees_unread_definitions():
