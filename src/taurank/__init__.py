@@ -9,7 +9,8 @@ from .fields import DEFAULT_PRIME, QQ, PrimeField, RationalField, SeedStream
 from .linalg import Matrix
 from .polyrank import OracleBudgetError, Poly, PolyMatrix, poly_rank
 from .quiver import Arrow, Quiver, QuiverSyntaxError, RelationPoly, parse_quiver_file
-from .algebra import Algebra, BasisElement, Ideal, NotFiniteDimensional, build_algebra
+from .algebra import (Algebra, BasisElement, Ideal, NotDefinedOverField,
+                      NotFiniteDimensional, build_algebra)
 from .reps import (
     Morphism,
     Representation,

@@ -32,6 +32,13 @@ class NotFiniteDimensional(RuntimeError):
     pass
 
 
+class NotDefinedOverField(ValueError):
+    """A prime field F_p over which an algebra is not defined: p divides a
+    denominator of its relation coefficients or structure constants.
+    `Algebra.require_field` raises it where a module or a projective
+    first pairs the algebra with the field."""
+
+
 # Most path residues a build keeps.  The structure constants take time
 # quadratic in the residues: 2.8 s for 1023 on one vertex with two loops
 # (Python 3.11, 2-CPU Linux host), so a build at the cap ends in seconds.
@@ -254,10 +261,12 @@ class Algebra:
                 self.idempotent_index[b.source] = i
         self.vertices = sorted(self.idempotent_index)
         self._op = None
+        # names of the prime fields that require_field has accepted
+        self._defined_over = set()
         # per-algebra tables, each filled on first use
         self._paths = None
-        # (mults, field name) -> (rep, offsets) of that projective sum;
-        # filled by reps.ProjRealization
+        # valid (mults, field name) -> (summands, rep, offsets, runs) of
+        # that projective sum; filled by reps.ProjRealization
         self.realization_cache = {}
         # (mults1, mults0) with gcd 1 -> term rank of Hom(P1, P0)'s generic
         # map, for every field; filled by presentations.cover_upper_bound
@@ -268,6 +277,22 @@ class Algebra:
         # the tables of the last Hom space built, keyed by (mults1, mults0,
         # field name); one entry, owned by presentations.HomSpace
         self.hom_tables = None
+
+    def require_field(self, field):
+        """NotDefinedOverField unless this algebra is defined over `field`:
+        over F_p, p divides no denominator of a relation coefficient or
+        structure constant.  Checked once per algebra and field name."""
+        p = field.characteristic
+        if not p or field.name in self._defined_over:
+            return
+        tables = itertools.chain(self.products.values(), self.arrow_element_cache.values())
+        coeffs = itertools.chain((c for rel in self.relations for c, _ in rel.terms),
+                                 (c for vec in tables for c in vec.values()))
+        if any(c.denominator % p == 0 for c in coeffs):
+            raise NotDefinedOverField(
+                f"the algebra is not defined over F_{p}: {p} divides a denominator of its "
+                "relation coefficients or structure constants")
+        self._defined_over.add(field.name)
 
     # -- construction helpers -----------------------------------------
 

@@ -31,9 +31,8 @@ import json
 import os
 import re
 import sys
-from itertools import chain
 
-from .algebra import Ideal, NotFiniteDimensional, build_algebra
+from .algebra import Ideal, NotDefinedOverField, NotFiniteDimensional, build_algebra
 from .artheory import ext1_dim, hierarchy_report, reduce_and_compare, tau, tau_minus
 from .examples_suite import run_paper_examples
 from .fields import DEFAULT_PRIME, QQ, PrimeField
@@ -101,17 +100,16 @@ def _load_algebra(arg):
 
 
 def _algebra_and_field(args):
-    """The algebra and the field of a command that takes a prime field.
-    Over F_p an algebra is defined only when p divides no denominator of
-    a relation coefficient or structure constant; exit 2 otherwise."""
+    """The algebra and the field of a command that takes a prime field;
+    exit 2 when the algebra is not defined over it
+    (`Algebra.require_field`)."""
     alg, field = _load_algebra(args.algebra), _field_of(args)
-    p = field.characteristic
-    tables = chain(alg.products.values(), alg.arrow_element_cache.values())
-    coeffs = chain((c for rel in alg.relations for c, _ in rel.terms),
-                   (c for vec in tables for c in vec.values()))
-    if p and any(c.denominator % p == 0 for c in coeffs):
+    try:
+        alg.require_field(field)
+    except NotDefinedOverField:
+        p = field.characteristic
         raise CliError(f"{args.algebra!r} is not defined over F_{p}: {p} divides a denominator "
-                       "of its relation coefficients or structure constants", EXIT_PARSE)
+                       "of its relation coefficients or structure constants", EXIT_PARSE) from None
     return alg, field
 
 

@@ -10,6 +10,10 @@ holds ints only, which the modular rank shortcut of `linalg` needs.
 `sample(rng, bound, count)` draws `count` scalars in one call, through
 `SeedStream.randints`, with the same stream as `count` calls of
 `SeedStream.randint`; a Hom space draws all its coefficients in one call.
+`SeedStream` seeds the C generator `_random.Random` itself: for an int
+seed, `random.Random` (its Python subclass) only forwards the seed to it,
+so the stream is the one `random.Random(seed)` gives, without the
+subclass's Python-level seeding.
 A field does no arithmetic: every computation uses Python's operators on
 scalars, and `linalg` reduces F_p cells once, when it builds a matrix.
 `is_zero` serves the benchmark tracer's count of nonzero Hom
@@ -18,7 +22,7 @@ coefficients.
 
 from __future__ import annotations
 
-import random
+import _random
 from fractions import Fraction
 from itertools import islice, repeat
 
@@ -151,7 +155,7 @@ class SeedStream:
     `split(i)` derives the i-th child stream; children with distinct
     indices are independent and reproducible.  Randomized operations
     document which stream index they consume.  The underlying
-    `random.Random` is seeded on the first draw: many streams are only
+    `_random.Random` is seeded on the first draw: many streams are only
     split, or never drawn from at all.
     """
 
@@ -179,7 +183,7 @@ class SeedStream:
             return []  # no draw, so no seeding
         bits = self._bits
         if bits is None:
-            bits = self._bits = random.Random(self.seed).getrandbits
+            bits = self._bits = _random.Random(self.seed).getrandbits
         # islice pulls exactly `count` accepted values, so the stream ends
         # where `count` single draws would leave it
         accepted = filter(n.__gt__, map(bits, repeat(n.bit_length())))

@@ -42,10 +42,15 @@ blocks.  Two parts eliminate:
 A matrix memoizes its rank in the slot `_rank`, which only this module
 writes.  Three exact certificates stand in for eliminations:
 
-- The line bound.  Over any field the rank is at most b = min(nonzero
-  rows, nonzero columns), so the packed elimination stops at b pivots.
-  The rank mod p of an int matrix is at most its rank over Q, so a rank
-  mod p that reaches b is the rank over Q.
+- The line bound.  Over any field the rank is at most the cheap bound
+  min(nonzero rows, columns), which needs no pass over the columns, so
+  the packed elimination stops at that many pivots, or as soon as no
+  nonzero row is left.  The rank mod p of an int matrix is at most its
+  rank over Q, so a rank mod p that reaches the cheap bound is the rank
+  over Q.  Only a rank short of it pays for a pass over the columns:
+  such a rank is below the nonzero rows, so it reaches the exact line
+  bound b = min(nonzero rows, nonzero columns) exactly when it reaches
+  the nonzero columns, and then it is the rank over Q too.
 - The term rank.  A rank mod p short of b is compared with the term
   rank, the most nonzero cells with no two in one line, which bounds the
   rank over Q from above as well (Edmonds 1967).  Equality certifies the
@@ -243,7 +248,7 @@ class Matrix:
         p = self.field.characteristic
         if p == _P:
             cells = array("Q", chain.from_iterable(self.rows))
-            return _packed_rank(cells, self.ncols, _rank_bound(self.rows))
+            return _packed_rank(cells, self.ncols, _cheap_bound(self.rows, self.ncols))
         r = None if p else _rank_certified_mod_p(self)
         return len(_echelon(self.field, _dict_rows(self.rows))[1]) if r is None else r
 
@@ -329,15 +334,16 @@ _LO = b"\xff\xff\xff\x7f\0\0\0\0"  # the low 31 bits of a slot
 _HI = b"\xff\xff\xff\xff\x01\0\0\0"  # the low 33 bits of a slot
 
 
-def _rank_bound(rows):
-    """min(nonzero rows, nonzero columns), an upper bound on the rank over
-    any field."""
-    return min(sum(map(any, rows)), sum(map(any, zip(*rows))))
+def _cheap_bound(rows, ncols):
+    """min(nonzero rows, columns), an upper bound on the rank over any
+    field."""
+    return min(sum(map(any, rows)), ncols)
 
 
 def _rank_certified_mod_p(m: Matrix):
     """The rank over Q of an all-int matrix when its rank mod _P reaches
-    `_rank_bound` or `_term_rank` (see the module docstring), else None."""
+    the cheap bound, the nonzero columns or `_term_rank`, tried in that
+    order (see the module docstring), else None."""
     if not m.nrows or not m.ncols:
         return 0
     if type(m.rows[0][0]) is not int:
@@ -346,9 +352,12 @@ def _rank_certified_mod_p(m: Matrix):
         cells = array("Q", [x % _P for x in chain.from_iterable(m.rows)])
     except TypeError:  # a Fraction cell
         return None
-    bound = _rank_bound(m.rows)
+    rows = m.rows
+    bound = _cheap_bound(rows, m.ncols)
     rank = _packed_rank(cells, m.ncols, bound)
-    return rank if rank == bound or rank == _term_rank(m.rows) else None
+    if rank == bound or rank == sum(map(any, zip(*rows))) or rank == _term_rank(rows):
+        return rank
+    return None
 
 
 def _term_rank(rows):
@@ -392,7 +401,8 @@ def _term_rank(rows):
 def _packed_rank(cells, ncols, bound):
     """The rank mod _P of the matrix whose row-major cells, reduced mod _P,
     are the array('Q') `cells`, given an upper bound on that rank (see the
-    module docstring)."""
+    module docstring); it stops at the bound or when no nonzero row is
+    left."""
     if not bound:
         return 0
     # in native byte order: a big-endian host packs the columns in reverse,
@@ -420,6 +430,8 @@ def _packed_rank(cells, ncols, bound):
         neg_inv = p - pow(piv & slot, -1, p)
         # clear column c (its slot becomes a multiple of p) and drop it
         rows = [y for s in rows if (y := (s + (s & slot) * neg_inv % p * piv) >> 64)]
+        if not rows:
+            return rank
         if rank % 3 == 0:
             rows = [(s & lo) + ((s >> 31) & hi) for s in rows]
     return rank

@@ -34,6 +34,7 @@ class Representation:
         self.dims = tuple(dims)
         if len(self.dims) != algebra.quiver.n:
             raise ValueError("dimension vector length mismatch")
+        algebra.require_field(field)
         self.arrows = dict(arrows)
         for a in algebra.quiver.arrows:
             m = self.arrows.get(a.name)
@@ -81,11 +82,11 @@ class Morphism:
         self.source = source
         self.target = target
         self.maps = dict(maps)
-        for v in source.algebra.quiver.vertices:
+        for v, dt, ds in zip(source.algebra.quiver.vertices, target.dims, source.dims):
             m = self.maps.get(v)
             if m is None:
                 raise ValueError(f"vertex {v} has no map")
-            if m.shape() != (target.vertex_dim(v), source.vertex_dim(v)):
+            if m.nrows != dt or m.ncols != ds:
                 raise ValueError(f"vertex {v} map has wrong shape")
 
     def rank(self):
@@ -190,6 +191,7 @@ def projective(algebra, i, field=QQ):
     """P(i) = A e_i; its basis at vertex v is paths(i, v), in that order."""
     if i not in algebra.idempotent_index:
         raise ValueError(f"vertex {i} has no projective over this algebra")
+    algebra.require_field(field)
     dims = algebra.dims_of_projective(i)
     arrows = {}
     for a in algebra.quiver.arrows:
@@ -403,31 +405,28 @@ class ProjRealization:
     def __init__(self, algebra, mults, field=QQ):
         self.algebra = algebra
         self.field = field
-        self.mults = tuple(mults)
-        if len(self.mults) != algebra.quiver.n:
-            raise ValueError("multiplicity vector length mismatch")
-        for v in algebra.quiver.vertices:
-            if self.mults[v - 1] and v not in algebra.idempotent_index:
-                raise ValueError(f"vertex {v} has no projective over this algebra")
-        self.summands = [
-            (i, c)
-            for i in algebra.quiver.vertices
-            for c in range(self.mults[i - 1])
-        ]
-        # Q and F_p never share a rep; all F_p objects of one prime do
-        key = (self.mults, field.name)
+        self.mults = mults = tuple(mults)
+        # Q and F_p never share a rep; all F_p objects of one prime do.  Only
+        # valid multiplicities are kept, so a hit needs no validation
+        key = (mults, field.name)
         parts = algebra.realization_cache.get(key)
         if parts is None:
-            parts = _realization_parts(algebra, self.summands, field)
-            algebra.realization_cache[key] = parts
-        self.rep, self.offsets, self.runs = parts
+            if len(mults) != algebra.quiver.n:
+                raise ValueError("multiplicity vector length mismatch")
+            for v in algebra.quiver.vertices:
+                if mults[v - 1] and v not in algebra.idempotent_index:
+                    raise ValueError(f"vertex {v} has no projective over this algebra")
+            algebra.require_field(field)
+            parts = algebra.realization_cache[key] = _realization_parts(algebra, mults, field)
+        self.summands, self.rep, self.offsets, self.runs = parts
         self.total_dim = self.rep.dim_total
 
 
-def _realization_parts(algebra, summands, field):
-    """(rep, offsets, runs) of the sum of the projectives P(i) over the
-    summands (i, copy); shared by every realization of the same sum, so
-    none may be mutated."""
+def _realization_parts(algebra, mults, field):
+    """(summands, rep, offsets, runs) of the sum of mults[i - 1] copies of
+    each P(i), its summands (i, copy) in ascending order; shared by every
+    realization of the same sum, so none may be mutated."""
+    summands = [(i, c) for i in algebra.quiver.vertices for c in range(mults[i - 1])]
     if summands:
         projs = {i: projective(algebra, i, field) for i, _ in summands}
         rep = direct_sum([projs[i] for i, _ in summands])
@@ -441,7 +440,7 @@ def _realization_parts(algebra, summands, field):
         for v in off:
             off[v] += len(algebra.paths(i, v))
             runs[v][i - 1] += len(algebra.paths(i, v))
-    return rep, offsets, runs
+    return summands, rep, offsets, runs
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -591,6 +592,62 @@ def test_term_rank_certifies_a_rank_below_the_line_bound():
     # term rank 2, which the rank mod _P reaches
     m = Matrix(QQ, [[1, 1, 1], [1, 0, 0], [2, 0, 0]])
     assert _rank_certified_mod_p(m) == 2 == exact_rank(m.rows, 3)
+
+
+def assert_rank_over_both_fields(rows, ncols):
+    """Over Q and F_(2^31-1), `rank()` is the exact engine's rank, and the
+    modular shortcut gives that rank or None."""
+    for field in (QQ, PrimeField(_P)):
+        m = Matrix(field, rows, ncols)
+        want = echelon_rank(m)
+        assert m.rank() == want
+        assert _rank_certified_mod_p(m) in (None, want)
+
+
+def test_the_exact_line_bound_certifies_what_the_cheap_bound_misses(monkeypatch):
+    # rank 1 against the cheap bound min(3 rows, 2 columns) = 2; the exact
+    # line bound, one nonzero column, certifies it with no term rank
+    rows = [[1, 0], [2, 0], [3, 0]]
+    assert_rank_over_both_fields(rows, 2)
+    monkeypatch.setattr(linalg, "_term_rank", None)
+    assert _rank_certified_mod_p(Matrix(QQ, rows)) == 1
+
+
+def test_a_rank_short_of_both_bounds_falls_back_to_exact_elimination(monkeypatch):
+    rows = [[1, 1], [1, 1]]  # rank 1; cheap bound, line bound and term rank 2
+    assert_rank_over_both_fields(rows, 2)
+    assert _rank_certified_mod_p(Matrix(QQ, rows)) is None
+    calls, echelon = [], linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *a: calls.append(a) or echelon(*a))
+    assert Matrix(QQ, rows).rank() == 1 and len(calls) == 1
+
+
+def test_packed_rank_stops_when_no_nonzero_row_is_left():
+    # every row vanishes after the first two columns; the bound (3) is never
+    # reached, so the elimination ends on running out of rows
+    rows = [[1, 2, 5, 0, 0, 7], [2, 4, 10, 0, 0, 14], [0, 1, 3, 0, 0, 0]]
+    assert_rank_over_both_fields(rows, 6)
+    cells = array("Q", [x % _P for r in rows for x in r])
+    assert linalg._packed_rank(cells, 6, 3) == 2
+
+
+@st.composite
+def int_rows_with_zero_lines(draw, max_dim=8):
+    """Small int matrices with zero rows and zero columns spliced in."""
+    rows, ncols = draw(shaped_rows(st.one_of(st.just(0), st.integers(-3, 3)), max_dim=max_dim))
+    zero_cols = draw(st.integers(0, 3))
+    rows = [r + [0] * zero_cols for r in rows] + [[0] * (ncols + zero_cols)] * draw(
+        st.integers(0, 3))
+    ncols += zero_cols
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(ncols)))
+    return [[r[j] for j in order] for r in rows], ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows_with_zero_lines())
+def test_rank_with_zero_lines_matches_the_exact_engine(shaped):
+    assert_rank_over_both_fields(*shaped)
 
 
 @st.composite

@@ -545,16 +545,35 @@ def test_realizations_keep_their_field_and_repeat(alg_a, alg_k):
             assert again.rep == first.rep and again.offsets == first.offsets
 
 
+def test_realizations_validate_after_a_cached_one(alg_a):
+    """Only valid multiplicities reach the cache, so a bad vector still
+    fails once a valid realization of the same algebra and field is kept,
+    and a repeat reads equal summands."""
+    quot = alg_a.quotient(Ideal(alg_a, [alg_a.idempotent(3)]))
+    for alg in (alg_a, quot):
+        for field in (QQ, PrimeField(101)):
+            first = ProjRealization(alg, (1, 0, 0), field)
+            again = ProjRealization(alg, (1, 0, 0), field)
+            assert again.summands == first.summands == [(1, 0)]
+            with pytest.raises(ValueError, match="length mismatch"):
+                ProjRealization(alg, (1, 0), field)
+    with pytest.raises(ValueError, match="vertex 3 has no projective"):
+        ProjRealization(quot, (1, 0, 1), QQ)
+    assert all(len(mults) == 3 and not mults[2]
+               for mults, _ in quot.realization_cache)
+
+
 def test_shared_realizations_survive_their_callers(alg_a, alg_b):
-    """Scans, presentations and tau reuse cached realization reps,
-    offsets and runs; none of them may alter one, so each still equals a
-    fresh direct sum laid out by the algebra's paths."""
+    """Scans, presentations and tau reuse cached realization summands,
+    reps, offsets and runs; none of them may alter one, so each still
+    equals a fresh direct sum laid out by the algebra's paths."""
     additivity_scan(alg_a, ProjDecomp((1, 1, 0)), ProjDecomp((0, 1, 1)), t_max=2, trials=2)
     m = random_module(alg_b, SeedStream(5))
     reduce_presentation(min_presentation(m))
     tau(m)
     for alg in (alg_a, alg_b, alg_a.opposite(), alg_b.opposite()):
-        for (mults, _), (rep, offsets, runs) in alg.realization_cache.items():
+        for (mults, _), (pairs, rep, offsets, runs) in alg.realization_cache.items():
+            assert pairs == [(i, c) for i in alg.quiver.vertices for c in range(mults[i - 1])]
             if any(mults):
                 summands = [i for i in alg.quiver.vertices for _ in range(mults[i - 1])]
                 fresh = direct_sum([projective(alg, i, rep.field) for i in summands])

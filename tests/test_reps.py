@@ -1,11 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taurank.algebra import Ideal, build_algebra
+from taurank.algebra import Ideal, NotDefinedOverField, build_algebra
 from taurank.artheory import e_invariant, ext1_dim, nakayama_complex
 from taurank.fields import DEFAULT_PRIME, QQ, PrimeField, SeedStream
 from taurank.fixtures import FIXTURE_NAMES, load_fixture
-from taurank.io import module_from_dict
+from taurank.io import load_module_file, module_from_dict
 from taurank.linalg import Matrix
 from taurank.presentations import (
     ProjDecomp,
@@ -731,3 +733,30 @@ def test_check_relations_checks_the_ideal_of_an_opposite_quotient(alg_b0):
     assert check_relations(Representation(op, QQ, (1, 1, 1), {"a": _line(1), "b": _line(0)}))
     for i in q.vertices:
         assert check_relations(dual_rep(projective(q, i)))
+
+
+# two parallel paths 3 -> 2 -> 1
+TWO_PATHS = ("vertices: 1 2 3\narrow a: 2 -> 1\narrow b: 3 -> 2\narrow c: 2 -> 1\n"
+             "arrow d: 3 -> 2\nrelations:\n")
+
+
+def test_an_algebra_refuses_a_prime_field_it_is_not_defined_over(tmp_path):
+    """a*b - 7 c*d has the structure constant 1/7 and a*b - 1/7 c*d the
+    relation coefficient -1/7: both are defined over Q and F_11, not over
+    F_7, and every first pairing with F_7 raises NotDefinedOverField."""
+    seven, seventh = (build_algebra(*parse_quiver_file(TWO_PATHS + rel + "\n"))
+                      for rel in ("a*b - 7 c*d", "a*b - 1/7 c*d"))
+    f7 = PrimeField(7)
+    path = tmp_path / "s3.mod.json"
+    path.write_text(json.dumps({"dim": [0, 0, 1], "arrows": {}}))
+    for alg in (seven, seventh):
+        for field in (QQ, PrimeField(11)):
+            s3 = simple(alg, 3, field)
+            assert load_module_file(alg, str(path), field) == s3
+            assert hom_dim(s3, s3) == 1 and projective(alg, 3, field).dims == (3, 2, 1)
+        for build in (lambda: projective(alg, 3, f7), lambda: simple(alg, 3, f7),
+                      lambda: load_module_file(alg, str(path), f7),
+                      lambda: ProjRealization(alg, (0, 1, 1), f7)):
+            with pytest.raises(NotDefinedOverField, match="not defined over F_7"):
+                build()
+        assert not any(name == "F_7" for _, name in alg.realization_cache)
