@@ -36,7 +36,8 @@ class NotDefinedOverField(ValueError):
     """A prime field F_p over which an algebra is not defined: p divides a
     denominator of its relation coefficients or structure constants.
     `Algebra.require_field` raises it where a module or a projective
-    first pairs the algebra with the field."""
+    first pairs the algebra with the field; a realization meets the field
+    through its projectives."""
 
 
 # Most path residues a build keeps.  The structure constants take time
@@ -451,11 +452,6 @@ class Algebra:
         pivots = set(ideal.pivots)
         keep = [i for i in range(self.dim) if i not in pivots]
         new_index = {old: new for new, old in enumerate(keep)}
-        for i in self.vertices:
-            e = self.idempotent_index[i]
-            # e_i in I forces its whole Peirce block in; membership check:
-            if ideal.contains(self.idempotent(i)) and e in new_index:
-                raise AssertionError("idempotent inside ideal survived echelon")
         basis = [self.basis[i] for i in keep]
 
         def project(vec):
@@ -511,9 +507,6 @@ class Ideal:
             if c:
                 _axpy(vec, -c, r)
         return vec
-
-    def contains(self, element):
-        return not self.reduce(element)
 
     def __eq__(self, other):
         return (

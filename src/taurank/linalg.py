@@ -8,8 +8,8 @@ reduces F_p cells, so every matrix is built from its finished cells, and
 no code writes a matrix after it is built.  The one matrix source that
 reduces its own is the Hom-space assembly
 (`presentations.HomSpace.morphism_from_coeffs`), which hands its reduced
-rows to `Matrix.adopt`; `Matrix.block_sum` adopts the cells of its
-blocks.  Two parts eliminate:
+rows to `Matrix.adopt`; `Matrix.block_sum` and `Matrix.transpose`
+adopt the finished cells of their matrices.  Two parts eliminate:
 
 - The packed modular shortcut.  `_packed_rank` eliminates mod the
   Mersenne prime p = 2**31 - 1 on packed rows.  It gives the rank over
@@ -154,11 +154,9 @@ class Matrix:
         return not any(map(any, self.rows))
 
     def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
+        rows = self.rows
+        cols = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(self.ncols)]
+        return Matrix.adopt(self.field, cols, self.nrows)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -12,7 +12,6 @@ from taurank.presentations import TwoComplex, min_presentation
 from taurank.reps import (
     Morphism,
     Representation,
-    _quotient,
     cokernel,
     cover_kernel,
     hom_dim,
@@ -150,9 +149,28 @@ def evaluate(pm: PolyMatrix, point, field=QQ):
                   pm.ncols)
 
 
+def quotient(n: Representation, spans):
+    """(N/S, projection N -> N/S) for the submodule S spanned at each
+    vertex v by the columns of spans[v]: the projection's rows are
+    `kernel_basis` of spans[v] transposed, its free coordinates section it,
+    and an arrow of N/S is the projection of the arrow's free columns.
+    Independent of `reps.cokernel`, which dualizes a kernel instead."""
+    alg, fl = n.algebra, n.field
+    rows = {v: spans[v].transpose().kernel_basis() for v in alg.quiver.vertices}
+    projs = {v: Matrix(fl, rows[v], n.vertex_dim(v)) for v in rows}
+    arrows = {}
+    for a in alg.quiver.arrows:
+        free = [max(j for j, x in enumerate(row) if x) for row in rows[a.source]]
+        cols = Matrix(fl, [[row[j] for j in free] for row in n.arrows[a.name].rows], len(free))
+        arrows[a.name] = projs[a.target] * cols
+    dims = tuple(len(rows[v]) for v in alg.quiver.vertices)
+    q = Representation(alg, fl, dims, arrows)
+    return q, Morphism(n, q, projs)
+
+
 def top(m: Representation):
     """(top M, projection M -> M/rad M), rad M_v spanned by `radical_span`."""
-    return _quotient(m, {v: radical_span(m, v) for v in m.algebra.quiver.vertices})
+    return quotient(m, {v: radical_span(m, v) for v in m.algebra.quiver.vertices})
 
 
 def radical_of(m: Representation):

@@ -227,8 +227,22 @@ def test_ideal_closure_is_two_sided(alg_b0):
     # generated by b alone: must contain a*b as well
     ideal = Ideal(alg_b0, [alg_b0.arrow_element("b")])
     ab = alg_b0.element_from_terms([(1, ("a", "b"))])
-    assert ideal.contains(ab)
+    assert not ideal.reduce(ab)
     assert ideal.dim == 2
+
+
+def test_quotient_by_an_idempotent_drops_its_vertex(all_fixture_algebras):
+    # the reduced echelon rows lead at pivots, so e_i in I is a pivot of I
+    for alg in all_fixture_algebras.values():
+        for i in alg.vertices:
+            ideal = Ideal(alg, [alg.idempotent(i)])
+            if ideal.dim == alg.dim:
+                continue
+            assert alg.idempotent_index[i] in ideal.pivots
+            quot = alg.quotient(ideal)
+            assert quot.vertices == [v for v in alg.vertices if v != i]
+            assert quot.dims_of_projective(i) == (0,) * alg.quiver.n
+            assert all(b.source != i and b.target != i for b in quot.basis)
 
 
 def test_ideals_match_the_reference_closure(all_fixture_algebras):

@@ -253,6 +253,21 @@ def test_rank_equals_transpose_rank(m):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 7, _P]), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_transpose_adopts_finished_cells(p, nrows, ncols, data):
+    # transpose adopts its cells, so they must come out as the constructor left them
+    field = PrimeField(p)
+    cells = data.draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=ncols,
+                                        max_size=ncols), min_size=nrows, max_size=nrows))
+    m = Matrix(field, cells, ncols)
+    t = m.transpose()
+    assert t.shape() == (ncols, nrows)
+    assert all(0 <= x < p for row in t.rows for x in row)
+    assert t.rows == [[m.rows[i][j] for i in range(nrows)] for j in range(ncols)]
+    assert t.transpose() == m
+
+
+@settings(max_examples=60, deadline=None)
 @given(int_matrices())
 def test_rank_nullity(m):
     kernel = m.kernel_basis()

@@ -16,6 +16,7 @@ from taurank.presentations import (
     complex_from_coeffs,
     min_presentation,
     random_module,
+    random_presentation,
     realize_pair,
 )
 from taurank.quiver import parse_quiver_file
@@ -46,7 +47,7 @@ from taurank.reps import (
     zero_rep,
 )
 
-from helpers import (check_intertwines, conjugate, dense_hom_dim, radical_of,
+from helpers import (check_intertwines, conjugate, dense_hom_dim, quotient, radical_of,
                      reference_cokernel, reference_kernel, reference_lands_in_radical,
                      reference_top, top)
 
@@ -615,6 +616,49 @@ def test_sub_and_quotient_modules_match_their_references(fixture, field, seed):
         g = TwoComplex(hs, hs.morphism_from_coeffs(coeffs))
         assert reference_lands_in_radical(g.map) is not leaves
         assert rejected_as_leaving_rad(g, m) is leaves
+
+
+THREE_FIELDS = [QQ, PrimeField(7), PrimeField(DEFAULT_PRIME)]
+
+
+def assert_kernel_and_cokernel_match_their_references(f):
+    """kernel against `reference_kernel`; cokernel, which dualizes a
+    kernel, against the direct `quotient` and `reference_cokernel`."""
+    assert_same(kernel(f), reference_kernel(f))
+    got = cokernel(f)
+    assert_same(got, quotient(f.target, f.maps))
+    assert_same(got, reference_cokernel(f))
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS, ids=["Q", "F7", "Fp"])
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_kernels_and_cokernels_of_library_maps_match_their_references(fixture, field, seed):
+    # kernel and cokernel trust their morphisms, so every map the library
+    # hands them is checked to intertwine here: a random presentation, and
+    # the cover epi, minimal presentation, Nakayama map and envelope mono
+    # of its cokernel, which may be zero or vanish at some vertices
+    cx = random_presentation(load_fixture(fixture), SeedStream(seed), field=field)
+    m, _ = cokernel(cx.map)
+    pres = min_presentation(m)
+    maps = [cx.map, projective_cover(m).epi, pres.map, nakayama_complex(pres),
+            injective_envelope_mults(m)[1]]
+    for f in maps:
+        check_intertwines(f)
+        assert_kernel_and_cokernel_match_their_references(f)
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS, ids=["Q", "F7", "Fp"])
+def test_kernels_and_cokernels_of_zero_and_identity_maps(all_fixture_algebras, field):
+    for alg in all_fixture_algebras.values():
+        none = zero_rep(alg, field)
+        for m in [none] + [projective(alg, i, field) for i in alg.vertices]:
+            for f in (identity(m), zero(m, none), zero(none, m)):
+                assert_kernel_and_cokernel_match_their_references(f)
+            assert cokernel(identity(m))[0].is_zero() and kernel(identity(m))[0].is_zero()
+            assert cokernel(zero(m, none))[0].is_zero() and kernel(zero(none, m))[0].is_zero()
+            assert kernel(zero(m, none))[0] == m == cokernel(zero(none, m))[0]
 
 
 def _line(x):
