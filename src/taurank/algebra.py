@@ -266,7 +266,7 @@ class Algebra:
         self._defined_over = set()
         # per-algebra tables, each filled on first use
         self._paths = None
-        # valid (mults, field name) -> (summands, rep, offsets, runs) of
+        # valid (mults, field name) -> (summands, rep, offsets) of
         # that projective sum; filled by reps.ProjRealization
         self.realization_cache = {}
         # (mults1, mults0) with gcd 1 -> term rank of Hom(P1, P0)'s generic

@@ -8,8 +8,10 @@ reduces F_p cells, so every matrix is built from its finished cells, and
 no code writes a matrix after it is built.  The one matrix source that
 reduces its own is the Hom-space assembly
 (`presentations.HomSpace.morphism_from_coeffs`), which hands its reduced
-rows to `Matrix.adopt`; `Matrix.block_sum` and `Matrix.transpose`
-adopt the finished cells of their matrices.  Two parts eliminate:
+rows to `Matrix.adopt`; `Matrix.block_sum` (the plain diagonal sum of
+`reps.direct_sum`) and `Matrix.transpose` adopt the finished cells of
+their matrices, and `reps` adopts kernel vectors and the cells of its
+modules.  Two parts eliminate:
 
 - The packed modular shortcut.  `_packed_rank` eliminates mod the
   Mersenne prime p = 2**31 - 1 on packed rows.  It gives the rank over
@@ -56,11 +58,12 @@ writes.  Three exact certificates stand in for eliminations:
   rank over Q from above as well (Edmonds 1967).  Equality certifies the
   rank over Q; otherwise the exact engine runs.  Of the generic morphism
   of a Hom space, the term rank is `presentations.cover_upper_bound`.
-- Block sums.  `Matrix.block_sum` places blocks by groups of lines, so
-  a row and a column permutation make the sum block-diagonal; when every
-  block has a rank memo, the sum memoizes their sum.
-  `presentations.combine_complexes` ranks its blocks first, so the block
-  sums it builds are ranked so.
+- Block sums.  A matrix that a row and a column permutation make
+  block-diagonal has the sum of its blocks' ranks.
+  `presentations.combine_complexes` gathers such a sum from its blocks'
+  Hom coefficients, ranks the blocks first and hands the sum and its
+  blocks to `memoize_block_sum_rank`, the one writer of a rank memo
+  besides `Matrix.rank`.
 
 A packed row is one int with a 64-bit slot per column; cells enter,
 over either field, reduced mod p.  As 2**31 = 1 (mod p),
@@ -191,49 +194,16 @@ class Matrix:
         return Matrix(field, rows, sum(m.ncols for m in mats))
 
     @staticmethod
-    def block_sum(field, blocks):
-        """The sum of `blocks`, a list of (block, row sizes, column sizes).
-        The sizes cut a block's rows, and its columns, into consecutive
-        groups; row group g of the sum is row group g of each block in turn,
-        and so are the column groups (ValueError for unlike numbers of groups,
-        or sizes that are negative or do not add up to a block's shape).  A
-        row is its block's row in `pieces`, each after the zeros that other
-        blocks' columns take.  The sum memoizes the sum of the blocks' rank
-        memos when all have one, so a block sum runs no elimination."""
-        misfit = "block sum: the group sizes do not fit the blocks"
-        pieces, ends, used, at = [[] for _ in blocks], [0] * len(blocks), [0] * len(blocks), 0
-        for group in zip(*[cs for _, _, cs in blocks]):
-            for k, c in enumerate(group):
-                if c > 0:
-                    pieces[k].append(([0] * (at - ends[k]), used[k], used[k] + c))
-                    used[k] += c
-                    at = ends[k] = at + c
-        placed, shape = [], (len(blocks[0][1]), len(blocks[0][2])) if blocks else ()
-        for (blk, rs, cs), ps, end, u in zip(blocks, pieces, ends, used):
-            # sizes that add up to the shape, as their positive ones do
-            if (u, sum(cs), sum(rs), len(rs), len(cs)) != (blk.ncols, u, blk.nrows, *shape):
-                raise ValueError(misfit)
-            rows, tail = [], [0] * (at - end)
-            for r in blk.rows:
-                row = []
-                for zeros, a, e in ps:
-                    row += zeros
-                    row += r[a:e]
-                rows.append(row + tail)
-            placed.append(rows)
-        out, used = [], [0] * len(blocks)
-        for group in zip(*[rs for _, rs, _ in blocks]):
-            for k, n in enumerate(group):
-                if n > 0:
-                    out += placed[k][used[k] : used[k] + n]
-                    used[k] += n
-        if used != [blk.nrows for blk, _, _ in blocks]:
-            raise ValueError(misfit)
-        m = Matrix.adopt(field, out, at)
-        ranks = [blk._rank for blk, _, _ in blocks]
-        if None not in ranks:
-            m._rank = sum(ranks)
-        return m
+    def block_sum(field, mats):
+        """The block-diagonal sum of the matrices `mats`: each one's rows
+        after the zeros that the columns of the ones before it take, and
+        before those of the ones after it."""
+        ncols, rows, at = sum(m.ncols for m in mats), [], 0
+        for m in mats:
+            left, right = [0] * at, [0] * (ncols - at - m.ncols)
+            rows += [left + r + right for r in m.rows]
+            at += m.ncols
+        return Matrix.adopt(field, rows, ncols)
 
     # -- elimination-based operations ------------------------------------
 
@@ -321,6 +291,16 @@ class Matrix:
         """Canonical (RREF) spanning rows of the row space, zero rows dropped."""
         rows = _echelon(self.field, _dict_rows(self.rows), reduced=True)[0]
         return [[row.get(j, 0) for j in range(self.ncols)] for row in rows]
+
+
+def memoize_block_sum_rank(m: Matrix, blocks):
+    """Memoize the rank of m as the sum of the rank memos of `blocks`
+    (ValueError if one has none); the caller vouches that m is their
+    block-diagonal sum up to a row and a column permutation."""
+    ranks = [b._rank for b in blocks]
+    if None in ranks:
+        raise ValueError("a block has no rank memo")
+    m._rank = sum(ranks)
 
 
 # -- elimination engines -------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, itemgetter, mul
 
 from .fields import QQ, SeedStream
-from .linalg import Matrix, _term_rank
+from .linalg import Matrix, _term_rank, memoize_block_sum_rank
 from .polyrank import ORACLE_MAX_DIM, OracleBudgetError, Poly, PolyMatrix, poly_rank
 from .reps import (
     Morphism,
@@ -489,30 +490,41 @@ def combine_complexes(ca: TwoComplex, cb: TwoComplex) -> TwoComplex:
     """Block-diagonal sum of two complexes over the summed decompositions,
     expressed in the canonical realization of the sum.
 
-    Each vertex matrix of the sum is placed by `Matrix.block_sum`, grouped
-    by the runs of each projective type (`ProjRealization.runs`): the
-    sum's run of a type is ca's run followed by cb's.  Both are ranked
-    first, so every block has a rank memo and the sum memoizes the sum of
-    theirs.  The coefficients are read off the generators, and the
-    morphism they assemble must be the placed one."""
+    The sum's copies of a projective type are ca's copies followed by
+    cb's, on both sides, so its coefficients are gathered from theirs:
+    for each source summand and target type, ca's items followed by zeros
+    for cb's target copies, or zeros for ca's target copies followed by
+    cb's items.  Both complexes are ranked first, and each vertex matrix
+    of the sum, their two blocks up to a row and a column permutation,
+    memoizes the sum of their ranks (`linalg.memoize_block_sum_rank`)."""
     if ca.algebra is not cb.algebra:
         raise ValueError("complexes over different algebras")
     alg, field = ca.algebra, ca.hom.field
     if field.name != cb.hom.field.name:
         raise ValueError(f"complexes over different fields ({field.name}, {cb.hom.field.name})")
-    m1 = tuple(map(add, ca.hom.r1.mults, cb.hom.r1.mults))
-    m0 = tuple(map(add, ca.hom.r0.mults, cb.hom.r0.mults))
-    hs = HomSpace(ProjRealization(alg, m1, field), ProjRealization(alg, m0, field))
+    (ma1, ma0), (mb1, mb0) = [(cx.hom.r1.mults, cx.hom.r0.mults) for cx in (ca, cb)]
+    hs = HomSpace(ProjRealization(alg, tuple(map(add, ma1, mb1)), field),
+                  ProjRealization(alg, tuple(map(add, ma0, mb0)), field))
     rank_a, rank_b = ca.rank(), cb.rank()
-    maps = {
-        v: Matrix.block_sum(field, [(cx.map.maps[v], cx.hom.r0.runs[v], cx.hom.r1.runs[v])
-                                    for cx in (ca, cb)])
-        for v in alg.quiver.vertices
-    }
-    fmap = Morphism(hs.r1.rep, hs.r0.rep, maps)
-    if hs.morphism_from_coeffs(hs.coeffs_of_morphism(fmap)).maps != fmap.maps:
-        raise AssertionError("the block sum is not a morphism of the summed Hom space")
-    out = TwoComplex(hs, fmap)
+    types = [(j, ma0[j - 1], mb0[j - 1]) for j, _, _ in _target_types(hs.r0)]
+    from_a, from_b, coeffs = iter(ca.coeffs), iter(cb.coeffs), []
+    for i, ka, kb in zip(alg.quiver.vertices, ma1, mb1):
+        if not ka + kb:
+            continue
+        # per target type, the items of ca's target copies and of cb's
+        segments = [(a * nx, b * nx) for j, a, b in types
+                    if (nx := len(_hom_template(alg, i, j)[0]))]
+        for _ in range(ka):
+            for na, nb in segments:
+                coeffs += islice(from_a, na)
+                coeffs += [0] * nb
+        for _ in range(kb):
+            for na, nb in segments:
+                coeffs += [0] * na
+                coeffs += islice(from_b, nb)
+    out = TwoComplex(hs, hs.morphism_from_coeffs(coeffs))
+    for v, m in out.map.maps.items():
+        memoize_block_sum_rank(m, (ca.map.maps[v], cb.map.maps[v]))
     if out.rank() != rank_a + rank_b:
         raise AssertionError("block-diagonal rank failed to add")
     return out
@@ -571,8 +583,9 @@ def additivity_scan(
     exceeds t * r(P1, P0).
 
     Each level t seeds its estimate with the block-diagonal sum of the
-    best witness at t-1 and the best witness at 1, so the reported
-    sequence is superadditive by construction."""
+    best witness at t-1 and the best witness at 1 (`combine_complexes`,
+    which gathers it from their coefficients and ranks it from their
+    memos), so the reported sequence is superadditive by construction."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     master = SeedStream(seed)

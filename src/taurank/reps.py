@@ -250,7 +250,7 @@ def _check_same_base(m: Representation, n: Representation):
 def direct_sum(reps):
     """The direct sum, over the summands' algebra, or over the common root
     of their algebras when these differ (ValueError when there is none):
-    each arrow matrix is a `Matrix.block_sum` with one group per side."""
+    each arrow matrix is the `Matrix.block_sum` of the summands' ones."""
     reps = list(reps)
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
@@ -263,8 +263,7 @@ def direct_sum(reps):
             raise ValueError("summands over algebras with no common root")
     dims = tuple(map(sum, zip(*[r.dims for r in reps])))
     arrows = {
-        a.name: Matrix.block_sum(f, [(m, [m.nrows], [m.ncols])
-                                     for m in (r.arrows[a.name] for r in reps)])
+        a.name: Matrix.block_sum(f, [r.arrows[a.name] for r in reps])
         for a in alg.quiver.arrows
     }
     return Representation(alg, f, dims, arrows)
@@ -342,12 +341,13 @@ def _kernel(m: Representation, maps):
     so an arrow a: u -> v of K is (M_a at the free rows of v) K_u."""
     alg, fl = m.algebra, m.field
     bases = {v: maps[v].kernel_basis() for v in alg.quiver.vertices}
-    cols = {v: Matrix.from_columns(fl, bases[v], m.vertex_dim(v)) for v in bases}
+    # the vectors and M's rows are finished cells, so no reduction
+    cols = {v: Matrix.adopt(fl, bases[v], m.vertex_dim(v)).transpose() for v in bases}
     arrows = {}
     for a in alg.quiver.arrows:
         mat = m.arrows[a.name]
-        free = [mat.rows[max(j for j, x in enumerate(vec) if x)] for vec in bases[a.target]]
-        arrows[a.name] = Matrix(fl, free, mat.ncols) * cols[a.source]
+        free = [list(mat.rows[max(j for j, x in enumerate(vec) if x)]) for vec in bases[a.target]]
+        arrows[a.name] = Matrix.adopt(fl, free, mat.ncols) * cols[a.source]
     dims = tuple(len(bases[v]) for v in alg.quiver.vertices)
     return Representation(alg, fl, dims, arrows), cols
 
@@ -386,8 +386,7 @@ class ProjRealization:
     Summands s = (i, copy) are ordered by ascending vertex i, then copy.
     The one layout: basis path k of summand s at vertex v sits at
     offsets[s][v] + (position of k in algebra.paths(i, v)), so the basis
-    at each vertex is the concatenation of the summands' path bases, and
-    runs[v] lists the sizes m_i·|paths(i, v)| of the runs of each type i.
+    at each vertex is the concatenation of the summands' path bases.
     """
 
     def __init__(self, algebra, mults, field=QQ):
@@ -405,12 +404,12 @@ class ProjRealization:
                 if mults[v - 1] and v not in algebra.idempotent_index:
                     raise ValueError(f"vertex {v} has no projective over this algebra")
             parts = algebra.realization_cache[key] = _realization_parts(algebra, mults, field)
-        self.summands, self.rep, self.offsets, self.runs = parts
+        self.summands, self.rep, self.offsets = parts
         self.total_dim = self.rep.dim_total
 
 
 def _realization_parts(algebra, mults, field):
-    """(summands, rep, offsets, runs) of the sum of mults[i - 1] copies of
+    """(summands, rep, offsets) of the sum of mults[i - 1] copies of
     each P(i), its summands (i, copy) in ascending order; shared by every
     realization of the same sum, so none may be mutated."""
     summands = [(i, c) for i in algebra.quiver.vertices for c in range(mults[i - 1])]
@@ -420,14 +419,12 @@ def _realization_parts(algebra, mults, field):
     else:
         rep = zero_rep(algebra, field)
     # offsets[s][v]: column offset of summand s inside vertex block v
-    offsets, runs = [], {v: [0] * algebra.quiver.n for v in algebra.quiver.vertices}
-    off = {v: 0 for v in algebra.quiver.vertices}
+    offsets, off = [], {v: 0 for v in algebra.quiver.vertices}
     for i, _ in summands:
         offsets.append(dict(off))
         for v in off:
             off[v] += len(algebra.paths(i, v))
-            runs[v][i - 1] += len(algebra.paths(i, v))
-    return summands, rep, offsets, runs
+    return summands, rep, offsets
 
 
 @dataclass
@@ -465,7 +462,7 @@ def projective_cover(m: Representation):
                     b = alg.basis[k]
                     acts[k] = act_word(m, b.word, b.source)
                 cols[v].append([x[p] for x in acts[k].rows])
-    maps = {v: Matrix.from_columns(fl, cols[v], m.vertex_dim(v)) for v in alg.quiver.vertices}
+    maps = {v: Matrix.adopt(fl, cols[v], m.vertex_dim(v)).transpose() for v in alg.quiver.vertices}
     epi = Morphism(real.rep, m, maps)
     for v in alg.quiver.vertices:
         if epi.maps[v].rank() != m.vertex_dim(v):

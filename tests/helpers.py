@@ -138,6 +138,63 @@ def check_intertwines(f: Morphism):
             raise AssertionError(f"morphism fails to intertwine arrow {a.name}")
 
 
+def reference_block_sum(field, blocks):
+    """The grouped sum of `blocks`, a list of (block, row sizes, column
+    sizes).  The sizes cut a block's rows, and its columns, into
+    consecutive groups; row group g of the sum is row group g of each block
+    in turn, and so are the column groups (ValueError for unlike numbers of
+    groups, or sizes that are negative or do not add up to a block's
+    shape).  A row is its block's row in `pieces`, each after the zeros
+    that other blocks' columns take."""
+    misfit = "block sum: the group sizes do not fit the blocks"
+    pieces, ends, used, at = [[] for _ in blocks], [0] * len(blocks), [0] * len(blocks), 0
+    for group in zip(*[cs for _, _, cs in blocks]):
+        for k, c in enumerate(group):
+            if c > 0:
+                pieces[k].append(([0] * (at - ends[k]), used[k], used[k] + c))
+                used[k] += c
+                at = ends[k] = at + c
+    placed, shape = [], (len(blocks[0][1]), len(blocks[0][2])) if blocks else ()
+    for (blk, rs, cs), ps, end, u in zip(blocks, pieces, ends, used):
+        # sizes that add up to the shape, as their positive ones do
+        if (u, sum(cs), sum(rs), len(rs), len(cs)) != (blk.ncols, u, blk.nrows, *shape):
+            raise ValueError(misfit)
+        rows, tail = [], [0] * (at - end)
+        for r in blk.rows:
+            row = []
+            for zeros, a, e in ps:
+                row += zeros
+                row += r[a:e]
+            rows.append(row + tail)
+        placed.append(rows)
+    out, used = [], [0] * len(blocks)
+    for group in zip(*[rs for _, rs, _ in blocks]):
+        for k, n in enumerate(group):
+            if n > 0:
+                out += placed[k][used[k] : used[k] + n]
+                used[k] += n
+    if used != [blk.nrows for blk, _, _ in blocks]:
+        raise ValueError(misfit)
+    return Matrix(field, out, at)
+
+
+def reference_combine(ca: TwoComplex, cb: TwoComplex):
+    """The vertex matrices of the block-diagonal sum of two complexes in
+    the realization of the summed pair, by `reference_block_sum` grouped
+    by the runs of each projective type: at vertex v the run of type i
+    has m_i |paths(i, v)| lines, and the sum's run is ca's followed by
+    cb's."""
+    alg = ca.algebra
+    vertices = alg.quiver.vertices
+
+    def runs(r, v):
+        return [m * len(alg.paths(i, v)) for i, m in zip(vertices, r.mults)]
+
+    return {v: reference_block_sum(ca.hom.field, [
+                (cx.map.maps[v], runs(cx.hom.r0, v), runs(cx.hom.r1, v)) for cx in (ca, cb)])
+            for v in vertices}
+
+
 def evaluate(pm: PolyMatrix, point, field=QQ):
     """The matrix of pm at a point: each entry summed term by term with
     operators over Q, then taken into `field`."""

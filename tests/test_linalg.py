@@ -18,7 +18,7 @@ from taurank.linalg import (
     _term_rank,
 )
 
-from helpers import echelon_rank
+from helpers import echelon_rank, reference_block_sum
 
 
 def qmat(rows):
@@ -724,21 +724,22 @@ def placed_cell_by_cell(field, blocks):
 
 
 def test_block_sum_needs_every_line_once():
-    """Every line of every block is placed once: group sizes that do not
-    add up to a block's shape, or that differ in number between blocks,
-    raise."""
+    """The plain block sum places every line of every block once, empty
+    blocks too; the reference grouped sum raises for group sizes that do
+    not add up to a block's shape or that differ in number between
+    blocks."""
     one = Matrix(QQ, [[1]])
     two = Matrix(QQ, [[2, 0], [0, 3]])
     blocks = [(one, [1, 0], [0, 1]), (two, [1, 1], [1, 1])]
-    m = Matrix.block_sum(QQ, blocks)
+    m = reference_block_sum(QQ, blocks)
     assert m.rows == [[0, 1, 0], [2, 0, 0], [0, 0, 3]]
     assert m == placed_cell_by_cell(QQ, blocks)
-    assert m._rank is None  # the blocks have no memo
-    for blk, _, _ in blocks:
-        blk.rank()
-    assert Matrix.block_sum(QQ, blocks)._rank == 3 == echelon_rank(m)
-    assert Matrix.block_sum(QQ, [(two, [2], [2]), (one, [1], [1])]).rows == [
-        [2, 0, 0], [0, 3, 0], [0, 0, 1]]
+    assert Matrix.block_sum(QQ, [two, one]).rows == [[2, 0, 0], [0, 3, 0], [0, 0, 1]]
+    wide, tall = Matrix(QQ, [], 2), Matrix(QQ, [[], [], []], 0)
+    for mats in ([wide, one, tall], [tall, two, wide], [one, wide, wide, two]):
+        m = Matrix.block_sum(QQ, mats)
+        assert m.shape() == (sum(x.nrows for x in mats), sum(x.ncols for x in mats))
+        assert m == placed_cell_by_cell(QQ, [(x, [x.nrows], [x.ncols]) for x in mats])
     for bad in (
         [(one, [1], [1]), (two, [1], [2])],  # a row of two left out
         [(one, [1], [1]), (two, [3], [2])],  # a row too many
@@ -746,15 +747,15 @@ def test_block_sum_needs_every_line_once():
         [(one, [2, -1], [1]), (two, [1, 1], [2])],  # a negative size
     ):
         with pytest.raises(ValueError, match="group sizes"):
-            Matrix.block_sum(QQ, bad)
-    assert Matrix.block_sum(QQ, []).shape() == (0, 0)
+            reference_block_sum(QQ, bad)
+    assert Matrix.block_sum(QQ, []).shape() == reference_block_sum(QQ, []).shape() == (0, 0)
 
 
 @st.composite
 def grouped_blocks(draw):
-    """(field, blocks) for Matrix.block_sum: one to three blocks with the
-    same numbers of row and column groups, sizes 0 to 2, cells of every
-    rank."""
+    """(field, blocks) for `reference_block_sum`: one to three blocks with
+    the same numbers of row and column groups, sizes 0 to 2, cells of
+    every rank."""
     field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(_P)]))
     ngroups = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     sizes = st.integers(0, 2)
@@ -768,18 +769,16 @@ def grouped_blocks(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(grouped_blocks(), st.booleans())
-def test_grouped_block_sum_places_groups_in_turn(drawn, ranked):
+@given(grouped_blocks())
+def test_grouped_block_sum_places_groups_in_turn(drawn):
+    """The reference grouped sum, which the tests of `combine_complexes`
+    compare with, agrees with a cell-by-cell placement; with one group per
+    side it is the plain block sum."""
     field, blocks = drawn
-    if ranked:
-        for blk, _, _ in blocks:
-            blk.rank()
-    m = Matrix.block_sum(field, blocks)
-    assert m == placed_cell_by_cell(field, blocks)
-    if ranked:
-        assert m._rank == echelon_rank(m) == sum(blk.rank() for blk, _, _ in blocks)
-    else:
-        assert m._rank is None
+    assert reference_block_sum(field, blocks) == placed_cell_by_cell(field, blocks)
+    mats = [blk for blk, _, _ in blocks]
+    assert Matrix.block_sum(field, mats) == reference_block_sum(
+        field, [(blk, [blk.nrows], [blk.ncols]) for blk in mats])
     # a line too many, or a column group fewer than the other blocks have
     blk, rs, cs = blocks[0]
     wrong = [(blk, [*rs[:-1], rs[-1] + 1], cs)]
@@ -787,7 +786,7 @@ def test_grouped_block_sum_places_groups_in_turn(drawn, ranked):
         wrong.append((blk, rs, cs[:-1]))
     for bad in wrong:
         with pytest.raises(ValueError, match="group sizes"):
-            Matrix.block_sum(field, [bad, *blocks[1:]])
+            reference_block_sum(field, [bad, *blocks[1:]])
 
 
 def eliminated(*args, **kwargs):
@@ -801,13 +800,24 @@ def test_block_sum_of_blocks_without_memo_eliminates_nothing(monkeypatch):
         for _ in range(3):
             r, c = rng.randint(1, 4), rng.randint(1, 4)
             cells = [[rng.choice([0, 1, -1, 2]) for _ in range(c)] for _ in range(r)]
-            blocks.append((Matrix(field, cells, c), [r], [c]))
+            blocks.append(Matrix(field, cells, c))
         with monkeypatch.context() as patch:
             for engine in ("_echelon", "_packed_rank"):
                 patch.setattr(linalg, engine, eliminated)
             m = Matrix.block_sum(field, blocks)
-        assert m._rank is None and all(blk._rank is None for blk, _, _ in blocks)
+        assert m._rank is None and all(blk._rank is None for blk in blocks)
         assert m.rank() == echelon_rank(Matrix(field, m.rows, m.ncols))
+
+
+def test_a_block_sum_memo_is_the_sum_of_its_blocks_memos():
+    one, two = Matrix(QQ, [[1, 2], [2, 4]]), Matrix(QQ, [[2, 0], [0, 3]])
+    m = Matrix.block_sum(QQ, [one, two])
+    with pytest.raises(ValueError, match="no rank memo"):
+        linalg.memoize_block_sum_rank(m, [one, two])
+    assert m._rank is None
+    one.rank(), two.rank()
+    linalg.memoize_block_sum_rank(m, [one, two])
+    assert m._rank == 3 == echelon_rank(m)
 
 
 def test_rank_of_dense_int_matrices_with_cells_near_the_prime():

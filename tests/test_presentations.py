@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from operator import add
 from collections import Counter
 from fractions import Fraction
@@ -42,7 +43,7 @@ from taurank.reps import (
 )
 
 from helpers import (conjugate, echelon_rank, evaluate, random_bound_quivers,
-                     reduce_presentation)
+                     reduce_presentation, reference_combine)
 
 
 def f_lambda(alg_a, lam):
@@ -319,70 +320,78 @@ def test_block_sum_ranks_match_a_fresh_elimination(all_fixture_algebras, field):
                     assert m._rank == echelon_rank(m), (name, m1, m0)
 
 
-def test_block_sum_rank_checks_every_cell(monkeypatch, alg_a):
-    """The memo of a block sum is the sum of its blocks' ranks, whatever
-    the placement, so only the cell check of combine_complexes catches
-    blocks placed at the wrong lines."""
-    fa = f_lambda(alg_a, (1, 0, 0))
-    fb = f_lambda(alg_a, (0, 1, 2))
-    both = combine_complexes(fa, fb)
-    v = 1  # two 3 x 3 blocks of rank 2
-    a, b, m = fa.map.maps[v], fb.map.maps[v], both.map.maps[v]
-    rows_a, rows_b = list(range(a.nrows)), list(range(a.nrows, m.nrows))
-    cols_a, cols_b = list(range(a.ncols)), list(range(a.ncols, m.ncols))
-    assert m.shape() == (a.nrows + b.nrows, a.ncols + b.ncols)
-    assert m._rank == a.rank() + b.rank()
-    block_sum = Matrix.block_sum
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(DEFAULT_PRIME)],
+                         ids=["Q", "F7", "Fp"])
+def test_combine_complexes_matches_the_reference_placement(all_fixture_algebras, field):
+    """combine_complexes gathers its seed from coefficients; it equals the
+    grouped placement of `reference_combine` cell for cell, and each vertex
+    memo equals an elimination.  ca and cb come from different pairs of
+    {0,1,2}^n, so multiplicities are zero and target types are missing on
+    one side; scan levels go up to 4, ALG-A's (P(2), P(3)) among them,
+    whose Hom(P(2), P(3)) has a constant other than 1."""
+    assert not presentations._hom_template(all_fixture_algebras["ALG-A"], 2, 3)[4]
 
-    def placed(rows_fa, cols_fa, rows_fb, cols_fb):
-        """combine_complexes(fa, fb) with the blocks at vertex v placed
-        cell by cell at these lines, the memo the sum of their ranks."""
-        def fake(field, blocks):
-            if blocks[0][0] is not a:
-                return block_sum(field, blocks)
-            cells = [[0] * m.ncols for _ in range(m.nrows)]
-            for blk, rows, cols in ((a, rows_fa, cols_fa), (b, rows_fb, cols_fb)):
-                for i, row in zip(rows, blk.rows):
-                    for j, x in zip(cols, row):
-                        cells[i][j] = x
-            out = Matrix(field, cells, m.ncols)
-            out._rank = a.rank() + b.rank()
-            return out
+    def check(ca, cb):
+        out = combine_complexes(ca, cb)
+        assert out.map.maps == reference_combine(ca, cb), (ca.p1, ca.p0, cb.p1, cb.p0)
+        for m in out.map.maps.values():
+            assert m._rank == echelon_rank(m)
+        return out
 
-        with monkeypatch.context() as patch:
-            patch.setattr(Matrix, "block_sum", staticmethod(fake))
-            return combine_complexes(fa, fb)
+    for name, alg in all_fixture_algebras.items():
+        rng = random.Random(name)
+        vecs = list(itertools.product(range(3), repeat=alg.quiver.n))
+        small = list(itertools.product(range(2), repeat=alg.quiver.n))
 
-    assert placed(rows_a, cols_a, rows_b, cols_b).map.maps[v] == m
-    bad = [
-        # a and b have the same shape and rank, so only the cells tell
-        (rows_b, cols_b, rows_a, cols_a),  # swapped
-        (rows_a[::-1], cols_a, rows_b, cols_b),  # reversed
-        (rows_a, cols_a, rows_b, cols_b[1:] + cols_b[:1]),  # rotated
-        (rows_a, cols_a, rows_a, cols_b),  # rows used twice
-    ]
-    for case in bad:
-        with pytest.raises(AssertionError, match="block sum"):
-            placed(*case)
-    assert a.rank() == b.rank()
-    # sizes that do not fit the blocks raise instead of placing
-    with pytest.raises(ValueError, match="group sizes"):
-        Matrix.block_sum(a.field, [(a, [2], [3]), (b, [3], [3])])
+        def draw(pairs, bound):
+            m1, m0 = map(ProjDecomp, rng.choice(pairs))
+            hs = realize_pair(alg, m1, m0, field)
+            return complex_from_coeffs(alg, m1, m0,
+                                       hs.sample_coeffs(SeedStream(rng.randrange(99)), bound),
+                                       field)
+
+        pairs = list(itertools.product(vecs, vecs))
+        for k in range(60):
+            check(draw(pairs, 1 + 8 * (k % 2)), draw(pairs, 1 + 8 * (k % 3 == 0)))
+        chains = [draw(list(itertools.product(small, small)), 9) for _ in range(3)]
+        if name == "ALG-A":
+            chains.append(complex_from_coeffs(alg, ProjDecomp((0, 1, 0)), ProjDecomp((0, 0, 1)),
+                                              [1, 2, 3], field))
+        for w1 in chains:
+            level = w1
+            for _ in range(3):  # levels 2 to 4
+                level = check(level, w1)
 
 
-def test_combine_complexes_rejects_a_perturbed_sum(monkeypatch, alg_a):
-    fa = f_lambda(alg_a, (1, 0, 0))
-    fb = f_lambda(alg_a, (0, 1, 2))
-    build = HomSpace.morphism_from_coeffs
+def test_combine_complexes_of_ranked_witnesses_runs_no_elimination(monkeypatch, alg_k, alg_b0):
+    """Once both witnesses are ranked, a scan level's seed is one
+    morphism_from_coeffs call and no elimination: its vertex ranks are the
+    sums of its blocks' memos.  A lost memo would show only as a slower
+    scan."""
+    calls = Counter()
 
-    def perturbed(hs, coeffs):
-        fmor = build(hs, coeffs)
-        fmor.maps[1].rows[0][-1] += 1  # a cell between the two blocks
-        return fmor
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(HomSpace, "morphism_from_coeffs", perturbed)
-    with pytest.raises(AssertionError, match="block sum"):
-        combine_complexes(fa, fb)
+    for alg in (alg_k, alg_b0):
+        vecs = list(itertools.product(range(3), repeat=alg.quiver.n))
+        for m1, m0 in itertools.product(vecs, vecs):
+            w1 = generic_rank(alg, ProjDecomp(m1), ProjDecomp(m0), trials=2).witness
+            level = w1
+            for t in range(2, 4):
+                w1.rank(), level.rank()
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(HomSpace, "morphism_from_coeffs",
+                                  counted("morphism_from_coeffs", HomSpace.morphism_from_coeffs))
+                    for engine in ("_packed_rank", "_echelon"):
+                        patch.setattr(linalg, engine, counted(engine, getattr(linalg, engine)))
+                    level = combine_complexes(level, w1)
+                assert calls == Counter(morphism_from_coeffs=1), (m1, m0, t)
+                assert level.rank() == t * w1.rank()
 
 
 def test_combine_complexes_rejects_complexes_over_different_fields(alg_a):
@@ -565,14 +574,14 @@ def test_realizations_validate_after_a_cached_one(alg_a):
 
 def test_shared_realizations_survive_their_callers(alg_a, alg_b):
     """Scans, presentations and tau reuse cached realization summands,
-    reps, offsets and runs; none of them may alter one, so each still
+    reps and offsets; none of them may alter one, so each still
     equals a fresh direct sum laid out by the algebra's paths."""
     additivity_scan(alg_a, ProjDecomp((1, 1, 0)), ProjDecomp((0, 1, 1)), t_max=2, trials=2)
     m = random_module(alg_b, SeedStream(5))
     reduce_presentation(min_presentation(m))
     tau(m)
     for alg in (alg_a, alg_b, alg_a.opposite(), alg_b.opposite()):
-        for (mults, _), (pairs, rep, offsets, runs) in alg.realization_cache.items():
+        for (mults, _), (pairs, rep, offsets) in alg.realization_cache.items():
             assert pairs == [(i, c) for i in alg.quiver.vertices for c in range(mults[i - 1])]
             if any(mults):
                 summands = [i for i in alg.quiver.vertices for _ in range(mults[i - 1])]
@@ -584,9 +593,6 @@ def test_shared_realizations_survive_their_callers(alg_a, alg_b):
                      for v in alg.quiver.vertices}
                     for s in range(len(summands))
                 ]
-                assert runs == {v: [m * len(alg.paths(i, v))
-                                    for i, m in zip(alg.quiver.vertices, mults)]
-                                for v in alg.quiver.vertices}
 
 
 def reference_cover_bound(hs):

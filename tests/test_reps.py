@@ -661,6 +661,30 @@ def test_kernels_and_cokernels_of_zero_and_identity_maps(all_fixture_algebras, f
             assert kernel(zero(m, none))[0] == m == cokernel(zero(none, m))[0]
 
 
+@pytest.mark.parametrize("p", [2, 7, DEFAULT_PRIME])
+def test_kernels_cokernels_and_covers_hold_reduced_cells(all_fixture_algebras, p):
+    """Kernels, cokernels and covers adopt cells that are finished already
+    (kernel vectors, rows and actions of existing matrices) instead of
+    reducing them again: every cell stays an int in [0, p), and each
+    matrix equals the one the reducing constructor builds from its rows."""
+    field = PrimeField(p)
+
+    def assert_reduced(*matrices):
+        for mat in matrices:
+            assert all(type(x) is int and 0 <= x < p for row in mat.rows for x in row)
+            assert mat == Matrix(field, mat.rows, mat.ncols)
+
+    for k, alg in enumerate(all_fixture_algebras.values()):
+        for seed in range(6):
+            cx = random_presentation(alg, SeedStream(100 * k + seed), field=field)
+            m, proj = cokernel(cx.map)
+            cover = projective_cover(m)
+            for made in (kernel(cx.map), (m, proj), kernel(cover.epi)):
+                assert_reduced(*made[0].arrows.values(), *made[1].maps.values())
+                check_intertwines(made[1])
+            assert_reduced(*cover.epi.maps.values())
+
+
 def _line(x):
     return Matrix(QQ, [[x]], 1)
 

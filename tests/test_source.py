@@ -104,6 +104,27 @@ def test_the_rule_sees_cell_writes_through_a_row():
     assert written_rows(tree) == [3]
 
 
+def rank_writes(tree):
+    """Line numbers of the stores to an attribute named `_rank`, such as
+    m._rank = r, m._rank += r or a, m._rank = x, y."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "_rank"
+                   and isinstance(node.ctx, ast.Store)})
+
+
+def test_only_linalg_writes_rank_memos():
+    # a memo set anywhere else could disagree with the cells it stands for
+    writes = {name: lines for name, tree in modules().items()
+              if name != "linalg.py" and (lines := rank_writes(tree))}
+    assert writes == {}
+
+
+def test_the_rule_sees_rank_writes():
+    tree = ast.parse("m._rank = 3\nx.y._rank += 1\na, b._rank = 1, 2\nprint(m._rank)\n"
+                     "for m._rank in ranks:\n    pass\nm.rank_ = 0\n")
+    assert rank_writes(tree) == [1, 2, 3, 5]
+
+
 def unused_imports(tree):
     """Names bound by module-level imports that the module never reads."""
     bound = {}
